@@ -10,6 +10,7 @@ the billing-model ablation.
 from repro.cloud import PerSecondBilling, get_instance_type
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
+from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError
 from repro.workloads import build_rsvd_program
 
@@ -43,17 +44,16 @@ def build_series():
     exact = make_optimizer(PerSecondBilling(minimum_seconds=60.0))
     rows = []
     for minutes in DEADLINES_MIN:
-        deadline = minutes * 60.0
+        spec = SearchSpec(deadline_seconds=minutes * 60.0, space=space)
         try:
-            hourly_plan = hourly.minimize_cost_under_deadline(deadline, space)
+            hourly_plan = search(hourly, spec).plan
             hourly_cell = hourly_plan.estimated_cost
             spec_cell = (f"{hourly_plan.spec.num_nodes}x"
                          f"{hourly_plan.spec.instance_type.name}")
         except InfeasibleConstraintError:
             hourly_cell, spec_cell = float("nan"), "infeasible"
         try:
-            exact_cost = exact.minimize_cost_under_deadline(
-                deadline, space).estimated_cost
+            exact_cost = search(exact, spec).plan.estimated_cost
         except InfeasibleConstraintError:
             exact_cost = float("nan")
         rows.append([minutes, hourly_cell, exact_cost, spec_cell])

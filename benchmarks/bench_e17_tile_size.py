@@ -10,6 +10,7 @@ U-curve over tile sizes for a fixed multiply and cluster, with the optimizer
 from repro.cloud import ClusterSpec, get_instance_type
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
+from repro.core.search import SearchSpec, search
 from repro.workloads import build_multiply_program
 
 from benchmarks.common import Table, report
@@ -26,7 +27,9 @@ def build_series():
     params = CompilerParams(matmul=MatMulParams(1, 1, 1))
     rows = []
     for tile_size in TILE_SIZES:
-        plan = optimizer.evaluate(spec, params, tile_size)
+        plan = search(optimizer, SearchSpec(
+            objective="evaluate", cluster=spec, compiler_params=params,
+            tile_size=tile_size)).plan
         rows.append([tile_size, (DIMENSION // tile_size) ** 2,
                      plan.estimated_seconds])
     # What would the optimizer pick, given the choice?

@@ -21,6 +21,7 @@ from repro.core.optimizer import (
     SearchSpace,
 )
 from repro.core.physical import MatMulParams
+from repro.core.search import SearchSpec, _search
 from repro.errors import InfeasibleConstraintError
 from repro.workloads import build_gnmf_program
 
@@ -51,16 +52,19 @@ def make_reliability():
 
 
 def sweep(optimizer, early_abort):
-    """One reliability-aware cost-vs-deadline curve; returns (rows, secs)."""
+    """One reliability-aware cost-vs-deadline curve; returns (rows, secs).
+
+    ``early_abort=False`` is the search driver's unpruned reference pass.
+    """
     space = make_space()
     results = []
     started = time.perf_counter()
     for minutes in DEADLINES_MIN:
+        spec = SearchSpec(deadline_seconds=minutes * 60.0, space=space,
+                          reliability=make_reliability())
         try:
-            reliable = optimizer.minimize_cost_under_deadline_reliable(
-                minutes * 60.0, make_reliability(), space,
-                early_abort=early_abort)
-            results.append((minutes, reliable.plan))
+            results.append((minutes, _search(
+                optimizer, spec, early_abort=early_abort).plan))
         except InfeasibleConstraintError:
             results.append((minutes, None))
     return results, time.perf_counter() - started

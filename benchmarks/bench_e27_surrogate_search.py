@@ -4,7 +4,7 @@ The tentpole claim behind ``repro.core.surrogate``: on a reliability-aware
 cost-vs-deadline sweep over GNMF (the E22 shape, on a production-size
 deployment grid), the model-guided search returns the *identical* plan at
 every deadline while issuing at least 5x fewer simulation requests than
-the exhaustive grid solver.  The sweep deliberately crosses the workload's
+the exhaustive method.  The sweep deliberately crosses the workload's
 p95 runtime so deadline pressure actually changes the chosen cluster —
 the surrogate has to track the feasibility boundary, not just the cost
 minimum.
@@ -25,7 +25,7 @@ from repro.core.optimizer import (
     SearchSpace,
 )
 from repro.core.physical import MatMulParams
-from repro.core.surrogate import surrogate_minimize_cost_under_deadline
+from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError
 from repro.workloads import build_gnmf_program
 
@@ -64,37 +64,31 @@ def plan_key(plan):
             plan.spec.slots_per_node, plan.tile_size, plan.compiler_params)
 
 
-def sweep(optimizer, solve):
-    """One cost-vs-deadline curve; returns (plans, wall secs, avoided)."""
+def sweep(optimizer, method):
+    """One cost-vs-deadline curve: (plans, wall secs, sims, avoided)."""
     space = make_space()
     plans = []
-    avoided = 0
+    sims = avoided = 0
     started = time.perf_counter()
     for minutes in DEADLINES_MIN:
         try:
-            plans.append(solve(optimizer, minutes * 60.0, space))
+            plans.append(search(optimizer, SearchSpec(
+                deadline_seconds=minutes * 60.0, method=method, space=space,
+                reliability=make_reliability())).plan)
         except InfeasibleConstraintError:
             plans.append(None)
+        sims += optimizer.last_search_stats.sim_requests
         avoided += optimizer.last_search_stats.simulations_avoided
-    return plans, time.perf_counter() - started, avoided
-
-
-def solve_exhaustive(optimizer, deadline, space):
-    return optimizer._minimize_cost_under_deadline_reliable(
-        deadline, make_reliability(), space).plan
-
-
-def solve_surrogate(optimizer, deadline, space):
-    return surrogate_minimize_cost_under_deadline(
-        optimizer, deadline, space, reliability=make_reliability()).plan
+    return plans, time.perf_counter() - started, sims, avoided
 
 
 def build_series():
     program = make_program()
     exhaustive = DeploymentOptimizer(program, tile_size=TILE, workers=4)
     surrogate = DeploymentOptimizer(program, tile_size=TILE, workers=4)
-    grid_plans, grid_seconds, __ = sweep(exhaustive, solve_exhaustive)
-    model_plans, model_seconds, avoided = sweep(surrogate, solve_surrogate)
+    grid_plans, grid_seconds, grid_sims, __ = sweep(exhaustive, "exhaustive")
+    model_plans, model_seconds, model_sims, avoided = sweep(surrogate,
+                                                            "surrogate")
     rows = []
     for minutes, grid_plan, model_plan in zip(DEADLINES_MIN, grid_plans,
                                               model_plans):
@@ -106,8 +100,6 @@ def build_series():
                      or (grid_plan is not None and model_plan is not None
                          and plan_key(grid_plan) == plan_key(model_plan)))
         rows.append([minutes, label, identical])
-    grid_sims = exhaustive._sim_requests
-    model_sims = surrogate._sim_requests
     ratio = grid_sims / model_sims if model_sims else float("inf")
     summary = [grid_sims, model_sims, ratio, avoided,
                grid_seconds, model_seconds]

@@ -20,8 +20,10 @@ from repro.core import (
     DeploymentOptimizer,
     PhysicalContext,
     SearchSpace,
+    SearchSpec,
     compile_program,
     run_program,
+    search,
     simulate_program,
 )
 from repro.cloud import ClusterSpec
@@ -70,7 +72,8 @@ def plan_deployment(program) -> None:
     for plan in optimizer.skyline(space):
         print(f"  {plan.describe()}")
     for hours in (1.0, 2.0, 6.0):
-        plan = optimizer.minimize_cost_under_deadline(hours * 3600.0, space)
+        plan = search(optimizer, SearchSpec(
+            deadline_seconds=hours * 3600.0, space=space)).plan
         print(f"deadline {hours:>4.1f}h -> {plan.describe()}")
 
 

@@ -12,7 +12,13 @@ Run with:  python examples/regression_whatif.py
 import numpy as np
 
 from repro.cloud import get_instance_type
-from repro.core import DeploymentOptimizer, SearchSpace, run_program
+from repro.core import (
+    DeploymentOptimizer,
+    SearchSpace,
+    SearchSpec,
+    run_program,
+    search,
+)
 from repro.data import regression_dataset
 from repro.errors import InfeasibleConstraintError
 from repro.workloads import (
@@ -49,7 +55,8 @@ def what_if_growth() -> None:
         program = build_normal_equations_program(rows, 4096)
         optimizer = DeploymentOptimizer(program, tile_size=2048)
         try:
-            plan = optimizer.minimize_cost_under_deadline(deadline, space)
+            plan = search(optimizer, SearchSpec(
+                deadline_seconds=deadline, space=space)).plan
             print(f"{rows:>12,}  {plan.spec.describe():<34}"
                   f" {plan.estimated_seconds / 60:6.1f}m"
                   f" ${plan.estimated_cost:7.2f}")

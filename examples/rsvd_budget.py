@@ -3,16 +3,15 @@
 Given the randomized-SVD sampling pipeline ``B = (A A')^q A G`` over a large
 matrix, the analyst asks: "I have $X — how fast can I get my sketch?", and
 the dual: "I need it by t — what is the cheapest cluster?".  This script
-sweeps both constraints, contrasts hourly vs per-second billing, and shows
-hill-climbing reaching the grid search's answer at a fraction of the cost.
+sweeps both constraints, contrasts hourly vs per-second billing, and sets
+the surrogate-guided search beside the exhaustive grid: the plan each finds
+and the simulations each spends.
 
 Run with:  python examples/rsvd_budget.py
 """
 
-import time
-
 from repro.cloud import PerSecondBilling, get_instance_type
-from repro.core import DeploymentOptimizer, SearchSpace
+from repro.core import DeploymentOptimizer, SearchSpace, SearchSpec, search
 from repro.errors import InfeasibleConstraintError
 from repro.workloads import build_rsvd_program
 
@@ -36,7 +35,9 @@ def main() -> None:
     print("budget sweep (hourly billing):")
     for budget in (2.0, 5.0, 10.0, 25.0, 50.0):
         try:
-            plan = optimizer.minimize_time_under_budget(budget, space)
+            plan = search(optimizer, SearchSpec(
+                objective="min-time", budget_dollars=budget,
+                space=space)).plan
             print(f"  ${budget:>5.2f} -> {plan.estimated_seconds / 60:6.1f} "
                   f"min on {plan.spec.describe()}")
         except InfeasibleConstraintError:
@@ -46,21 +47,21 @@ def main() -> None:
     exact = DeploymentOptimizer(program, tile_size=2048,
                                 billing=PerSecondBilling())
     for minutes in (20, 40, 60, 120, 240):
-        deadline = minutes * 60.0
-        hourly_plan = optimizer.minimize_cost_under_deadline(deadline, space)
-        exact_plan = exact.minimize_cost_under_deadline(deadline, space)
+        spec = SearchSpec(deadline_seconds=minutes * 60.0, space=space)
+        hourly_plan = search(optimizer, spec).plan
+        exact_plan = search(exact, spec).plan
         print(f"  {minutes:>4d} min -> hourly ${hourly_plan.estimated_cost:6.2f}"
               f"   per-second ${exact_plan.estimated_cost:6.2f}")
 
-    print("\nhill climbing vs exhaustive grid (deadline = 60 min):")
-    started = time.perf_counter()
-    grid_plan = optimizer.minimize_cost_under_deadline(3600.0, space)
-    grid_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    climbed_plan = optimizer.hill_climb_under_deadline(3600.0, space)
-    climb_seconds = time.perf_counter() - started
-    print(f"  grid : {grid_plan.describe()}  ({grid_seconds:.2f}s search)")
-    print(f"  climb: {climbed_plan.describe()}  ({climb_seconds:.2f}s search)")
+    print("\nsurrogate vs exhaustive grid (deadline = 60 min):")
+    for method in ("exhaustive", "surrogate"):
+        # A fresh optimizer each, so neither rides the other's memo.
+        result = search(DeploymentOptimizer(program, tile_size=2048),
+                        SearchSpec(deadline_seconds=3600.0, space=space,
+                                   method=method))
+        print(f"  {method:<10}: {result.plan.describe()}  "
+              f"({result.stats.sim_requests} simulations, "
+              f"{result.stats.wall_seconds:.2f}s search)")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from repro.core.optimizer import (
 from repro.core.plans import DeploymentPlan
 from repro.core.program import Program
 from repro.core.search import SearchResult, SearchSpec, search
-from repro.core.surrogate import SurrogateConfig, reliability_frontier
+from repro.core.surrogate import reliability_frontier
 from repro.core.session import CumulonSession
 from repro.errors import (
     AdmissionRejectedError,
@@ -146,7 +146,6 @@ __all__ = [
     "SearchTrace",
     "ServiceError",
     "ServiceReport",
-    "SurrogateConfig",
     "Tenant",
     "TenantReport",
     "Trace",

@@ -72,11 +72,7 @@ from repro.core.plans import (
 from repro.core.program import Program, Statement
 from repro.core.rewrite import naive_chain_flops, reorder_matmul_chains
 from repro.core.search import SearchResult, SearchSpec, search
-from repro.core.surrogate import (
-    SurrogateConfig,
-    SurrogateResult,
-    reliability_frontier,
-)
+from repro.core.surrogate import reliability_frontier
 from repro.core.session import CumulonSession
 from repro.core.workflow import (
     WorkflowOptimizer,
@@ -148,8 +144,6 @@ __all__ = [
     "SearchResult",
     "SearchSpec",
     "search",
-    "SurrogateConfig",
-    "SurrogateResult",
     "reliability_frontier",
     "ElementwiseParams",
     "MatMulParams",

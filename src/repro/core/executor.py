@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.compat import resolve_renamed_kwarg, warn_renamed
 from repro.core.compiler import CompiledProgram, CompilerParams, compile_program
 from repro.core.physical import PhysicalContext
 from repro.core.program import Program
@@ -59,11 +58,7 @@ class CumulonExecutor:
                  metrics: MetricsRegistry = NULL_METRICS,
                  retry_policy: RetryPolicy | None = None,
                  fault_injector: FaultInjector | None = None,
-                 backend: str = BACKEND_THREAD,
-                 params: CompilerParams | None = None):
-        compiler_params = resolve_renamed_kwarg(
-            "CumulonExecutor", "params", "compiler_params",
-            params, compiler_params)
+                 backend: str = BACKEND_THREAD):
         self.tile_size = tile_size
         self.max_workers = max_workers
         self.backend = backend
@@ -75,12 +70,6 @@ class CumulonExecutor:
         self.retry_policy = retry_policy
         self.fault_injector = fault_injector
         self._local: LocalExecutor | None = None
-
-    @property
-    def params(self) -> CompilerParams:
-        """Deprecated alias for :attr:`compiler_params`."""
-        warn_renamed("CumulonExecutor", "params", "compiler_params")
-        return self.compiler_params
 
     def _local_executor(self) -> LocalExecutor:
         # Reused across runs so the process backend's worker pool survives
@@ -170,11 +159,8 @@ def run_program(program: Program, inputs: dict[str, np.ndarray] | None = None,
                 max_workers: int = 4,
                 compiler_params: CompilerParams | None = None,
                 recorder: TraceRecorder = NULL_RECORDER,
-                backend: str = BACKEND_THREAD,
-                params: CompilerParams | None = None) -> ExecutionResult:
+                backend: str = BACKEND_THREAD) -> ExecutionResult:
     """One-shot convenience: execute ``program`` and return its results."""
-    compiler_params = resolve_renamed_kwarg(
-        "run_program", "params", "compiler_params", params, compiler_params)
     with CumulonExecutor(tile_size=tile_size, max_workers=max_workers,
                          compiler_params=compiler_params,
                          recorder=recorder, backend=backend) as executor:

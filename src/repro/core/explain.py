@@ -127,7 +127,7 @@ def explain_search(trace: SearchTrace) -> str:
     """Every candidate the deployment optimizer looked at, one per line.
 
     Candidates print in evaluation order with their predicted time/cost and
-    verdict (frontier / dominated / pruned / skipped, plus feasibility when
+    verdict (frontier / dominated / pruned, plus feasibility when
     a constraint solver annotated them); the Pareto frontier, when marked,
     is listed again at the bottom in full, followed by the search's
     performance accounting (memo hit rate, scenarios skipped, wall clock)
@@ -137,27 +137,19 @@ def explain_search(trace: SearchTrace) -> str:
     "pruning n/a" (no candidate ever had a sibling to lose to — e.g. a
     single-matmul search space).
     """
-    evaluated = trace.evaluated()
     pruned = trace.pruned()
     if not pruned and not getattr(trace, "pruning_applicable", True):
         pruned_part = "pruning n/a"
     else:
         pruned_part = f"{len(pruned)} pruned"
     lines = [
-        f"search: {len(trace.records)} candidates "
-        f"({len(evaluated)} priced, {pruned_part}, "
-        f"{len(trace.skipped())} skipped)"
+        f"search: {len(trace.records)} candidates priced ({pruned_part})"
     ]
     for record in trace.records:
         where = f"{record.instance} x{record.nodes} nodes x{record.slots} slots"
         label = f"  #{record.index:03d} [{record.origin}] {where}"
         if record.step is not None:
-            suffix = (f" <- #{record.parent:03d}"
-                      if record.parent is not None else "")
-            label += f" step={record.step}{suffix}"
-        if record.predicted_seconds is None:
-            lines.append(f"{label}: {record.annotation()}")
-            continue
+            label += f" step={record.step}"
         label += (f" tile={record.tile_size} matmul={record.matmul}: "
                   f"{record.predicted_seconds:.1f}s "
                   f"${record.predicted_cost:.2f}")

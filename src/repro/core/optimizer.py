@@ -10,10 +10,13 @@ The pipeline mirrors the paper:
 1. coefficients fitted by **benchmarking** (:mod:`repro.core.benchmarking`);
 2. each candidate deployment priced by **modeling** each task and
    **simulating** the slot scheduler (:mod:`repro.core.simcost`);
-3. **search** over the deployment space — exhaustive over the (pruned) grid,
-   with physical parameters tuned *per cluster spec* (a split factor good on
-   4 fat nodes is bad on 32 thin ones), plus a hill-climbing variant for
-   larger spaces.
+3. **search** over the deployment space, with physical parameters tuned
+   *per cluster spec* (a split factor good on 4 fat nodes is bad on 32 thin
+   ones).
+
+This module is the *pricing* layer: compile cache, simulation, per-spec
+physical tuning, the scenario stress test and the search-stats window.
+Constrained search over what it prices lives in :mod:`repro.core.search`.
 
 Costs follow the billing model (hourly by default), which is what makes the
 cost-versus-deadline curve a step function (E6).
@@ -27,7 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.cloud.instances import EC2_CATALOG, ClusterSpec, InstanceType
 from repro.cloud.pricing import DEFAULT_BILLING, BillingModel
@@ -37,21 +40,11 @@ from repro.core.benchmarking import HardwareCoefficients
 from repro.core.compiler import CompiledProgram, CompilerParams, compile_program
 from repro.core.costmodel import CostModelConfig, CumulonCostModel
 from repro.core.evalcache import EvalCache
-from repro.core.compat import resolve_renamed_kwarg, warn_deprecated_entry_point
 from repro.core.physical import ElementwiseParams, MatMulParams, PhysicalContext
-from repro.core.plans import (
-    DeploymentPlan,
-    cheapest_within_deadline,
-    fastest_within_budget,
-    skyline,
-)
+from repro.core.plans import DeploymentPlan, skyline
 from repro.core.program import Program
 from repro.core.simcost import simulate_program
-from repro.errors import (
-    InfeasibleConstraintError,
-    SchedulingError,
-    ValidationError,
-)
+from repro.errors import SchedulingError, ValidationError
 from repro.hadoop.faults import (
     CompositeNodeFailures,
     NodeFailureModel,
@@ -64,7 +57,6 @@ from repro.observability.search import (
     NULL_SEARCH_TRACE,
     ORIGIN_ADHOC,
     ORIGIN_GRID,
-    ORIGIN_HILL_CLIMB,
     SearchStats,
     SearchTrace,
 )
@@ -280,12 +272,14 @@ class ReliablePlan:
         return "\n".join(lines)
 
 
+
+
 class DeploymentOptimizer:
-    """Searches the deployment space for one program.
+    """Prices deployments of one program (the layer every search runs on).
 
     ``cache`` memoizes candidate simulations on a content-addressed key
     (see :mod:`repro.core.evalcache`); the default is a fresh enabled
-    cache, so repeated solver calls and the reliability-aware search reuse
+    cache, so repeated searches and the reliability-aware search reuse
     earlier pricings.  Pass :data:`~repro.core.evalcache.NULL_EVAL_CACHE`
     to price every candidate from scratch (the sequential baseline the
     differential tests and the E22 bench compare against).
@@ -327,16 +321,11 @@ class DeploymentOptimizer:
         self._stats_lock = threading.Lock()
         self._sim_requests = 0
         self._scenarios_skipped = 0
-        #: Search-context for candidate records (set by the solvers).
-        self._origin = ORIGIN_ADHOC
-        self._step: int | None = None
-        self._parent: int | None = None
-        self._climb_result: DeploymentPlan | None = None
-        #: Stats of the most recent solver call, kept even when no
+        #: Stats of the most recent search, kept even when no
         #: :class:`SearchTrace` is attached (what ``search()`` reports).
         self.last_search_stats: SearchStats | None = None
 
-    # -- plan evaluation -----------------------------------------------------
+    # -- pricing ---------------------------------------------------------------
 
     def compile_with(self, params: CompilerParams,
                      tile_size: int | None = None) -> CompiledProgram:
@@ -372,42 +361,22 @@ class DeploymentOptimizer:
         seconds = estimate.seconds + self.startup_seconds
         return seconds, self.billing.cost(spec, seconds)
 
-    def evaluate(self, spec: ClusterSpec,
-                 compiler_params: CompilerParams | None = None,
-                 tile_size: int | None = None,
-                 priced: tuple[float, float] | None = None,
-                 params: CompilerParams | None = None) -> DeploymentPlan:
-        """Deprecated entry point: price one deployment combination.
+    def price(self, spec: ClusterSpec, compiler_params: CompilerParams,
+              tile_size: int | None = None) -> DeploymentPlan:
+        """Price one (cluster, physical-plan, tile-size) combination."""
+        return self._plan(spec, compiler_params, tile_size)
 
-        Superseded by the declarative facade —
-        ``search(SearchSpec(objective="evaluate", cluster=spec,
-        compiler_params=...))`` — but kept as a warning shim returning the
-        exact same plan.  ``params`` is the (doubly) deprecated spelling
-        of ``compiler_params``.
-        """
-        warn_deprecated_entry_point(
-            "DeploymentOptimizer.evaluate",
-            "repro.api.search(SearchSpec(objective=\"evaluate\", ...))")
-        compiler_params = resolve_renamed_kwarg(
-            "DeploymentOptimizer.evaluate", "params", "compiler_params",
-            params, compiler_params)
-        if compiler_params is None:
-            raise ValidationError(
-                "DeploymentOptimizer.evaluate needs compiler_params")
-        return self._evaluate(spec, compiler_params, tile_size,
-                              priced=priced)
+    def _plan(self, spec: ClusterSpec, compiler_params: CompilerParams,
+              tile_size: int | None = None,
+              priced: tuple[float, float] | None = None,
+              origin: str = ORIGIN_ADHOC,
+              step: int | None = None) -> DeploymentPlan:
+        """Price one combination and record it (trace, metrics, spans).
 
-    def _evaluate(self, spec: ClusterSpec,
-                  compiler_params: CompilerParams,
-                  tile_size: int | None = None,
-                  priced: tuple[float, float] | None = None
-                  ) -> DeploymentPlan:
-        """Price one (cluster, physical-plan, tile-size) combination.
-
-        ``priced`` short-circuits the simulation with a pre-computed
-        ``(seconds, cost)`` pair — how parallel workers' results are folded
-        back in without re-simulating — while trace/metrics recording
-        still happens here, on the calling (main) thread.
+        ``priced`` short-circuits the simulation with a ``(seconds, cost)``
+        pair a pool worker already computed; recording still happens here,
+        on the calling (main) thread.  ``origin``/``step`` tag the search
+        trace record with which search asked, and when.
         """
         tile_size = tile_size if tile_size is not None else self.tile_size
         compiled = self.compile_with(compiler_params, tile_size)
@@ -421,8 +390,7 @@ class DeploymentOptimizer:
         if self.metrics.enabled:
             self.metrics.inc("optimizer.candidates_evaluated")
         if self.search_trace.enabled:
-            self.search_trace.add(plan, origin=self._origin,
-                                  step=self._step, parent=self._parent)
+            self.search_trace.add(plan, origin=origin, step=step)
         return plan
 
     def _combos(self, space: SearchSpace) -> list[tuple[int, CompilerParams]]:
@@ -432,47 +400,67 @@ class DeploymentOptimizer:
                 for tile_size in space.tile_sizes_for(self.tile_size)
                 for matmul in space.matmul_options]
 
-    def price_spec_combos(self, spec: ClusterSpec,
-                          space: SearchSpace) -> list[tuple[float, float]]:
-        """Price every physical-parameter combo for one fixed spec.
+    def tune_specs(self, specs: list[ClusterSpec], space: SearchSpace,
+                   origin: str = ORIGIN_ADHOC, step: int | None = None
+                   ) -> Iterator[DeploymentPlan]:
+        """Each spec's best physical plan, lazily and in ``specs`` order.
 
-        Returns ``(seconds, cost)`` pairs in :meth:`_combos` order — the
-        shape :meth:`best_params_for` accepts as ``priced=``.  With
-        ``workers > 1`` the pure pricing fans out across the thread pool
-        (compilation happens up front on the calling thread, like
-        :meth:`_price_specs`); results are folded in submission order, so
-        the output is bit-identical to the sequential path.  This is the
-        entry point the multi-tenant job service uses to price one
-        admission on its shared cluster.
+        The one pricing path: every search method, the grid enumeration
+        and the service's admission pricing come through here.  Pricing
+        for the whole batch fans out across the pool up front; the fold —
+        sibling pruning, trace records tagged ``origin``/``step`` — is
+        sequential, one spec per ``next()``, so a caller can interleave
+        its own work (stress tests) exactly as a sequential search would.
         """
         combos = self._combos(space)
+        for spec, row in zip(specs, self._price_rows(specs, combos)):
+            yield self._tune(spec, combos, row, origin, step)
+
+    def best_params_for(self, spec: ClusterSpec,
+                        space: SearchSpace) -> DeploymentPlan:
+        """Tune physical parameters and tile size for a fixed cluster spec."""
+        return next(self.tune_specs([spec], space))
+
+    def _price_rows(self, specs: list[ClusterSpec],
+                    combos: list[tuple[int, CompilerParams]]
+                    ) -> list[list[tuple[float, float]] | None]:
+        """Price every (spec, combo) pair — the one fan-out over the pool.
+
+        Sequential mode (``workers <= 1``) returns ``None`` per spec, which
+        makes :meth:`_tune` price inline (with its ``simulate:`` spans) —
+        the baseline path.  Parallel mode precompiles every combo on the
+        main thread (the compile cache is not thread-safe), then workers
+        run only the pure :meth:`_price`; each spec gets its
+        ``(seconds, cost)`` pairs back in ``combos`` order, so the
+        downstream fold is bit-identical to the sequential one.
+        """
+        if self.workers <= 1 or len(specs) * len(combos) <= 1:
+            return [None] * len(specs)
         compiled = [self.compile_with(params, tile_size)
                     for tile_size, params in combos]
-        if self.workers <= 1 or len(compiled) <= 1:
-            return [self._price(program, spec) for program in compiled]
+        pairs = [(program, spec) for spec in specs for program in compiled]
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(
-                lambda program: self._price(program, spec), compiled))
+            flat = list(pool.map(lambda pair: self._price(*pair), pairs))
+        width = len(compiled)
+        return [flat[start:start + width]
+                for start in range(0, len(flat), width)]
 
-    def best_params_for(self, spec: ClusterSpec, space: SearchSpace,
-                        priced: list[tuple[float, float]] | None = None
-                        ) -> DeploymentPlan:
-        """Tune physical parameters and tile size for a fixed cluster spec.
-
-        ``priced`` supplies pre-computed ``(seconds, cost)`` pairs in
-        ``_combos`` order (from the parallel pricing pass); folding —
-        sibling pruning, trace records — always happens here sequentially.
-        """
+    def _tune(self, spec: ClusterSpec,
+              combos: list[tuple[int, CompilerParams]],
+              priced: list[tuple[float, float]] | None,
+              origin: str, step: int | None) -> DeploymentPlan:
+        """Fold one spec's combos down to the fastest (``priced``: its
+        :meth:`_price_rows` row, or None to simulate here)."""
         trace = self.search_trace
-        combos = self._combos(space)
         if trace.enabled and len(combos) > 1:
             trace.pruning_applicable = True
         best: DeploymentPlan | None = None
         best_index: int | None = None
         for position, (tile_size, params) in enumerate(combos):
-            plan = self._evaluate(
+            plan = self._plan(
                 spec, params, tile_size,
-                priced=priced[position] if priced is not None else None)
+                priced=priced[position] if priced is not None else None,
+                origin=origin, step=step)
             index = len(trace) - 1 if trace.enabled else None
             if (best is None
                     or plan.estimated_seconds < best.estimated_seconds):
@@ -485,29 +473,74 @@ class DeploymentOptimizer:
         assert best is not None  # space.matmul_options is non-empty
         return best
 
-    def _set_context(self, origin: str, step: int | None = None,
-                     parent: int | None = None) -> None:
-        """Tag subsequent evaluations for the search trace."""
-        self._origin = origin
-        self._step = step
-        self._parent = parent
+    def stress_test(self, plan: DeploymentPlan,
+                    reliability: ReliabilityModel,
+                    deadline_seconds: float | None = None
+                    ) -> ReliablePlan | None:
+        """Price ``plan`` across the model's N seeded failure scenarios.
+
+        Each scenario re-simulates the DAG under that scenario's
+        node-failure draw; a run that aborts (quorum lost, retries
+        exhausted) records ``inf``.  With ``deadline_seconds`` the pricing
+        stops — returning ``None`` — the moment the plan provably cannot
+        have every scenario complete with p95 within the deadline (the two
+        unconditional prunes explained in :mod:`repro.core.search`).
+        """
+        n = reliability.scenarios
+        exceed_limit = n - math.ceil(0.95 * n) + 1
+        compiled = self.compile_with(plan.compiler_params,
+                                     plan.tile_size or self.tile_size)
+        seconds: list[float] = []
+        costs: list[float] = []
+        exceeded = 0
+        for index in range(n):
+            node_failures = reliability.node_failures(index)
+            with self._stats_lock:
+                self._sim_requests += 1
+            try:
+                estimate = simulate_program(
+                    compiled.dag, plan.spec, self.model,
+                    locality_aware=self.locality_aware,
+                    node_failures=node_failures,
+                    min_live_nodes=reliability.min_live_nodes,
+                    cache=self.cache)
+            except SchedulingError:
+                if self.metrics.enabled:
+                    self.metrics.inc("optimizer.scenario_aborts")
+                if deadline_seconds is not None:
+                    self.note_scenarios_skipped(n - index - 1)
+                    return None
+                seconds.append(float("inf"))
+                costs.append(float("inf"))
+                continue
+            total = estimate.seconds + self.startup_seconds
+            seconds.append(total)
+            costs.append(self.billing.cost(plan.spec, total))
+            if deadline_seconds is not None and total > deadline_seconds:
+                exceeded += 1
+                if exceeded >= exceed_limit:
+                    self.note_scenarios_skipped(n - index - 1)
+                    return None
+        return ReliablePlan(plan=plan, scenario_seconds=seconds,
+                            scenario_costs=costs,
+                            min_live_nodes=reliability.min_live_nodes)
 
     # -- search-performance accounting ----------------------------------------
 
-    def _begin_search(self) -> dict:
+    def begin_search(self) -> dict:
         """Snapshot the counters a search's :class:`SearchStats` diff against."""
         return {"started": time.perf_counter(),
                 "requests": self._sim_requests,
                 "hits": self.cache.hits,
                 "skipped": self._scenarios_skipped}
 
-    def _finish_search(self, baseline: dict,
-                       surrogate_rounds: int = 0,
-                       grid_requests: int | None = None) -> SearchStats:
+    def finish_search(self, baseline: dict,
+                      surrogate_rounds: int = 0,
+                      grid_requests: int | None = None) -> SearchStats:
         """Attach this search's :class:`SearchStats` to the trace/metrics.
 
         ``grid_requests`` is the number of simulation requests a full
-        no-early-abort grid search would have issued for the same problem;
+        unpruned grid search would have issued for the same problem;
         when given, the gap to this search's actual requests is recorded
         as ``simulations_avoided`` (the surrogate's headline number).  The
         stats also land on :attr:`last_search_stats` unconditionally, so
@@ -545,7 +578,7 @@ class DeploymentOptimizer:
                                    stats.surrogate_rounds)
         return stats
 
-    def _note_scenarios_skipped(self, count: int) -> None:
+    def note_scenarios_skipped(self, count: int) -> None:
         """Account reliability scenarios proven irrelevant without running."""
         if count <= 0:
             return
@@ -553,55 +586,37 @@ class DeploymentOptimizer:
         if self.metrics.enabled:
             self.metrics.inc("optimizer.scenarios_skipped", count)
 
-    # -- exhaustive search -----------------------------------------------------
+    # -- the grid ----------------------------------------------------------------
 
-    def _grid_specs(self, space: SearchSpace) -> list[ClusterSpec]:
+    def grid_specs(self, space: SearchSpace) -> list[ClusterSpec]:
         """The grid's cluster specs, in deterministic enumeration order."""
         return [ClusterSpec(instance, num_nodes, slots)
                 for instance in space.instance_types
                 for num_nodes in space.node_counts
                 for slots in space.slots_for(instance)]
 
-    def _price_specs(self, specs: list[ClusterSpec], space: SearchSpace
-                     ) -> list[list[tuple[float, float]] | None]:
-        """Price every (spec, combo) pair, fanning out across the pool.
+    def grid_sim_requests(self, space: SearchSpace | None = None,
+                          scenarios: int = 0) -> int:
+        """Simulation requests a full unpruned grid search issues.
 
-        Sequential mode (``workers <= 1``) returns ``None`` per spec, which
-        makes :meth:`best_params_for` price inline — the baseline path.
-        Parallel mode precompiles every combo on the main thread (the
-        compile cache is not thread-safe), then workers run only the pure
-        :meth:`_price`; results come back in submission order, so the
-        downstream fold is deterministic.
+        The exhaustive baseline prices every spec across every physical
+        combo, and — in reliable mode — stress-tests every spec across
+        ``scenarios`` failure draws.  This is the denominator behind
+        ``SearchStats.simulations_avoided``.
         """
-        if self.workers <= 1 or len(specs) <= 1:
-            return [None] * len(specs)
-        combos = self._combos(space)
-        compiled = [self.compile_with(params, tile_size)
-                    for tile_size, params in combos]
-
-        def price_spec(spec: ClusterSpec) -> list[tuple[float, float]]:
-            return [self._price(program, spec) for program in compiled]
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(price_spec, specs))
+        space = space if space is not None else SearchSpace()
+        specs = len(self.grid_specs(space))
+        return specs * (len(self._combos(space)) + max(0, scenarios))
 
     def enumerate_plans(self, space: SearchSpace | None = None
                         ) -> list[DeploymentPlan]:
         """Evaluate the full grid: every spec with its best physical params."""
         space = space if space is not None else SearchSpace()
-        baseline = self._begin_search()
-        plans = []
-        self._set_context(ORIGIN_GRID)
-        try:
-            with self.recorder.span("grid-search", "optimizer"):
-                specs = self._grid_specs(space)
-                priced_by_spec = self._price_specs(specs, space)
-                for spec, priced in zip(specs, priced_by_spec):
-                    plans.append(self.best_params_for(spec, space,
-                                                      priced=priced))
-        finally:
-            self._set_context(ORIGIN_ADHOC)
-        self._finish_search(baseline)
+        baseline = self.begin_search()
+        with self.recorder.span("grid-search", "optimizer"):
+            plans = list(self.tune_specs(self.grid_specs(space), space,
+                                         origin=ORIGIN_GRID))
+        self.finish_search(baseline)
         if self.metrics.enabled:
             self.metrics.inc("optimizer.grid_searches")
             self.metrics.set_gauge("optimizer.grid_plans", len(plans))
@@ -615,375 +630,3 @@ class DeploymentOptimizer:
         if self.metrics.enabled:
             self.metrics.set_gauge("optimizer.frontier_size", len(frontier))
         return frontier
-
-    def grid_sim_requests(self, space: SearchSpace | None = None,
-                          scenarios: int = 0) -> int:
-        """Simulation requests a full no-early-abort grid search issues.
-
-        The exhaustive baseline prices every spec across every physical
-        combo, and — in reliable mode — stress-tests every spec across
-        ``scenarios`` failure draws.  This is the denominator behind
-        ``SearchStats.simulations_avoided``.
-        """
-        space = space if space is not None else SearchSpace()
-        specs = len(self._grid_specs(space))
-        return specs * (len(self._combos(space)) + max(0, scenarios))
-
-    def minimize_cost_under_deadline(self, deadline_seconds: float,
-                                     space: SearchSpace | None = None
-                                     ) -> DeploymentPlan:
-        """Deprecated entry point: cheapest grid plan within a deadline.
-
-        Superseded by ``search(SearchSpec(objective="min-cost",
-        deadline_seconds=...))``; kept as a warning shim returning the
-        same plan.
-        """
-        warn_deprecated_entry_point(
-            "DeploymentOptimizer.minimize_cost_under_deadline",
-            "repro.api.search(SearchSpec(objective=\"min-cost\", ...))")
-        return self._minimize_cost_under_deadline(deadline_seconds, space)
-
-    def _minimize_cost_under_deadline(self, deadline_seconds: float,
-                                      space: SearchSpace | None = None
-                                      ) -> DeploymentPlan:
-        """Cheapest grid plan finishing within ``deadline_seconds``."""
-        if deadline_seconds <= 0:
-            raise ValidationError("deadline must be positive")
-        plans = self.enumerate_plans(space)
-        if self.search_trace.enabled:
-            self.search_trace.mark_deadline(deadline_seconds)
-        plan = cheapest_within_deadline(plans, deadline_seconds)
-        if plan is None:
-            raise InfeasibleConstraintError(
-                f"no deployment finishes within {deadline_seconds:.0f}s"
-            )
-        return plan
-
-    def minimize_time_under_budget(self, budget_dollars: float,
-                                   space: SearchSpace | None = None
-                                   ) -> DeploymentPlan:
-        """Fastest grid plan costing at most ``budget_dollars``.
-
-        (Also reachable as ``search(SearchSpec(objective="min-time",
-        budget_dollars=...))``; unlike the four shimmed entry points this
-        one is not deprecated.)
-        """
-        if budget_dollars <= 0:
-            raise ValidationError("budget must be positive")
-        plans = self.enumerate_plans(space)
-        if self.search_trace.enabled:
-            self.search_trace.mark_budget(budget_dollars)
-        plan = fastest_within_budget(plans, budget_dollars)
-        if plan is None:
-            raise InfeasibleConstraintError(
-                f"no deployment costs at most ${budget_dollars:.2f}"
-            )
-        return plan
-
-    # -- reliability-aware search ------------------------------------------------
-
-    def evaluate_reliable(self, spec: ClusterSpec, params: CompilerParams,
-                          reliability: ReliabilityModel,
-                          tile_size: int | None = None) -> ReliablePlan:
-        """Deprecated entry point: price one deployment across scenarios.
-
-        Superseded by ``search(SearchSpec(objective="evaluate",
-        cluster=spec, reliability=...))``; kept as a warning shim
-        returning the same :class:`ReliablePlan`.
-        """
-        warn_deprecated_entry_point(
-            "DeploymentOptimizer.evaluate_reliable",
-            "repro.api.search(SearchSpec(objective=\"evaluate\", "
-            "reliability=...))")
-        return self._evaluate_reliable(spec, params, reliability, tile_size)
-
-    def _evaluate_reliable(self, spec: ClusterSpec, params: CompilerParams,
-                           reliability: ReliabilityModel,
-                           tile_size: int | None = None) -> ReliablePlan:
-        """Price one deployment across the model's N failure scenarios.
-
-        Each scenario re-simulates the DAG under that scenario's seeded
-        node-failure draw; a run that aborts (quorum lost, retries
-        exhausted) records ``inf``.  The failure-free estimate rides along
-        as ``plan``.
-        """
-        tile_size = tile_size if tile_size is not None else self.tile_size
-        plan = self._evaluate(spec, params, tile_size)
-        reliable = self._stress_test(plan, reliability)
-        assert reliable is not None  # never aborts early without a deadline
-        if self.metrics.enabled:
-            self.metrics.inc("optimizer.reliable_evaluations")
-        return reliable
-
-    def _stress_test(self, plan: DeploymentPlan,
-                     reliability: ReliabilityModel,
-                     deadline_seconds: float | None = None,
-                     early_abort: bool = False) -> ReliablePlan | None:
-        """Run ``plan`` through the model's scenarios; None = provably out.
-
-        With ``early_abort`` (requires a deadline), scenario pricing stops
-        — returning ``None`` — the moment the candidate is *provably*
-        infeasible for :meth:`minimize_cost_under_deadline_reliable`:
-
-        * any scenario aborts (quorum lost / retries exhausted), since the
-          solver requires every scenario to complete; or
-        * enough scenarios exceed the deadline that the nearest-rank p95
-          must — out of ``n``, that takes ``n - ceil(0.95 n) + 1``
-          exceedances (one, for n <= 20).
-
-        Both proofs hold unconditionally (they never guess about the
-        scenarios they skip), so early abort rejects exactly the
-        candidates a full evaluation would.
-        """
-        n = reliability.scenarios
-        exceed_limit = n - math.ceil(0.95 * n) + 1
-        compiled = self.compile_with(plan.compiler_params,
-                                     plan.tile_size or self.tile_size)
-        seconds: list[float] = []
-        costs: list[float] = []
-        exceeded = 0
-        for index in range(n):
-            node_failures = reliability.node_failures(index)
-            with self._stats_lock:
-                self._sim_requests += 1
-            try:
-                estimate = simulate_program(
-                    compiled.dag, plan.spec, self.model,
-                    locality_aware=self.locality_aware,
-                    node_failures=node_failures,
-                    min_live_nodes=reliability.min_live_nodes,
-                    cache=self.cache)
-            except SchedulingError:
-                if self.metrics.enabled:
-                    self.metrics.inc("optimizer.scenario_aborts")
-                if early_abort:
-                    self._note_scenarios_skipped(n - index - 1)
-                    return None
-                seconds.append(float("inf"))
-                costs.append(float("inf"))
-                continue
-            total = estimate.seconds + self.startup_seconds
-            seconds.append(total)
-            costs.append(self.billing.cost(plan.spec, total))
-            if deadline_seconds is not None and total > deadline_seconds:
-                exceeded += 1
-                if early_abort and exceeded >= exceed_limit:
-                    self._note_scenarios_skipped(n - index - 1)
-                    return None
-        return ReliablePlan(plan=plan, scenario_seconds=seconds,
-                            scenario_costs=costs,
-                            min_live_nodes=reliability.min_live_nodes)
-
-    def minimize_cost_under_deadline_reliable(
-            self, deadline_seconds: float, reliability: ReliabilityModel,
-            space: SearchSpace | None = None,
-            early_abort: bool = True) -> ReliablePlan:
-        """Deprecated entry point: cheapest reliable plan within a deadline.
-
-        Superseded by ``search(SearchSpec(objective="min-cost",
-        deadline_seconds=..., reliability=...))``; kept as a warning shim
-        returning the same :class:`ReliablePlan`.
-        """
-        warn_deprecated_entry_point(
-            "DeploymentOptimizer.minimize_cost_under_deadline_reliable",
-            "repro.api.search(SearchSpec(objective=\"min-cost\", "
-            "reliability=...))")
-        return self._minimize_cost_under_deadline_reliable(
-            deadline_seconds, reliability, space, early_abort=early_abort)
-
-    def _minimize_cost_under_deadline_reliable(
-            self, deadline_seconds: float, reliability: ReliabilityModel,
-            space: SearchSpace | None = None,
-            early_abort: bool = True) -> ReliablePlan:
-        """Cheapest deployment whose *p95* time (not just the failure-free
-        estimate) meets the deadline, with every scenario completing.
-
-        Physical parameters are tuned failure-free per spec (failures do
-        not change which split factors are good), then the winning
-        configuration is stress-tested across the scenarios.  This is what
-        makes the reliability-aware optimizer pick bigger/safer clusters
-        than the failure-free one: a 1-node plan that is cheapest on paper
-        aborts the moment its only node is revoked.
-
-        ``early_abort`` skips scenario simulations the search can prove
-        irrelevant.  Two of the prunes (see :meth:`_stress_test`) are
-        unconditional; two more lean on *failure monotonicity* — injected
-        failures never make a run faster or cheaper, which holds for every
-        failure model in this simulator (failures only re-execute work):
-
-        * a candidate whose failure-free time already exceeds the deadline
-          cannot meet it at p95 under failures;
-        * a candidate whose failure-free cost already matches or exceeds
-          the incumbent's mean scenario cost cannot beat it.
-
-        The chosen plan is identical with or without ``early_abort``
-        (locked by the differential test in ``tests/test_fast_search.py``);
-        only the number of scenario simulations differs.
-        """
-        if deadline_seconds <= 0:
-            raise ValidationError("deadline must be positive")
-        space = space if space is not None else SearchSpace()
-        baseline = self._begin_search()
-        best: ReliablePlan | None = None
-        n = reliability.scenarios
-        with self.recorder.span("reliable-search", "optimizer"):
-            specs = self._grid_specs(space)
-            priced_by_spec = self._price_specs(specs, space)
-            for spec, priced in zip(specs, priced_by_spec):
-                tuned = self.best_params_for(spec, space, priced=priced)
-                if early_abort and tuned.estimated_seconds > deadline_seconds:
-                    self._note_scenarios_skipped(n)
-                    continue
-                if early_abort and best is not None \
-                        and tuned.estimated_cost >= best.mean_cost:
-                    self._note_scenarios_skipped(n)
-                    continue
-                reliable = self._stress_test(tuned, reliability,
-                                             deadline_seconds=deadline_seconds,
-                                             early_abort=early_abort)
-                if reliable is None:  # provably infeasible, aborted early
-                    continue
-                if reliable.completion_rate < 1.0:
-                    continue
-                if reliable.p95_seconds > deadline_seconds:
-                    continue
-                if best is None or reliable.mean_cost < best.mean_cost:
-                    best = reliable
-        self._finish_search(baseline)
-        if best is None:
-            raise InfeasibleConstraintError(
-                f"no deployment meets the {deadline_seconds:.0f}s deadline "
-                f"at p95 across {reliability.scenarios} failure scenario(s)"
-            )
-        if self.metrics.enabled:
-            self.metrics.inc("optimizer.reliable_searches")
-        return best
-
-    # -- hill climbing (for large spaces) ----------------------------------------
-
-    def hill_climb_under_deadline(self, deadline_seconds: float,
-                                  space: SearchSpace | None = None,
-                                  seed_spec: ClusterSpec | None = None,
-                                  max_steps: int = 50) -> DeploymentPlan:
-        """Local search: much cheaper than the grid, usually near-optimal.
-
-        Starts from ``seed_spec`` (default: the largest cluster of the first
-        type, which is almost always feasible) and greedily moves to the
-        cheapest feasible neighbor until no neighbor improves.
-        """
-        space = space if space is not None else SearchSpace()
-        if seed_spec is None:
-            instance = space.instance_types[0]
-            seed_spec = ClusterSpec(instance, max(space.node_counts),
-                                    min(instance.cores, instance.max_slots))
-        baseline = self._begin_search()
-        with self.recorder.span("hill-climb", "optimizer"):
-            current = self._hill_climb(deadline_seconds, space, seed_spec,
-                                       max_steps)
-        self._finish_search(baseline)
-        if self.search_trace.enabled:
-            self.search_trace.mark_deadline(deadline_seconds)
-        if self.metrics.enabled:
-            self.metrics.inc("optimizer.hill_climbs")
-        if current.estimated_seconds > deadline_seconds:
-            raise InfeasibleConstraintError(
-                f"hill climbing found no plan within {deadline_seconds:.0f}s"
-            )
-        return current
-
-    def _hill_climb(self, deadline_seconds: float, space: SearchSpace,
-                    seed_spec: ClusterSpec, max_steps: int) -> DeploymentPlan:
-        trace = self.search_trace
-        self._set_context(ORIGIN_HILL_CLIMB, step=0)
-        try:
-            current = self.best_params_for(seed_spec, space)
-            self._climb_result = current
-            current_index = trace.index_of(current) if trace.enabled else None
-            visited = {self._spec_key(seed_spec)}
-            for step in range(1, max_steps + 1):
-                candidates = []
-                for neighbor in self._neighbors(current.spec, space):
-                    key = self._spec_key(neighbor)
-                    if key in visited:
-                        if trace.enabled:
-                            trace.add_skipped(
-                                neighbor.instance_type.name,
-                                neighbor.num_nodes,
-                                neighbor.slots_per_node,
-                                reason="already visited",
-                                origin=ORIGIN_HILL_CLIMB,
-                                step=step, parent=current_index)
-                        continue
-                    visited.add(key)
-                    self._set_context(ORIGIN_HILL_CLIMB, step=step,
-                                      parent=current_index)
-                    candidates.append(self.best_params_for(neighbor, space))
-                current = self._climb_step(current, candidates,
-                                           deadline_seconds)
-                if current is None:
-                    break
-                if trace.enabled:
-                    current_index = trace.index_of(current)
-            return self._climb_result
-        finally:
-            self._set_context(ORIGIN_ADHOC)
-
-    def _climb_step(self, current: DeploymentPlan,
-                    candidates: list[DeploymentPlan],
-                    deadline_seconds: float) -> DeploymentPlan | None:
-        """One greedy move; returns the new current plan, or None to stop.
-
-        The chosen plan (current if the climb stops) is also stored on
-        ``self._climb_result`` so ``_hill_climb`` can return it after a
-        ``None`` (terminate) verdict.
-        """
-        self._climb_result = current
-        feasible = [plan for plan in candidates
-                    if plan.estimated_seconds <= deadline_seconds]
-        current_feasible = current.estimated_seconds <= deadline_seconds
-        if current_feasible:
-            better = [plan for plan in feasible
-                      if plan.estimated_cost < current.estimated_cost]
-            if not better:
-                return None
-            chosen = min(better, key=lambda plan: plan.estimated_cost)
-        else:
-            # Not yet feasible: chase time downwards.
-            if not candidates:
-                return None
-            fastest = min(candidates,
-                          key=lambda plan: plan.estimated_seconds)
-            if fastest.estimated_seconds >= current.estimated_seconds:
-                return None
-            chosen = fastest
-        self._climb_result = chosen
-        return chosen
-
-    @staticmethod
-    def _spec_key(spec: ClusterSpec) -> tuple[str, int, int]:
-        return (spec.instance_type.name, spec.num_nodes, spec.slots_per_node)
-
-    def _neighbors(self, spec: ClusterSpec,
-                   space: SearchSpace) -> list[ClusterSpec]:
-        neighbors = []
-        counts = sorted(space.node_counts)
-        if spec.num_nodes in counts:
-            index = counts.index(spec.num_nodes)
-            adjacent_counts = [counts[i] for i in (index - 1, index + 1)
-                               if 0 <= i < len(counts)]
-        else:
-            adjacent_counts = counts[:1]
-        for count in adjacent_counts:
-            neighbors.append(ClusterSpec(spec.instance_type, count,
-                                         min(spec.slots_per_node,
-                                             spec.instance_type.max_slots)))
-        for delta in (-1, 1):
-            slots = spec.slots_per_node + delta
-            if 1 <= slots <= spec.instance_type.max_slots:
-                neighbors.append(ClusterSpec(spec.instance_type,
-                                             spec.num_nodes, slots))
-        for instance in space.instance_types:
-            if instance.name != spec.instance_type.name:
-                slots = min(spec.slots_per_node, instance.max_slots)
-                neighbors.append(ClusterSpec(instance, spec.num_nodes, slots))
-        return neighbors

@@ -1,30 +1,28 @@
-"""The unified deployment-search facade: one spec, one ``search()``.
+"""Constrained deployment search: one spec, one ``search()``, one core.
 
-The optimizer grew four imperative entry points — price one deployment
-(``evaluate``), price it across failure scenarios (``evaluate_reliable``),
-and the two grid solvers (``minimize_cost_under_deadline`` and its
-``_reliable`` variant).  Each hard-coded one combination of objective,
-constraint, and reliability handling, and none of them could say *how* to
-search.  This module collapses them behind a declarative
-:class:`SearchSpec`: what to optimize (``objective``), under which
-constraint (``deadline_seconds`` / ``budget_dollars``), over which grid
-(``space``), with which failure model (``reliability``), and — the new
-axis — by which ``method``: the exhaustive grid scan, or the
-surrogate-guided search from :mod:`repro.core.surrogate` that prices only
-a fraction of the grid.
+A declarative :class:`SearchSpec` says what to optimize (``objective``),
+under which constraint (``deadline_seconds`` / ``budget_dollars``), over
+which grid (``space``), with which failure model (``reliability``), and
+by which ``method``.  :func:`search` is the only constrained-search entry
+point; it returns a :class:`SearchResult` carrying the chosen plan, the
+reliability stress-test when one ran, the reliable candidates explored,
+and the :class:`~repro.observability.search.SearchStats` for the whole
+search — including ``simulations_avoided``, the surrogate's headline
+number.
 
-The old entry points keep working as deprecation shims (see
-:mod:`repro.core.compat`) and return bit-identical results; new code goes
-through ``search(optimizer, spec)`` and gets a :class:`SearchResult`
-carrying the chosen plan, the reliability stress-test when one ran, the
-three-objective reliability frontier the surrogate explored, and the
-:class:`~repro.observability.search.SearchStats` for the whole search —
-including ``simulations_avoided``, the surrogate's headline number.
+Both methods run on the one :class:`GridSolver` core, which holds the
+single definition of objective, feasibility, tie-break, prunes and the
+infeasibility error.  They differ only in the *order* candidates reach
+it: ``exhaustive`` prices every grid index in grid order (the
+ground-truth oracle); ``surrogate`` prices seeds, then model picks, then
+the incumbent's neighbors (:mod:`repro.core.surrogate`).  Pricing itself
+is :class:`~repro.core.optimizer.DeploymentOptimizer`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.cloud.instances import ClusterSpec
 from repro.core.compiler import CompilerParams
@@ -35,14 +33,13 @@ from repro.core.optimizer import (
     SearchSpace,
 )
 from repro.core.plans import DeploymentPlan
-from repro.core.surrogate import (
-    SurrogateConfig,
-    reliability_frontier,
-    surrogate_minimize_cost_under_deadline,
-    surrogate_minimize_time_under_budget,
+from repro.core.surrogate import reliability_frontier, surrogate_order
+from repro.errors import InfeasibleConstraintError, ValidationError
+from repro.observability.search import (
+    ORIGIN_GRID,
+    ORIGIN_SURROGATE,
+    SearchStats,
 )
-from repro.errors import ValidationError
-from repro.observability.search import SearchStats
 
 #: Minimize dollar cost subject to a wall-clock deadline.
 OBJECTIVE_MIN_COST = "min-cost"
@@ -67,10 +64,9 @@ class SearchSpec:
     ``deadline_seconds``, ``min-time`` needs ``budget_dollars``, and
     ``evaluate`` needs a fixed ``cluster`` plus ``compiler_params``
     (it prices that single deployment instead of searching).  The
-    optional ``reliability`` block switches the search to the
-    scenario-stress-tested solvers; ``method`` picks between the
-    exhaustive grid and the surrogate-guided search (``surrogate`` tunes
-    the latter and is only legal with it).
+    optional ``reliability`` block makes the search stress-test its
+    candidates across failure scenarios; ``method`` picks between the
+    exhaustive grid and the surrogate-guided candidate order.
     """
 
     objective: str = OBJECTIVE_MIN_COST
@@ -82,7 +78,6 @@ class SearchSpec:
     compiler_params: CompilerParams | None = None
     tile_size: int | None = None
     reliability: ReliabilityModel | None = None
-    surrogate: SurrogateConfig | None = None
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -92,9 +87,6 @@ class SearchSpec:
         if self.method not in METHODS:
             raise ValidationError(
                 f"method must be one of {METHODS}, got {self.method!r}")
-        if self.surrogate is not None and self.method != METHOD_SURROGATE:
-            raise ValidationError(
-                "a surrogate config needs method=\"surrogate\"")
         if self.objective == OBJECTIVE_MIN_COST:
             if self.deadline_seconds is None:
                 raise ValidationError(
@@ -115,7 +107,7 @@ class SearchSpec:
             if self.reliability is not None:
                 raise ValidationError(
                     "objective \"min-time\" has no reliability-aware "
-                    "solver yet; drop the reliability block")
+                    "search yet; drop the reliability block")
             self._reject_fixed_deployment()
         else:  # evaluate
             if self.cluster is None or self.compiler_params is None:
@@ -145,10 +137,8 @@ class SearchResult:
 
     ``plan`` is always the failure-free deployment plan; ``reliable``
     carries the scenario stress-test when the spec had a reliability
-    block.  ``reliable_frontier`` is the three-objective Pareto skyline
-    (p95 time, mean cost, completion rate) over the reliable candidates
-    the surrogate stress-tested — empty for exhaustive searches, which
-    do not retain per-candidate scenario pricings.
+    block, and ``reliable_candidates`` every candidate the search
+    stress-tested in full (grid order).
     """
 
     plan: DeploymentPlan
@@ -156,7 +146,13 @@ class SearchResult:
     objective: str
     method: str
     reliable: ReliablePlan | None = None
-    reliable_frontier: list[ReliablePlan] = field(default_factory=list)
+    reliable_candidates: list[ReliablePlan] = field(default_factory=list)
+
+    @property
+    def reliable_frontier(self) -> list[ReliablePlan]:
+        """Three-objective Pareto skyline (p95 time, mean cost, completion
+        rate) over :attr:`reliable_candidates`."""
+        return reliability_frontier(self.reliable_candidates)
 
     def to_dict(self) -> dict:
         """JSON-shaped summary (the CLI's ``--json`` building block)."""
@@ -182,79 +178,201 @@ class SearchResult:
         return document
 
 
+class GridSolver:
+    """The one solver core: price → tune → prune → stress → incumbent.
+
+    Every search method feeds grid indices to :meth:`price`; the answer is
+    :attr:`incumbent`, the best *proven-feasible* candidate by
+    :meth:`rank`.  ``early_abort=False`` disables the four reliable
+    prunes — the unpruned reference pass the differential tests and E22
+    compare against; the chosen plan is identical either way, only the
+    number of scenario simulations differs.
+    """
+
+    def __init__(self, optimizer: DeploymentOptimizer, spec: SearchSpec,
+                 early_abort: bool = True):
+        self.optimizer = optimizer
+        self.space = spec.space if spec.space is not None else SearchSpace()
+        self.reliability = spec.reliability
+        self.early_abort = early_abort
+        #: min-cost under a deadline, else min-time under a budget.
+        self.minimize_cost = spec.objective == OBJECTIVE_MIN_COST
+        self.limit = (spec.deadline_seconds if self.minimize_cost
+                      else spec.budget_dollars)
+        if self.limit <= 0:
+            raise ValidationError(
+                "deadline must be positive" if self.minimize_cost
+                else "budget must be positive")
+        self.origin = (ORIGIN_SURROGATE if spec.method == METHOD_SURROGATE
+                       else ORIGIN_GRID)
+        self.specs = optimizer.grid_specs(self.space)
+        #: grid index -> tuned failure-free plan, for priced specs.
+        self.plans: dict[int, DeploymentPlan] = {}
+        #: grid index -> full stress test, for specs that got one.
+        self.reliable_plans: dict[int, ReliablePlan] = {}
+        self.incumbent: int | None = None
+
+    def price(self, indices: Iterable[int], step: int | None = None) -> None:
+        """Run the per-candidate step over ``indices``, in that order.
+
+        Pricing fans out across the optimizer's pool for the whole batch;
+        tuning, stress tests and the incumbent update then fold
+        sequentially.
+        """
+        indices = list(indices)
+        tuned_specs = self.optimizer.tune_specs(
+            [self.specs[index] for index in indices], self.space,
+            origin=self.origin, step=step)
+        for index, tuned in zip(indices, tuned_specs):
+            self.plans[index] = tuned
+            if self.reliability is not None:
+                self._stress(index, tuned)
+            if self.feasible(index) and (
+                    self.incumbent is None
+                    or self.rank(index) < self.rank(self.incumbent)):
+                self.incumbent = index
+
+    def _stress(self, index: int, tuned: DeploymentPlan) -> None:
+        """Scenario-price one tuned spec unless it is provably irrelevant.
+
+        Physical parameters are tuned failure-free per spec (failures do
+        not change which split factors are good), then the winner is
+        stress-tested.  Four prunes skip scenario simulations; none ever
+        changes the chosen plan (``tests/test_fast_search.py``).
+
+        Two lean on *failure monotonicity* — injected failures never make
+        a run faster or cheaper, which holds for every failure model in
+        this simulator (failures only re-execute work):
+
+        1. a candidate whose failure-free time already exceeds the
+           deadline cannot meet it at p95 under failures;
+        2. a candidate whose failure-free cost exceeds the incumbent's
+           mean scenario cost cannot beat it.  On an exact tie it could
+           still *tie* the incumbent and win the first-in-grid-order
+           tie-break, so a tie only skips at a later grid index.
+
+        Two are unconditional (they never guess about the scenarios they
+        skip) and live in ``stress_test``, which stops the moment
+
+        3. any scenario aborts (quorum lost / retries exhausted), since
+           every scenario must complete; or
+        4. enough scenarios exceed the deadline that the nearest-rank p95
+           must — out of ``n``, that takes ``n - ceil(0.95 n) + 1``
+           exceedances (one, for n <= 20).
+        """
+        optimizer = self.optimizer
+        if not self.early_abort:
+            self.reliable_plans[index] = optimizer.stress_test(
+                tuned, self.reliability)
+            return
+        incumbent = self.reliable_plans.get(self.incumbent)
+        if tuned.estimated_seconds > self.limit or (
+                incumbent is not None
+                and (tuned.estimated_cost, index)
+                > (incumbent.mean_cost, self.incumbent)):
+            optimizer.note_scenarios_skipped(self.reliability.scenarios)
+            return
+        reliable = optimizer.stress_test(tuned, self.reliability,
+                                         deadline_seconds=self.limit)
+        if reliable is not None:
+            self.reliable_plans[index] = reliable
+
+    def feasible(self, index: int) -> bool:
+        """Whether a priced spec satisfies the constraint (proven)."""
+        if self.reliability is not None:
+            reliable = self.reliable_plans.get(index)
+            return (reliable is not None
+                    and reliable.completion_rate >= 1.0
+                    and reliable.p95_seconds <= self.limit)
+        plan = self.plans[index]
+        if self.minimize_cost:
+            return plan.estimated_seconds <= self.limit
+        return plan.estimated_cost <= self.limit
+
+    def objective(self, index: int) -> float:
+        """The value being minimized, for a feasible spec."""
+        if self.reliability is not None:
+            return self.reliable_plans[index].mean_cost
+        plan = self.plans[index]
+        return (plan.estimated_cost if self.minimize_cost
+                else plan.estimated_seconds)
+
+    def rank(self, index: int) -> tuple:
+        """Total order over feasible specs; the minimum is the answer.
+
+        Cost ties break on time (time ties on cost), then on grid index;
+        the reliable search keeps the first grid-order plan among
+        mean-cost ties.  One definition for every method, so they agree
+        whenever both priced the winner.
+        """
+        if self.reliability is not None:
+            return (self.objective(index), index)
+        plan = self.plans[index]
+        if self.minimize_cost:
+            return (plan.estimated_cost, plan.estimated_seconds, index)
+        return (plan.estimated_seconds, plan.estimated_cost, index)
+
+    def infeasible_error(self) -> InfeasibleConstraintError:
+        if self.reliability is not None:
+            return InfeasibleConstraintError(
+                f"no deployment meets the {self.limit:.0f}s deadline at "
+                f"p95 across {self.reliability.scenarios} failure "
+                f"scenario(s)")
+        if self.minimize_cost:
+            return InfeasibleConstraintError(
+                f"no deployment finishes within {self.limit:.0f}s")
+        return InfeasibleConstraintError(
+            f"no deployment costs at most ${self.limit:.2f}")
+
+
 def search(optimizer: DeploymentOptimizer, spec: SearchSpec) -> SearchResult:
     """Run one declarative deployment search on ``optimizer``.
 
-    Dispatches to the solver the spec describes and normalizes the
-    result: whatever the combination of objective, constraint,
-    reliability, and method, the caller gets the same
-    :class:`SearchResult` shape back.  Solver behavior is identical to
-    the legacy entry points — the exhaustive paths *are* the legacy
-    solvers, minus the deprecation warning.
+    Whatever the combination of objective, constraint, reliability, and
+    method, the caller gets the same :class:`SearchResult` shape back.
 
     Raises :class:`~repro.errors.InfeasibleConstraintError` when no
     deployment in the grid satisfies the constraint (both methods price
     the full grid before concluding that).
     """
+    return _search(optimizer, spec)
+
+
+def _search(optimizer: DeploymentOptimizer, spec: SearchSpec,
+            early_abort: bool = True) -> SearchResult:
+    """The one driver behind :func:`search` (``early_abort``: see
+    :class:`GridSolver`)."""
     if spec.objective == OBJECTIVE_EVALUATE:
-        return _evaluate(optimizer, spec)
-    if spec.method == METHOD_SURROGATE:
-        return _surrogate_search(optimizer, spec)
-    return _exhaustive_search(optimizer, spec)
-
-
-def _evaluate(optimizer: DeploymentOptimizer, spec: SearchSpec
-              ) -> SearchResult:
-    """Price the fixed deployment a spec with ``objective="evaluate"``."""
-    baseline = optimizer._begin_search()
-    reliable = None
-    try:
-        if spec.reliability is not None:
-            reliable = optimizer._evaluate_reliable(
-                spec.cluster, spec.compiler_params, spec.reliability,
-                spec.tile_size)
-            plan = reliable.plan
+        baseline = optimizer.begin_search()
+        plan = optimizer.price(spec.cluster, spec.compiler_params,
+                               spec.tile_size)
+        reliable = (optimizer.stress_test(plan, spec.reliability)
+                    if spec.reliability is not None else None)
+        return SearchResult(plan=plan, objective=spec.objective,
+                            method=spec.method, reliable=reliable,
+                            stats=optimizer.finish_search(baseline))
+    solver = GridSolver(optimizer, spec, early_abort)
+    baseline = optimizer.begin_search()
+    rounds, grid_requests = 0, None
+    with optimizer.recorder.span(f"{spec.method}-search", "optimizer"):
+        if spec.method == METHOD_SURROGATE:
+            rounds = surrogate_order(solver)
+            grid_requests = optimizer.grid_sim_requests(
+                solver.space, scenarios=spec.reliability.scenarios
+                if spec.reliability is not None else 0)
         else:
-            plan = optimizer._evaluate(spec.cluster, spec.compiler_params,
-                                       spec.tile_size)
-    finally:
-        stats = optimizer._finish_search(baseline)
-    return SearchResult(plan=plan, stats=stats, objective=spec.objective,
-                        method=spec.method, reliable=reliable)
-
-
-def _exhaustive_search(optimizer: DeploymentOptimizer, spec: SearchSpec
-                       ) -> SearchResult:
-    reliable = None
-    if spec.objective == OBJECTIVE_MIN_TIME:
-        plan = optimizer.minimize_time_under_budget(
-            spec.budget_dollars, spec.space)
-    elif spec.reliability is not None:
-        reliable = optimizer._minimize_cost_under_deadline_reliable(
-            spec.deadline_seconds, spec.reliability, spec.space)
-        plan = reliable.plan
+            solver.price(range(len(solver.specs)))
+    stats = optimizer.finish_search(baseline, surrogate_rounds=rounds,
+                                    grid_requests=grid_requests)
+    if solver.minimize_cost:
+        optimizer.search_trace.mark_deadline(solver.limit)
     else:
-        plan = optimizer._minimize_cost_under_deadline(
-            spec.deadline_seconds, spec.space)
-    assert optimizer.last_search_stats is not None
-    return SearchResult(plan=plan, stats=optimizer.last_search_stats,
-                        objective=spec.objective, method=spec.method,
-                        reliable=reliable)
-
-
-def _surrogate_search(optimizer: DeploymentOptimizer, spec: SearchSpec
-                      ) -> SearchResult:
-    if spec.objective == OBJECTIVE_MIN_TIME:
-        outcome = surrogate_minimize_time_under_budget(
-            optimizer, spec.budget_dollars, spec.space,
-            config=spec.surrogate)
-    else:
-        outcome = surrogate_minimize_cost_under_deadline(
-            optimizer, spec.deadline_seconds, spec.space,
-            reliability=spec.reliability, config=spec.surrogate)
-    assert optimizer.last_search_stats is not None
+        optimizer.search_trace.mark_budget(solver.limit)
+    if solver.incumbent is None:
+        raise solver.infeasible_error()
     return SearchResult(
-        plan=outcome.plan, stats=optimizer.last_search_stats,
+        plan=solver.plans[solver.incumbent], stats=stats,
         objective=spec.objective, method=spec.method,
-        reliable=outcome.reliable,
-        reliable_frontier=reliability_frontier(outcome.reliable_candidates))
+        reliable=solver.reliable_plans.get(solver.incumbent),
+        reliable_candidates=[solver.reliable_plans[index] for index
+                             in sorted(solver.reliable_plans)])

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.cloud.provisioning import ProvisionedCluster, provision
-from repro.core.compat import resolve_renamed_kwarg, warn_renamed
 from repro.core.compiler import CompilerParams
 from repro.core.executor import CumulonExecutor, ExecutionResult
 from repro.core.optimizer import DeploymentOptimizer
@@ -55,10 +54,9 @@ class CumulonSession:
     The cluster is described either by a full ``cluster``
     :class:`~repro.cloud.instances.ClusterSpec` or by the
     ``instance``/``nodes``/``slots_per_node`` pieces (not both).
-    ``storage_nodes`` and ``params`` are the deprecated spellings of
-    ``nodes`` and ``compiler_params``.  ``telemetry`` (default on) keeps
-    an in-memory trace recorder and metrics registry wired through every
-    run — :attr:`trace` and :attr:`metrics` expose them.  ``backend``
+    ``telemetry`` (default on) keeps an in-memory trace recorder and
+    metrics registry wired through every run — :attr:`trace` and
+    :attr:`metrics` expose them.  ``backend``
     selects the local execution backend (``"thread"`` or ``"process"`` —
     see :mod:`repro.hadoop.local`); ``codec`` stores tiles compressed at
     rest (see :mod:`repro.hdfs.tilestore`).  Sessions are context managers;
@@ -74,14 +72,7 @@ class CumulonSession:
                  compiler_params: CompilerParams | None = None,
                  telemetry: bool = True,
                  backend: str = "thread",
-                 codec: str | None = None,
-                 storage_nodes: int | None = None,
-                 params: CompilerParams | None = None):
-        nodes = resolve_renamed_kwarg("CumulonSession", "storage_nodes",
-                                      "nodes", storage_nodes, nodes)
-        compiler_params = resolve_renamed_kwarg(
-            "CumulonSession", "params", "compiler_params",
-            params, compiler_params)
+                 codec: str | None = None):
         if cluster is not None:
             if nodes is not None or instance is not None \
                     or slots_per_node is not None:
@@ -117,14 +108,6 @@ class CumulonSession:
         # Lazily built: most sessions only ingest + optimize, and building
         # the service pulls in the whole admission/scheduling stack.
         self._service = None
-
-    # -- deprecated spellings -------------------------------------------------
-
-    @property
-    def params(self) -> CompilerParams:
-        """Deprecated alias for :attr:`compiler_params`."""
-        warn_renamed("CumulonSession", "params", "compiler_params")
-        return self.compiler_params
 
     # -- telemetry ------------------------------------------------------------
 

@@ -1,14 +1,17 @@
 """Surrogate-guided deployment search: a model instead of the grid.
 
-The exhaustive optimizer prices every ``(instance type, node count,
-slots)`` spec in the search space — and the reliability-aware solver
-multiplies that by N failure scenarios.  This module replaces the grid
-scan with the Lynceus/UDAO recipe: price a handful of *seed* candidates,
-fit a cheap regressor from hand-rolled features of the cluster shape to
-log(time) and log(cost), and pick each next candidate by **constrained
-expected improvement** — minimize cost subject to the deadline (or
-minimize time subject to the budget), weighting the improvement by the
-model's probability that the candidate is feasible at all.
+The exhaustive method prices every ``(instance type, node count, slots)``
+spec in the search space — and the reliability-aware search multiplies
+that by N failure scenarios.  This module is the other *ordering* over
+the same solver core (:mod:`repro.core.search`), following the
+Lynceus/UDAO recipe: price a handful of *seed* candidates, fit a cheap
+regressor from hand-rolled features of the cluster shape to log(time) and
+log(cost), and pick each next candidate by **constrained expected
+improvement** — minimize cost subject to the deadline (or minimize time
+subject to the budget), weighting the improvement by the model's
+probability that the candidate is feasible at all.  The model only
+chooses *which candidate to price next*; objective, feasibility,
+tie-breaks and prunes are the core's.
 
 The model is deliberately light ("ridge/GP-lite"): ridge regression on
 standardized features, with a distance-inflated residual uncertainty
@@ -18,23 +21,19 @@ exceeds a few dozen rows).
 
 Three properties the exhaustive oracle tests lean on:
 
-* **Feasibility is never guessed.**  The search only returns candidates
-  it actually priced (and, in reliable mode, stress-tested across every
+* **Feasibility is never guessed.**  The core only returns candidates it
+  actually priced (and, in reliable mode, stress-tested across every
   scenario); an infeasible plan can never be returned.
 * **Infeasibility is never guessed either.**  While no feasible incumbent
   exists the search keeps pricing (best predicted-feasibility first), so
   :class:`~repro.errors.InfeasibleConstraintError` is raised only after
-  the whole grid was priced — exactly when the exhaustive search raises.
+  the whole grid was priced — exactly when the exhaustive method raises.
 * **Local optimality.**  A final *polish* pass walks the grid neighbors
   of the incumbent until none improves, so the returned plan is a local
   optimum of the true (priced) objective, not of the model.
 
-In reliable mode the candidates the search stress-tests also extend the
-Pareto story beyond (time, cost): :func:`reliability_frontier` computes
-the three-objective skyline over (p95 time, mean cost, completion rate).
-
-``SearchStats.simulations_avoided`` reports the gap to the full
-no-early-abort grid (see
+``SearchStats.simulations_avoided`` reports the gap to the full unpruned
+grid (see
 :meth:`~repro.core.optimizer.DeploymentOptimizer.grid_sim_requests`), and
 ``surrogate_rounds`` counts the model-guided pricings after seeding.
 """
@@ -42,73 +41,29 @@ no-early-abort grid (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cloud.instances import ClusterSpec
-from repro.core.optimizer import (
-    DeploymentOptimizer,
-    ReliabilityModel,
-    ReliablePlan,
-    SearchSpace,
-)
-from repro.core.plans import DeploymentPlan
-from repro.errors import InfeasibleConstraintError, ValidationError
-from repro.observability.search import ORIGIN_ADHOC, ORIGIN_SURROGATE
+from repro.core.optimizer import ReliablePlan, SearchSpace
 
+if TYPE_CHECKING:  # search.py imports this module
+    from repro.core.search import GridSolver
 
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Knobs of the model-guided search (defaults suit grids of 20-200).
-
-    ``seeds`` candidates are priced up front to give the model something
-    to fit; each of up to ``max_rounds`` acquisition rounds prices the
-    candidate maximizing constrained expected improvement, stopping early
-    when the best acquisition score falls below ``ei_tolerance``; the
-    polish pass then walks at most ``max_polish_steps`` neighbor
-    descents.  ``tolerance`` is the documented plan-quality target the
-    oracle differential suite asserts: the surrogate's objective value
-    stays within ``(1 + tolerance)`` of the exhaustive optimum.
-    """
-
-    seeds: int = 5
-    max_rounds: int = 12
-    max_polish_steps: int = 8
-    ridge_lambda: float = 1e-2
-    ei_tolerance: float = 1e-4
-    #: Floor on predictive sigma in log space (keeps EI exploring).
-    sigma_floor: float = 0.02
-    #: How strongly distance from the training set inflates sigma.
-    explore_weight: float = 1.0
-    #: Documented quality target vs the exhaustive optimum (fractional).
-    tolerance: float = 0.10
-
-    def __post_init__(self) -> None:
-        if self.seeds < 2:
-            raise ValidationError(f"seeds must be >= 2, got {self.seeds}")
-        if self.max_rounds < 0:
-            raise ValidationError("max_rounds must be >= 0")
-        if self.ridge_lambda <= 0:
-            raise ValidationError("ridge_lambda must be positive")
-        if not 0 <= self.tolerance:
-            raise ValidationError("tolerance must be >= 0")
-
-
-@dataclass
-class SurrogateResult:
-    """What one surrogate search found (``search()`` wraps this)."""
-
-    #: The chosen failure-free plan (``reliable.plan`` in reliable mode).
-    plan: DeploymentPlan
-    #: The stress-tested plan in reliable mode, else None.
-    reliable: ReliablePlan | None = None
-    #: Every reliable candidate that was stress-tested (reliable mode).
-    reliable_candidates: list[ReliablePlan] = field(default_factory=list)
-    #: Model-guided pricings after the seed phase (== stats field).
-    rounds: int = 0
-    #: Cluster specs actually priced, in pricing order.
-    priced_specs: list[ClusterSpec] = field(default_factory=list)
+#: Candidates priced up front to give the model something to fit.
+SEEDS = 5
+#: Acquisition rounds (one pricing each) after seeding, at most.
+MAX_ROUNDS = 12
+#: Neighbor descents the polish pass walks, at most.
+MAX_POLISH_STEPS = 8
+RIDGE_LAMBDA = 1e-2
+#: Acquisition stops once the best constrained-EI score falls below this.
+EI_TOLERANCE = 1e-4
+#: Floor on predictive sigma in log space (keeps EI exploring).
+SIGMA_FLOOR = 0.02
+#: How strongly distance from the training set inflates sigma.
+EXPLORE_WEIGHT = 1.0
 
 
 def reliability_frontier(plans: list[ReliablePlan]) -> list[ReliablePlan]:
@@ -186,9 +141,7 @@ class _RidgeModel:
     the model admits it is guessing, which is what drives exploration.
     """
 
-    def __init__(self, rows: np.ndarray, targets: np.ndarray,
-                 ridge_lambda: float, sigma_floor: float,
-                 explore_weight: float):
+    def __init__(self, rows: np.ndarray, targets: np.ndarray):
         self._mean = rows.mean(axis=0)
         std = rows.std(axis=0)
         self._std = np.where(std > 1e-12, std, 1.0)
@@ -197,12 +150,10 @@ class _RidgeModel:
         design = np.hstack([normalized,
                             np.ones((normalized.shape[0], 1))])
         gram = design.T @ design
-        gram += ridge_lambda * np.eye(design.shape[1])
+        gram += RIDGE_LAMBDA * np.eye(design.shape[1])
         self._weights = np.linalg.solve(gram, design.T @ targets)
         residuals = design @ self._weights - targets
         self._residual_rms = float(np.sqrt(np.mean(residuals ** 2)))
-        self._sigma_floor = sigma_floor
-        self._explore_weight = explore_weight
 
     def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(mu, sigma)`` per row, both in the target's (log) space."""
@@ -215,341 +166,152 @@ class _RidgeModel:
         nearest = np.sqrt((deltas ** 2).sum(axis=2)).min(axis=1)
         scale = math.sqrt(self._train.shape[1])
         sigma = np.maximum(
-            self._sigma_floor,
-            self._residual_rms * (1.0 + self._explore_weight
-                                  * nearest / scale))
+            SIGMA_FLOOR,
+            self._residual_rms * (1.0 + EXPLORE_WEIGHT * nearest / scale))
         return mu, sigma
 
 
-#: Surrogate objectives (which axis is minimized, which is constrained).
-_MODE_DEADLINE = "deadline"  # minimize cost s.t. time <= deadline
-_MODE_BUDGET = "budget"      # minimize time s.t. cost <= budget
+def surrogate_order(solver: GridSolver) -> int:
+    """Seeds → constrained-EI picks → neighbor polish, over ``solver``.
 
-
-class _SurrogateSearch:
-    """One surrogate search over one optimizer's grid (internal)."""
-
-    def __init__(self, optimizer: DeploymentOptimizer, space: SearchSpace,
-                 config: SurrogateConfig, mode: str, limit: float,
-                 reliability: ReliabilityModel | None):
-        self.optimizer = optimizer
-        self.space = space
-        self.config = config
-        self.mode = mode
-        self.limit = limit
-        self.reliability = reliability
-        self.specs = optimizer._grid_specs(space)
-        self.features = np.array([_spec_features(spec)
-                                  for spec in self.specs])
-        #: index -> tuned DeploymentPlan for priced specs.
-        self.plans: dict[int, DeploymentPlan] = {}
-        #: index -> ReliablePlan | None for stress-tested specs.
-        self.reliable_plans: dict[int, ReliablePlan] = {}
-        self.rounds = 0
-        self.incumbent: int | None = None
-
-    # -- objective/constraint accessors (mode-dependent) -------------------
-
-    def _objective(self, index: int) -> float:
-        """The value being minimized, for a priced spec."""
-        if self.reliability is not None:
-            reliable = self.reliable_plans.get(index)
-            if reliable is not None:
-                return reliable.mean_cost
-        plan = self.plans[index]
-        return (plan.estimated_cost if self.mode == _MODE_DEADLINE
-                else plan.estimated_seconds)
-
-    def _rank(self, index: int) -> tuple:
-        """Total order matching the exhaustive solvers' tie-breaks.
-
-        ``cheapest_within_deadline`` breaks cost ties on time (and
-        ``fastest_within_budget`` vice versa); the reliable solver keeps
-        the first grid-order plan among mean-cost ties.  Ranking priced
-        candidates the same way keeps both methods agreeing whenever the
-        surrogate priced the exhaustive winner.
-        """
-        if self.reliability is not None:
-            return (self._objective(index), index)
-        plan = self.plans[index]
-        if self.mode == _MODE_DEADLINE:
-            return (plan.estimated_cost, plan.estimated_seconds, index)
-        return (plan.estimated_seconds, plan.estimated_cost, index)
-
-    def _feasible(self, index: int) -> bool:
-        """Whether a priced spec satisfies the constraint (proven)."""
-        plan = self.plans[index]
-        if self.reliability is not None:
-            reliable = self.reliable_plans.get(index)
-            return (reliable is not None
-                    and reliable.completion_rate >= 1.0
-                    and reliable.p95_seconds <= self.limit)
-        if self.mode == _MODE_DEADLINE:
-            return plan.estimated_seconds <= self.limit
-        return plan.estimated_cost <= self.limit
-
-    # -- pricing -----------------------------------------------------------
-
-    def price(self, index: int, step: int) -> None:
-        """Price (and in reliable mode stress-test) one grid spec."""
-        optimizer = self.optimizer
-        spec = self.specs[index]
-        optimizer._set_context(ORIGIN_SURROGATE, step=step)
-        try:
-            priced = optimizer.price_spec_combos(spec, self.space)
-            tuned = optimizer.best_params_for(spec, self.space,
-                                              priced=priced)
-        finally:
-            optimizer._set_context(ORIGIN_SURROGATE)
-        self.plans[index] = tuned
-        if self.reliability is not None:
-            self._stress(index, tuned)
-        if not self._feasible(index):
-            return
-        if self.incumbent is None \
-                or self._rank(index) < self._rank(self.incumbent):
-            self.incumbent = index
-
-    def _stress(self, index: int, tuned: DeploymentPlan) -> None:
-        """Scenario-price one tuned spec, reusing the exhaustive prunes."""
-        n = self.reliability.scenarios
-        if self.mode == _MODE_DEADLINE \
-                and tuned.estimated_seconds > self.limit:
-            # Failure monotonicity: already too slow failure-free.
-            self.optimizer._note_scenarios_skipped(n)
-            return
-        incumbent = (self.reliable_plans.get(self.incumbent)
-                     if self.incumbent is not None else None)
-        if incumbent is not None \
-                and tuned.estimated_cost >= incumbent.mean_cost:
-            # Cannot beat the incumbent's mean cost (monotonicity) -- but
-            # an exact tie at a lower grid index could still *tie* it and
-            # win the exhaustive solver's first-in-grid-order tie-break,
-            # so only a strictly-worse (or later-index) candidate skips.
-            if tuned.estimated_cost > incumbent.mean_cost \
-                    or index > self.incumbent:
-                self.optimizer._note_scenarios_skipped(n)
-                return
-        deadline = self.limit if self.mode == _MODE_DEADLINE else None
-        reliable = self.optimizer._stress_test(
-            tuned, self.reliability, deadline_seconds=deadline,
-            early_abort=deadline is not None)
-        if reliable is not None:
-            self.reliable_plans[index] = reliable
-
-    # -- model + acquisition ----------------------------------------------
-
-    def _fit(self) -> tuple[_RidgeModel, _RidgeModel]:
-        """(time model, cost model) over everything priced so far."""
-        indices = sorted(self.plans)
-        rows = self.features[indices]
-        seconds = np.log([self.plans[i].estimated_seconds for i in indices])
-        costs = np.log([self.plans[i].estimated_cost for i in indices])
-        config = self.config
-        make = lambda target: _RidgeModel(  # noqa: E731 - tiny local factory
-            rows, target, config.ridge_lambda, config.sigma_floor,
-            config.explore_weight)
-        return make(seconds), make(costs)
-
-    def _acquisition(self) -> tuple[int, float] | None:
-        """Best unpriced candidate by constrained EI: ``(index, score)``.
-
-        With a feasible incumbent the score is expected improvement on
-        the objective times the probability of feasibility; without one
-        it is the probability of feasibility alone (find *any* feasible
-        point first).  Returns None when the grid is exhausted.
-        """
-        unpriced = [i for i in range(len(self.specs))
-                    if i not in self.plans]
-        if not unpriced:
-            return None
-        time_model, cost_model = self._fit()
-        rows = self.features[unpriced]
-        mu_t, sig_t = time_model.predict(rows)
-        mu_c, sig_c = cost_model.predict(rows)
-        if self.mode == _MODE_DEADLINE:
-            mu_obj, sig_obj = mu_c, sig_c
-            z_feas = (math.log(self.limit) - mu_t) / sig_t
-        else:
-            mu_obj, sig_obj = mu_t, sig_t
-            z_feas = (math.log(self.limit) - mu_c) / sig_c
-        p_feasible = np.array([_Phi(z) for z in z_feas])
-        if self.incumbent is None:
-            scores = p_feasible
-        else:
-            best = math.log(self._objective(self.incumbent))
-            z = (best - mu_obj) / sig_obj
-            ei = sig_obj * np.array([z_i * _Phi(z_i) + _phi(z_i)
-                                     for z_i in z])
-            scores = ei * p_feasible
-        winner = max(range(len(unpriced)),
-                     key=lambda pos: (scores[pos], -unpriced[pos]))
-        return unpriced[winner], float(scores[winner])
-
-    # -- polish ------------------------------------------------------------
-
-    def _grid_index(self, spec: ClusterSpec) -> int | None:
-        key = (spec.instance_type.name, spec.num_nodes, spec.slots_per_node)
-        for index, candidate in enumerate(self.specs):
-            if (candidate.instance_type.name, candidate.num_nodes,
-                    candidate.slots_per_node) == key:
-                return index
-        return None
-
-    def polish(self, step: int) -> int:
-        """Greedy neighbor descent from the incumbent; returns steps used.
-
-        Certifies the incumbent as a local optimum of the *priced*
-        objective: every grid neighbor of the final plan has been priced
-        and none improves on it.
-        """
-        steps = 0
-        while self.incumbent is not None \
-                and steps < self.config.max_polish_steps:
-            spec = self.specs[self.incumbent]
-            fresh = []
-            for neighbor in self.optimizer._neighbors(spec, self.space):
-                index = self._grid_index(neighbor)
-                if index is not None and index not in self.plans:
-                    fresh.append(index)
-            if not fresh:
-                break
-            before = self.incumbent
-            for index in fresh:
-                self.price(index, step=step + steps)
-                self.rounds += 1
-            steps += 1
-            if self.incumbent == before:
-                break
-        return steps
-
-    # -- driver ------------------------------------------------------------
-
-    def run(self) -> SurrogateResult:
-        """Seed, acquire, polish; raises when the grid holds no answer."""
-        config = self.config
-        for index in self._seed_indices():
-            self.price(index, step=0)
-        step = 1
-        while True:
-            exhausted_budget = self.rounds >= config.max_rounds
-            if self.incumbent is not None and exhausted_budget:
-                break
-            pick = self._acquisition()
-            if pick is None:
-                break  # whole grid priced
-            index, score = pick
-            if self.incumbent is not None \
-                    and score < config.ei_tolerance:
-                break  # model sees nothing left to gain
-            self.price(index, step=step)
-            self.rounds += 1
-            step += 1
-        self.polish(step)
-        if self.incumbent is None:
-            raise self._infeasible_error()
-        plan = self.plans[self.incumbent]
-        reliable = self.reliable_plans.get(self.incumbent)
-        return SurrogateResult(
-            plan=plan,
-            reliable=reliable,
-            reliable_candidates=[self.reliable_plans[i]
-                                 for i in sorted(self.reliable_plans)],
-            rounds=self.rounds,
-            priced_specs=[self.specs[i] for i in sorted(self.plans)])
-
-    def _seed_indices(self) -> list[int]:
-        """Quantile-spread seeds over the grid, ordered by parallelism.
-
-        Sorting by total slots (then hourly rate) and taking evenly
-        spaced quantiles covers tiny-to-huge clusters and, with multiple
-        instance types interleaved by size, usually covers every type.
-        Deterministic by construction.
-        """
-        order = sorted(
-            range(len(self.specs)),
-            key=lambda i: (self.specs[i].num_nodes
-                           * self.specs[i].slots_per_node,
-                           self.specs[i].instance_type.price_per_hour
-                           * self.specs[i].num_nodes, i))
-        count = min(self.config.seeds, len(order))
-        if count == len(order):
-            return order
-        picks = []
-        for position in range(count):
-            offset = round(position * (len(order) - 1) / (count - 1))
-            if order[offset] not in picks:
-                picks.append(order[offset])
-        return picks
-
-    def _infeasible_error(self) -> InfeasibleConstraintError:
-        if self.reliability is not None:
-            return InfeasibleConstraintError(
-                f"no deployment meets the {self.limit:.0f}s deadline at "
-                f"p95 across {self.reliability.scenarios} failure "
-                f"scenario(s)")
-        if self.mode == _MODE_DEADLINE:
-            return InfeasibleConstraintError(
-                f"no deployment finishes within {self.limit:.0f}s")
-        return InfeasibleConstraintError(
-            f"no deployment costs at most ${self.limit:.2f}")
-
-
-def _run(optimizer: DeploymentOptimizer, space: SearchSpace | None,
-         config: SurrogateConfig | None, mode: str, limit: float,
-         reliability: ReliabilityModel | None) -> SurrogateResult:
-    """Shared driver: wraps the search in the optimizer's stats window."""
-    if limit <= 0:
-        raise ValidationError(
-            "deadline must be positive" if mode == _MODE_DEADLINE
-            else "budget must be positive")
-    space = space if space is not None else SearchSpace()
-    config = config if config is not None else SurrogateConfig()
-    scenarios = reliability.scenarios if reliability is not None else 0
-    baseline = optimizer._begin_search()
-    search = _SurrogateSearch(optimizer, space, config, mode, limit,
-                              reliability)
-    try:
-        with optimizer.recorder.span("surrogate-search", "optimizer"):
-            result = search.run()
-    finally:
-        optimizer._set_context(ORIGIN_ADHOC)
-        optimizer._finish_search(
-            baseline, surrogate_rounds=search.rounds,
-            grid_requests=optimizer.grid_sim_requests(
-                space, scenarios=scenarios))
-    if optimizer.search_trace.enabled:
-        if mode == _MODE_DEADLINE:
-            optimizer.search_trace.mark_deadline(limit)
-        else:
-            optimizer.search_trace.mark_budget(limit)
-    if optimizer.metrics.enabled:
-        optimizer.metrics.inc("optimizer.surrogate_searches")
-    return result
-
-
-def surrogate_minimize_cost_under_deadline(
-        optimizer: DeploymentOptimizer, deadline_seconds: float,
-        space: SearchSpace | None = None,
-        reliability: ReliabilityModel | None = None,
-        config: SurrogateConfig | None = None) -> SurrogateResult:
-    """Model-guided counterpart of the deadline solvers.
-
-    Without ``reliability`` this matches
-    ``minimize_cost_under_deadline``; with it, the reliable variant
-    (every scenario completes, p95 within the deadline, mean scenario
-    cost minimized).  The returned plan is always priced (and
-    stress-tested) for real — feasibility is never inferred from the
-    model.
+    Returns the number of model-guided pricings after the seed phase
+    (``SearchStats.surrogate_rounds``).  The answer is whatever the
+    solver's incumbent is afterwards; when there is none the whole grid
+    has been priced.
     """
-    return _run(optimizer, space, config, _MODE_DEADLINE,
-                deadline_seconds, reliability)
+    features = np.array([_spec_features(spec) for spec in solver.specs])
+    solver.price(_seed_indices(solver.specs), step=0)
+    rounds, step = 0, 1
+    while solver.incumbent is None or rounds < MAX_ROUNDS:
+        pick = _acquisition(solver, features)
+        if pick is None:
+            break  # whole grid priced
+        index, score = pick
+        if solver.incumbent is not None and score < EI_TOLERANCE:
+            break  # model sees nothing left to gain
+        solver.price([index], step=step)
+        rounds += 1
+        step += 1
+    return rounds + _polish(solver, step)
 
 
-def surrogate_minimize_time_under_budget(
-        optimizer: DeploymentOptimizer, budget_dollars: float,
-        space: SearchSpace | None = None,
-        config: SurrogateConfig | None = None) -> SurrogateResult:
-    """Model-guided counterpart of ``minimize_time_under_budget``."""
-    return _run(optimizer, space, config, _MODE_BUDGET,
-                budget_dollars, None)
+def _seed_indices(specs: list[ClusterSpec]) -> list[int]:
+    """Quantile-spread seeds over the grid, ordered by parallelism.
+
+    Sorting by total slots (then hourly rate) and taking evenly spaced
+    quantiles covers tiny-to-huge clusters and, with multiple instance
+    types interleaved by size, usually covers every type.  Deterministic
+    by construction.
+    """
+    order = sorted(
+        range(len(specs)),
+        key=lambda i: (specs[i].num_nodes * specs[i].slots_per_node,
+                       specs[i].instance_type.price_per_hour
+                       * specs[i].num_nodes, i))
+    count = min(SEEDS, len(order))
+    if count == len(order):
+        return order
+    picks = []
+    for position in range(count):
+        offset = round(position * (len(order) - 1) / (count - 1))
+        if order[offset] not in picks:
+            picks.append(order[offset])
+    return picks
+
+
+def _acquisition(solver: GridSolver,
+                 features: np.ndarray) -> tuple[int, float] | None:
+    """Best unpriced candidate by constrained EI: ``(index, score)``.
+
+    With a feasible incumbent the score is expected improvement on the
+    objective times the probability of feasibility; without one it is the
+    probability of feasibility alone (find *any* feasible point first).
+    Returns None when the grid is exhausted.
+    """
+    unpriced = [i for i in range(len(solver.specs))
+                if i not in solver.plans]
+    if not unpriced:
+        return None
+    priced = sorted(solver.plans)
+    time_model = _RidgeModel(features[priced], np.log(
+        [solver.plans[i].estimated_seconds for i in priced]))
+    cost_model = _RidgeModel(features[priced], np.log(
+        [solver.plans[i].estimated_cost for i in priced]))
+    rows = features[unpriced]
+    mu_t, sig_t = time_model.predict(rows)
+    mu_c, sig_c = cost_model.predict(rows)
+    if solver.minimize_cost:
+        mu_obj, sig_obj = mu_c, sig_c
+        z_feas = (math.log(solver.limit) - mu_t) / sig_t
+    else:
+        mu_obj, sig_obj = mu_t, sig_t
+        z_feas = (math.log(solver.limit) - mu_c) / sig_c
+    p_feasible = np.array([_Phi(z) for z in z_feas])
+    if solver.incumbent is None:
+        scores = p_feasible
+    else:
+        best = math.log(solver.objective(solver.incumbent))
+        z = (best - mu_obj) / sig_obj
+        ei = sig_obj * np.array([z_i * _Phi(z_i) + _phi(z_i)
+                                 for z_i in z])
+        scores = ei * p_feasible
+    winner = max(range(len(unpriced)),
+                 key=lambda pos: (scores[pos], -unpriced[pos]))
+    return unpriced[winner], float(scores[winner])
+
+
+def _spec_key(spec: ClusterSpec) -> tuple[str, int, int]:
+    return (spec.instance_type.name, spec.num_nodes, spec.slots_per_node)
+
+
+def _neighbors(spec: ClusterSpec, space: SearchSpace) -> list[ClusterSpec]:
+    """Adjacent specs: one node-count step, one slot, every other type."""
+    neighbors = []
+    counts = sorted(space.node_counts)
+    if spec.num_nodes in counts:
+        index = counts.index(spec.num_nodes)
+        adjacent_counts = [counts[i] for i in (index - 1, index + 1)
+                           if 0 <= i < len(counts)]
+    else:
+        adjacent_counts = counts[:1]
+    for count in adjacent_counts:
+        neighbors.append(ClusterSpec(spec.instance_type, count,
+                                     min(spec.slots_per_node,
+                                         spec.instance_type.max_slots)))
+    for delta in (-1, 1):
+        slots = spec.slots_per_node + delta
+        if 1 <= slots <= spec.instance_type.max_slots:
+            neighbors.append(ClusterSpec(spec.instance_type,
+                                         spec.num_nodes, slots))
+    for instance in space.instance_types:
+        if instance.name != spec.instance_type.name:
+            slots = min(spec.slots_per_node, instance.max_slots)
+            neighbors.append(ClusterSpec(instance, spec.num_nodes, slots))
+    return neighbors
+
+
+def _polish(solver: GridSolver, step: int) -> int:
+    """Greedy neighbor descent from the incumbent; returns pricings made.
+
+    Certifies the incumbent as a local optimum of the *priced* objective:
+    every grid neighbor of the final plan has been priced and none
+    improves on it.
+    """
+    grid_index = {_spec_key(spec): index
+                  for index, spec in enumerate(solver.specs)}
+    priced = 0
+    for offset in range(MAX_POLISH_STEPS):
+        before = solver.incumbent
+        if before is None:
+            break
+        around = [grid_index.get(_spec_key(neighbor)) for neighbor
+                  in _neighbors(solver.specs[before], solver.space)]
+        fresh = [index for index in around
+                 if index is not None and index not in solver.plans]
+        if not fresh:
+            break
+        solver.price(fresh, step=step + offset)
+        priced += len(fresh)
+        if solver.incumbent == before:
+            break
+    return priced

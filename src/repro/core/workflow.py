@@ -29,6 +29,7 @@ from repro.cloud.provisioning import DEFAULT_STARTUP_SECONDS
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.plans import DeploymentPlan
 from repro.core.program import Program
+from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError, ValidationError
 
 
@@ -162,9 +163,8 @@ class WorkflowOptimizer:
             share = ((fastest[stage.name] + self.startup_seconds)
                      / total_fastest) * deadline_seconds
             stage_deadline = max(1.0, share - self.startup_seconds)
-            stage_optimizer = self._optimizers[stage.name]
-            plan = stage_optimizer._minimize_cost_under_deadline(
-                stage_deadline, space)
+            plan = search(self._optimizers[stage.name], SearchSpec(
+                deadline_seconds=stage_deadline, space=space)).plan
             assignments.append(StageAssignment(stage, plan))
             stage_total = plan.estimated_seconds + self.startup_seconds
             total_seconds += stage_total

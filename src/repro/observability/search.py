@@ -4,10 +4,10 @@
 returns one winner; a :class:`SearchTrace` keeps the rest of the story.
 Every candidate ``(instance type, node count, slots, tile size, physical
 params)`` the optimizer prices becomes one :class:`CandidateRecord` with
-its predicted time/cost, how it fared (kept, pruned, skipped), why, whether
-it sits on the Pareto frontier, and — for hill climbing — which candidate
-it was expanded from and at which step, so the whole search is replayable
-and explainable (``repro explain --search``).
+its predicted time/cost, how it fared (kept or pruned), why, whether it
+sits on the Pareto frontier, and — for the surrogate — at which step it was
+priced, so the whole search is replayable and explainable (``repro explain
+--search``).
 
 The usual null-object pattern applies: producers default to
 :data:`NULL_SEARCH_TRACE` and gate recording on ``trace.enabled``, so the
@@ -27,11 +27,9 @@ if TYPE_CHECKING:  # import would be circular at runtime (core -> observability)
 #: Candidate statuses.
 STATUS_EVALUATED = "evaluated"  # priced, survived per-spec tuning
 STATUS_PRUNED = "pruned"        # priced, beaten by a sibling on its spec
-STATUS_SKIPPED = "skipped"      # never priced (e.g. hill-climb revisits)
 
 #: Candidate origins.
 ORIGIN_GRID = "grid"
-ORIGIN_HILL_CLIMB = "hill-climb"
 ORIGIN_SURROGATE = "surrogate"
 ORIGIN_ADHOC = "adhoc"
 
@@ -146,17 +144,13 @@ class CandidateRecord:
     #: None until a constraint solver annotated it; then the verdict.
     feasible: bool | None = None
     on_frontier: bool = False
-    #: Hill-climb lineage: which step produced this candidate, and the
-    #: record index of the plan it was expanded from (None for seeds/grid).
+    #: Which surrogate step priced this candidate (0 = seed; None = grid).
     step: int | None = None
-    parent: int | None = None
-    #: The priced plan itself (None for skipped candidates).
+    #: The priced plan itself.
     plan: DeploymentPlan | None = field(default=None, repr=False)
 
     def annotation(self) -> str:
         """The one-word-ish verdict ``explain_search`` prints."""
-        if self.status == STATUS_SKIPPED:
-            return f"skipped ({self.reason})" if self.reason else "skipped"
         if self.status == STATUS_PRUNED:
             return f"pruned ({self.reason})" if self.reason else "pruned"
         parts = []
@@ -187,7 +181,6 @@ class CandidateRecord:
             "feasible": self.feasible,
             "on_frontier": self.on_frontier,
             "step": self.step,
-            "parent": self.parent,
         }
 
 
@@ -213,8 +206,7 @@ class SearchTrace:
     # -- recording (called by the optimizer) ---------------------------------
 
     def add(self, plan: DeploymentPlan, origin: str = ORIGIN_ADHOC,
-            step: int | None = None,
-            parent: int | None = None) -> CandidateRecord:
+            step: int | None = None) -> CandidateRecord:
         """Record one priced candidate and return its record."""
         record = CandidateRecord(
             index=len(self.records),
@@ -227,29 +219,7 @@ class SearchTrace:
             predicted_seconds=plan.estimated_seconds,
             predicted_cost=plan.estimated_cost,
             step=step,
-            parent=parent,
             plan=plan,
-        )
-        self.records.append(record)
-        return record
-
-    def add_skipped(self, instance: str, nodes: int, slots: int,
-                    reason: str, origin: str = ORIGIN_ADHOC,
-                    step: int | None = None,
-                    parent: int | None = None) -> CandidateRecord:
-        """Record a candidate the search declined to price (with why)."""
-        record = CandidateRecord(
-            index=len(self.records),
-            origin=origin,
-            instance=instance,
-            nodes=nodes,
-            slots=slots,
-            tile_size=0,
-            matmul="",
-            status=STATUS_SKIPPED,
-            reason=reason,
-            step=step,
-            parent=parent,
         )
         self.records.append(record)
         return record
@@ -263,13 +233,6 @@ class SearchTrace:
     def set_stats(self, stats: SearchStats) -> None:
         """Attach one search's performance accounting (latest wins)."""
         self.stats = stats
-
-    def index_of(self, plan: DeploymentPlan) -> int | None:
-        """Record index of the most recent non-skipped record for ``plan``."""
-        for record in reversed(self.records):
-            if record.plan is not None and record.plan == plan:
-                return record.index
-        return None
 
     def mark_frontier(self, frontier: list[DeploymentPlan]) -> None:
         """Flag frontier membership; non-frontier survivors get a reason."""
@@ -310,10 +273,6 @@ class SearchTrace:
 
     # -- queries -------------------------------------------------------------
 
-    def evaluated(self) -> list[CandidateRecord]:
-        """Records that were actually priced (kept or pruned)."""
-        return [r for r in self.records if r.status != STATUS_SKIPPED]
-
     def kept(self) -> list[CandidateRecord]:
         """Records that survived per-spec tuning."""
         return [r for r in self.records if r.status == STATUS_EVALUATED]
@@ -321,10 +280,6 @@ class SearchTrace:
     def pruned(self) -> list[CandidateRecord]:
         """Records priced but beaten by a sibling on their spec."""
         return [r for r in self.records if r.status == STATUS_PRUNED]
-
-    def skipped(self) -> list[CandidateRecord]:
-        """Records the search declined to price at all."""
-        return [r for r in self.records if r.status == STATUS_SKIPPED]
 
     def frontier_plans(self) -> list[DeploymentPlan]:
         """The Pareto frontier exactly as the optimizer computed it."""
@@ -344,19 +299,6 @@ class SearchTrace:
         return min(pool, key=lambda r: (r.predicted_cost,
                                         r.predicted_seconds))
 
-    def lineage(self, index: int) -> list[CandidateRecord]:
-        """Hill-climb ancestry of a record, root first."""
-        chain: list[CandidateRecord] = []
-        seen: set[int] = set()
-        current: int | None = index
-        while current is not None and current not in seen:
-            seen.add(current)
-            record = self.records[current]
-            chain.append(record)
-            current = record.parent
-        chain.reverse()
-        return chain
-
     def to_dicts(self) -> list[dict]:
         """Every record as a JSON-ready dict, in evaluation order."""
         return [record.to_dict() for record in self.records]
@@ -374,17 +316,10 @@ class NullSearchTrace(SearchTrace):
 
     enabled = False
 
-    def add(self, plan, origin=ORIGIN_ADHOC, step=None, parent=None):
+    def add(self, plan, origin=ORIGIN_ADHOC, step=None):
         """Return a throwaway record without storing anything."""
         return CandidateRecord(index=-1, origin=origin, instance="",
                                nodes=0, slots=0, tile_size=0, matmul="")
-
-    def add_skipped(self, instance, nodes, slots, reason,
-                    origin=ORIGIN_ADHOC, step=None, parent=None):
-        """Return a throwaway skipped record without storing anything."""
-        return CandidateRecord(index=-1, origin=origin, instance=instance,
-                               nodes=nodes, slots=slots, tile_size=0,
-                               matmul="", status=STATUS_SKIPPED)
 
     def prune(self, index, reason):
         """No-op."""

@@ -238,11 +238,9 @@ class AdmissionController:
         self.price_misses += 1
         optimizer = self.optimizer_for(program, tile_size)
         if self.tune_physical:
-            priced = optimizer.price_spec_combos(self.spec, self.space)
-            plan = optimizer.best_params_for(self.spec, self.space,
-                                             priced=priced)
+            plan = optimizer.best_params_for(self.spec, self.space)
         else:
-            plan = optimizer._evaluate(self.spec, CompilerParams())
+            plan = optimizer.price(self.spec, CompilerParams())
         compiled = optimizer.compile_with(plan.compiler_params,
                                           plan.tile_size or None)
         cap = 1

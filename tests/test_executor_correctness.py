@@ -64,7 +64,7 @@ def test_matmul_params_do_not_change_results(matmul, backend):
     env = make_env()
     program = make_program()
     params = CompilerParams(matmul=matmul)
-    result = run_program(program, env, tile_size=8, params=params,
+    result = run_program(program, env, tile_size=8, compiler_params=params,
                          backend=backend)
     d, e = expected_outputs(env)
     np.testing.assert_allclose(result.output("D"), d, rtol=1e-9)
@@ -93,10 +93,10 @@ def test_worker_count_does_not_change_results(workers, backend):
 def test_fusion_ablation_same_results(backend):
     env = make_env()
     fused = run_program(make_program(), env, tile_size=8,
-                        params=CompilerParams(fusion_enabled=True),
+                        compiler_params=CompilerParams(fusion_enabled=True),
                         backend=backend)
     unfused = run_program(make_program(), env, tile_size=8,
-                          params=CompilerParams(fusion_enabled=False),
+                          compiler_params=CompilerParams(fusion_enabled=False),
                           backend=backend)
     np.testing.assert_allclose(fused.output("D"), unfused.output("D"))
     np.testing.assert_allclose(fused.output("E"), unfused.output("E"))
@@ -107,7 +107,8 @@ def test_elementwise_chunking_does_not_change_results():
     for tiles_per_task in (1, 3, 100):
         params = CompilerParams(
             elementwise=ElementwiseParams(tiles_per_task=tiles_per_task))
-        result = run_program(make_program(), env, tile_size=8, params=params)
+        result = run_program(make_program(), env, tile_size=8,
+                             compiler_params=params)
         d, __ = expected_outputs(env)
         np.testing.assert_allclose(result.output("D"), d, rtol=1e-9)
 

@@ -3,9 +3,10 @@
 The memoized / parallel / early-aborting optimizer is only allowed to be
 *faster* — the chosen plan, the Pareto frontier, and the search trace must
 be bit-identical to a sequential optimizer pricing every candidate from
-scratch (``NULL_EVAL_CACHE``, ``workers=0``, ``early_abort=False``).
-These tests lock that guarantee on GNMF, including a reliability-aware
-run with seeded failure scenarios.
+scratch (``NULL_EVAL_CACHE``, ``workers=0``, and the search driver's
+unpruned ``early_abort=False`` pass).  These tests lock that guarantee on
+GNMF, including a reliability-aware run with seeded failure scenarios,
+for both search methods.
 """
 
 import io
@@ -21,6 +22,7 @@ from repro.core.optimizer import (
     SearchSpace,
 )
 from repro.core.physical import MatMulParams
+from repro.core.search import METHODS, SearchSpec, _search, search
 from repro.errors import ValidationError
 from repro.observability import SearchTrace
 
@@ -55,6 +57,13 @@ def reliability():
     return ReliabilityModel(crash_rate_per_hour=0.3, scenarios=3, seed=7)
 
 
+def reliable_search(optimizer, early_abort, deadline=7200.0):
+    """The reliable min-cost search; ``early_abort=False`` = unpruned."""
+    spec = SearchSpec(deadline_seconds=deadline, space=gnmf_space(),
+                      reliability=reliability())
+    return _search(optimizer, spec, early_abort=early_abort).reliable
+
+
 class TestDifferentialGrid:
     def test_identical_plans_and_frontier(self):
         slow_trace, fast_trace = SearchTrace(), SearchTrace()
@@ -67,11 +76,22 @@ class TestDifferentialGrid:
         assert fast_trace.frontier_plans() == slow_trace.frontier_plans()
 
     def test_identical_deadline_solution(self):
-        slow = make_optimizer(fast=False)
-        fast = make_optimizer(fast=True)
-        deadline = 3600.0
-        assert (fast.minimize_cost_under_deadline(deadline, gnmf_space())
-                == slow.minimize_cost_under_deadline(deadline, gnmf_space()))
+        """workers=0 vs workers=4: same plan, same trace, same requests —
+        for both methods, with and without a reliability block."""
+        for method in METHODS:
+            for model in (None, reliability()):
+                spec = SearchSpec(deadline_seconds=3600.0, method=method,
+                                  space=gnmf_space(), reliability=model)
+                slow_trace, fast_trace = SearchTrace(), SearchTrace()
+                slow = search(make_optimizer(fast=False, trace=slow_trace),
+                              spec)
+                fast = search(make_optimizer(fast=True, trace=fast_trace),
+                              spec)
+                case = f"{method}, reliable={model is not None}"
+                assert fast.plan == slow.plan, case
+                assert fast_trace.to_dicts() == slow_trace.to_dicts(), case
+                assert fast.stats.sim_requests \
+                    == slow.stats.sim_requests, case
 
     def test_repeat_search_hits_cache(self):
         fast = make_optimizer(fast=True)
@@ -99,14 +119,9 @@ class TestDifferentialGrid:
 
 class TestDifferentialReliable:
     def test_identical_reliable_solution(self):
-        slow = make_optimizer(fast=False)
-        fast = make_optimizer(fast=True)
-        deadline = 7200.0
-        model = reliability()
-        baseline = slow.minimize_cost_under_deadline_reliable(
-            deadline, model, gnmf_space(), early_abort=False)
-        quick = fast.minimize_cost_under_deadline_reliable(
-            deadline, model, gnmf_space(), early_abort=True)
+        baseline = reliable_search(make_optimizer(fast=False),
+                                   early_abort=False)
+        quick = reliable_search(make_optimizer(fast=True), early_abort=True)
         assert quick.plan == baseline.plan
         assert quick.scenario_seconds == baseline.scenario_seconds
         assert quick.scenario_costs == baseline.scenario_costs
@@ -115,20 +130,13 @@ class TestDifferentialReliable:
 
     def test_early_abort_skips_scenarios(self):
         fast = make_optimizer(fast=True)
-        deadline = 7200.0
-        fast.minimize_cost_under_deadline_reliable(
-            deadline, reliability(), gnmf_space(), early_abort=True)
-        assert fast._scenarios_skipped > 0
+        reliable_search(fast, early_abort=True)
+        assert fast.last_search_stats.scenarios_skipped > 0
 
     def test_sequential_early_abort_alone_matches(self):
         """Early abort must be sound on its own (no cache, no threads)."""
-        baseline = make_optimizer(fast=False)
-        pruned = make_optimizer(fast=False)
-        deadline = 7200.0
-        a = baseline.minimize_cost_under_deadline_reliable(
-            deadline, reliability(), gnmf_space(), early_abort=False)
-        b = pruned.minimize_cost_under_deadline_reliable(
-            deadline, reliability(), gnmf_space(), early_abort=True)
+        a = reliable_search(make_optimizer(fast=False), early_abort=False)
+        b = reliable_search(make_optimizer(fast=False), early_abort=True)
         assert b.plan == a.plan
         assert b.scenario_seconds == a.scenario_seconds
 

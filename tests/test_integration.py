@@ -19,6 +19,7 @@ from repro.core.costmodel import CumulonCostModel
 from repro.core.executor import CumulonExecutor
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams, PhysicalContext
+from repro.core.search import SearchSpec, search
 from repro.core.simcost import place_virtual_inputs, simulate_program
 from repro.hadoop.faults import RandomFailures
 from repro.hadoop.local import LocalExecutor
@@ -103,7 +104,8 @@ class TestOptimizerToExecution:
             node_counts=(4, 8),
             slots_options=(2,),
         )
-        plan = optimizer.minimize_cost_under_deadline(4 * 3600.0, space)
+        plan = search(optimizer, SearchSpec(
+            deadline_seconds=4 * 3600.0, space=space)).plan
 
         # Re-run the same program shape, scaled down, with the chosen
         # physical parameters, and verify numerically.
@@ -112,7 +114,7 @@ class TestOptimizerToExecution:
         g = rng.standard_normal((32, 8))
         small = build_rsvd_program(64, 32, 8, power_iterations=1)
         executor = CumulonExecutor(tile_size=16, max_workers=2,
-                                   params=plan.compiler_params)
+                                   compiler_params=plan.compiler_params)
         result = executor.run(small, {"A": a, "G": g})
         expected = a @ (a.T @ (a @ g))
         np.testing.assert_allclose(result.output("B"), expected, rtol=1e-8)

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud import ClusterSpec, HourlyBilling, PerSecondBilling, get_instance_type
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
+from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError, ValidationError
 from repro.workloads import build_multiply_program
 
@@ -13,6 +14,17 @@ from repro.workloads import build_multiply_program
 def optimizer():
     program = build_multiply_program(8192, 8192, 8192)
     return DeploymentOptimizer(program, tile_size=1024)
+
+
+def min_cost(optimizer, deadline, space, **spec):
+    return search(optimizer, SearchSpec(deadline_seconds=deadline,
+                                        space=space, **spec))
+
+
+def min_time(optimizer, budget, space):
+    return search(optimizer, SearchSpec(objective="min-time",
+                                        budget_dollars=budget,
+                                        space=space)).plan
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +55,8 @@ class TestEnumeration:
         fast = DeploymentOptimizer(program, 1024, startup_seconds=0.0)
         slow = DeploymentOptimizer(program, 1024, startup_seconds=300.0)
         spec = ClusterSpec(get_instance_type("m1.large"), 2, 2)
-        t_fast = fast.evaluate(spec, CompilerParams())
-        t_slow = slow.evaluate(spec, CompilerParams())
+        t_fast = fast.price(spec, CompilerParams())
+        t_slow = slow.price(spec, CompilerParams())
         assert t_slow.estimated_seconds \
             == pytest.approx(t_fast.estimated_seconds + 300.0)
 
@@ -59,37 +71,37 @@ class TestSkylineAndSolvers:
                     assert not a.dominates(b)
 
     def test_deadline_solver_feasible(self, optimizer, space):
-        plan = optimizer.minimize_cost_under_deadline(3600.0, space)
+        plan = min_cost(optimizer, 3600.0, space).plan
         assert plan.estimated_seconds <= 3600.0
 
     def test_tighter_deadline_never_cheaper(self, optimizer, space):
-        loose = optimizer.minimize_cost_under_deadline(3600.0, space)
-        tight = optimizer.minimize_cost_under_deadline(200.0, space)
+        loose = min_cost(optimizer, 3600.0, space).plan
+        tight = min_cost(optimizer, 200.0, space).plan
         assert tight.estimated_cost >= loose.estimated_cost
         assert tight.estimated_seconds <= 200.0
 
     def test_impossible_deadline(self, optimizer, space):
         with pytest.raises(InfeasibleConstraintError):
-            optimizer.minimize_cost_under_deadline(1.0, space)
+            min_cost(optimizer, 1.0, space)
 
     def test_budget_solver(self, optimizer, space):
-        plan = optimizer.minimize_time_under_budget(5.0, space)
+        plan = min_time(optimizer, 5.0, space)
         assert plan.estimated_cost <= 5.0
 
     def test_bigger_budget_never_slower(self, optimizer, space):
-        small = optimizer.minimize_time_under_budget(1.0, space)
-        large = optimizer.minimize_time_under_budget(20.0, space)
+        small = min_time(optimizer, 1.0, space)
+        large = min_time(optimizer, 20.0, space)
         assert large.estimated_seconds <= small.estimated_seconds
 
     def test_impossible_budget(self, optimizer, space):
         with pytest.raises(InfeasibleConstraintError):
-            optimizer.minimize_time_under_budget(0.001, space)
+            min_time(optimizer, 0.001, space)
 
     def test_invalid_constraints(self, optimizer, space):
         with pytest.raises(ValidationError):
-            optimizer.minimize_cost_under_deadline(-5.0, space)
+            min_cost(optimizer, -5.0, space)
         with pytest.raises(ValidationError):
-            optimizer.minimize_time_under_budget(0.0, space)
+            min_time(optimizer, 0.0, space)
 
 
 class TestJointOptimization:
@@ -109,21 +121,6 @@ class TestJointOptimization:
         hourly_costs = [p.estimated_cost for p in hourly.enumerate_plans(space)]
         exact_costs = [p.estimated_cost for p in exact.enumerate_plans(space)]
         assert all(h >= e for h, e in zip(hourly_costs, exact_costs))
-
-
-class TestHillClimbing:
-    def test_finds_feasible_plan(self, optimizer, space):
-        plan = optimizer.hill_climb_under_deadline(3600.0, space)
-        assert plan.estimated_seconds <= 3600.0
-
-    def test_close_to_grid_optimum(self, optimizer, space):
-        grid_best = optimizer.minimize_cost_under_deadline(3600.0, space)
-        climbed = optimizer.hill_climb_under_deadline(3600.0, space)
-        assert climbed.estimated_cost <= 3.0 * grid_best.estimated_cost
-
-    def test_infeasible_deadline_raises(self, optimizer, space):
-        with pytest.raises(InfeasibleConstraintError):
-            optimizer.hill_climb_under_deadline(1.0, space)
 
 
 class TestCompilationCache:
@@ -170,10 +167,9 @@ class TestReliabilityAwareSearch:
     def test_reliable_search_picks_a_different_cluster(
             self, small_optimizer, small_space, reliability):
         deadline = 3600.0
-        free = small_optimizer.minimize_cost_under_deadline(
-            deadline, small_space)
-        reliable = small_optimizer.minimize_cost_under_deadline_reliable(
-            deadline, reliability, small_space)
+        free = min_cost(small_optimizer, deadline, small_space).plan
+        reliable = min_cost(small_optimizer, deadline, small_space,
+                            reliability=reliability).reliable
         assert free.spec.num_nodes == 1  # cheapest on paper
         assert reliable.plan.spec.num_nodes == 4
         assert reliable.completion_rate == 1.0
@@ -184,16 +180,18 @@ class TestReliabilityAwareSearch:
         from repro.core.compiler import CompilerParams
 
         doomed = ClusterSpec(get_instance_type("m1.large"), 1, 2)
-        plan = small_optimizer.evaluate_reliable(doomed, CompilerParams(),
-                                                 reliability)
+        plan = search(small_optimizer, SearchSpec(
+            objective="evaluate", cluster=doomed,
+            compiler_params=CompilerParams(),
+            reliability=reliability)).reliable
         assert plan.completion_rate == 0.0
         assert all(s == float("inf") for s in plan.scenario_seconds)
         assert all(c == float("inf") for c in plan.scenario_costs)
 
     def test_reliable_plan_overruns_nonnegative(self, small_optimizer,
                                                 small_space, reliability):
-        reliable = small_optimizer.minimize_cost_under_deadline_reliable(
-            3600.0, reliability, small_space)
+        reliable = min_cost(small_optimizer, 3600.0, small_space,
+                            reliability=reliability).reliable
         assert reliable.expected_overrun(3600.0) >= 0
         assert reliable.p95_overrun(3600.0) >= 0
         # Overruns past the mean completion time must be visible.

@@ -79,8 +79,9 @@ def test_all_optimizations_preserve_results(program, tile, seed):
     everything_on = run_program(program, env, tile_size=tile, max_workers=1)
     everything_off = run_program(
         program, env, tile_size=tile, max_workers=1,
-        params=CompilerParams(fusion_enabled=False, cse_enabled=False,
-                              reorder_chains=False, simplify_enabled=False))
+        compiler_params=CompilerParams(
+            fusion_enabled=False, cse_enabled=False,
+            reorder_chains=False, simplify_enabled=False))
     output = program.outputs[0]
     np.testing.assert_allclose(everything_on.output(output),
                                everything_off.output(output), atol=1e-9)

@@ -46,7 +46,7 @@ def test_matmul_equivalent_to_numpy(rows, inner, cols, tile, seed, ci, cj, ks):
     program.mark_output("C")
     params = CompilerParams(matmul=MatMulParams(ci, cj, ks))
     result = run_program(program, {"A": a, "B": b}, tile_size=tile,
-                         params=params, max_workers=1)
+                         compiler_params=params, max_workers=1)
     np.testing.assert_allclose(result.output("C"), a @ b, atol=1e-9)
 
 

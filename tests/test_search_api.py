@@ -1,10 +1,10 @@
-"""The unified ``search()`` facade and the deprecation shims behind it.
+"""The unified ``search()`` facade.
 
-Locks the api_redesign contract: one declarative :class:`SearchSpec`
-covers everything the four legacy optimizer entry points did, the legacy
-entry points keep working through warning shims with bit-identical
-results, ``SearchStats`` round-trips through ``--json`` and the metrics
-registry, and the CLI's shared search flags drive the same spec.
+Locks the contract: one declarative :class:`SearchSpec` covers every
+combination of objective, constraint, reliability and method; its answers
+equal what the pricing layer gives when asked directly; ``SearchStats``
+round-trips through ``--json`` and the metrics registry; and the CLI's
+shared search flags drive the same spec.
 """
 
 import io
@@ -21,10 +21,10 @@ from repro.core.optimizer import (
     SearchSpace,
 )
 from repro.core.physical import MatMulParams
+from repro.core.plans import cheapest_within_deadline, fastest_within_budget
 from repro.core.search import SearchSpec, search
-from repro.core.surrogate import SurrogateConfig
 from repro.errors import ValidationError
-from repro.observability import MetricsRegistry
+from repro.observability import InMemoryRecorder, MetricsRegistry
 from repro.observability.search import SearchStats
 
 
@@ -86,11 +86,6 @@ class TestSpecValidation:
                        compiler_params=CompilerParams(),
                        method="surrogate")
 
-    def test_surrogate_config_needs_surrogate_method(self):
-        with pytest.raises(ValidationError):
-            SearchSpec(deadline_seconds=60.0,
-                       surrogate=SurrogateConfig())
-
     def test_grid_search_rejects_fixed_cluster(self):
         with pytest.raises(ValidationError):
             SearchSpec(deadline_seconds=60.0,
@@ -105,13 +100,12 @@ class TestSpecValidation:
 
 
 class TestFacadeEquivalence:
-    """search() returns exactly what the legacy entry points return."""
+    """search() returns exactly what pricing the grid by hand returns
+    (the definitions the removed legacy entry points implemented)."""
 
     def test_min_cost_matches_legacy(self):
-        legacy = make_optimizer()
-        with pytest.deprecated_call():
-            expected = legacy.minimize_cost_under_deadline(
-                3600.0, tiny_space())
+        expected = cheapest_within_deadline(
+            make_optimizer().enumerate_plans(tiny_space()), 3600.0)
         optimizer = make_optimizer()
         result = search(optimizer, SearchSpec(deadline_seconds=3600.0,
                                               space=tiny_space()))
@@ -121,8 +115,8 @@ class TestFacadeEquivalence:
         assert result.stats.sim_requests > 0
 
     def test_min_time_matches_solver(self):
-        baseline = make_optimizer()
-        expected = baseline.minimize_time_under_budget(5.0, tiny_space())
+        expected = fastest_within_budget(
+            make_optimizer().enumerate_plans(tiny_space()), 5.0)
         optimizer = make_optimizer()
         result = search(optimizer, SearchSpec(objective="min-time",
                                               budget_dollars=5.0,
@@ -131,9 +125,7 @@ class TestFacadeEquivalence:
 
     def test_evaluate_matches_legacy(self):
         cluster = ClusterSpec(get_instance_type("m1.large"), 2, 2)
-        legacy = make_optimizer()
-        with pytest.deprecated_call():
-            expected = legacy.evaluate(cluster, CompilerParams())
+        expected = make_optimizer().price(cluster, CompilerParams())
         optimizer = make_optimizer()
         result = search(optimizer, SearchSpec(objective="evaluate",
                                               cluster=cluster,
@@ -146,10 +138,9 @@ class TestFacadeEquivalence:
         cluster = ClusterSpec(get_instance_type("m1.large"), 2, 2)
         reliability = ReliabilityModel(crash_rate_per_hour=0.3,
                                        scenarios=3, seed=7)
-        legacy = make_optimizer()
-        with pytest.deprecated_call():
-            expected = legacy.evaluate_reliable(cluster, CompilerParams(),
-                                                reliability)
+        pricing = make_optimizer()
+        expected = pricing.stress_test(
+            pricing.price(cluster, CompilerParams()), reliability)
         optimizer = make_optimizer()
         result = search(optimizer, SearchSpec(objective="evaluate",
                                               cluster=cluster,
@@ -161,12 +152,18 @@ class TestFacadeEquivalence:
         assert result.plan == expected.plan
 
     def test_reliable_min_cost_matches_legacy(self):
+        """Stress-test every grid plan by hand; the cheapest (first among
+        ties) with every scenario done and p95 in time is the answer."""
         reliability = ReliabilityModel(crash_rate_per_hour=0.3,
                                        scenarios=3, seed=7)
-        legacy = make_optimizer()
-        with pytest.deprecated_call():
-            expected = legacy.minimize_cost_under_deadline_reliable(
-                3600.0, reliability, tiny_space())
+        pricing = make_optimizer()
+        stressed = [pricing.stress_test(plan, reliability)
+                    for plan in pricing.enumerate_plans(tiny_space())]
+        expected = min(
+            (reliable for reliable in stressed
+             if reliable.completion_rate == 1.0
+             and reliable.p95_seconds <= 3600.0),
+            key=lambda reliable: reliable.mean_cost)
         optimizer = make_optimizer()
         result = search(optimizer,
                         SearchSpec(deadline_seconds=3600.0,
@@ -189,43 +186,22 @@ class TestFacadeEquivalence:
         assert result.method == "surrogate"
 
 
-class TestShimWarnings:
-    """Each legacy entry point warns once and still works."""
+class TestPricingSpans:
+    """Both methods price through the one sequential path, so every
+    failure-free simulation has a ``simulate:`` span next to it."""
 
-    def test_minimize_cost_under_deadline_warns(self):
-        optimizer = make_optimizer()
-        with pytest.deprecated_call(match="minimize_cost_under_deadline"):
-            optimizer.minimize_cost_under_deadline(3600.0, tiny_space())
-
-    def test_minimize_cost_under_deadline_reliable_warns(self):
-        optimizer = make_optimizer()
-        reliability = ReliabilityModel(crash_rate_per_hour=0.3,
-                                       scenarios=2, seed=1)
-        with pytest.deprecated_call(
-                match="minimize_cost_under_deadline_reliable"):
-            optimizer.minimize_cost_under_deadline_reliable(
-                3600.0, reliability, tiny_space())
-
-    def test_evaluate_warns(self):
-        optimizer = make_optimizer()
-        cluster = ClusterSpec(get_instance_type("m1.large"), 2, 2)
-        with pytest.deprecated_call(match="evaluate"):
-            optimizer.evaluate(cluster, CompilerParams())
-
-    def test_evaluate_reliable_warns(self):
-        optimizer = make_optimizer()
-        cluster = ClusterSpec(get_instance_type("m1.large"), 2, 2)
-        reliability = ReliabilityModel(crash_rate_per_hour=0.3,
-                                       scenarios=2, seed=1)
-        with pytest.deprecated_call(match="evaluate_reliable"):
-            optimizer.evaluate_reliable(cluster, CompilerParams(),
-                                        reliability)
-
-    def test_minimize_time_under_budget_does_not_warn(self, recwarn):
-        optimizer = make_optimizer()
-        optimizer.minimize_time_under_budget(50.0, tiny_space())
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
+    @pytest.mark.parametrize("method", ("exhaustive", "surrogate"))
+    def test_every_pricing_records_a_simulate_span(self, method):
+        recorder = InMemoryRecorder()
+        result = search(make_optimizer(recorder=recorder),
+                        SearchSpec(deadline_seconds=3600.0,
+                                   space=tiny_space(), method=method))
+        spans = [event.task_id
+                 for event in recorder.trace().span_events()]
+        simulated = [name for name in spans if name.startswith("simulate:")]
+        assert len(simulated) == result.stats.sim_requests > 0
+        assert any(name.startswith("compile:") for name in spans)
+        assert f"{method}-search" in spans
 
 
 class TestStatsRoundTrip:
@@ -357,7 +333,6 @@ class TestApiSurface:
             SearchResult,
             SearchSpec,
             SearchStats,
-            SurrogateConfig,
             reliability_frontier,
             search,
         )

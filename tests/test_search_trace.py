@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_workload, main
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud import get_instance_type
 from repro.core.explain import explain_search
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
@@ -18,10 +18,8 @@ from repro.observability import (
 )
 from repro.observability.search import (
     ORIGIN_GRID,
-    ORIGIN_HILL_CLIMB,
     STATUS_EVALUATED,
     STATUS_PRUNED,
-    STATUS_SKIPPED,
 )
 from repro.workloads import build_multiply_program
 
@@ -122,47 +120,6 @@ class TestGridSearchTrace:
         assert registry.gauge("optimizer.grid_plans").value == 2
 
 
-class TestHillClimbTrace:
-    def test_lineage_records_step_and_parent(self):
-        trace = SearchTrace()
-        optimizer = make_optimizer(trace)
-        space = tiny_space(node_counts=(1, 2, 4, 8, 16))
-        seed = ClusterSpec(get_instance_type("m1.large"), 16, 2)
-        plan = optimizer.hill_climb_under_deadline(
-            3600.0, space, seed_spec=seed)
-        assert plan.estimated_seconds <= 3600.0
-        assert all(r.origin == ORIGIN_HILL_CLIMB for r in trace.records)
-        seeds = [r for r in trace.records if r.step == 0]
-        assert seeds and all(r.parent is None for r in seeds)
-        later = [r for r in trace.records if (r.step or 0) > 0]
-        assert later and all(r.parent is not None for r in later)
-        # Ancestry chains terminate at a seed record.
-        final = trace.index_of(plan)
-        chain = trace.lineage(final)
-        assert chain[0].step == 0
-        assert chain[-1].index == final
-
-    def test_revisited_neighbors_recorded_as_skipped(self):
-        trace = SearchTrace()
-        optimizer = make_optimizer(trace)
-        space = tiny_space(node_counts=(1, 2, 4, 8, 16))
-        seed = ClusterSpec(get_instance_type("m1.large"), 16, 2)
-        optimizer.hill_climb_under_deadline(3600.0, space, seed_spec=seed)
-        skipped = trace.skipped()
-        if skipped:  # climb took more than one step
-            assert all(r.reason == "already visited" for r in skipped)
-            assert all(r.predicted_seconds is None for r in skipped)
-
-    def test_hill_climb_result_unchanged_by_tracing(self):
-        space = tiny_space(node_counts=(1, 2, 4, 8, 16))
-        seed = ClusterSpec(get_instance_type("m1.large"), 16, 2)
-        bare = make_optimizer().hill_climb_under_deadline(
-            3600.0, space, seed_spec=seed)
-        traced = make_optimizer(SearchTrace()).hill_climb_under_deadline(
-            3600.0, space, seed_spec=seed)
-        assert bare == traced
-
-
 class TestRecordQueries:
     def test_best_record_prefers_feasible(self):
         trace = SearchTrace()
@@ -184,8 +141,6 @@ class TestRecordQueries:
         record.status = STATUS_PRUNED
         record.reason = "slower"
         assert record.annotation() == "pruned (slower)"
-        record.status = STATUS_SKIPPED
-        assert record.annotation() == "skipped (slower)"
 
     def test_to_dicts_and_clear(self):
         trace = SearchTrace()
@@ -287,7 +242,7 @@ class TestExplainSearchCli:
         code, text = run_cli(*self.CLI_ARGS)
         trace, __ = self.reference_trace()
         assert code == 0
-        evaluated = trace.evaluated()
+        evaluated = trace.records
         assert evaluated
         printed = [l for l in text.splitlines()
                    if l.strip().startswith("#")]

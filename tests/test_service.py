@@ -294,58 +294,3 @@ class TestSessionOnService:
         assert len(session.trace) > 0
         snapshot = session.metrics.snapshot()
         assert snapshot["counters"]
-
-    def test_deprecated_kwargs_warn_but_work(self):
-        from repro.core.compiler import CompilerParams
-        with pytest.warns(DeprecationWarning, match="storage_nodes"):
-            session = CumulonSession(tile_size=8, storage_nodes=2)
-        assert session.spec.num_nodes == 2
-        with pytest.warns(DeprecationWarning, match="'params'"):
-            session = CumulonSession(tile_size=8, params=CompilerParams())
-        with pytest.warns(DeprecationWarning, match="'params'"):
-            assert session.params is session.compiler_params
-
-
-class TestParamNameUnification:
-    def make_program(self):
-        program = Program("p")
-        av = program.declare_input("A", 8, 8)
-        program.assign("S", av + av)
-        program.mark_output("S")
-        return program
-
-    def test_run_program_both_spellings(self):
-        import warnings
-        from repro.core.compiler import CompilerParams
-        from repro.core.executor import run_program
-        program = self.make_program()
-        inputs = {"A": np.ones((8, 8))}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # new spelling: no warning
-            new = run_program(program, inputs, tile_size=8,
-                              compiler_params=CompilerParams())
-        with pytest.warns(DeprecationWarning, match="compiler_params"):
-            old = run_program(self.make_program(), inputs, tile_size=8,
-                              params=CompilerParams())
-        np.testing.assert_allclose(new.output("S"), old.output("S"))
-
-    def test_both_spellings_at_once_rejected(self):
-        from repro.core.compiler import CompilerParams
-        from repro.core.executor import run_program
-        with pytest.raises(ValidationError, match="not both"):
-            run_program(self.make_program(), {"A": np.ones((8, 8))},
-                        tile_size=8, params=CompilerParams(),
-                        compiler_params=CompilerParams())
-
-    def test_optimizer_evaluate_both_spellings(self):
-        from repro.core.compiler import CompilerParams
-        from repro.core.optimizer import DeploymentOptimizer
-        program, tile = tiny_multiply()
-        optimizer = DeploymentOptimizer(program, tile_size=tile)
-        spec = cluster()
-        new = optimizer.evaluate(spec, CompilerParams())
-        with pytest.warns(DeprecationWarning, match="compiler_params"):
-            old = optimizer.evaluate(spec, params=CompilerParams())
-        assert new.estimated_seconds == old.estimated_seconds
-        with pytest.raises(ValidationError, match="needs compiler_params"):
-            optimizer.evaluate(spec)

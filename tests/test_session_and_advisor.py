@@ -67,16 +67,18 @@ class TestSession:
         big = build_normal_equations_program(65536, 4096)
         optimizer = session.optimize(big, tile_size=2048)
         from repro.core.optimizer import SearchSpace
+        from repro.core.search import SearchSpec, search
         space = SearchSpace(
             instance_types=(get_instance_type("m1.large"),),
             node_counts=(4,), slots_options=(2,),
         )
-        plan = optimizer.minimize_cost_under_deadline(4 * 3600.0, space)
+        plan = search(optimizer, SearchSpec(
+            deadline_seconds=4 * 3600.0, space=space)).plan
         assert plan.estimated_cost > 0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            CumulonSession(storage_nodes=0)
+            CumulonSession(nodes=0)
 
 
 class TestAdvisor:

@@ -1,10 +1,10 @@
 """Oracle differential: the surrogate search vs the exhaustive grid.
 
-The exhaustive solvers are the ground truth.  Over dozens of seeded
+``method="exhaustive"`` is the ground truth.  Over dozens of seeded
 random grids (deadline mode, budget mode, and the reliability-aware
-deadline mode), the surrogate must return a plan that is (a) actually
-feasible and (b) within ``SurrogateConfig.tolerance`` of the exhaustive
-optimum — and it must agree with the oracle about infeasibility.  A
+deadline mode), ``method="surrogate"`` must return a plan that is (a)
+actually feasible and (b) within ``TOLERANCE`` of the exhaustive optimum
+— and it must agree with the oracle about infeasibility.  A
 hypothesis property locks the stronger invariant that a returned plan is
 *never* infeasible, for any grid/constraint the strategy can draw.
 """
@@ -23,15 +23,13 @@ from repro.core.optimizer import (
     SearchSpace,
 )
 from repro.core.physical import MatMulParams
-from repro.core.surrogate import (
-    SurrogateConfig,
-    reliability_frontier,
-    surrogate_minimize_cost_under_deadline,
-    surrogate_minimize_time_under_budget,
-)
+from repro.core.search import SearchSpec, search
+from repro.core.surrogate import reliability_frontier
 from repro.errors import InfeasibleConstraintError, ValidationError
 
-TOLERANCE = SurrogateConfig().tolerance
+#: The documented plan-quality target: the surrogate's objective value
+#: stays within ``(1 + TOLERANCE)`` of the exhaustive optimum.
+TOLERANCE = 0.10
 
 INSTANCE_POOL = ("m1.small", "m1.medium", "m1.large", "m1.xlarge",
                  "c1.medium", "c1.xlarge", "m2.xlarge")
@@ -61,6 +59,17 @@ def seeded_space(seed: int) -> SearchSpace:
                        slots_options=slots, matmul_options=matmuls)
 
 
+def solve(optimizer, method, space=None, **constraint):
+    """``search()`` result, or None when the constraint is infeasible."""
+    objective = "min-time" if "budget_dollars" in constraint else "min-cost"
+    try:
+        return search(optimizer, SearchSpec(objective=objective,
+                                            method=method, space=space,
+                                            **constraint))
+    except InfeasibleConstraintError:
+        return None
+
+
 def assert_within_tolerance(surrogate_value, exact_value):
     assert surrogate_value <= exact_value * (1.0 + TOLERANCE) + 1e-9
 
@@ -72,17 +81,12 @@ class TestDeadlineDifferential:
     @pytest.mark.parametrize("deadline", (240.0, 3600.0))
     def test_matches_oracle(self, seed, deadline):
         space = seeded_space(seed)
-        exact_optimizer = optimizer_for()
-        try:
-            exact = exact_optimizer._minimize_cost_under_deadline(
-                deadline, space)
-        except InfeasibleConstraintError:
-            exact = None
+        exact = solve(optimizer_for(), "exhaustive", space,
+                      deadline_seconds=deadline)
         surrogate_optimizer = optimizer_for()
-        try:
-            result = surrogate_minimize_cost_under_deadline(
-                surrogate_optimizer, deadline, space)
-        except InfeasibleConstraintError:
+        result = solve(surrogate_optimizer, "surrogate", space,
+                       deadline_seconds=deadline)
+        if result is None:
             assert exact is None, \
                 "surrogate declared a feasible problem infeasible"
             return
@@ -90,7 +94,8 @@ class TestDeadlineDifferential:
             "surrogate found a plan where the oracle proved none exists"
         plan = result.plan
         assert plan.estimated_seconds <= deadline
-        assert_within_tolerance(plan.estimated_cost, exact.estimated_cost)
+        assert_within_tolerance(plan.estimated_cost,
+                                exact.plan.estimated_cost)
         # The surrogate never asks for more than the grid would.
         stats = surrogate_optimizer.last_search_stats
         assert stats.sim_requests <= \
@@ -104,23 +109,18 @@ class TestBudgetDifferential:
     @pytest.mark.parametrize("budget", (0.25, 8.0))
     def test_matches_oracle(self, seed, budget):
         space = seeded_space(seed)
-        exact_optimizer = optimizer_for()
-        try:
-            exact = exact_optimizer.minimize_time_under_budget(budget, space)
-        except InfeasibleConstraintError:
-            exact = None
-        surrogate_optimizer = optimizer_for()
-        try:
-            result = surrogate_minimize_time_under_budget(
-                surrogate_optimizer, budget, space)
-        except InfeasibleConstraintError:
+        exact = solve(optimizer_for(), "exhaustive", space,
+                      budget_dollars=budget)
+        result = solve(optimizer_for(), "surrogate", space,
+                       budget_dollars=budget)
+        if result is None:
             assert exact is None
             return
         assert exact is not None
         plan = result.plan
         assert plan.estimated_cost <= budget
         assert_within_tolerance(plan.estimated_seconds,
-                                exact.estimated_seconds)
+                                exact.plan.estimated_seconds)
 
 
 class TestReliableDifferential:
@@ -132,18 +132,11 @@ class TestReliableDifferential:
         reliability = ReliabilityModel(crash_rate_per_hour=0.3,
                                        scenarios=3, seed=seed)
         deadline = 600.0
-        exact_optimizer = optimizer_for()
-        try:
-            exact = exact_optimizer._minimize_cost_under_deadline_reliable(
-                deadline, reliability, space)
-        except InfeasibleConstraintError:
-            exact = None
-        surrogate_optimizer = optimizer_for()
-        try:
-            result = surrogate_minimize_cost_under_deadline(
-                surrogate_optimizer, deadline, space,
-                reliability=reliability)
-        except InfeasibleConstraintError:
+        exact = solve(optimizer_for(), "exhaustive", space,
+                      deadline_seconds=deadline, reliability=reliability)
+        result = solve(optimizer_for(), "surrogate", space,
+                       deadline_seconds=deadline, reliability=reliability)
+        if result is None:
             assert exact is None
             return
         assert exact is not None
@@ -151,16 +144,17 @@ class TestReliableDifferential:
         assert reliable is not None
         assert reliable.completion_rate == 1.0
         assert reliable.p95_seconds <= deadline
-        assert_within_tolerance(reliable.mean_cost, exact.mean_cost)
+        assert_within_tolerance(reliable.mean_cost,
+                                exact.reliable.mean_cost)
 
     def test_frontier_members_are_mutually_undominated(self):
         space = seeded_space(3)
         reliability = ReliabilityModel(crash_rate_per_hour=0.3,
                                        scenarios=3, seed=11)
-        optimizer = optimizer_for()
-        result = surrogate_minimize_cost_under_deadline(
-            optimizer, 3600.0, space, reliability=reliability)
-        frontier = reliability_frontier(result.reliable_candidates)
+        result = solve(optimizer_for(), "surrogate", space,
+                       deadline_seconds=3600.0, reliability=reliability)
+        frontier = result.reliable_frontier
+        assert frontier == reliability_frontier(result.reliable_candidates)
         assert frontier, "at least the chosen plan joins the frontier"
         for a in frontier:
             for b in frontier:
@@ -195,40 +189,30 @@ class TestSimulationSavings:
             slots_options=(1, 2, 4),
             matmul_options=(MatMulParams(1, 1, 1), MatMulParams(2, 2, 1)),
         )
-        exact_optimizer = optimizer_for()
-        exact = exact_optimizer._minimize_cost_under_deadline(3600.0, space)
-        exact_requests = exact_optimizer.last_search_stats.sim_requests
-        optimizer = optimizer_for()
-        result = surrogate_minimize_cost_under_deadline(
-            optimizer, 3600.0, space)
-        stats = optimizer.last_search_stats
-        assert stats.sim_requests * 2 <= exact_requests
+        exact = solve(optimizer_for(), "exhaustive", space,
+                      deadline_seconds=3600.0)
+        result = solve(optimizer_for(), "surrogate", space,
+                       deadline_seconds=3600.0)
+        stats = result.stats
+        assert stats.sim_requests * 2 <= exact.stats.sim_requests
         assert stats.simulations_avoided > 0
         assert stats.surrogate_rounds >= 0
         assert result.plan.estimated_cost <= \
-            exact.estimated_cost * (1.0 + TOLERANCE)
+            exact.plan.estimated_cost * (1.0 + TOLERANCE)
 
     def test_stats_account_for_the_full_grid(self):
         space = seeded_space(1)
         optimizer = optimizer_for()
-        surrogate_minimize_cost_under_deadline(optimizer, 3600.0, space)
+        solve(optimizer, "surrogate", space, deadline_seconds=3600.0)
         stats = optimizer.last_search_stats
         assert stats.sim_requests + stats.simulations_avoided \
             <= optimizer.grid_sim_requests(space)
 
 
 class TestConfigValidation:
-    def test_rejects_bad_seeds(self):
-        with pytest.raises(ValidationError):
-            SurrogateConfig(seeds=1)
-
-    def test_rejects_negative_rounds(self):
-        with pytest.raises(ValidationError):
-            SurrogateConfig(max_rounds=-1)
-
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ValidationError):
-            surrogate_minimize_cost_under_deadline(optimizer_for(), 0.0)
+            solve(optimizer_for(), "surrogate", deadline_seconds=0.0)
 
 
 @given(
@@ -243,13 +227,9 @@ def test_surrogate_never_returns_infeasible(seed, deadline):
     this holds unconditionally, not just on average.)
     """
     space = seeded_space(seed)
-    optimizer = optimizer_for()
-    try:
-        result = surrogate_minimize_cost_under_deadline(
-            optimizer, deadline, space)
-    except InfeasibleConstraintError:
-        return
-    assert result.plan.estimated_seconds <= deadline
+    result = solve(optimizer_for(), "surrogate", space,
+                   deadline_seconds=deadline)
+    assert result is None or result.plan.estimated_seconds <= deadline
 
 
 @given(
@@ -259,10 +239,6 @@ def test_surrogate_never_returns_infeasible(seed, deadline):
 @settings(max_examples=10, deadline=None)
 def test_surrogate_never_overspends_budget(seed, budget):
     space = seeded_space(seed)
-    optimizer = optimizer_for()
-    try:
-        result = surrogate_minimize_time_under_budget(
-            optimizer, budget, space)
-    except InfeasibleConstraintError:
-        return
-    assert result.plan.estimated_cost <= budget
+    result = solve(optimizer_for(), "surrogate", space,
+                   budget_dollars=budget)
+    assert result is None or result.plan.estimated_cost <= budget
