@@ -34,10 +34,12 @@ TIME_SCALE = 2000.0               # virtual cluster seconds per wall second
 FSYNC_EVERY = 4096                # between-tick batching; ticks group-commit
 KILL_JOBS = 40 if TINY else 120
 KILL_TENANTS = 8 if TINY else 12
-# Three records per job lands the SIGKILL after the first group commit
-# (so real acks are in flight — the acked-subset-of-journal check has
-# teeth) but before the burst drains.
-KILL_AFTER = KILL_JOBS * 3
+# A burst admitted in one tick journals submit + admit + start per job,
+# plus the tenants, two clock advances and ONE allocation tick.  A few
+# records past that lands the SIGKILL after the first group commit (so
+# real acks are in flight — the acked-subset-of-journal check has teeth)
+# but before the burst drains.
+KILL_AFTER = KILL_JOBS * 3 + KILL_TENANTS + 10
 
 
 def build_series():

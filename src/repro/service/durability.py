@@ -106,7 +106,9 @@ from repro.service.script import submit_script_jobs, validate_script
 from repro.workloads import build_workload
 
 #: Journal schema version (bumped on incompatible record changes).
-JOURNAL_VERSION = 1
+#: 2: one ``tick`` per event instant (not per event), digest over the raw
+#: allocation doubles.
+JOURNAL_VERSION = 2
 
 #: Bytes of framing per record: 4-byte length + 4-byte CRC32, big-endian.
 HEADER_STRUCT = struct.Struct(">II")
@@ -405,7 +407,7 @@ def snapshot_service(service: JobService, epoch: int) -> dict:
             for t in service.tenants.values()
         ],
         "jobs": jobs,
-        "running": [record.job_id for record in service._running],
+        "running": list(service._running),
         "events": events,
     }
 
@@ -488,7 +490,7 @@ def restore_service(doc: dict, *,
                         weight=tdoc["weight"])
         tenant.committed_dollars = tdoc["committed_dollars"]
         tenant.slot_seconds = tdoc["slot_seconds"]
-        service.tenants[tenant.name] = tenant
+        service._install_tenant(tenant)
     for jdoc in doc["jobs"]:
         record = JobRecord(
             job_id=jdoc["job_id"], tenant=jdoc["tenant"],
@@ -512,7 +514,8 @@ def restore_service(doc: dict, *,
         if jdoc.get("error") is not None and record.state == STATE_FAILED:
             record.error = ServiceError(jdoc["error"])
         service.jobs[record.job_id] = record
-    service._running = [service.jobs[jid] for jid in doc["running"]]
+    for job_id in doc["running"]:
+        service._enqueue(service.jobs[job_id])
     events = []
     for edoc in doc["events"]:
         payload = (edoc["generation"] if edoc["kind"] == "complete"
@@ -715,6 +718,7 @@ def recover(directory: str | Path, *,
     # Compose snapshot and journal tail by epoch.
     rotate_header = None
     if snapshot_doc is not None:
+        _check_version(snapshot_doc, "snapshot")
         epoch = int(snapshot_doc["epoch"])
         base = restore_service(
             snapshot_doc, cache=cache, workers=workers, executor=executor,
@@ -741,10 +745,7 @@ def recover(directory: str | Path, *,
                 f"journal {store.journal_path} does not start with a "
                 f"header record")
         header = scan.records[0]
-        if header.get("version") != JOURNAL_VERSION:
-            raise RecoveryError(
-                f"journal version {header.get('version')!r} is not "
-                f"{JOURNAL_VERSION}")
+        _check_version(header, "journal")
         base = restore_service(
             header, cache=cache, workers=workers, executor=executor,
             coefficients=coefficients, metrics=metrics, recorder=recorder,
@@ -788,7 +789,7 @@ def recover(directory: str | Path, *,
                                 deadline_seconds=record["deadline_seconds"],
                                 weight=record["weight"])
             elif kind == EV_SUBMIT:
-                base.run_until(record["clock"])
+                _catch_up(base, record["clock"])
                 handle = base.submit(
                     resolve(record.get("source"), record["program"]),
                     tenant=record["tenant"],
@@ -800,7 +801,7 @@ def recover(directory: str | Path, *,
                         f"replay diverged: regenerated job id "
                         f"{handle.job_id} != journaled {record['job_id']}")
             elif kind == EV_CANCEL:
-                base.run_until(record["clock"])
+                _catch_up(base, record["clock"])
                 base.cancel(record["job_id"])
             elif kind == EV_ADVANCE:
                 base.run_until(record["to"])
@@ -819,13 +820,20 @@ def recover(directory: str | Path, *,
             raise RecoveryError(
                 f"replay diverged at effect #{index}: journaled "
                 f"{journaled!r} vs regenerated {regenerated!r}")
+    # A crash inside a run_until window leaves its ``advance`` durable
+    # but only some of its effects; replay re-ran the whole window.
+    redone = base._replay_effects[len(journaled_effects):]
     base._replay_effects = []
 
-    # Reattach the (truncated) journal for post-recovery appends.
+    # Reattach the (truncated) journal for post-recovery appends, and
+    # write down the effects it had not reached: the journal stays the
+    # full record (audits, a second recovery) of what the service did.
     truncated = scan.total_bytes - scan.valid_bytes
     store.resume(epoch if epoch is not None else 0, scan.valid_bytes,
                  rotate_header=rotate_header)
     base.attach_durability(store, fresh=False)
+    for effect in redone:
+        base.journal.append(effect)
     wall = time.perf_counter() - started
     base._jrec(EV_RECOVERED, clock=base.now,
                commands=len(commands), truncated_bytes=truncated)
@@ -853,6 +861,25 @@ def recover(directory: str | Path, *,
             end=base.now, status=STATUS_SUCCESS,
             label=base.recovery.describe()))
     return base
+
+
+def _check_version(doc: dict, what: str) -> None:
+    if doc.get("version") != JOURNAL_VERSION:
+        raise RecoveryError(
+            f"{what} version {doc.get('version')!r} is not "
+            f"{JOURNAL_VERSION}")
+
+
+def _catch_up(service: JobService, clock: float) -> None:
+    """Bring a replaying service to the clock a command was issued at.
+
+    Only ever forwards.  At the instant the service is already at there
+    is nothing to catch up on, and running the loop anyway would admit
+    the earlier commands of a same-instant batch one by one, where the
+    live run admitted the whole batch under one re-allocation.
+    """
+    if clock > service.now:
+        service.run_until(clock)
 
 
 def resume_script(service: JobService, script: dict) -> list:

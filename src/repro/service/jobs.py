@@ -34,6 +34,8 @@ import hashlib
 import heapq
 import itertools
 import math
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +70,8 @@ from repro.service.scheduler import (
     EPSILON,
     POLICIES,
     POLICY_FAIR,
+    RunQueues,
     SlotRequest,
-    allocate_slots,
     jain_fairness,
 )
 
@@ -149,9 +151,14 @@ class Tenant:
         return self.budget_dollars - self.committed_dollars
 
 
-@dataclass
+@dataclass(eq=False)
 class JobRecord:
-    """Everything the service tracks about one submission."""
+    """Everything the service tracks about one submission.
+
+    Records compare by identity: one submission is one record, and the
+    event loop looks records up far too often to compare them field by
+    field.
+    """
 
     job_id: str
     tenant: str
@@ -175,6 +182,8 @@ class JobRecord:
     max_slots: int = 1
     estimated_dollars: float = 0.0
     reject_reason: str | None = None
+    #: The job's standing demand on the scheduler while it runs.
+    request: SlotRequest | None = None
     #: Filled while running / at completion.
     allocated_slots: float = 0.0
     started_at: float | None = None
@@ -308,7 +317,16 @@ class JobService:
         self._seq = itertools.count()
         self._order = itertools.count()
         self._generation = 0
-        self._running: list[JobRecord] = []
+        #: Admitted, unfinished jobs by id, in admission order.
+        self._running: dict[str, JobRecord] = {}
+        #: The same jobs' slot demands, grouped for the scheduler.
+        self._queues = RunQueues(policy, spec.total_slots)
+        #: Running jobs whose work is used up, by id; the next completion
+        #: event finishes them.
+        self._drained: dict[str, JobRecord] = {}
+        #: Called with the job id whenever a job reaches a terminal state
+        #: (the socket server delivers results from this, not by polling).
+        self.on_terminal: Callable[[str], None] | None = None
         # -- durability state (attached by repro.service.durability) -----------
         #: The write-ahead journal, when durability is attached.
         self.journal = None
@@ -395,8 +413,12 @@ class JobService:
         self._jrec(EV_TENANT, clock=self._clock, name=name,
                    budget_dollars=budget_dollars,
                    deadline_seconds=deadline_seconds, weight=weight)
-        self.tenants[name] = tenant
+        self._install_tenant(tenant)
         return tenant
+
+    def _install_tenant(self, tenant: Tenant) -> None:
+        self.tenants[tenant.name] = tenant
+        self._queues.weights[tenant.name] = tenant.weight
 
     def tenant(self, name: str) -> Tenant:
         """Look up a registered tenant."""
@@ -495,34 +517,54 @@ class JobService:
         # replay re-runs the whole window (redo semantics) and the journaled
         # effects validate the regenerated prefix.
         self._jrec(EV_ADVANCE, to=limit_seconds)
-        while self._events and self._events[0][0] <= limit_seconds:
-            at, __, kind, payload = heapq.heappop(self._events)
-            if kind == "complete" and payload != self._generation:
-                continue  # superseded by a newer allocation
-            self._advance_to(at)
-            if kind == "submit":
-                self._handle_submit(payload)
-            elif kind == "cancel":
-                self._handle_cancel(payload)
-            elif kind == "complete":
-                self._handle_complete()
-            self._reschedule()
+        events = self._events
+        # Whether an event at the current instant changed the run set, so
+        # that one re-allocation is owed before the clock moves on.  No
+        # virtual time passes between same-instant events, hence no work
+        # is drained under the allocations in between: dividing the slots
+        # once, after the last of them, yields the same schedule.
+        changed = False
+        while events and events[0][0] <= limit_seconds:
+            at, __, kind, payload = heapq.heappop(events)
+            # A completion scheduled by an older allocation is superseded.
+            if kind != "complete" or payload == self._generation:
+                self._advance_to(at)
+                if kind == "submit":
+                    self._handle_submit(payload)
+                elif kind == "cancel":
+                    self._handle_cancel(payload)
+                else:
+                    self._handle_complete()
+                changed = True
+            # Checked after every pop, not only after a handled event: the
+            # instant's last event may be a superseded completion.
+            if changed and not (events and events[0][0] == at):
+                self._reschedule()
+                changed = False
         self._advance_to(limit_seconds)
         self._maybe_snapshot()
 
     def drain(self) -> None:
         """Run the clock forward until every enqueued event has fired."""
-        while self._events:
-            self.run_until(self._events[0][0])
+        while (at := self.next_event_at) is not None:
+            self.run_until(at)
 
     @property
     def next_event_at(self) -> float | None:
-        """Virtual time of the earliest queued event (None when idle).
+        """Virtual time of the earliest event still to fire (None when idle).
 
         Wall-clock tick drivers use this to sleep precisely until the
-        next thing that can happen instead of polling blindly.
+        next thing that can happen instead of polling blindly.  Superseded
+        completions are dead — :meth:`run_until` skips them without
+        touching the clock — so they are dropped here rather than
+        reported: where :meth:`drain` stops must not depend on how many
+        re-allocations it took to reach the current schedule.
         """
-        return self._events[0][0] if self._events else None
+        events = self._events
+        while (events and events[0][2] == "complete"
+               and events[0][3] != self._generation):
+            heapq.heappop(events)
+        return events[0][0] if events else None
 
     # -- internals -------------------------------------------------------------
 
@@ -539,19 +581,24 @@ class JobService:
         """Drain running jobs' work across ``[clock, at]``; move the clock."""
         dt = at - self._clock
         if dt > 0:
-            for record in self._running:
+            tenants = self.tenants
+            drained = self._drained
+            for record in self._running.values():
                 if record.allocated_slots <= EPSILON:
                     continue
                 consumed = record.allocated_slots * dt
                 record.remaining_slot_seconds -= consumed
                 record.slot_seconds += consumed
-                self.tenants[record.tenant].slot_seconds += consumed
+                tenants[record.tenant].slot_seconds += consumed
+                if record.remaining_slot_seconds <= _WORK_EPSILON:
+                    drained[record.job_id] = record
             self._clock = at
         self.cost_meter.observe(self._clock)
         if self.metrics.enabled:
             self.metrics.sample(
                 "service.running_slots",
-                sum(r.allocated_slots for r in self._running), t=self._clock)
+                sum(r.allocated_slots for r in self._running.values()),
+                t=self._clock)
             self.metrics.sample(
                 "service.active_jobs", len(self._running), t=self._clock)
 
@@ -586,21 +633,36 @@ class JobService:
                 self.metrics.inc("service.jobs_rejected",
                                  labels={"tenant": record.tenant,
                                          "reason": decision.reject_reason})
-            self._emit_job_event(record, STATUS_FAILED,
-                                 label=f"rejected:{decision.reject_reason}")
+            self._job_done(record, STATUS_FAILED,
+                           label=f"rejected:{decision.reject_reason}")
             return
         tenant.committed_dollars += decision.estimated_dollars
         record.state = STATE_RUNNING
-        self._running.append(record)
+        self._enqueue(record)
         if self.metrics.enabled:
             self.metrics.inc("service.jobs_admitted",
                              labels={"tenant": record.tenant})
 
+    def _enqueue(self, record: JobRecord) -> None:
+        """Put an admitted job on the run set and the scheduler's queues."""
+        record.request = SlotRequest(record.job_id, record.tenant,
+                                     float(record.max_slots), record.order)
+        self._running[record.job_id] = record
+        self._queues.add(record.request)
+        # A job restored from a snapshot may already be out of work.
+        if record.remaining_slot_seconds <= _WORK_EPSILON:
+            self._drained[record.job_id] = record
+
+    def _dequeue(self, record: JobRecord) -> None:
+        del self._running[record.job_id]
+        self._queues.remove(record.request)
+        record.request = None
+
     def _handle_cancel(self, record: JobRecord) -> None:
         if record.done:
             return
-        if record in self._running:
-            self._running.remove(record)
+        if record.job_id in self._running:
+            self._dequeue(record)
         tenant = self.tenants[record.tenant]
         # Release the unspent part of the admission commitment.
         rate = self.admission.slot_second_rate
@@ -618,13 +680,16 @@ class JobService:
         if self.metrics.enabled:
             self.metrics.inc("service.jobs_cancelled",
                              labels={"tenant": record.tenant})
-        self._emit_job_event(record, STATUS_KILLED, label="cancelled")
+        self._job_done(record, STATUS_KILLED, label="cancelled")
 
     def _handle_complete(self) -> None:
-        finished = [record for record in self._running
-                    if record.remaining_slot_seconds <= _WORK_EPSILON]
+        # Submission order, whichever clock advance each job drained in.
+        finished = sorted((record for record in self._drained.values()
+                           if not record.done),  # cancelled since
+                          key=lambda record: record.order)
+        self._drained.clear()
         for record in finished:
-            self._running.remove(record)
+            self._dequeue(record)
             self._finish(record)
 
     def _finish(self, record: JobRecord) -> None:
@@ -675,10 +740,13 @@ class JobService:
                                  labels=labels)
             if record.missed_deadline:
                 self.metrics.inc("service.deadline_misses", labels=labels)
-        self._emit_job_event(record, status)
+        self._job_done(record, status)
 
-    def _emit_job_event(self, record: JobRecord, status: str,
-                        label: str = "") -> None:
+    def _job_done(self, record: JobRecord, status: str,
+                  label: str = "") -> None:
+        """Announce a job's terminal state: listener, then trace event."""
+        if self.on_terminal is not None:
+            self.on_terminal(record.job_id)
         if not self.recorder.enabled:
             return
         start = (record.started_at if record.started_at is not None
@@ -696,43 +764,40 @@ class JobService:
 
     def _reschedule(self) -> None:
         """Re-divide the cluster's slots and schedule the next completion."""
-        requests = [SlotRequest(record.job_id, record.tenant,
-                                float(record.max_slots), record.order)
-                    for record in self._running]
-        weights = {name: tenant.weight
-                   for name, tenant in self.tenants.items()}
-        allocation = allocate_slots(self.policy, requests, weights,
-                                    float(self.spec.total_slots))
+        allocation = self._queues.allocate()
         self._generation += 1
+        clock = self._clock
+        journaling = self._jlogging
+        queued = 0
         next_finish: float | None = None
-        for record in self._running:
-            record.allocated_slots = allocation[record.job_id]
-            if record.allocated_slots > EPSILON:
+        for record in self._running.values():
+            allocated = allocation[record.job_id]
+            record.allocated_slots = allocated
+            if allocated > EPSILON:
                 if record.started_at is None:
-                    record.started_at = self._clock
-                    if self._jlogging:
-                        self._jrec(EV_START, clock=self._clock,
+                    record.started_at = clock
+                    if journaling:
+                        self._jrec(EV_START, clock=clock,
                                    job_id=record.job_id)
-                finish = (self._clock + record.remaining_slot_seconds
-                          / record.allocated_slots)
+                finish = clock + record.remaining_slot_seconds / allocated
                 if next_finish is None or finish < next_finish:
                     next_finish = finish
+            else:
+                queued += 1
         if next_finish is not None:
-            self._push(max(next_finish, self._clock), "complete",
+            self._push(max(next_finish, clock), "complete",
                        self._generation)
-        if self._jlogging:
-            alloc = ";".join(f"{r.job_id}={r.allocated_slots!r}"
-                             for r in self._running)
-            self._jrec(EV_TICK, clock=self._clock,
-                       running=len(self._running),
+        if journaling:
+            # Which jobs run is pinned record by record (admit, complete,
+            # cancelled); the digest adds how the slots were divided among
+            # them: the raw doubles, in the scheduler's priority order.
+            self._jrec(EV_TICK, clock=clock, running=len(allocation),
                        alloc=hashlib.sha256(
-                           alloc.encode("utf-8")).hexdigest()[:12])
+                           array("d", allocation.values()).tobytes()
+                       ).hexdigest()[:12])
         if self.metrics.enabled:
-            self.metrics.sample(
-                "service.queue_depth",
-                sum(1 for record in self._running
-                    if record.allocated_slots <= EPSILON),
-                t=self._clock)
+            self.metrics.inc("service.reschedules")
+            self.metrics.sample("service.queue_depth", queued, t=clock)
 
     def _digest(self, record: JobRecord) -> JobResult:
         return JobResult(
@@ -769,11 +834,14 @@ class JobService:
         used = {name: tenant.slot_seconds
                 for name, tenant in self.tenants.items()}
         total_used = sum(used.values())
+        by_tenant: dict[str, list[JobRecord]] = {
+            name: [] for name in self.tenants}
+        for record in self.jobs.values():
+            by_tenant[record.tenant].append(record)
         tenants = []
         for name in sorted(self.tenants):
             tenant = self.tenants[name]
-            records = [record for record in self.jobs.values()
-                       if record.tenant == name]
+            records = by_tenant[name]
             latencies = [record.finished_at - record.submit_at
                          for record in records
                          if record.state == STATE_COMPLETED]

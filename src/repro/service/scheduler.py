@@ -96,6 +96,106 @@ def weighted_shares(demands: list[tuple[str, float, float]],
     return shares
 
 
+class RunQueues:
+    """The running jobs' slot demands, kept grouped between allocations.
+
+    The job service re-divides the cluster at every event instant; the
+    set of demands changes by one job at a time.  This holds what
+    :func:`allocate_slots` would otherwise rebuild per call: the demands
+    in FIFO (``order``) order, the same demands grouped per tenant, and
+    each tenant's total and smallest cap.  ``weights`` is the fair policy's
+    ``tenant -> weight`` map (absent tenants weigh 1); the owner fills it.
+    """
+
+    def __init__(self, policy: str, total_slots: float,
+                 weights: dict[str, float] | None = None):
+        if policy not in POLICIES:
+            raise ValidationError(
+                f"scheduling policy must be one of {POLICIES}, "
+                f"got {policy!r}")
+        self.policy = policy
+        self.total_slots = float(total_slots)
+        self.weights: dict[str, float] = {} if weights is None else weights
+        #: ``job_id -> request`` in ``order`` order (FIFO priority).
+        self._fifo: dict[str, SlotRequest] = {}
+        #: ``tenant -> {job_id -> request}``, each in ``order`` order;
+        #: only tenants with a running job have an entry.
+        self._tenants: dict[str, dict[str, SlotRequest]] = {}
+        #: ``tenant -> (summed cap, smallest cap)``; dropped whenever its
+        #: queue changes and recomputed by the next allocation.
+        self._caps: dict[str, tuple[float, float]] = {}
+
+    def __len__(self) -> int:
+        return len(self._fifo)
+
+    def add(self, request: SlotRequest) -> None:
+        """Queue one demand, keeping every queue in ``order`` order."""
+        queue = self._tenants.setdefault(request.tenant, {})
+        for jobs in (self._fifo, queue):
+            in_order = not jobs or next(reversed(jobs.values())).order \
+                < request.order
+            jobs[request.job_id] = request
+            if not in_order:
+                # Arrivals scheduled out of submission order: rare, so
+                # pay for a full sort instead of keeping a search tree.
+                ordered = sorted(jobs.values(), key=lambda r: r.order)
+                jobs.clear()
+                jobs.update((r.job_id, r) for r in ordered)
+        self._caps.pop(request.tenant, None)
+
+    def remove(self, request: SlotRequest) -> None:
+        """Withdraw a demand queued with :meth:`add`."""
+        del self._fifo[request.job_id]
+        queue = self._tenants[request.tenant]
+        del queue[request.job_id]
+        if not queue:
+            del self._tenants[request.tenant]
+        self._caps.pop(request.tenant, None)
+
+    def allocate(self) -> dict[str, float]:
+        """Divide ``total_slots`` among the queued demands.
+
+        Returns ``job_id -> slots`` (fractional; zero entries included so
+        the caller can detect starved jobs).
+        """
+        allocation = dict.fromkeys(self._fifo, 0.0)
+        if not allocation or self.total_slots <= 0:
+            return allocation
+        if self.policy == POLICY_FIFO:
+            remaining = self.total_slots
+            for request in self._fifo.values():
+                grant = min(request.cap, remaining)
+                allocation[request.job_id] = grant
+                remaining -= grant
+                if remaining <= EPSILON:
+                    break
+            return allocation
+        # Fair share: tenants first (weighted), then each tenant's jobs.
+        caps = self._caps
+        tenants = sorted(self._tenants)
+        for tenant in tenants:
+            if tenant not in caps:
+                each = [request.cap
+                        for request in self._tenants[tenant].values()]
+                caps[tenant] = (sum(each), min(each))
+        tenant_shares = weighted_shares(
+            [(tenant, caps[tenant][0], self.weights.get(tenant, 1.0))
+             for tenant in tenants], self.total_slots)
+        for tenant in tenants:
+            queue = self._tenants[tenant]
+            share = tenant_shares[tenant]
+            quantum = share / len(queue)
+            if share > EPSILON and caps[tenant][1] - quantum > EPSILON:
+                # An even split saturates nobody, which is where
+                # ``weighted_shares`` stops after its first round.
+                allocation.update(dict.fromkeys(queue, quantum))
+            else:
+                allocation.update(weighted_shares(
+                    [(request.job_id, request.cap, 1.0)
+                     for request in queue.values()], share))
+        return allocation
+
+
 def allocate_slots(policy: str, requests: list[SlotRequest],
                    tenant_weights: dict[str, float],
                    total_slots: float) -> dict[str, float]:
@@ -104,39 +204,12 @@ def allocate_slots(policy: str, requests: list[SlotRequest],
     Returns ``job_id -> slots`` (fractional; zero entries included so the
     caller can detect starved jobs).  ``tenant_weights`` supplies the fair
     policy's per-tenant weights; tenants absent from the dict weigh 1.
+    One-shot form of :class:`RunQueues`.
     """
-    if policy not in POLICIES:
-        raise ValidationError(
-            f"scheduling policy must be one of {POLICIES}, got {policy!r}")
-    ordered = sorted(requests, key=lambda request: request.order)
-    allocation = {request.job_id: 0.0 for request in ordered}
-    if not ordered or total_slots <= 0:
-        return allocation
-    if policy == POLICY_FIFO:
-        remaining = float(total_slots)
-        for request in ordered:
-            grant = min(request.cap, remaining)
-            allocation[request.job_id] = grant
-            remaining -= grant
-            if remaining <= EPSILON:
-                break
-        return allocation
-    # Fair share: tenants first (weighted), then each tenant's jobs.
-    by_tenant: dict[str, list[SlotRequest]] = {}
-    for request in ordered:
-        by_tenant.setdefault(request.tenant, []).append(request)
-    tenant_demands = [
-        (tenant, sum(request.cap for request in requests_),
-         tenant_weights.get(tenant, 1.0))
-        for tenant, requests_ in sorted(by_tenant.items())
-    ]
-    tenant_shares = weighted_shares(tenant_demands, float(total_slots))
-    for tenant, requests_ in sorted(by_tenant.items()):
-        job_demands = [(request.job_id, request.cap, 1.0)
-                       for request in requests_]
-        job_shares = weighted_shares(job_demands, tenant_shares[tenant])
-        allocation.update(job_shares)
-    return allocation
+    queues = RunQueues(policy, total_slots, tenant_weights)
+    for request in sorted(requests, key=lambda request: request.order):
+        queues.add(request)
+    return queues.allocate()
 
 
 def jain_fairness(values: list[float]) -> float:

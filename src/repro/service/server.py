@@ -132,6 +132,42 @@ class _Connection:
                 self.closed = True
 
 
+#: How many recent samples a :class:`LatencyWindow` keeps for percentiles.
+LATENCY_WINDOW = 8192
+
+
+class LatencyWindow:
+    """Latency samples in bounded memory.
+
+    ``count``, ``mean`` and ``max`` cover every sample ever added; the
+    percentiles are taken over the most recent :data:`LATENCY_WINDOW`.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+        self.recent: deque[float] = deque(maxlen=LATENCY_WINDOW)
+
+    def add(self, seconds: float) -> None:
+        self.count += 1
+        self.total += seconds
+        self.max = max(self.max, seconds)
+        self.recent.append(seconds)
+
+    def to_doc(self) -> dict:
+        """JSON-able summary: ``count`` alone while empty."""
+        if not self.count:
+            return {"count": 0}
+        recent = list(self.recent)
+        return {"count": self.count,
+                "mean": self.total / self.count,
+                "p50": _percentile(recent, 0.50),
+                "p95": _percentile(recent, 0.95),
+                "p99": _percentile(recent, 0.99),
+                "max": self.max}
+
+
 @dataclass
 class ServerStats:
     """Counters and latency samples for one server run (JSON-able)."""
@@ -149,23 +185,12 @@ class ServerStats:
     group_commits: int = 0
     max_batch_seen: int = 0
     #: Wall seconds per scheduler tick (only ticks that did work).
-    tick_seconds: list[float] = field(default_factory=list)
+    tick_seconds: LatencyWindow = field(default_factory=LatencyWindow)
     #: Enqueue-to-ack wall seconds per submission (server side).
-    accept_seconds: list[float] = field(default_factory=list)
+    accept_seconds: LatencyWindow = field(default_factory=LatencyWindow)
 
     def to_doc(self) -> dict:
         """JSON-able summary with latency percentiles."""
-
-        def stats_of(values: list[float]) -> dict:
-            if not values:
-                return {"count": 0}
-            return {"count": len(values),
-                    "mean": sum(values) / len(values),
-                    "p50": _percentile(values, 0.50),
-                    "p95": _percentile(values, 0.95),
-                    "p99": _percentile(values, 0.99),
-                    "max": max(values)}
-
         return {
             "connections": self.connections,
             "submissions": self.submissions,
@@ -179,8 +204,8 @@ class ServerStats:
             "ticks": self.ticks,
             "group_commits": self.group_commits,
             "max_batch_seen": self.max_batch_seen,
-            "tick_seconds": stats_of(self.tick_seconds),
-            "accept_seconds": stats_of(self.accept_seconds),
+            "tick_seconds": self.tick_seconds.to_doc(),
+            "accept_seconds": self.accept_seconds.to_doc(),
         }
 
 
@@ -222,6 +247,9 @@ class ReproServer:
         #: Acked-but-not-yet-resulted jobs -> owning connection (or None
         #: once the owner disconnected; the job still runs to completion).
         self._jobs: dict[str, _Connection | None] = {}
+        #: Ids the service reported terminal since the last tick took them.
+        self._terminal: list[str] = []
+        service.on_terminal = self._terminal.append
         self._conns: set[_Connection] = set()
         #: Program cache keyed by (workload, scale): keeps ``id(program)``
         #: stable across submissions so admission's price memo hits.
@@ -374,7 +402,7 @@ class ReproServer:
             else:
                 self.stats.accepted += 1
             latency = now - item.enqueued
-            self.stats.accept_seconds.append(latency)
+            self.stats.accept_seconds.add(latency)
             if self.metrics.enabled:
                 self.metrics.observe("server.accept_seconds", latency)
             ack = {"type": T_ACK, "job_id": job_id, "state": record.state,
@@ -388,14 +416,16 @@ class ReproServer:
             if not item.conn.closed:
                 item.conn.open_jobs.add(job_id)
         # Results for every job that reached a terminal state this tick.
-        for job_id in [jid for jid, conn in self._jobs.items()
-                       if service.jobs[jid].done]:
-            conn = self._jobs.pop(job_id)
-            record = service.jobs[job_id]
+        # Jobs this server never acked (recovered ones) and jobs whose
+        # owner hung up have nobody to tell.
+        for job_id in self._terminal:
+            conn = self._jobs.pop(job_id, None)
             if conn is not None:
                 conn.open_jobs.discard(job_id)
-                frames.append((conn, self._result_frame(record)))
+                frames.append(
+                    (conn, self._result_frame(service.jobs[job_id])))
                 self.stats.results_sent += 1
+        self._terminal.clear()
         frames.extend(self._check_drains())
         self.stats.ticks += 1
         if batch:
@@ -403,7 +433,7 @@ class ReproServer:
                                             len(batch))
         if worked:
             elapsed = time.perf_counter() - started
-            self.stats.tick_seconds.append(elapsed)
+            self.stats.tick_seconds.add(elapsed)
             if self.metrics.enabled:
                 self.metrics.observe("server.tick_seconds", elapsed)
                 self.metrics.observe("server.batch_size", len(batch))

@@ -32,6 +32,8 @@ from repro.observability import (
     to_prometheus,
 )
 from repro.observability.metrics_export import METRICS_CSV_COLUMNS
+from repro.service import JobService
+from repro.workloads import build_workload
 
 import numpy as np
 
@@ -168,6 +170,18 @@ class TestDisabledHotPath:
         tile = Tile(TileId("m", 0, 0), np.ones((2, 2)))
         store.put(tile)
         assert store.get(tile.tile_id) is not None
+
+    def test_job_service_pays_only_attribute_check(self):
+        service = JobService(spec(), tune_physical=False,
+                             metrics=_TripwireRegistry())
+        service.add_tenant("acme")
+        program, tile = build_workload("multiply", "tiny")
+        handles = [service.submit(program, "acme", tile_size=tile)
+                   for __ in range(3)]
+        handles[0].cancel()
+        service.drain()
+        assert [handle.status for handle in handles] == [
+            "cancelled", "completed", "completed"]
 
 
 class TestSimulatorInstrumentation:

@@ -9,6 +9,15 @@ from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task
 from repro.hadoop.timemodel import TaskTimeModel
+from repro.service.scheduler import (
+    EPSILON,
+    POLICIES,
+    POLICY_FIFO,
+    RunQueues,
+    SlotRequest,
+    allocate_slots,
+    weighted_shares,
+)
 
 
 class VariableTimeModel(TaskTimeModel):
@@ -121,3 +130,79 @@ def test_simulation_is_deterministic(durations_per_job, nodes, slots):
         result = ClusterSimulator(spec, VariableTimeModel(durations)).run(dag)
         results.append(result.makespan)
     assert results[0] == pytest.approx(results[1], abs=0)
+
+
+# -- service-level slot allocation ---------------------------------------------
+
+
+def two_level_reference(policy, requests, weights, total):
+    """Slot allocation written straight from the policy definitions:
+    sort, group and water-fill from scratch (the reference the
+    incrementally maintained ``RunQueues`` must match bit for bit)."""
+    ordered = sorted(requests, key=lambda request: request.order)
+    allocation = {request.job_id: 0.0 for request in ordered}
+    if not ordered or total <= 0:
+        return allocation
+    if policy == POLICY_FIFO:
+        remaining = float(total)
+        for request in ordered:
+            grant = min(request.cap, remaining)
+            allocation[request.job_id] = grant
+            remaining -= grant
+            if remaining <= EPSILON:
+                break
+        return allocation
+    by_tenant = {}
+    for request in ordered:
+        by_tenant.setdefault(request.tenant, []).append(request)
+    tenant_shares = weighted_shares(
+        [(tenant, sum(request.cap for request in queue),
+          weights.get(tenant, 1.0))
+         for tenant, queue in sorted(by_tenant.items())], float(total))
+    for tenant, queue in by_tenant.items():
+        allocation.update(weighted_shares(
+            [(request.job_id, request.cap, 1.0) for request in queue],
+            tenant_shares[tenant]))
+    return allocation
+
+
+SLOT_REQUESTS = st.lists(
+    st.tuples(st.sampled_from(["acme", "iota", "zeta", "omega"]),
+              st.one_of(st.integers(1, 12).map(float),
+                        st.floats(min_value=0.05, max_value=12.0))),
+    min_size=0, max_size=24,
+).map(lambda rows: [SlotRequest(f"j{order}", tenant, cap, order)
+                    for order, (tenant, cap) in enumerate(rows)])
+
+SLOT_WEIGHTS = st.dictionaries(st.sampled_from(["acme", "iota", "zeta"]),
+                               st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+
+
+@given(requests=SLOT_REQUESTS, weights=SLOT_WEIGHTS,
+       total=st.sampled_from([0.0, 1.0, 2.0, 7.5, 16.0, 64.0]),
+       policy=st.sampled_from(POLICIES), shuffle=st.randoms(),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_run_queues_match_the_from_scratch_allocation(
+        requests, weights, total, policy, shuffle, data):
+    expected = two_level_reference(policy, requests, weights, total)
+    arrival = list(requests)
+    shuffle.shuffle(arrival)
+    assert allocate_slots(policy, arrival, weights, total) == expected
+
+    # Maintained one job at a time — arrivals in any order, allocations
+    # in between, departures — the queues still divide like a fresh sort.
+    queues = RunQueues(policy, total, weights)
+    for request in arrival:
+        queues.add(request)
+        if request.order % 5 == 0:
+            queues.allocate()
+    assert queues.allocate() == expected
+    gone = data.draw(st.sets(st.sampled_from(requests))
+                     if requests else st.just(set()), label="gone")
+    for request in gone:
+        queues.remove(request)
+    staying = [request for request in requests if request not in gone]
+    assert len(queues) == len(staying)
+    assert queues.allocate() == two_level_reference(
+        policy, staying, weights, total)

@@ -9,6 +9,8 @@ harness — exactly as benchmark E26 and CI's loadtest smoke job do.
 """
 
 import io
+import json
+import sys
 
 import pytest
 
@@ -25,7 +27,12 @@ from repro.service.loadgen import (
     run_loadtest,
     wall_clock_kill_and_recover,
 )
-from repro.service.server import ReproServer, parse_listen
+from repro.service.server import (
+    LATENCY_WINDOW,
+    ReproServer,
+    ServerStats,
+    parse_listen,
+)
 from repro.service.ticks import VirtualClockDriver, WallClockDriver
 from repro.workloads import build_workload
 
@@ -212,6 +219,40 @@ class TestInProcessServer:
         assert report["server"]["submissions"] == 1
         assert report["server"]["results_sent"] == 1
         assert report["service"]["throughput_jobs_per_hour"] > 0
+
+
+class TestServerStatsStayBounded:
+    def test_ten_windows_of_ticks_leave_memory_flat(self):
+        stats = ServerStats()
+        sizes = []
+        for tick in range(10 * LATENCY_WINDOW):
+            stats.tick_seconds.add(0.001 * (tick % 100 + 1))
+            stats.accept_seconds.add(0.5)
+            if (tick + 1) % LATENCY_WINDOW == 0:
+                sizes.append((len(stats.tick_seconds.recent),
+                              sys.getsizeof(stats.tick_seconds.recent),
+                              sys.getsizeof(stats.accept_seconds.recent)))
+        assert sizes == [sizes[0]] * 10
+        assert sizes[0][0] == LATENCY_WINDOW
+        doc = stats.to_doc()
+        tick = doc["tick_seconds"]
+        assert sorted(tick) == ["count", "max", "mean", "p50", "p95", "p99"]
+        # count, mean and max are lifetime figures; percentiles recent.
+        assert tick["count"] == 10 * LATENCY_WINDOW
+        assert tick["max"] == pytest.approx(0.1)
+        assert tick["mean"] == pytest.approx(0.0505, rel=1e-2)
+        assert 0.001 <= tick["p50"] <= tick["p95"] <= tick["p99"] <= 0.1
+        assert doc["accept_seconds"]["p99"] == 0.5
+        json.dumps(doc)
+
+    def test_lifetime_maximum_outlives_the_window(self):
+        stats = ServerStats()
+        stats.tick_seconds.add(9.0)
+        for __ in range(LATENCY_WINDOW):
+            stats.tick_seconds.add(0.01)
+        doc = stats.to_doc()["tick_seconds"]
+        assert doc["max"] == 9.0 and doc["p99"] == 0.01
+        assert ServerStats().to_doc()["tick_seconds"] == {"count": 0}
 
 
 class TestJournalAudit:
