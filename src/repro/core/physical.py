@@ -27,7 +27,9 @@ the same description.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -225,9 +227,14 @@ class PhysicalContext:
 
     # -- storage helpers ---------------------------------------------------------
 
-    def preferred_nodes(self, tile_ids: list[TileId]) -> frozenset[str]:
-        """Nodes holding replicas of *all* the given tiles (for locality)."""
-        if not isinstance(self.backing, TileStore) or not tile_ids:
+    def preferred_nodes(self, tile_ids: Iterable[TileId]) -> frozenset[str]:
+        """Nodes holding replicas of *all* the given tiles (for locality).
+
+        Job builders pass a generator: only a :class:`TileStore` knows
+        where tiles live, so without one (every planning compile) no id
+        is ever built.
+        """
+        if not isinstance(self.backing, TileStore):
             return frozenset()
         nodes: set[str] | None = None
         for tile_id in tile_ids:
@@ -271,8 +278,8 @@ def build_elementwise_job(job_id: str, kernel: FusedKernel,
     for index, (start, stop) in enumerate(
             _chunk_ranges(len(positions), params.tiles_per_task)):
         chunk = positions[start:stop]
-        input_ids = [operand.tile_id(*broadcast_position(operand, row, col))
-                     for row, col in chunk for operand in kernel.operands]
+        input_ids = (operand.tile_id(*broadcast_position(operand, row, col))
+                     for row, col in chunk for operand in kernel.operands)
         tile_elements = context.tile_size * context.tile_size
         work = TaskWork(
             bytes_read=sum(
@@ -437,10 +444,10 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
     k_start, k_stop = k_range
     grid = target.grid
 
-    left_ids = [left.tile_id(i, k)
-                for i in range(i_start, i_stop) for k in range(k_start, k_stop)]
-    right_ids = [right.tile_id(k, j)
-                 for k in range(k_start, k_stop) for j in range(j_start, j_stop)]
+    left_ids = (left.tile_id(i, k)
+                for i in range(i_start, i_stop) for k in range(k_start, k_stop))
+    right_ids = (right.tile_id(k, j)
+                 for k in range(k_start, k_stop) for j in range(j_start, j_stop))
 
     bytes_read = (sum(left.tile_bytes(i, k)
                       for i in range(i_start, i_stop)
@@ -480,7 +487,7 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
                            k_range, context)
     return make_map_task(
         task_id=task_id, work=work,
-        preferred_nodes=context.preferred_nodes(left_ids + right_ids),
+        preferred_nodes=context.preferred_nodes(chain(left_ids, right_ids)),
         run=run,
         label=f"mult i[{i_start}:{i_stop}) j[{j_start}:{j_stop}) "
               f"k[{k_start}:{k_stop})",
@@ -613,8 +620,8 @@ def _build_add_job(job_id: str, partials: list[MatrixInfo],
     for index, (start, stop) in enumerate(
             _chunk_ranges(len(positions), chunk_size)):
         chunk = positions[start:stop]
-        input_ids = [TileId(partial.name, row, col)
-                     for row, col in chunk for partial in partials]
+        input_ids = (TileId(partial.name, row, col)
+                     for row, col in chunk for partial in partials)
         work = TaskWork(
             bytes_read=sum(partial.tile_bytes(row, col)
                            for row, col in chunk for partial in partials),

@@ -21,10 +21,10 @@ make cluster sizing non-trivial:
   the phenomenon speculation exists to mitigate.
 
 Determinism: task assignment order is fixed (FIFO by job, then task index;
-nodes scanned in name order) and failures are pure functions of seeds, so a
-given input always yields the same timeline.  Task duration is computed once,
-at task start, from the node's concurrency at that moment — a documented
-simplification that keeps the simulation linear-time.
+the least busy node, smallest name first) and failures are pure functions of
+seeds, so a given input always yields the same timeline.  Task duration is
+computed once, at task start, from the node's concurrency at that moment — a
+documented simplification that keeps the simulation linear-time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.cloud.instances import ClusterSpec
 from repro.errors import QuorumLostError, SchedulingError, ValidationError
@@ -161,11 +163,14 @@ class SimulationResult:
 class _NodeState:
     """Mutable per-node bookkeeping during simulation."""
 
-    __slots__ = ("name", "slots", "busy", "slow_factor", "free_slots",
-                 "alive")
+    __slots__ = ("name", "rank", "slots", "busy", "slow_factor",
+                 "free_slots", "alive", "queued")
 
-    def __init__(self, name: str, slots: int, slow_factor: float = 1.0):
+    def __init__(self, name: str, rank: int, slots: int,
+                 slow_factor: float = 1.0):
         self.name = name
+        #: Position of ``name`` among the cluster's sorted node names.
+        self.rank = rank
         self.slots = slots
         self.busy = 0
         self.slow_factor = slow_factor
@@ -174,16 +179,81 @@ class _NodeState:
         #: free slot, which makes slot assignment (and hence traces)
         #: deterministic.
         self.free_slots = list(range(slots))
+        #: Bit ``b`` set = :class:`_SlotPool` holds an entry for this node
+        #: in its heap of nodes running ``b`` attempts.
+        self.queued = 1
 
-    @property
-    def free(self) -> int:
-        return self.slots - self.busy
 
-    def acquire_slot(self) -> int:
-        return heapq.heappop(self.free_slots)
+class _SlotPool:
+    """Free-slot index: which node does the next attempt go to?
 
-    def release_slot(self, slot: int) -> None:
-        heapq.heappush(self.free_slots, slot)
+    The least busy live node with a free slot, smallest name first,
+    preferring nodes that hold the task's input.  Scanning the cluster for
+    it on every assignment was the simulator's hottest loop, so the pool
+    keeps the answer up to date instead.  ``free`` counts free slots on
+    live nodes, so "is anything free?" is one comparison.  ``levels[b]``
+    is a min-heap of the name ranks of nodes running ``b`` attempts, with
+    lazy invalidation: an entry is live while its node is alive and still
+    at load ``b``, and a node that returns to a load it has an entry for
+    reuses it (``_NodeState.queued``), so no heap outgrows the cluster.
+    Names order as *strings* (``m1.large-10`` < ``m1.large-2``), hence
+    ranks from ``sorted(names)`` and not node indices.
+    """
+
+    def __init__(self, names: list[str], slots: int,
+                 slow_nodes: dict[str, float]):
+        self.nodes = [_NodeState(name, rank, slots,
+                                 slow_nodes.get(name, 1.0))
+                      for rank, name in enumerate(sorted(names))]
+        self.by_name = {node.name: node for node in self.nodes}
+        self.free = len(names) * slots
+        self.levels: list[list[int]] = [[] for __ in range(slots)]
+        self.levels[0] = list(range(len(names)))
+
+    def pick(self, preferred: frozenset[str]) -> _NodeState:
+        """The node the next attempt runs on; needs ``free > 0``."""
+        best = None
+        for name in preferred:
+            node = self.by_name.get(name)
+            if (node is not None and node.alive and node.busy < node.slots
+                    and (best is None or (node.busy, node.rank)
+                         < (best.busy, best.rank))):
+                best = node
+        if best is not None:
+            return best
+        for busy, heap in enumerate(self.levels):
+            while heap:
+                node = self.nodes[heap[0]]
+                if node.alive and node.busy == busy:
+                    return node
+                heapq.heappop(heap)
+                node.queued &= ~(1 << busy)
+        raise SchedulingError("no node has a free slot")
+
+    def acquire(self, node: _NodeState) -> int:
+        """Occupy the lowest free slot of ``node``; returns its index."""
+        node.busy = busy = node.busy + 1
+        self.free -= 1
+        if busy < node.slots and not node.queued >> busy & 1:
+            node.queued |= 1 << busy
+            heapq.heappush(self.levels[busy], node.rank)
+        return heapq.heappop(node.free_slots)
+
+    def release(self, node: _NodeState, slot: int) -> None:
+        """Free ``slot`` of a live node (a dead node's attempts are
+        voided at its death, never released)."""
+        node.busy = busy = node.busy - 1
+        self.free += 1
+        heapq.heappush(node.free_slots, slot)
+        if not node.queued >> busy & 1:
+            node.queued |= 1 << busy
+            heapq.heappush(self.levels[busy], node.rank)
+
+    def kill(self, node: _NodeState) -> None:
+        """Take ``node`` and its free slots out; its busy slots left the
+        count when they were acquired and must not be subtracted again."""
+        self.free -= node.slots - node.busy
+        node.alive = False
 
 
 #: Speculate only on attempts running longer than this multiple of the
@@ -214,8 +284,8 @@ class _JobState:
 
     def __init__(self, job: Job):
         self.job = job
-        self.pending_maps: list[Task] = list(job.map_tasks)
-        self.pending_reduces: list[Task] = []
+        self.pending_maps: deque[Task] = deque(job.map_tasks)
+        self.pending_reduces: deque[Task] = deque()
         self.maps_remaining = len(job.map_tasks)
         self.reduces_remaining = len(job.reduce_tasks)
         self.shuffle_done = job.kind is JobKind.MAP_ONLY
@@ -245,6 +315,9 @@ class _JobState:
         """Tasks with an attempt in flight and no completion yet."""
         return [ts for ts in self.task_states.values()
                 if ts.running and not ts.completed]
+
+
+_RUNNING_ATTEMPTS = attrgetter("running_attempts")
 
 
 class ClusterSimulator:
@@ -293,9 +366,9 @@ class ClusterSimulator:
     def run(self, dag: JobDag, start_time: float = 0.0) -> SimulationResult:
         if len(dag) == 0:
             return SimulationResult(self.spec, {}, start_time)
-        nodes = [_NodeState(name, self.spec.slots_per_node,
-                            self.slow_nodes.get(name, 1.0))
-                 for name in self.spec.node_names()]
+        pool = _SlotPool(self.spec.node_names(), self.spec.slots_per_node,
+                         self.slow_nodes)
+        nodes = pool.nodes
         states = {job.job_id: _JobState(job) for job in dag}
         order = [job.job_id for job in dag.topological_order()]
         remaining_deps = {job.job_id: set(job.depends_on) for job in dag}
@@ -316,7 +389,12 @@ class ClusterSimulator:
         #: Tokens whose slot/busy bookkeeping was already reconciled at node
         #: loss; their in-heap completion events must be ignored entirely.
         voided: set[int] = set()
-        node_by_name = {node.name: node for node in nodes}
+        fair = self.scheduling == FAIR
+        locality_aware = self.locality_aware
+        task_duration = self.time_model.task_duration
+        instance_type = self.spec.instance_type
+        failures = self.failures
+        tracing = self.recorder.enabled
         lost_nodes: list[NodeFailure] = []
         rereplicated_bytes = 0
         reexecuted_tasks = 0
@@ -327,7 +405,7 @@ class ClusterSimulator:
         if self.node_failures is not None:
             for failure in self.node_failures.failures(
                     self.spec.node_names()):
-                if failure.node in node_by_name:
+                if failure.node in pool.by_name:
                     push_event(start_time + failure.at, "node-lost", failure)
 
         def activate_ready_jobs() -> None:
@@ -343,18 +421,17 @@ class ClusterSimulator:
                         # after its overhead.
                         push_event(state.started_at, "job-empty", job_id)
 
-        def start_attempt(state: _JobState, task: Task,
-                          node: _NodeState) -> None:
+        def start_attempt(state: _JobState, task: Task) -> None:
+            node = pool.pick(task.preferred_nodes if locality_aware
+                             else frozenset())
             task_state = state.task_states[task]
             attempt_index = task_state.next_attempt
             task_state.next_attempt += 1
-            node.busy += 1
-            slot = node.acquire_slot()
+            slot = pool.acquire(node)
             local = (not task.preferred_nodes
                      or node.name in task.preferred_nodes)
-            duration = self.time_model.task_duration(
-                task, self.spec.instance_type, node.busy, local
-            ) * node.slow_factor
+            duration = task_duration(task, instance_type, node.busy,
+                                     local) * node.slow_factor
             if duration <= 0:
                 raise SchedulingError(
                     f"time model returned non-positive duration {duration} "
@@ -366,34 +443,31 @@ class ClusterSimulator:
                     metrics.inc("sim.locality_local" if local
                                 else "sim.locality_remote")
             fraction = None
-            if self.failures is not None:
-                fraction = self.failures.failure_fraction(task.task_id,
-                                                          attempt_index)
+            if failures is not None:
+                fraction = failures.failure_fraction(task.task_id,
+                                                     attempt_index)
             token = next(token_counter)
-            task_state.running[token] = self._clock
+            now = self._clock
+            task_state.running[token] = now
             state.running_attempts += 1
             if fraction is not None:
-                attempt = TaskAttempt(
-                    task=task, node=node.name, start=self._clock,
-                    end=self._clock + duration * fraction,
-                    concurrency_at_start=node.busy, status=FAILED)
-                push_event(attempt.end, "task-failed",
-                           (attempt, state, node, token, attempt_index, slot))
+                attempt = TaskAttempt(task, node.name, now,
+                                      now + duration * fraction,
+                                      node.busy, FAILED)
+                kind = "task-failed"
             else:
-                attempt = TaskAttempt(
-                    task=task, node=node.name, start=self._clock,
-                    end=self._clock + duration,
-                    concurrency_at_start=node.busy, status=SUCCESS)
-                push_event(attempt.end, "task-done",
-                           (attempt, state, node, token, attempt_index, slot))
+                attempt = TaskAttempt(task, node.name, now, now + duration,
+                                      node.busy, SUCCESS)
+                kind = "task-done"
+            push_event(attempt.end, kind,
+                       (attempt, state, node, token, attempt_index, slot))
             live_tokens[token] = (attempt, state, node, attempt_index, slot)
 
         def emit_attempt_event(state: _JobState, attempt: TaskAttempt,
                                slot: int, attempt_index: int,
                                status: str, end: float) -> None:
-            """Mirror one recorded attempt into the unified trace schema."""
-            if not self.recorder.enabled:
-                return
+            """Mirror one recorded attempt into the unified trace schema
+            (callers check ``tracing`` first)."""
             work = attempt.task.work
             self.recorder.record(TraceEvent(
                 job_id=state.job.job_id,
@@ -409,40 +483,33 @@ class ClusterSimulator:
                 label=attempt.task.label,
             ))
 
-        def scan_order() -> list[str]:
-            """Job priority per the scheduling policy.
-
-            FIFO scans jobs in activation order (earlier jobs monopolize
-            the cluster); FAIR scans jobs with the fewest running attempts
-            first, equalizing shares across concurrent jobs.
-            """
-            if self.scheduling == FAIR:
-                return sorted(
-                    runnable,
-                    key=lambda job_id: (states[job_id].running_attempts,
-                                        runnable.index(job_id)),
-                )
-            return list(runnable)
-
         def dispatch() -> None:
-            """Greedy assignment: fill free slots per the scheduling policy."""
-            progress = True
-            while progress:
-                progress = False
-                for job_id in scan_order():
-                    state = states[job_id]
-                    queue = (state.pending_maps if state.pending_maps
-                             else state.pending_reduces)
-                    if not queue:
-                        continue
-                    task = queue[0]
-                    node = self._pick_node(nodes, task)
-                    if node is None:
-                        continue
-                    queue.pop(0)
-                    start_attempt(state, task, node)
-                    progress = True
-                    break  # restart scan so priorities stay fresh
+            """Greedy assignment: fill free slots per the scheduling policy.
+
+            FIFO feeds the earliest-activated job with work until its
+            queue or the cluster runs out (earlier jobs monopolize the
+            cluster); FAIR gives each slot to the waiting job with the
+            fewest running attempts (earliest activated on a tie),
+            equalizing shares across concurrent jobs.
+            """
+            if pool.free:
+                if fair:
+                    waiting = [state for state in map(states.get, runnable)
+                               if state.pending_maps or state.pending_reduces]
+                    while waiting and pool.free:
+                        state = min(waiting, key=_RUNNING_ATTEMPTS)
+                        queue = state.pending_maps or state.pending_reduces
+                        start_attempt(state, queue.popleft())
+                        if not (state.pending_maps or state.pending_reduces):
+                            waiting.remove(state)
+                else:
+                    for job_id in runnable:
+                        state = states[job_id]
+                        queue = state.pending_maps or state.pending_reduces
+                        while queue and pool.free:
+                            start_attempt(state, queue.popleft())
+                            if not queue:
+                                queue = state.pending_reduces
             if self.speculative:
                 speculate()
 
@@ -456,8 +523,7 @@ class ClusterSimulator:
             next_eligible: float | None = None
             while progress:
                 progress = False
-                free = [node for node in nodes if node.alive and node.free > 0]
-                if not free:
+                if not pool.free:
                     return
                 for job_id in runnable:
                     state = states[job_id]
@@ -486,13 +552,10 @@ class ClusterSimulator:
                     # Longest-running straggler first.
                     target = min(candidates,
                                  key=lambda ts: min(ts.running.values()))
-                    node = self._pick_node(nodes, target.task)
-                    if node is None:
-                        continue
                     target.speculated = True
                     if metrics.enabled:
                         metrics.inc("sim.speculative_launches")
-                    start_attempt(state, target.task, node)
+                    start_attempt(state, target.task)
                     progress = True
                     break
             if (next_eligible is not None
@@ -532,8 +595,14 @@ class ClusterSimulator:
 
         activate_ready_jobs()
 
+        heap_peak = 0
         while events:
             self._clock, __, kind, payload = heapq.heappop(events)
+            if metrics.enabled:
+                metrics.inc("sim.events", labels={"kind": kind})
+                if len(events) >= heap_peak:
+                    heap_peak = len(events) + 1
+                    metrics.set_gauge("sim.event_heap_peak", heap_peak)
             if kind == "job-ready":
                 runnable.append(payload)
             elif kind == "job-empty":
@@ -546,8 +615,7 @@ class ClusterSimulator:
                     voided.discard(token)
                     continue
                 live_tokens.pop(token, None)
-                node.busy -= 1
-                node.release_slot(slot)
+                pool.release(node, slot)
                 state.running_attempts -= 1
                 task_state = state.task_states[attempt.task]
                 if token in cancelled:
@@ -558,15 +626,17 @@ class ClusterSimulator:
                         concurrency_at_start=attempt.concurrency_at_start,
                         status=KILLED)
                     state.attempts.append(killed)
-                    emit_attempt_event(state, attempt, slot, attempt_index,
-                                       KILLED, self._clock)
+                    if tracing:
+                        emit_attempt_event(state, attempt, slot,
+                                           attempt_index, KILLED, self._clock)
                     if metrics.enabled:
                         metrics.inc("sim.tasks_killed")
                 else:
                     task_state.running.pop(token, None)
                     state.attempts.append(attempt)
-                    emit_attempt_event(state, attempt, slot, attempt_index,
-                                       SUCCESS, attempt.end)
+                    if tracing:
+                        emit_attempt_event(state, attempt, slot,
+                                           attempt_index, SUCCESS, attempt.end)
                     if metrics.enabled:
                         metrics.inc("sim.tasks_completed")
                         work = attempt.task.work
@@ -581,8 +651,7 @@ class ClusterSimulator:
                     voided.discard(token)
                     continue
                 live_tokens.pop(token, None)
-                node.busy -= 1
-                node.release_slot(slot)
+                pool.release(node, slot)
                 state.running_attempts -= 1
                 task_state = state.task_states[attempt.task]
                 if token in cancelled:
@@ -592,13 +661,15 @@ class ClusterSimulator:
                         start=attempt.start, end=self._clock,
                         concurrency_at_start=attempt.concurrency_at_start,
                         status=KILLED))
-                    emit_attempt_event(state, attempt, slot, attempt_index,
-                                       KILLED, self._clock)
+                    if tracing:
+                        emit_attempt_event(state, attempt, slot,
+                                           attempt_index, KILLED, self._clock)
                     if metrics.enabled:
                         metrics.inc("sim.tasks_killed")
                 else:
-                    emit_attempt_event(state, attempt, slot, attempt_index,
-                                       FAILED, attempt.end)
+                    if tracing:
+                        emit_attempt_event(state, attempt, slot,
+                                           attempt_index, FAILED, attempt.end)
                     if metrics.enabled:
                         metrics.inc("sim.task_failures")
                     task_state.running.pop(token, None)
@@ -623,7 +694,7 @@ class ClusterSimulator:
                 if epoch != state.shuffle_epoch:
                     continue  # stale: map outputs were invalidated since
                 state.shuffle_done = True
-                state.pending_reduces = list(state.job.reduce_tasks)
+                state.pending_reduces = deque(state.job.reduce_tasks)
                 if state.finished:
                     finish_job(state)
             elif kind == "node-lost":
@@ -634,10 +705,10 @@ class ClusterSimulator:
                     # extra virtual time.  (Don't break: later heap entries
                     # may be real, e.g. voided-token drains.)
                     continue
-                node = node_by_name[failure.node]
+                node = pool.by_name[failure.node]
                 if not node.alive:
                     continue
-                node.alive = False
+                pool.kill(node)
                 lost_nodes.append(failure)
                 revoked = failure.cause == CAUSE_REVOCATION
                 live = sum(1 for n in nodes if n.alive)
@@ -646,7 +717,7 @@ class ClusterSimulator:
                     if revoked:
                         metrics.inc("sim.revocations")
                     metrics.sample("sim.live_nodes", live, t=self._clock)
-                if self.recorder.enabled:
+                if tracing:
                     self.recorder.record(TraceEvent(
                         job_id="cluster", task_id=node.name,
                         phase=PHASE_NODE, slot="",
@@ -678,8 +749,9 @@ class ClusterSimulator:
                         start=attempt.start, end=self._clock,
                         concurrency_at_start=attempt.concurrency_at_start,
                         status=LOST))
-                    emit_attempt_event(state, attempt, slot, attempt_index,
-                                       LOST, self._clock)
+                    if tracing:
+                        emit_attempt_event(state, attempt, slot,
+                                           attempt_index, LOST, self._clock)
                     if metrics.enabled:
                         metrics.inc("sim.attempts_lost")
                     if not task_state.completed:
@@ -713,7 +785,7 @@ class ClusterSimulator:
                             state.pending_maps.append(task)
                         if metrics.enabled:
                             metrics.inc("sim.reexec_tasks")
-                        if self.recorder.enabled:
+                        if tracing:
                             self.recorder.record(TraceEvent(
                                 job_id=state.job.job_id,
                                 task_id=task.task_id,
@@ -737,7 +809,7 @@ class ClusterSimulator:
                         if metrics.enabled:
                             metrics.inc("sim.rereplications")
                             metrics.inc("sim.rereplication_bytes", copied)
-                        if self.recorder.enabled:
+                        if tracing:
                             self.recorder.record(TraceEvent(
                                 job_id="cluster",
                                 task_id=f"{node.name}:rereplication",
@@ -792,18 +864,6 @@ class ClusterSimulator:
                                 reexecuted_tasks=reexecuted_tasks)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _pick_node(self, nodes: list[_NodeState], task: Task) -> _NodeState | None:
-        free_nodes = [node for node in nodes if node.alive and node.free > 0]
-        if not free_nodes:
-            return None
-        if self.locality_aware and task.preferred_nodes:
-            local = [node for node in free_nodes
-                     if node.name in task.preferred_nodes]
-            if local:
-                # Least-loaded local node; name breaks ties deterministically.
-                return min(local, key=lambda node: (node.busy, node.name))
-        return min(free_nodes, key=lambda node: (node.busy, node.name))
 
     def _schedule_shuffle(self, state: _JobState, push_event) -> None:
         bandwidth = (self.spec.num_nodes

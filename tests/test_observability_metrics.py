@@ -10,8 +10,9 @@ from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.errors import ValidationError
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.local import LocalExecutor
-from repro.hadoop.simulator import ClusterSimulator
-from repro.hadoop.task import TaskWork, make_map_task
+from repro.hadoop.faults import TargetedFailures, TargetedNodeFailures
+from repro.hadoop.simulator import FAILED, ClusterSimulator
+from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
 from repro.hadoop.timemodel import FixedTimeModel
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
@@ -53,6 +54,20 @@ def uniform_dag(n_tasks=8, seconds=2.0, nbytes=1000):
     work = TaskWork(bytes_read=nbytes, bytes_written=nbytes // 2)
     tasks = [make_map_task(f"t{i}", work) for i in range(n_tasks)]
     return JobDag([Job("j", JobKind.MAP_ONLY, tasks)])
+
+
+def every_event_kind_dag():
+    """A map-only job, a map -> shuffle -> reduce job and an empty job."""
+    work = TaskWork(bytes_read=1000, shuffle_bytes=1000)
+    return JobDag([
+        Job("m", JobKind.MAP_ONLY,
+            [make_map_task(f"m{i}", work) for i in range(6)]),
+        Job("mr", JobKind.MAPREDUCE,
+            [make_map_task(f"mr-m{i}", work) for i in range(4)],
+            [make_reduce_task(f"mr-r{i}", work) for i in range(2)],
+            depends_on={"m"}),
+        Job("empty", JobKind.MAP_ONLY, [], depends_on={"mr"}),
+    ])
 
 
 class TestRegistry:
@@ -155,6 +170,20 @@ class TestDisabledHotPath:
         result = simulator.run(uniform_dag())
         assert result.makespan > 0
 
+    def test_simulator_event_kinds_pay_only_attribute_check(self):
+        """Every event kind the simulator counts (``sim.events``) runs
+        under the tripwire: retries, a shuffle, speculation wake-ups, a
+        node loss and an empty job."""
+        simulator = ClusterSimulator(
+            spec(nodes=3), FixedTimeModel(1.0), speculative=True,
+            slow_nodes={"m1.large-1": 5.0},
+            failures=TargetedFailures({("m0", 0)}),
+            node_failures=TargetedNodeFailures({"m1.large-2": 1.5}),
+            metrics=_TripwireRegistry())
+        result = simulator.run(every_event_kind_dag())
+        assert len(result.lost_nodes) == 1
+        assert result.count_attempts(FAILED) == 1
+
     def test_local_executor_pays_only_attribute_check(self):
         executor = LocalExecutor(max_workers=2,
                                  metrics=_TripwireRegistry())
@@ -197,6 +226,33 @@ class TestSimulatorInstrumentation:
         assert registry.counter("sim.bytes_written").value == 8 * 500
         assert registry.histogram("sim.task_seconds").count == 8
         assert result.makespan == pytest.approx(2.0)
+
+    def test_event_counts_by_kind(self):
+        registry = MetricsRegistry()
+        simulator = ClusterSimulator(spec(), FixedTimeModel(1.0),
+                                     speculative=True,
+                                     slow_nodes={"m1.large-1": 5.0},
+                                     metrics=registry)
+        simulator.run(every_event_kind_dag())
+
+        def events(kind):
+            return registry.counter("sim.events",
+                                    labels={"kind": kind}).value
+
+        # Fault-free: every task-done is a completion or a speculative
+        # loser being reaped, and nothing else is.
+        killed = registry.counter("sim.tasks_killed").value
+        assert killed > 0, "the slow node never provoked a duplicate"
+        assert events("task-done") \
+            == registry.counter("sim.tasks_completed").value + killed
+        assert events("job-ready") == 2
+        assert events("job-empty") == 1
+        assert events("shuffle-done") == 1
+        assert events("spec-check") > 0
+        assert events("task-failed") == events("node-lost") == 0
+        # 2x2 slots: at most four completions in flight, plus the pending
+        # job activations and one speculation wake-up.
+        assert 4 <= registry.gauge("sim.event_heap_peak").value <= 8
 
     def test_series_on_virtual_clock_monotonic(self):
         registry = MetricsRegistry()

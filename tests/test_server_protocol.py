@@ -209,8 +209,12 @@ class TestLiveProtocolEdges:
     def test_double_drain_rejected(self, live):
         with ProtocolClient(live.listen) as client:
             submit_and_ack(client)
-            client.send({"type": "drain"})
-            client.send({"type": "drain", "req": 2})
+            # Both frames in one write: the server parses the second
+            # straight out of its read buffer, so no tick can run -- and
+            # complete the first drain -- in between.  (Two writes lost
+            # that race about one run in ten under CPU load.)
+            client.send_raw(encode_frame({"type": "drain"})
+                            + encode_frame({"type": "drain", "req": 2}))
             error = client.recv_until("error")
             assert error["code"] == ERR_DRAIN_PENDING
             assert error["req"] == 2
