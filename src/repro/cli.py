@@ -140,6 +140,15 @@ def emit_json(document, out) -> int:
     return 0
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to an ``--out``-style path; failures exit 1 cleanly."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise ReproError(f"cannot write {path}: {error}") from error
+
+
 def cmd_catalog(args, out) -> int:
     if args.json:
         return emit_json([
@@ -378,11 +387,7 @@ def cmd_trace(args, out) -> int:
     else:
         document = "\n\n".join(explain_trace(trace) for trace in traces)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as error:
-            raise ReproError(f"cannot write {args.out}: {error}") from error
+        _write_out(args.out, document)
         print(f"wrote {args.format} trace ({len(traces)} trace(s)) "
               f"to {args.out}", file=out)
     else:
@@ -437,11 +442,7 @@ def cmd_profile(args, out) -> int:
                   f"{getattr(args, 'backend', 'thread')} ({workers} workers)")
         document = f"{header}\n{render_profile(profile, top=args.top)}"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(document + "\n")
-        except OSError as error:
-            raise ReproError(f"cannot write {args.out}: {error}") from error
+        _write_out(args.out, document + "\n")
         print(f"wrote profile to {args.out}", file=out)
     else:
         print(document, file=out)
@@ -484,11 +485,7 @@ def cmd_metrics(args, out) -> int:
     else:
         document = render_dashboard(registry)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as error:
-            raise ReproError(f"cannot write {args.out}: {error}") from error
+        _write_out(args.out, document)
         print(f"wrote {args.format} metrics to {args.out}", file=out)
     else:
         print(document, file=out)
@@ -634,13 +631,8 @@ def cmd_chaos(args, out) -> int:
                   f"({searched.method} {searched.objective})", file=out)
         print(report.describe(), file=out)
     if args.trace_out:
-        document = chrome_trace_json([recorder.trace()], indent=2)
-        try:
-            with open(args.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as error:
-            raise ReproError(
-                f"cannot write {args.trace_out}: {error}") from error
+        _write_out(args.trace_out,
+                   chrome_trace_json([recorder.trace()], indent=2))
         print(f"wrote chrome trace to {args.trace_out}", file=out)
     if args.metrics_out:
         extra = {"workload": args.workload, "scale": args.scale,
@@ -651,13 +643,8 @@ def cmd_chaos(args, out) -> int:
                  "baseline_seconds": report.baseline_seconds,
                  "makespan_seconds": (report.makespan_seconds
                                       if report.completed else None)}
-        document = metrics_to_json(registry, indent=2, extra=extra)
-        try:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as error:
-            raise ReproError(
-                f"cannot write {args.metrics_out}: {error}") from error
+        _write_out(args.metrics_out,
+                   metrics_to_json(registry, indent=2, extra=extra))
         print(f"wrote json metrics to {args.metrics_out}", file=out)
     if args.advise_checkpoint and not args.json:
         advice = advise_checkpoint_interval(
@@ -748,6 +735,42 @@ def cmd_submit(args, out) -> int:
     return 0
 
 
+def _durable_start(args, script, workers: int):
+    """Open ``--journal DIR`` for a serve run; returns ``(service, store)``.
+
+    With ``--recover`` the journal is replayed into a running service
+    (its store already attached) and the script's not-yet-durable jobs
+    are re-submitted: ``(service, None)``.  Otherwise DIR must be fresh
+    and the caller builds its service on the new store: ``(None, store)``.
+    """
+    import os
+
+    from repro.service.durability import (
+        KILL_AFTER_ENV,
+        DurabilityStore,
+        recover,
+        resume_script,
+    )
+
+    journal_dir = Path(args.journal)
+    if args.recover:
+        service = recover(journal_dir, workers=workers,
+                          fsync_every=args.fsync_every,
+                          snapshot_every=args.snapshot_every)
+        if script is not None:
+            resume_script(service, script)
+        return service, None
+    store = DurabilityStore(
+        journal_dir, fsync_every=args.fsync_every,
+        snapshot_every=args.snapshot_every,
+        kill_after=int(os.environ.get(KILL_AFTER_ENV, "0") or 0))
+    if store.has_state():
+        raise ReproError(
+            f"{journal_dir} already holds journaled service "
+            f"state; pass --recover to resume it")
+    return None, store
+
+
 def cmd_serve(args, out) -> int:
     """Replay a submission script on the job service and report.
 
@@ -764,8 +787,6 @@ def cmd_serve(args, out) -> int:
     :mod:`repro.service.server` and docs/serving.md); the script becomes
     optional seed state.
     """
-    import os as _os
-
     from repro.service.script import (
         build_service,
         load_script,
@@ -773,42 +794,21 @@ def cmd_serve(args, out) -> int:
         submit_script_jobs,
     )
 
-    if args.listen:
-        return _cmd_serve_listen(args, out)
     script = (_load_script_or_die(load_script, Path(args.script))
               if args.script else None)
+    if script is not None and args.policy:
+        script["policy"] = args.policy
+    workers = args.workers if args.workers is not None else 0
+    if args.listen:
+        return _cmd_serve_listen(args, out, script, workers)
     if script is None and not (args.journal and args.recover):
         raise ReproError(
             "serve needs a submission script (or --listen for the socket "
             "server, or --journal DIR --recover to finish a crashed run)")
-    if script is not None and args.policy:
-        script["policy"] = args.policy
-    workers = args.workers if args.workers is not None else 0
     service = None
     if args.journal:
-        from repro.service.durability import (
-            KILL_AFTER_ENV,
-            DurabilityStore,
-            recover,
-            resume_script,
-        )
-
-        journal_dir = Path(args.journal)
-        if args.recover:
-            service = recover(journal_dir, workers=workers,
-                              fsync_every=args.fsync_every,
-                              snapshot_every=args.snapshot_every)
-            if script is not None:
-                resume_script(service, script)
-        else:
-            store = DurabilityStore(
-                journal_dir, fsync_every=args.fsync_every,
-                snapshot_every=args.snapshot_every,
-                kill_after=int(_os.environ.get(KILL_AFTER_ENV, "0") or 0))
-            if store.has_state():
-                raise ReproError(
-                    f"{journal_dir} already holds journaled service "
-                    f"state; pass --recover to resume it")
+        service, store = _durable_start(args, script, workers)
+        if service is None:
             service = build_service(script, workers=workers, store=store)
             submit_script_jobs(service, script)
         service.drain()
@@ -847,49 +847,16 @@ def cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_serve_listen(args, out) -> int:
-    """Run the wall-clock socket server until a ``shutdown`` frame."""
-    import os as _os
-
+def _cmd_serve_listen(args, out, script, workers: int) -> int:
+    """Run the wall-clock socket server until a ``shutdown`` frame;
+    ``script`` (optional) seeds the service before it starts listening."""
     from repro.service.jobs import JobService
-    from repro.service.script import (
-        build_service,
-        load_script,
-        submit_script_jobs,
-    )
+    from repro.service.script import build_service, submit_script_jobs
     from repro.service.server import ReproServer
 
-    workers = args.workers if args.workers is not None else 0
-    script = (_load_script_or_die(load_script, Path(args.script))
-              if args.script else None)
-    if script is not None and args.policy:
-        script["policy"] = args.policy
-    service = None
-    store = None
+    service = store = None
     if args.journal:
-        from repro.service.durability import (
-            KILL_AFTER_ENV,
-            DurabilityStore,
-            recover,
-            resume_script,
-        )
-
-        journal_dir = Path(args.journal)
-        if args.recover:
-            service = recover(journal_dir, workers=workers,
-                              fsync_every=args.fsync_every,
-                              snapshot_every=args.snapshot_every)
-            if script is not None:
-                resume_script(service, script)
-        else:
-            store = DurabilityStore(
-                journal_dir, fsync_every=args.fsync_every,
-                snapshot_every=args.snapshot_every,
-                kill_after=int(_os.environ.get(KILL_AFTER_ENV, "0") or 0))
-            if store.has_state():
-                raise ReproError(
-                    f"{journal_dir} already holds journaled service "
-                    f"state; pass --recover to resume it")
+        service, store = _durable_start(args, script, workers)
     if service is None:
         if script is not None:
             service = build_service(script, workers=workers, store=store)

@@ -18,6 +18,13 @@ Terms of one output accumulate left-to-right with ``+``, matching the
 reference thread-backend runners in :mod:`repro.core.physical` term for
 term.
 
+There are exactly two plan kinds, and the compiler's mult runner picks
+between them once: a mult task whose tiles are uniform per operand ships
+as a :class:`GridMultPlan` (grid geometry alone), everything else — a
+ragged-edge mult task, every add-partials chunk — as a :class:`BlockPlan`.
+A dispatcher ships what it is handed; the only conversion left is
+:func:`expand_grid`, the reference semantics of a grid plan.
+
 The module also hosts the dispatcher registry: an executor backend installs
 a :class:`KernelDispatcher` for the duration of a run, and runners consult
 :func:`current_dispatcher` at execution time.  With none installed (the
@@ -78,130 +85,6 @@ class BlockPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedPlan:
-    """An array-encoded :class:`BlockPlan` for the regular-shape fast path.
-
-    When every payload shares one dense shape, every output shares one
-    shape and term count, every term is the same kind (all matmul or all
-    pass-through), and each operand side has a uniform transpose flag, the
-    plan collapses to a pair of index vectors over the payload table.  That
-    buys two things: the plan pickles as flat numpy buffers (nested tuples
-    cost milliseconds to rebuild in the worker), and the worker can
-    evaluate it with a handful of C-level calls — one gather per side, one
-    batched ``np.matmul``, and a lockstep accumulation — instead of a
-    Python loop per term.  See :func:`execute_packed` for why the result
-    is still bit-identical to :func:`execute_plan`.
-    """
-
-    payload_shape: tuple[int, int]
-    n_payloads: int
-    left: np.ndarray          #: int64 (n_terms,) — left payload per term
-    right: "np.ndarray | None"  #: int64 (n_terms,); None => pass-through plan
-    left_transposed: bool
-    right_transposed: bool
-    terms_per_output: int
-    out_shape: tuple[int, int]
-    n_outputs: int
-
-    @property
-    def num_tiles(self) -> int:
-        """Tile-level kernel invocations this plan batches (for metrics)."""
-        return self.n_outputs * self.terms_per_output + self.n_outputs
-
-
-def pack_plan(plan: BlockPlan,
-              payload_shape: tuple[int, int]) -> PackedPlan | None:
-    """Collapse ``plan`` to a :class:`PackedPlan`, or ``None`` if it is
-    irregular (mixed term kinds, ragged shapes or counts, mixed transpose
-    flags) — callers then stay on the general tuple path."""
-    out_shape = plan.out_shapes[0]
-    if any(shape != out_shape for shape in plan.out_shapes):
-        return None
-    terms_per_output = len(plan.outputs[0])
-    if any(len(terms) != terms_per_output for terms in plan.outputs):
-        return None
-    try:
-        # (n_outputs, terms_per_output, 2) in one C pass; plans with any
-        # pass-through term (right is None) refuse the int conversion.
-        table = np.array(plan.outputs, dtype=np.int64)
-        left, right = table[:, :, 0].ravel(), table[:, :, 1].ravel()
-    except (TypeError, ValueError):
-        if any(right is not None
-               for terms in plan.outputs for __, right in terms):
-            return None  # a mix of matmul and pass-through terms
-        left = np.array([index for terms in plan.outputs
-                         for index, __ in terms], dtype=np.int64)
-        right = None
-    transposed = np.asarray(plan.transposed, dtype=bool)
-    left_flags = transposed[left]
-    left_transposed = bool(left_flags[0])
-    if not (left_flags == left_transposed).all():
-        return None
-    right_transposed = False
-    if right is not None:
-        right_flags = transposed[right]
-        right_transposed = bool(right_flags[0])
-        if not (right_flags == right_transposed).all():
-            return None
-    return PackedPlan(
-        payload_shape=(int(payload_shape[0]), int(payload_shape[1])),
-        n_payloads=len(plan.transposed),
-        left=left, right=right,
-        left_transposed=left_transposed,
-        right_transposed=right_transposed,
-        terms_per_output=terms_per_output,
-        out_shape=(int(out_shape[0]), int(out_shape[1])),
-        n_outputs=len(plan.outputs),
-    )
-
-
-def execute_packed(packed: PackedPlan, table: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized evaluation of a :class:`PackedPlan`.
-
-    ``table`` is the payload table as one ``(n_payloads, rows, cols)``
-    array.  Returns ``(outputs, counts)`` with ``outputs`` of shape
-    ``(n_outputs, *out_shape)`` and per-output nonzero counts.
-
-    Bit-identity with :func:`execute_plan` holds because every scalar sees
-    the same operations in the same order: a batched ``np.matmul`` runs
-    the same 2-D kernel per slice that the term loop runs per tile, and
-    the accumulation walks term positions left-to-right in lockstep across
-    outputs — for each output element that is exactly the inline
-    ``((t0 + t1) + t2) ...`` sequence.
-    """
-    if table.shape != (packed.n_payloads, *packed.payload_shape):
-        raise ValidationError(
-            f"packed plan expects table {packed.n_payloads} x "
-            f"{packed.payload_shape}, got {table.shape}")
-    lefts = table[packed.left]
-    if packed.left_transposed:
-        lefts = lefts.transpose(0, 2, 1)
-    if packed.right is None:
-        products = lefts  # pass-through terms; the gather already copied
-    else:
-        rights = table[packed.right]
-        if packed.right_transposed:
-            rights = rights.transpose(0, 2, 1)
-        products = np.matmul(lefts, rights)
-    span = packed.terms_per_output
-    if span == 1:
-        outputs = np.ascontiguousarray(products)
-    else:
-        stacked = products.reshape(packed.n_outputs, span,
-                                   *products.shape[1:])
-        outputs = stacked[:, 0]
-        for position in range(1, span):
-            outputs = outputs + stacked[:, position]
-    if outputs.shape[1:] != packed.out_shape:
-        raise ValidationError(
-            f"packed plan produced {outputs.shape[1:]}, "
-            f"expected {packed.out_shape}")
-    counts = np.count_nonzero(outputs.reshape(packed.n_outputs, -1), axis=1)
-    return outputs, counts
-
-
-@dataclass(frozen=True, eq=False)
 class GridMultPlan:
     """A whole mult task described by its grid geometry alone.
 
@@ -212,8 +95,7 @@ class GridMultPlan:
     by construction.  The evaluator exploits that layout with broadcasted
     batched matmuls over *views* of the two blocks: no gather, no index
     vectors, and the per-``k`` working set stays cache-resident instead of
-    materializing every duplicated operand tile the way a packed gather
-    must.
+    materializing every duplicated operand tile the way a gather must.
     """
 
     ni: int
@@ -335,22 +217,17 @@ def execute_plan(plan: BlockPlan,
 
 #: Plan kinds, as recorded in per-plan metrics and worker kernel spans.
 PLAN_BLOCK = "block"
-PLAN_PACKED = "packed"
 PLAN_GRID = "grid"
 
 
 def plan_kind(plan) -> str:
-    """The short kind name of a kernel plan (``block``/``packed``/``grid``).
+    """The short kind name of a kernel plan (``block``/``grid``).
 
     This is the label worker-side kernel spans and the ``procpool.*``
     per-plan metrics are keyed by, so profiles aggregate consistently
     across the dispatcher and the workers.
     """
-    if isinstance(plan, GridMultPlan):
-        return PLAN_GRID
-    if isinstance(plan, PackedPlan):
-        return PLAN_PACKED
-    return PLAN_BLOCK
+    return PLAN_GRID if isinstance(plan, GridMultPlan) else PLAN_BLOCK
 
 
 class KernelDispatcher:

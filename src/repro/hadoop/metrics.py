@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.hadoop.simulator import SUCCESS, SimulationResult
-from repro.observability.trace import Trace
 
 
 @dataclass
@@ -65,70 +64,6 @@ def utilization(result: SimulationResult) -> UtilizationReport:
     )
 
 
-def utilization_from_trace(trace: Trace) -> UtilizationReport:
-    """Slot utilization computed from a unified trace.
-
-    Works identically for simulated and actual traces (the whole point of
-    the shared schema): each task event charges its duration to the slot it
-    occupied, and the makespan is the span of all task events.  The
-    ``per_node_busy`` map is keyed by slot name (``"node3:1"`` /
-    ``"worker:0"``).
-    """
-    events = trace.task_events()
-    if not events:
-        return UtilizationReport(0.0, 0.0, 0.0, {})
-    start = min(event.start for event in events)
-    end = max(event.end for event in events)
-    makespan = end - start
-    per_slot: dict[str, float] = {}
-    for event in events:
-        per_slot[event.slot] = per_slot.get(event.slot, 0.0) + event.duration
-    total = makespan * len(per_slot)
-    return UtilizationReport(
-        makespan=makespan,
-        total_slot_seconds=total,
-        busy_slot_seconds=sum(per_slot.values()),
-        per_node_busy=per_slot,
-    )
-
-
-def render_trace_timeline(trace: Trace, width: int = 72) -> str:
-    """ASCII Gantt chart of a trace: one row per slot.
-
-    The simulated/actual twin of :func:`render_timeline` — because both
-    execution paths emit one schema, one renderer serves both.
-    """
-    if width <= 0:
-        raise ValidationError("width must be positive")
-    events = trace.task_events()
-    if not events:
-        return "(empty timeline)"
-    origin = min(event.start for event in events)
-    makespan = max(event.end for event in events) - origin
-    if makespan <= 0:
-        return "(empty timeline)"
-    bucket = makespan / width
-    lanes = trace.by_slot()
-    label_width = max(len(slot) for slot in lanes)
-    rows = []
-    for slot in sorted(lanes):
-        cells = [0] * width
-        for event in lanes[slot]:
-            first = min(width - 1, int((event.start - origin) / bucket))
-            last = min(width - 1,
-                       int(max(event.start - origin,
-                               event.end - origin - 1e-9) / bucket))
-            for index in range(first, last + 1):
-                cells[index] += 1
-        row = "".join(" " if count == 0
-                      else (str(count) if count <= 9 else "+")
-                      for count in cells)
-        rows.append(f"{slot:<{label_width}} |{row}|")
-    scale = (f"{'':<{label_width}}  0s{'':<{max(0, width - 12)}}"
-             f"{makespan:8.2f}s")
-    return "\n".join(rows + [scale])
-
-
 def straggler_report(result: SimulationResult,
                      threshold: float = 1.5) -> list[tuple[str, str, float]]:
     """Successful attempts slower than ``threshold`` x their job's mean.
@@ -151,48 +86,6 @@ def straggler_report(result: SimulationResult,
                 stragglers.append((job_id, attempt.task.task_id, ratio))
     stragglers.sort(key=lambda item: -item[2])
     return stragglers
-
-
-def to_chrome_trace(result: SimulationResult) -> list[dict]:
-    """Export the simulated timeline as Chrome trace events.
-
-    Load the JSON-serialized list in ``chrome://tracing`` (or Perfetto):
-    one row per node/slot lane, one complete event per task attempt, with
-    the job id as the category and the attempt status in the args.
-    Timestamps are microseconds, as the trace format requires.
-    """
-    events: list[dict] = []
-    # Assign each attempt a lane (slot) per node so overlaps render side
-    # by side: greedy interval partitioning per node.
-    lanes: dict[str, list[float]] = {}
-    attempts = sorted(
-        [(attempt, timeline.job_id)
-         for timeline in result.job_timelines.values()
-         for attempt in timeline.attempts],
-        key=lambda pair: pair[0].start,
-    )
-    for attempt, job_id in attempts:
-        node_lanes = lanes.setdefault(attempt.node, [])
-        for index, busy_until in enumerate(node_lanes):
-            if busy_until <= attempt.start + 1e-12:
-                lane = index
-                node_lanes[index] = attempt.end
-                break
-        else:
-            lane = len(node_lanes)
-            node_lanes.append(attempt.end)
-        events.append({
-            "name": attempt.task.task_id,
-            "cat": job_id,
-            "ph": "X",
-            "ts": attempt.start * 1e6,
-            "dur": attempt.duration * 1e6,
-            "pid": attempt.node,
-            "tid": lane,
-            "args": {"status": attempt.status,
-                     "local": attempt.was_local},
-        })
-    return events
 
 
 def render_timeline(result: SimulationResult, width: int = 72) -> str:

@@ -54,14 +54,12 @@ import numpy as np
 
 from repro.errors import ExecutionError, ValidationError
 from repro.hadoop.kernels import (
+    PLAN_GRID,
     BlockPlan,
     GridMultPlan,
     KernelDispatcher,
-    PackedPlan,
     execute_grid_mult,
-    execute_packed,
     execute_plan,
-    pack_plan,
     plan_kind,
 )
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
@@ -73,7 +71,7 @@ from repro.observability.trace import (
 )
 
 #: Seconds the dispatcher waits for one plan before declaring the worker hung.
-DEFAULT_REQUEST_TIMEOUT = 300.0
+REQUEST_TIMEOUT = 300.0
 
 #: Job id stamped on worker-lane trace events (they belong to the pool, not
 #: to any one MapReduce job — task attribution lives on the task events).
@@ -150,8 +148,6 @@ def _serve_request(segments, in_name, in_slots, out_name, plan, log, epoch):
     shm_out = _attach(segments, "out", out_name, log, epoch)
     if isinstance(plan, GridMultPlan):
         return _evaluate_grid_into(shm_in, shm_out, plan)
-    if isinstance(plan, PackedPlan):
-        return _evaluate_packed_into(shm_in, shm_out, plan)
     return _evaluate_into(shm_in, shm_out, in_slots, plan)
 
 
@@ -207,27 +203,6 @@ def _evaluate_grid_into(shm_in, shm_out, plan: GridMultPlan) -> np.ndarray:
     outputs, counts = execute_grid_mult(plan, a_block, b_block)
     out_view = np.frombuffer(shm_out.buf, dtype=np.float64,
                              count=outputs.size).reshape(outputs.shape)
-    out_view[:] = outputs
-    return counts
-
-
-def _evaluate_packed_into(shm_in, shm_out, packed: PackedPlan) -> np.ndarray:
-    """Regular-shape fast path: evaluate with a few C-level calls.
-
-    The payload table is the request buffer reinterpreted as one 3-D array
-    (uniform slots are laid out back to back), and all outputs write back
-    with a single vectorized copy.
-    """
-    rows, cols = packed.payload_shape
-    table = np.frombuffer(
-        shm_in.buf, dtype=np.float64,
-        count=packed.n_payloads * rows * cols).reshape(
-            packed.n_payloads, rows, cols)
-    table.flags.writeable = False
-    outputs, counts = execute_packed(packed, table)
-    out_view = np.frombuffer(
-        shm_out.buf, dtype=np.float64,
-        count=outputs.size).reshape(outputs.shape)
     out_view[:] = outputs
     return counts
 
@@ -368,19 +343,15 @@ class KernelPool:
     (``procpool.respawns``).
     """
 
-    def __init__(self, workers: int, start_method: str | None = None,
-                 request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
+    def __init__(self, workers: int,
                  metrics: MetricsRegistry = NULL_METRICS):
         if workers <= 0:
             raise ValidationError(
                 f"kernel pool needs >= 1 worker, got {workers}")
-        if request_timeout <= 0:
-            raise ValidationError("request_timeout must be positive")
         self.workers = workers
-        self.request_timeout = request_timeout
         self.metrics = metrics
         self._context = multiprocessing.get_context(
-            start_method or _preferred_start_method())
+            _preferred_start_method())
         # Start the shm resource tracker *before* forking workers: children
         # then inherit (and share) it, so a worker's attach-registration and
         # the parent's unlink-unregistration meet in one tracker and balance.
@@ -396,11 +367,6 @@ class KernelPool:
         self._finalizer = weakref.finalize(
             self, KernelPool._stop_all, self._handles)
 
-    @property
-    def start_method(self) -> str:
-        """The multiprocessing start method the workers use."""
-        return self._context.get_start_method()
-
     def acquire(self) -> _WorkerHandle:
         """Borrow a live worker (blocks if all are busy).
 
@@ -413,10 +379,13 @@ class KernelPool:
         metrics = self.metrics
         started = metrics.now() if metrics.enabled else 0.0
         with self._condition:
-            while not self._free:
-                if self._closed:
-                    raise ExecutionError("kernel pool is closed")
+            # Checked on entry and after every wake-up: close() leaves its
+            # stopped workers on the free list, and handing one out would
+            # respawn a process nothing will ever stop.
+            while not self._closed and not self._free:
                 self._condition.wait()
+            if self._closed:
+                raise ExecutionError("kernel pool is closed")
             handle = self._free.pop()
         if metrics.enabled:
             metrics.observe("procpool.acquire_wait_seconds",
@@ -469,63 +438,46 @@ class ProcessDispatcher(KernelDispatcher):
         self.recorder = recorder
 
     def run_plan(self, payloads, plan: BlockPlan):
-        """Pack payloads, round-trip one plan through a worker, unpack."""
-        metrics = self.metrics
-        started = metrics.now() if metrics.enabled else 0.0
-        shape = payloads[0].shape
-        packed = None
-        if all(payload.shape == shape for payload in payloads):
-            packed = pack_plan(plan, shape)
-        if packed is not None:
-            results, in_bytes, out_bytes = self._run_packed(payloads, packed)
-        else:
-            results, in_bytes, out_bytes = self._run_general(payloads, plan)
-        if metrics.enabled:
-            shipped = packed if packed is not None else plan
-            metrics.inc("local.kernel_dispatches")
-            metrics.inc("local.kernel_dispatch_tiles", plan.num_tiles)
-            metrics.inc("local.kernel_dispatch_bytes", in_bytes + out_bytes)
-            if packed is not None:
-                metrics.inc("local.kernel_dispatch_packed")
-            elapsed = metrics.now() - started
-            metrics.observe("local.kernel_dispatch_seconds", elapsed)
-            self._record_dispatch(shipped, elapsed, in_bytes, out_bytes)
-        return results
+        """Tuple-plan path: one slot per payload in, one per output back."""
+        in_slots, in_bytes = _layout(
+            [(int(p.shape[0]), int(p.shape[1])) for p in payloads])
+        out_slots, out_bytes = _layout(plan.out_shapes)
+
+        def pack(shm_in) -> None:
+            for payload, (offset, shape) in zip(payloads, in_slots):
+                _slot_view(shm_in.buf, offset, shape,
+                           writable=True)[:] = payload
+
+        def unpack(shm_out, counts):
+            return [(_slot_view(shm_out.buf, offset, shape).copy(), int(nnz))
+                    for (offset, shape), nnz in zip(out_slots, counts)]
+
+        return self._ship(plan, in_slots, in_bytes, out_bytes, pack, unpack)
 
     def run_grid_mult(self, a_payloads, b_payloads, plan: GridMultPlan):
         """Structured mult path: two block writes, one block read, and a
         plan that pickles as a handful of ints."""
-        metrics = self.metrics
-        started = metrics.now() if metrics.enabled else 0.0
         a_bytes = plan.a_count * plan.a_shape[0] * plan.a_shape[1] * 8
         b_bytes = plan.b_count * plan.b_shape[0] * plan.b_shape[1] * 8
         out_rows, out_cols = plan.out_shape
         out_bytes = plan.n_outputs * out_rows * out_cols * 8
-        handle = self.pool.acquire()
-        try:
-            self._ensure_buffers(handle, a_bytes + b_bytes, out_bytes)
-            self._pack_block(handle.shm_in, 0, plan.a_shape, a_payloads)
-            self._pack_block(handle.shm_in, a_bytes, plan.b_shape,
-                             b_payloads)
-            counts = self._round_trip(handle, None, plan,
-                                      a_bytes + b_bytes, out_bytes)
+
+        def pack(shm_in) -> None:
+            self._pack_block(shm_in, 0, plan.a_shape, a_payloads)
+            self._pack_block(shm_in, a_bytes, plan.b_shape, b_payloads)
+
+        def unpack(shm_out, counts):
+            # One block copy out of the response buffer; result tiles are
+            # views of it, and every slice is used, so nothing is wasted.
             block = np.frombuffer(
-                handle.shm_out.buf, dtype=np.float64,
+                shm_out.buf, dtype=np.float64,
                 count=plan.n_outputs * out_rows * out_cols).reshape(
                     plan.n_outputs, out_rows, out_cols).copy()
-        finally:
-            self.pool.release(handle)
-        if metrics.enabled:
-            metrics.inc("local.kernel_dispatches")
-            metrics.inc("local.kernel_dispatch_tiles", plan.num_tiles)
-            metrics.inc("local.kernel_dispatch_bytes",
-                        a_bytes + b_bytes + out_bytes)
-            metrics.inc("local.kernel_dispatch_grid")
-            elapsed = metrics.now() - started
-            metrics.observe("local.kernel_dispatch_seconds", elapsed)
-            self._record_dispatch(plan, elapsed, a_bytes + b_bytes, out_bytes)
-        return [(block[index], int(count))
-                for index, count in enumerate(counts)]
+            return [(block[index], int(count))
+                    for index, count in enumerate(counts)]
+
+        return self._ship(plan, None, a_bytes + b_bytes, out_bytes,
+                          pack, unpack)
 
     @staticmethod
     def _pack_block(shm_in, offset: int, shape: tuple[int, int],
@@ -538,56 +490,47 @@ class ProcessDispatcher(KernelDispatcher):
         for index, payload in enumerate(payloads):
             block[index] = payload
 
-    def _run_packed(self, payloads, packed: PackedPlan):
-        """Regular-shape fast path: one table write, one block read."""
-        rows, cols = packed.payload_shape
-        in_bytes = packed.n_payloads * rows * cols * 8
-        out_rows, out_cols = packed.out_shape
-        out_bytes = packed.n_outputs * out_rows * out_cols * 8
-        handle = self.pool.acquire()
-        try:
-            self._ensure_buffers(handle, in_bytes, out_bytes)
-            table = np.frombuffer(
-                handle.shm_in.buf, dtype=np.float64,
-                count=packed.n_payloads * rows * cols).reshape(
-                    packed.n_payloads, rows, cols)
-            for index, payload in enumerate(payloads):
-                table[index] = payload
-            del table  # release the buffer export before any buffer growth
-            counts = self._round_trip(handle, None, packed,
-                                      in_bytes, out_bytes)
-            # One block copy out of the response buffer; result tiles are
-            # views of it, and every slice is used, so nothing is wasted.
-            block = np.frombuffer(
-                handle.shm_out.buf, dtype=np.float64,
-                count=packed.n_outputs * out_rows * out_cols).reshape(
-                    packed.n_outputs, out_rows, out_cols).copy()
-        finally:
-            self.pool.release(handle)
-        results = [(block[index], int(count))
-                   for index, count in enumerate(counts)]
-        return results, in_bytes, out_bytes
+    def _ship(self, plan, in_slots, in_bytes: int, out_bytes: int,
+              pack, unpack):
+        """Round-trip one plan through a borrowed worker — the only way a
+        plan of either kind leaves this process.
 
-    def _run_general(self, payloads, plan: BlockPlan):
-        """Tuple-plan path for irregular shapes and mixed term kinds."""
-        in_slots, in_bytes = _layout(
-            [(int(p.shape[0]), int(p.shape[1])) for p in payloads])
-        out_slots, out_bytes = _layout(plan.out_shapes)
+        ``pack(shm_in)`` writes the request segment and
+        ``unpack(shm_out, counts)`` copies the ``(array, nnz)`` results out
+        of the response segment; both run while the worker (and so its
+        segment pair) is held, and neither may keep a view of a segment.
+        """
+        metrics = self.metrics
+        started = metrics.now() if metrics.enabled else 0.0
         handle = self.pool.acquire()
         try:
             self._ensure_buffers(handle, in_bytes, out_bytes)
-            self._pack(handle.shm_in, in_slots, payloads)
+            pack(handle.shm_in)
             counts = self._round_trip(handle, in_slots, plan,
                                       in_bytes, out_bytes)
-            results = self._unpack(handle.shm_out, out_slots, counts)
+            results = unpack(handle.shm_out, counts)
         finally:
             self.pool.release(handle)
-        return results, in_bytes, out_bytes
-
-    @staticmethod
-    def _pack(shm_in, in_slots, payloads) -> None:
-        for payload, (offset, shape) in zip(payloads, in_slots):
-            _slot_view(shm_in.buf, offset, shape, writable=True)[:] = payload
+        if metrics.enabled:
+            elapsed = metrics.now() - started
+            kind = plan_kind(plan)
+            labels = {"plan": kind}
+            metrics.inc("local.kernel_dispatches")
+            metrics.inc("local.kernel_dispatch_tiles", plan.num_tiles)
+            metrics.inc("local.kernel_dispatch_bytes", in_bytes + out_bytes)
+            if kind == PLAN_GRID:
+                metrics.inc("local.kernel_dispatch_grid")
+            metrics.observe("local.kernel_dispatch_seconds", elapsed)
+            metrics.inc("procpool.dispatches", labels=labels)
+            metrics.inc("procpool.plan_tiles", plan.num_tiles, labels=labels)
+            metrics.inc("procpool.request_bytes", in_bytes)
+            metrics.inc("procpool.response_bytes", out_bytes)
+            metrics.observe("procpool.dispatch_seconds", elapsed,
+                            labels=labels)
+            metrics.histogram("procpool.batch_tiles",
+                              buckets=TILE_BATCH_BUCKETS
+                              ).observe(plan.num_tiles)
+        return results
 
     # -- telemetry ------------------------------------------------------------
 
@@ -611,20 +554,6 @@ class ProcessDispatcher(KernelDispatcher):
                 phase=PHASE_KERNEL, slot=handle.lane,
                 start=now, end=now,
                 bytes_written=handle.buffer_bytes, label="shm-grow"))
-
-    def _record_dispatch(self, plan, elapsed: float, in_bytes: int,
-                         out_bytes: int) -> None:
-        """Per-plan-kind pool throughput metrics (``procpool.*``)."""
-        metrics = self.metrics
-        kind = plan_kind(plan)
-        labels = {"plan": kind}
-        metrics.inc("procpool.dispatches", labels=labels)
-        metrics.inc("procpool.plan_tiles", plan.num_tiles, labels=labels)
-        metrics.inc("procpool.request_bytes", in_bytes)
-        metrics.inc("procpool.response_bytes", out_bytes)
-        metrics.observe("procpool.dispatch_seconds", elapsed, labels=labels)
-        metrics.histogram("procpool.batch_tiles",
-                          buckets=TILE_BATCH_BUCKETS).observe(plan.num_tiles)
 
     def _ingest_events(self, handle, events, base: float, in_bytes: int,
                        out_bytes: int) -> None:
@@ -672,11 +601,11 @@ class ProcessDispatcher(KernelDispatcher):
         base = self.recorder.now() if self.recorder.enabled else 0.0
         try:
             handle.conn.send(request)
-            if not handle.conn.poll(self.pool.request_timeout):
+            if not handle.conn.poll(REQUEST_TIMEOUT):
                 handle.process.terminate()  # likely wedged — replace it
                 raise ExecutionError(
                     f"kernel worker {handle.index} (pid {handle.pid}) "
-                    f"timed out after {self.pool.request_timeout}s "
+                    f"timed out after {REQUEST_TIMEOUT}s "
                     f"on a {handle.last_plan_kind} plan")
             ok, body, events = handle.conn.recv()
         except ExecutionError:
@@ -694,15 +623,6 @@ class ProcessDispatcher(KernelDispatcher):
             raise ExecutionError(
                 f"kernel plan failed in worker {handle.index}: {body}")
         return body
-
-    @staticmethod
-    def _unpack(shm_out, out_slots, counts):
-        results = []
-        for (offset, shape), nnz in zip(out_slots, counts):
-            view = _slot_view(shm_out.buf, offset, shape)
-            results.append((view.copy(), int(nnz)))
-            del view  # release the buffer export before close/unlink
-        return results
 
 
 def _layout(shapes) -> tuple[tuple[tuple[int, tuple[int, int]], ...], int]:

@@ -483,6 +483,28 @@ class ClusterSimulator:
                 label=attempt.task.label,
             ))
 
+        def cut_short(state: _JobState, attempt: TaskAttempt, slot: int,
+                      attempt_index: int, status: str) -> None:
+            """Record ``attempt`` as ended *now* with ``status`` instead of
+            at its scheduled end: KILLED (a twin finished first) or LOST
+            (its node died)."""
+            state.attempts.append(TaskAttempt(
+                task=attempt.task, node=attempt.node,
+                start=attempt.start, end=self._clock,
+                concurrency_at_start=attempt.concurrency_at_start,
+                status=status))
+            if tracing:
+                emit_attempt_event(state, attempt, slot, attempt_index,
+                                   status, self._clock)
+
+        def requeue(state: _JobState, task_state: _TaskState) -> None:
+            """Put an unfinished task back at the tail of its queue."""
+            task_state.speculated = False
+            if task_state.task.kind is TaskKind.MAP:
+                state.pending_maps.append(task_state.task)
+            else:
+                state.pending_reduces.append(task_state.task)
+
         def dispatch() -> None:
             """Greedy assignment: fill free slots per the scheduling policy.
 
@@ -607,7 +629,9 @@ class ClusterSimulator:
                 runnable.append(payload)
             elif kind == "job-empty":
                 finish_job(states[payload])
-            elif kind == "task-done":
+            elif kind == "task-done" or kind == "task-failed":
+                # One attempt ended on its own clock; which of the two it
+                # was is the status start_attempt gave it.
                 attempt, state, node, token, attempt_index, slot = payload
                 if token in voided:
                     # The node died under this attempt; everything was
@@ -619,74 +643,41 @@ class ClusterSimulator:
                 state.running_attempts -= 1
                 task_state = state.task_states[attempt.task]
                 if token in cancelled:
+                    # A twin finished first: this one was killed now,
+                    # whatever it would have ended as.
                     cancelled.discard(token)
-                    killed = TaskAttempt(
-                        task=attempt.task, node=attempt.node,
-                        start=attempt.start, end=self._clock,
-                        concurrency_at_start=attempt.concurrency_at_start,
-                        status=KILLED)
-                    state.attempts.append(killed)
-                    if tracing:
-                        emit_attempt_event(state, attempt, slot,
-                                           attempt_index, KILLED, self._clock)
+                    cut_short(state, attempt, slot, attempt_index, KILLED)
                     if metrics.enabled:
                         metrics.inc("sim.tasks_killed")
                 else:
                     task_state.running.pop(token, None)
                     state.attempts.append(attempt)
                     if tracing:
-                        emit_attempt_event(state, attempt, slot,
-                                           attempt_index, SUCCESS, attempt.end)
-                    if metrics.enabled:
-                        metrics.inc("sim.tasks_completed")
-                        work = attempt.task.work
-                        metrics.inc("sim.bytes_read", work.bytes_read)
-                        metrics.inc("sim.bytes_written", work.bytes_written)
-                        metrics.observe("sim.task_seconds", attempt.duration)
-                    if not task_state.completed:
-                        complete_task(state, attempt)
-            elif kind == "task-failed":
-                attempt, state, node, token, attempt_index, slot = payload
-                if token in voided:
-                    voided.discard(token)
-                    continue
-                live_tokens.pop(token, None)
-                pool.release(node, slot)
-                state.running_attempts -= 1
-                task_state = state.task_states[attempt.task]
-                if token in cancelled:
-                    cancelled.discard(token)
-                    state.attempts.append(TaskAttempt(
-                        task=attempt.task, node=attempt.node,
-                        start=attempt.start, end=self._clock,
-                        concurrency_at_start=attempt.concurrency_at_start,
-                        status=KILLED))
-                    if tracing:
-                        emit_attempt_event(state, attempt, slot,
-                                           attempt_index, KILLED, self._clock)
-                    if metrics.enabled:
-                        metrics.inc("sim.tasks_killed")
-                else:
-                    if tracing:
-                        emit_attempt_event(state, attempt, slot,
-                                           attempt_index, FAILED, attempt.end)
-                    if metrics.enabled:
-                        metrics.inc("sim.task_failures")
-                    task_state.running.pop(token, None)
-                    state.attempts.append(attempt)
-                    if not task_state.completed:
-                        max_attempts = self.failures.max_attempts
-                        if attempt_index + 1 >= max_attempts:
-                            raise SchedulingError(
-                                f"task {attempt.task.task_id} failed "
-                                f"{max_attempts} times; job "
-                                f"{state.job.job_id} aborted"
-                            )
-                        task_state.speculated = False
-                        if attempt.task.kind is TaskKind.MAP:
-                            state.pending_maps.append(attempt.task)
-                        else:
-                            state.pending_reduces.append(attempt.task)
+                        emit_attempt_event(state, attempt, slot, attempt_index,
+                                           attempt.status, attempt.end)
+                    if attempt.status == SUCCESS:
+                        if metrics.enabled:
+                            metrics.inc("sim.tasks_completed")
+                            work = attempt.task.work
+                            metrics.inc("sim.bytes_read", work.bytes_read)
+                            metrics.inc("sim.bytes_written",
+                                        work.bytes_written)
+                            metrics.observe("sim.task_seconds",
+                                            attempt.duration)
+                        if not task_state.completed:
+                            complete_task(state, attempt)
+                    else:
+                        if metrics.enabled:
+                            metrics.inc("sim.task_failures")
+                        if not task_state.completed:
+                            max_attempts = self.failures.max_attempts
+                            if attempt_index + 1 >= max_attempts:
+                                raise SchedulingError(
+                                    f"task {attempt.task.task_id} failed "
+                                    f"{max_attempts} times; job "
+                                    f"{state.job.job_id} aborted"
+                                )
+                            requeue(state, task_state)
             elif kind == "spec-check":
                 self._next_spec_check = float("inf")
             elif kind == "shuffle-done":
@@ -744,22 +735,11 @@ class ClusterSimulator:
                     state.running_attempts -= 1
                     task_state = state.task_states[attempt.task]
                     task_state.running.pop(token, None)
-                    state.attempts.append(TaskAttempt(
-                        task=attempt.task, node=attempt.node,
-                        start=attempt.start, end=self._clock,
-                        concurrency_at_start=attempt.concurrency_at_start,
-                        status=LOST))
-                    if tracing:
-                        emit_attempt_event(state, attempt, slot,
-                                           attempt_index, LOST, self._clock)
+                    cut_short(state, attempt, slot, attempt_index, LOST)
                     if metrics.enabled:
                         metrics.inc("sim.attempts_lost")
                     if not task_state.completed:
-                        task_state.speculated = False
-                        if attempt.task.kind is TaskKind.MAP:
-                            state.pending_maps.append(attempt.task)
-                        else:
-                            state.pending_reduces.append(attempt.task)
+                        requeue(state, task_state)
                 # 2. Invalidate completed map outputs parked on the dead
                 # node's local disk: until the shuffle has fetched them,
                 # they exist nowhere else and must be recomputed.

@@ -29,7 +29,7 @@ from repro.core.executor import CumulonExecutor
 from repro.core.physical import MatMulParams
 from repro.core.program import Program
 from repro.errors import ExecutionError
-from repro.hadoop.kernels import BlockPlan, pack_plan
+from repro.hadoop.kernels import BlockPlan
 from repro.hadoop.local import FaultInjector, RetryPolicy, ScriptedFaults
 from repro.hadoop.procpool import (
     KERNEL_JOB_ID,
@@ -290,7 +290,7 @@ class TestTraceEquivalence:
         for event in kernels:
             assert event.job_id == KERNEL_JOB_ID
             assert event.end >= event.start
-            assert event.label in {"block", "packed", "grid",
+            assert event.label in {"block", "grid",
                                    "shm-attach", "shm-grow"}
         # Pool health metrics populate only when the pool actually runs.
         assert metric_total(process_registry, "procpool.dispatches") > 0
@@ -323,6 +323,55 @@ class TestTraceEquivalence:
         assert max(coverages) >= 0.9, coverages
 
 
+def dispatch_counts_by_plan(registry):
+    """``procpool.dispatches`` per plan-kind label."""
+    return {metric.label_dict()["plan"]: metric.value
+            for metric in registry.metrics()
+            if metric.name == "procpool.dispatches"}
+
+
+class TestPlanRouting:
+    """The process-gated twin of tests/test_kernel_routing.py: what the
+    pool is actually sent.  Two plan kinds exist and the mult runner picks
+    between them once, so these are the only labels a run can produce."""
+
+    def test_pool_sees_exactly_grid_and_block(self):
+        rng = np.random.default_rng(RNG_SEED + 40)
+        # A k-split multiply: uniform mult tasks (grid) + add chunks (block).
+        split = build_chain_program(dimension=64, length=2)
+        params = CompilerParams(matmul=MatMulParams(2, 2, 2))
+        __, __, split_registry = run_instrumented(
+            "process", split, make_inputs(split, rng), tile_size=16,
+            compiler_params=params)
+        # A ragged chain (100 = 3 x 32 + 4): whole-matrix tasks mix tile
+        # shapes, so every mult task is a block plan.
+        ragged = build_chain_program(dimension=100, length=3)
+        __, __, ragged_registry = run_instrumented(
+            "process", ragged, make_inputs(ragged, rng), tile_size=32,
+            compiler_params=CompilerParams(matmul=MatMulParams(4, 4, 1)))
+        # 2 segments x 2 x 2 uniform mult tasks, 16 output tiles in add
+        # chunks of 4.
+        assert dispatch_counts_by_plan(split_registry) \
+            == {"grid": 8, "block": 4}
+        assert set(dispatch_counts_by_plan(ragged_registry)) == {"block"}
+
+
+class TestPoolLifecycle:
+    def test_acquire_after_close_is_refused(self):
+        # close() stops every worker but leaves the handles on the free
+        # list; acquire() used to pop one, find it dead and respawn a
+        # worker that nothing would ever stop.
+        pool = KernelPool(1)
+        handle = pool._handles[0]
+        pool.close()
+        try:
+            with pytest.raises(ExecutionError, match="kernel pool is closed"):
+                pool.acquire()
+            assert not handle.alive
+        finally:
+            handle.stop()  # reap the leaked worker where the bug exists
+
+
 class TestWorkerDeath:
     """Dead workers: attributable errors, counted respawns, surviving lanes."""
 
@@ -345,14 +394,13 @@ class TestWorkerDeath:
             pid = handle.pid
             os.kill(pid, signal.SIGKILL)
             handle.process.join(timeout=5)
-            packed = pack_plan(plan, payloads[0].shape)
             with pytest.raises(ExecutionError) as excinfo:
-                dispatcher._round_trip(handle, None, packed, 0, 0)
+                dispatcher._round_trip(handle, None, plan, 0, 0)
             message = str(excinfo.value)
             assert "kernel worker 0" in message
             assert str(pid) in message
             assert "died mid-plan" in message
-            assert "last plan kind: packed" in message
+            assert "last plan kind: block" in message
             assert metric_total(registry, "procpool.worker_deaths") == 1
             pool.release(handle)
             # The pool heals on the next acquire, and counts the respawn.

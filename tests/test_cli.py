@@ -214,6 +214,28 @@ class TestMetricsCommand:
         assert json.loads(target.read_text(encoding="utf-8"))["counters"]
 
 
+class TestUnwritableOut:
+    """Every ``--out``-style flag goes through one writer: a path that
+    cannot be opened is a clean exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("trace", "multiply", "--scale", "tiny"), "--out"),
+        (("metrics", "multiply", "--scale", "tiny", "--format", "json"),
+         "--out"),
+        (("chaos", "gnmf", "--scale", "tiny", "--scenario", "node-crash",
+          "--seed", "7"), "--metrics-out"),
+    ], ids=["trace", "metrics", "chaos-metrics"])
+    def test_exits_one_with_cannot_write(self, argv, flag, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "document"
+        code, text = run_cli(*argv, flag, str(target))
+        assert code == 1
+        assert "wrote" not in text
+        error = capsys.readouterr().err
+        assert error.startswith("error: cannot write ")
+        assert str(target) in error
+        assert not target.parent.exists()
+
+
 class TestExplainSearchFlag:
     def test_search_prints_candidates(self):
         code, text = run_cli("explain", "multiply", "--scale", "tiny",
@@ -280,6 +302,22 @@ class TestServeDurability:
                            str(journal))
         assert code == 1
         assert "--recover" in capsys.readouterr().err
+
+    def test_listen_refuses_existing_state_before_binding(
+            self, tmp_path, capsys):
+        # The socket path shares the journal-opening step with the batch
+        # path, and that step runs before any server object exists.
+        script = self.build_script(tmp_path)
+        journal = tmp_path / "state"
+        code, __ = run_cli("serve", str(script), "--journal", str(journal))
+        assert code == 0
+        socket_path = tmp_path / "serve.sock"
+        code, text = run_cli("serve", "--listen", str(socket_path),
+                             "--journal", str(journal))
+        assert code == 1
+        assert "listening on" not in text
+        assert "--recover" in capsys.readouterr().err
+        assert not socket_path.exists()
 
     def test_serve_recover_picks_up_new_jobs(self, tmp_path):
         script = self.build_script(tmp_path)

@@ -16,13 +16,10 @@ from repro.hadoop.kernels import (
     BlockPlan,
     GridMultPlan,
     InlineDispatcher,
-    PackedPlan,
     current_dispatcher,
     execute_grid_mult,
-    execute_packed,
     execute_plan,
     expand_grid,
-    pack_plan,
     use_dispatcher,
 )
 from repro.matrix.arena import ArenaRef, TileArena
@@ -97,65 +94,6 @@ def assert_matches_reference(outputs, counts, reference):
     for index, (array, nnz) in enumerate(reference):
         assert np.array_equal(outputs[index], array), index
         assert int(counts[index]) == nnz, index
-
-
-class TestPackedPlan:
-    """pack_plan / execute_packed agree bit for bit with execute_plan."""
-
-    def make_matmul_plan(self, transposed=(False, False), k=3):
-        n = 4 * k + 2 * k  # 4 outputs' worth of lefts, shared rights
-        lefts = [RNG.random((5, 5)) for _ in range(n)]
-        outputs = tuple(tuple((o * k + t, 4 * k + t % (2 * k))
-                              for t in range(k)) for o in range(4))
-        flags = tuple(transposed[0] for _ in range(4 * k)) \
-            + tuple(transposed[1] for _ in range(2 * k))
-        plan = BlockPlan(flags, outputs, ((5, 5),) * 4)
-        return plan, lefts
-
-    @pytest.mark.parametrize("flags", [(False, False), (True, False),
-                                       (False, True), (True, True)])
-    def test_matmul_matches_execute_plan(self, flags):
-        plan, payloads = self.make_matmul_plan(flags)
-        packed = pack_plan(plan, (5, 5))
-        assert isinstance(packed, PackedPlan)
-        outputs, counts = execute_packed(packed, np.stack(payloads))
-        assert_matches_reference(outputs, counts,
-                                 reference_results(plan, payloads))
-
-    def test_passthrough_matches_execute_plan(self):
-        payloads = [RNG.random((4, 6)) for _ in range(6)]
-        outputs = tuple(tuple((2 * o + t, None) for t in range(2))
-                        for o in range(3))
-        plan = BlockPlan((False,) * 6, outputs, ((4, 6),) * 3)
-        packed = pack_plan(plan, (4, 6))
-        assert packed is not None
-        result, counts = execute_packed(packed, np.stack(payloads))
-        assert_matches_reference(result, counts,
-                                 reference_results(plan, payloads))
-
-    def test_irregular_plans_refused(self):
-        # Ragged term counts.
-        ragged = BlockPlan((False,) * 4, (((0, 1),), ((2, 3), (0, 1))),
-                           ((2, 2),) * 2)
-        assert pack_plan(ragged, (2, 2)) is None
-        # Mixed matmul and pass-through terms.
-        mixed = BlockPlan((False,) * 4, (((0, 1), (2, None)),) * 2,
-                          ((2, 2),) * 2)
-        assert pack_plan(mixed, (2, 2)) is None
-        # Mixed transpose flags on one side.
-        twisted = BlockPlan((True, False, False, False),
-                            (((0, 2),), ((1, 3),)), ((2, 2),) * 2)
-        assert pack_plan(twisted, (2, 2)) is None
-        # Ragged output shapes.
-        shapes = BlockPlan((False,) * 4, (((0, 1),), ((2, 3),)),
-                           ((2, 2), (2, 3)))
-        assert pack_plan(shapes, (2, 2)) is None
-
-    def test_table_shape_validated(self):
-        plan, payloads = self.make_matmul_plan()
-        packed = pack_plan(plan, (5, 5))
-        with pytest.raises(ValidationError, match="table"):
-            execute_packed(packed, np.stack(payloads)[:2])
 
 
 class TestGridMultPlan:

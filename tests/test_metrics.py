@@ -1,5 +1,7 @@
 """Unit tests for the simulation metrics and timeline rendering."""
 
+import json
+
 import pytest
 
 from repro.cloud import ClusterSpec, get_instance_type
@@ -14,17 +16,24 @@ from repro.hadoop.metrics import (
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task
 from repro.hadoop.timemodel import FixedTimeModel, TaskTimeModel
+from repro.observability import (
+    NULL_RECORDER,
+    InMemoryRecorder,
+    to_chrome_events,
+    validate_chrome_trace,
+)
 
 
 def spec(nodes=2, slots=2):
     return ClusterSpec(get_instance_type("m1.large"), nodes, slots)
 
 
-def run_uniform(n_tasks=8, nodes=2, slots=2, seconds=2.0):
+def run_uniform(n_tasks=8, nodes=2, slots=2, seconds=2.0,
+                recorder=NULL_RECORDER):
     tasks = [make_map_task(f"t{i}", TaskWork()) for i in range(n_tasks)]
     dag = JobDag([Job("j", JobKind.MAP_ONLY, tasks)])
-    return ClusterSimulator(spec(nodes, slots),
-                            FixedTimeModel(seconds)).run(dag)
+    return ClusterSimulator(spec(nodes, slots), FixedTimeModel(seconds),
+                            recorder=recorder).run(dag)
 
 
 class TestUtilization:
@@ -123,34 +132,42 @@ class TestTimeline:
 
 
 class TestChromeTrace:
+    """A simulated run's Chrome export, through the one exporter
+    (``repro.observability.export``): the recorder carries the exact
+    ``node:slot`` lane of every attempt, so nothing is re-derived."""
+
+    @staticmethod
+    def export(n_tasks):
+        """(result, complete events, all events) of a 2x2 simulated run."""
+        recorder = InMemoryRecorder()
+        result = run_uniform(n_tasks=n_tasks, recorder=recorder)
+        events = to_chrome_events(recorder.trace())
+        return result, [e for e in events if e["ph"] == "X"], events
+
     def test_event_per_attempt(self):
-        from repro.hadoop.metrics import to_chrome_trace
-        result = run_uniform(n_tasks=6, nodes=2, slots=2)
-        events = to_chrome_trace(result)
+        result, complete, __ = self.export(n_tasks=6)
         total_attempts = sum(len(t.attempts)
                              for t in result.job_timelines.values())
-        assert len(events) == total_attempts
+        assert len(complete) == total_attempts
 
     def test_event_schema(self):
-        from repro.hadoop.metrics import to_chrome_trace
-        events = to_chrome_trace(run_uniform(n_tasks=4))
-        for event in events:
-            assert event["ph"] == "X"
+        __, complete, events = self.export(n_tasks=4)
+        assert {e["ph"] for e in events} == {"X", "M"}
+        for event in complete:
             assert event["dur"] > 0
             assert event["ts"] >= 0
             assert "status" in event["args"]
 
     def test_json_serializable(self):
-        import json
-        from repro.hadoop.metrics import to_chrome_trace
-        text = json.dumps(to_chrome_trace(run_uniform(n_tasks=4)))
+        __, __, events = self.export(n_tasks=4)
+        text = json.dumps({"traceEvents": events})
         assert '"ph": "X"' in text
+        assert validate_chrome_trace(text) == len(events)
 
     def test_lanes_never_overlap(self):
-        from repro.hadoop.metrics import to_chrome_trace
-        events = to_chrome_trace(run_uniform(n_tasks=16, nodes=2, slots=2))
+        __, complete, __ = self.export(n_tasks=16)
         by_lane = {}
-        for event in events:
+        for event in complete:
             by_lane.setdefault((event["pid"], event["tid"]), []).append(
                 (event["ts"], event["ts"] + event["dur"]))
         for intervals in by_lane.values():
@@ -159,11 +176,13 @@ class TestChromeTrace:
                 assert s2 >= e1 - 1e-6
 
     def test_lane_count_bounded_by_slots(self):
-        from repro.hadoop.metrics import to_chrome_trace
-        result = run_uniform(n_tasks=20, nodes=2, slots=2)
-        events = to_chrome_trace(result)
+        __, complete, events = self.export(n_tasks=20)
+        names = {e["tid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M"}
         lanes_per_node = {}
-        for event in events:
-            lanes_per_node.setdefault(event["pid"], set()).add(event["tid"])
+        for event in complete:
+            node = names[event["tid"]].rsplit(":", 1)[0]
+            lanes_per_node.setdefault(node, set()).add(event["tid"])
+        assert len(lanes_per_node) == 2
         for lanes in lanes_per_node.values():
             assert len(lanes) <= 2

@@ -19,11 +19,8 @@ import pytest
 from repro.hadoop.kernels import (
     BlockPlan,
     GridMultPlan,
-    PackedPlan,
     PLAN_BLOCK,
     PLAN_GRID,
-    PLAN_PACKED,
-    pack_plan,
     plan_kind,
 )
 from repro.hadoop.procpool import (
@@ -159,18 +156,10 @@ class TestPlanKind:
     def test_kinds(self):
         plan = make_mult_plan()
         assert plan_kind(plan) == PLAN_BLOCK
-        packed = pack_plan(plan, (4, 4))
-        assert isinstance(packed, PackedPlan)
-        assert plan_kind(packed) == PLAN_PACKED
         grid = GridMultPlan(ni=1, nj=1, nk=1, a_shape=(4, 4),
                             b_shape=(4, 4), left_transposed=False,
                             right_transposed=False, out_shape=(4, 4))
         assert plan_kind(grid) == PLAN_GRID
-
-    def test_packed_tile_count_matches_block_plan(self):
-        plan = make_mult_plan()
-        packed = pack_plan(plan, (4, 4))
-        assert packed.num_tiles == plan.num_tiles
 
 
 class TestEventIngestion:
@@ -186,13 +175,13 @@ class TestEventIngestion:
 
     def test_kernel_events_land_on_worker_lane(self):
         dispatcher, handle, recorder, registry = self.make_dispatcher()
-        events = (("kernel", "packed", 12, 0.0, 0.25),
+        events = (("kernel", "block", 12, 0.0, 0.25),
                   ("attach", "in", 4096, 0.01, 0.02))
         dispatcher._ingest_events(handle, events, base=10.0,
                                   in_bytes=100, out_bytes=200)
         trace = recorder.trace()
         kernels = [e for e in trace.kernel_events()
-                   if e.label == "packed"]
+                   if e.label == "block"]
         assert len(kernels) == 1
         event = kernels[0]
         assert event.slot == "procworker:3"
