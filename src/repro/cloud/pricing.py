@@ -20,6 +20,9 @@ class BillingModel:
     name = "abstract"
 
     def cost(self, spec: ClusterSpec, seconds: float) -> float:
+        """Dollars for ``seconds`` of ``spec``.  Contract: non-decreasing
+        in ``seconds`` — the search prices a time floor into a cost floor
+        (``DeploymentOptimizer.floor``) on the strength of it."""
         raise NotImplementedError
 
     @staticmethod

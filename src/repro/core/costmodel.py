@@ -126,9 +126,3 @@ class CumulonCostModel(TaskTimeModel):
             return 1.0
         overflow_ratio = (demand - usable) / usable
         return 1.0 + self.config.memory_penalty_slope * overflow_ratio
-
-    # -- single-task prediction (used by E4 and the optimizer's reports) --------
-
-    def predict_task_seconds(self, task: Task, instance: InstanceType,
-                             concurrency: int = 1, local: bool = True) -> float:
-        return self.task_duration(task, instance, concurrency, local)

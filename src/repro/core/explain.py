@@ -173,9 +173,14 @@ def explain_search(trace: SearchTrace) -> str:
             f"~{stats.estimated_speedup:.1f}x vs uncached sequential")
         if stats.surrogate_rounds or stats.simulations_avoided:
             lines.append(
-                f"  surrogate: {stats.surrogate_rounds} model-guided "
-                f"rounds, {stats.simulations_avoided} simulations avoided "
-                f"vs the full grid")
+                f"  {stats.simulations_avoided} simulations avoided vs the "
+                f"full grid, {stats.surrogate_rounds} model-guided "
+                f"surrogate rounds")
+    over_limit, behind = getattr(trace, "settled", (0, 0))
+    if over_limit or behind:
+        lines.append(
+            f"  {over_limit + behind} specs settled by their floor "
+            f"({over_limit} over the limit, {behind} behind the incumbent)")
     return "\n".join(lines)
 
 

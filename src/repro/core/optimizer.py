@@ -43,7 +43,8 @@ from repro.core.evalcache import EvalCache
 from repro.core.physical import ElementwiseParams, MatMulParams, PhysicalContext
 from repro.core.plans import DeploymentPlan, skyline
 from repro.core.program import Program
-from repro.core.simcost import simulate_program
+from repro.core.simcost import job_floors, makespan_lower_bound, \
+    simulate_program
 from repro.errors import SchedulingError, ValidationError
 from repro.hadoop.faults import (
     CompositeNodeFailures,
@@ -246,13 +247,6 @@ class ReliablePlan:
         return sum(max(0.0, c - budget_dollars)
                    for c in finite) / len(finite)
 
-    def p95_cost_overrun(self, budget_dollars: float) -> float:
-        """Dollars the p95 scenario cost exceeds the budget by."""
-        finite = self._finite_costs()
-        if not finite:
-            return float("inf")
-        return max(0.0, _percentile(finite, 0.95) - budget_dollars)
-
     def describe(self) -> str:
         """Human-readable reliability summary of this plan."""
         n = len(self.scenario_seconds)
@@ -317,6 +311,8 @@ class DeploymentOptimizer:
         self.workers = workers
         self._compiled_cache: dict[tuple[CompilerParams, int],
                                    CompiledProgram] = {}
+        #: ``job_floors`` per (compile key, instance type): see :meth:`floor`.
+        self._floor_cache: dict[tuple, list[tuple]] = {}
         #: Search-performance accounting (see :class:`SearchStats`).
         self._stats_lock = threading.Lock()
         self._sim_requests = 0
@@ -416,10 +412,11 @@ class DeploymentOptimizer:
         for spec, row in zip(specs, self._price_rows(specs, combos)):
             yield self._tune(spec, combos, row, origin, step)
 
-    def best_params_for(self, spec: ClusterSpec,
-                        space: SearchSpace) -> DeploymentPlan:
+    def best_params_for(self, spec: ClusterSpec, space: SearchSpace,
+                        origin: str = ORIGIN_ADHOC,
+                        step: int | None = None) -> DeploymentPlan:
         """Tune physical parameters and tile size for a fixed cluster spec."""
-        return next(self.tune_specs([spec], space))
+        return next(self.tune_specs([spec], space, origin, step))
 
     def _price_rows(self, specs: list[ClusterSpec],
                     combos: list[tuple[int, CompilerParams]]
@@ -472,6 +469,27 @@ class DeploymentOptimizer:
                 trace.prune(index, "slower sibling physical plan")
         assert best is not None  # space.matmul_options is non-empty
         return best
+
+    def floor(self, spec: ClusterSpec,
+              space: SearchSpace) -> tuple[float, float]:
+        """Proven ``(seconds, dollars)`` floor on ``spec``'s tuned plan.
+
+        Seconds: the smallest :func:`makespan_lower_bound` over the
+        spec's physical combos, plus startup; dollars: billing for that
+        (``BillingModel.cost`` never falls as seconds rise).  No
+        simulation; the per-(DAG, instance type) half is memoised.
+        """
+        seconds = float("inf")
+        for tile_size, params in self._combos(space):
+            dag = self.compile_with(params, tile_size).dag
+            key = (params, tile_size, spec.instance_type)
+            if key not in self._floor_cache:
+                self._floor_cache[key] = job_floors(
+                    dag, spec.instance_type, self.model)
+            seconds = min(seconds, makespan_lower_bound(
+                dag, spec, self.model, self._floor_cache[key]))
+        seconds += self.startup_seconds
+        return seconds, self.billing.cost(spec, seconds)
 
     def stress_test(self, plan: DeploymentPlan,
                     reliability: ReliabilityModel,
@@ -539,10 +557,9 @@ class DeploymentOptimizer:
                       grid_requests: int | None = None) -> SearchStats:
         """Attach this search's :class:`SearchStats` to the trace/metrics.
 
-        ``grid_requests`` is the number of simulation requests a full
-        unpruned grid search would have issued for the same problem;
-        when given, the gap to this search's actual requests is recorded
-        as ``simulations_avoided`` (the surrogate's headline number).  The
+        ``grid_requests`` is what a full unpruned grid search would have
+        requested for the same problem (:meth:`grid_sim_requests`); the
+        gap to this search's requests is ``simulations_avoided``.  The
         stats also land on :attr:`last_search_stats` unconditionally, so
         callers get them without wiring up a :class:`SearchTrace`, and on
         the ``search.simulations`` / ``search.simulations_avoided``

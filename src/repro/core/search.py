@@ -7,16 +7,17 @@ by which ``method``.  :func:`search` is the only constrained-search entry
 point; it returns a :class:`SearchResult` carrying the chosen plan, the
 reliability stress-test when one ran, the reliable candidates explored,
 and the :class:`~repro.observability.search.SearchStats` for the whole
-search — including ``simulations_avoided``, the surrogate's headline
-number.
+search — including ``simulations_avoided``, the gap to pricing the full
+grid.
 
 Both methods run on the one :class:`GridSolver` core, which holds the
 single definition of objective, feasibility, tie-break, prunes and the
 infeasibility error.  They differ only in the *order* candidates reach
-it: ``exhaustive`` prices every grid index in grid order (the
-ground-truth oracle); ``surrogate`` prices seeds, then model picks, then
-the incumbent's neighbors (:mod:`repro.core.surrogate`).  Pricing itself
-is :class:`~repro.core.optimizer.DeploymentOptimizer`'s.
+it: ``exhaustive`` offers every grid index, best floor first, so each is
+priced or proven irrelevant (the ground-truth oracle); ``surrogate``
+prices seeds, then model picks, then the incumbent's neighbors
+(:mod:`repro.core.surrogate`).  Pricing itself is
+:class:`~repro.core.optimizer.DeploymentOptimizer`'s.
 """
 
 from __future__ import annotations
@@ -183,10 +184,10 @@ class GridSolver:
 
     Every search method feeds grid indices to :meth:`price`; the answer is
     :attr:`incumbent`, the best *proven-feasible* candidate by
-    :meth:`rank`.  ``early_abort=False`` disables the four reliable
-    prunes — the unpruned reference pass the differential tests and E22
-    compare against; the chosen plan is identical either way, only the
-    number of scenario simulations differs.
+    :meth:`rank`.  ``early_abort=False`` disables the floor and the four
+    reliable prunes and keeps grid order — the unpruned reference pass the
+    differential tests and E22 compare against; the chosen plan is
+    identical either way, only the number of simulations differs.
     """
 
     def __init__(self, optimizer: DeploymentOptimizer, spec: SearchSpec,
@@ -211,19 +212,57 @@ class GridSolver:
         #: grid index -> full stress test, for specs that got one.
         self.reliable_plans: dict[int, ReliablePlan] = {}
         self.incumbent: int | None = None
+        #: grid index -> proven (seconds, dollars) floor on its tuned plan;
+        #: the reference pass takes the trivial floor, which settles nothing.
+        self.floors = [optimizer.floor(spec, self.space) if early_abort
+                       else (0.0, 0.0) for spec in self.specs]
+        #: grid index -> settled unsimulated: True = its floor is over the
+        #: limit, False = its floor ranks behind the incumbent.
+        self.settled: dict[int, bool] = {}
+        #: Every grid index, best floor rank first (reference: grid order).
+        self.order = sorted(range(len(self.specs)), key=self._floor_rank)
+
+    def _floor_rank(self, index: int) -> tuple:
+        """The best :meth:`rank` the floor of ``index`` still allows."""
+        seconds, cost = self.floors[index]
+        if self.reliability is not None:
+            return (cost, index)
+        if self.minimize_cost:
+            return (cost, seconds, index)
+        return (seconds, cost, index)
+
+    def is_open(self, index: int) -> bool:
+        """Whether ``index`` still needs pricing: not priced, not settled.
+
+        Settling happens here.  The floor holds for every physical combo
+        and failure scenario of the spec, so the spec is irrelevant once
+        its constraint-side floor breaks the limit, or the best rank its
+        floors allow is behind the incumbent's — compared as whole tuples,
+        never on the objective alone, so ties break as they do unpruned.
+        """
+        if index in self.plans or index in self.settled:
+            return False
+        seconds, cost = self.floors[index]
+        over = (seconds if self.minimize_cost else cost) > self.limit
+        if not over and (self.incumbent is None or self._floor_rank(index)
+                         <= self.rank(self.incumbent)):
+            return True
+        self.settled[index] = over
+        if self.reliability is not None:
+            self.optimizer.note_scenarios_skipped(self.reliability.scenarios)
+        return False
 
     def price(self, indices: Iterable[int], step: int | None = None) -> None:
         """Run the per-candidate step over ``indices``, in that order.
 
-        Pricing fans out across the optimizer's pool for the whole batch;
-        tuning, stress tests and the incumbent update then fold
-        sequentially.
+        One spec at a time: whether the next still needs simulating hangs
+        on the incumbent this one may set (the pool spans its combos).
         """
-        indices = list(indices)
-        tuned_specs = self.optimizer.tune_specs(
-            [self.specs[index] for index in indices], self.space,
-            origin=self.origin, step=step)
-        for index, tuned in zip(indices, tuned_specs):
+        for index in indices:
+            if not self.is_open(index):
+                continue
+            tuned = self.optimizer.best_params_for(
+                self.specs[index], self.space, self.origin, step)
             self.plans[index] = tuned
             if self.reliability is not None:
                 self._stress(index, tuned)
@@ -333,7 +372,8 @@ def search(optimizer: DeploymentOptimizer, spec: SearchSpec) -> SearchResult:
 
     Raises :class:`~repro.errors.InfeasibleConstraintError` when no
     deployment in the grid satisfies the constraint (both methods price
-    the full grid before concluding that).
+    every spec, or prove it over the limit by its floor, before
+    concluding that).
     """
     return _search(optimizer, spec)
 
@@ -353,17 +393,20 @@ def _search(optimizer: DeploymentOptimizer, spec: SearchSpec,
                             stats=optimizer.finish_search(baseline))
     solver = GridSolver(optimizer, spec, early_abort)
     baseline = optimizer.begin_search()
-    rounds, grid_requests = 0, None
+    rounds = 0
     with optimizer.recorder.span(f"{spec.method}-search", "optimizer"):
         if spec.method == METHOD_SURROGATE:
             rounds = surrogate_order(solver)
-            grid_requests = optimizer.grid_sim_requests(
-                solver.space, scenarios=spec.reliability.scenarios
-                if spec.reliability is not None else 0)
         else:
-            solver.price(range(len(solver.specs)))
-    stats = optimizer.finish_search(baseline, surrogate_rounds=rounds,
-                                    grid_requests=grid_requests)
+            solver.price(solver.order)
+    stats = optimizer.finish_search(
+        baseline, surrogate_rounds=rounds,
+        grid_requests=optimizer.grid_sim_requests(
+            solver.space, scenarios=spec.reliability.scenarios
+            if spec.reliability is not None else 0))
+    if optimizer.search_trace.enabled:
+        over = sum(solver.settled.values())
+        optimizer.search_trace.settled = (over, len(solver.settled) - over)
     if solver.minimize_cost:
         optimizer.search_trace.mark_deadline(solver.limit)
     else:

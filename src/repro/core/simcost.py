@@ -1,12 +1,13 @@
-"""Program completion-time estimation: simulation and analytic cross-check.
+"""Program completion-time estimation: simulation, its floor, a cross-check.
 
 This is the "simulation" stage of Cumulon's optimizer pipeline: a compiled
 job DAG is priced on a candidate cluster by replaying slot scheduling with
-the fitted cost model.  The analytic wave model (``overhead + ceil(tasks /
-slots) * mean task time`` per job) is a cheaper first-order estimate used to
-sanity-check the simulator (experiment E9) — it ignores ragged waves,
-heterogeneous task times, and cross-job overlap, which is precisely what the
-simulation adds.
+the fitted cost model.  :func:`makespan_lower_bound` is a *proven* floor on
+what that replay returns; :mod:`repro.core.search` settles candidates by it
+unsimulated.  The analytic wave model (``overhead + ceil(tasks / slots) *
+mean task time`` per job) is a first-order *estimate*, not a bound: it
+charges every task full-node contention, so it lands above the simulation
+as often as below.  It stays as experiment E9's cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.cloud.instances import ClusterSpec
+from repro.cloud.instances import ClusterSpec, InstanceType
 from repro.core.evalcache import CachedEstimate, EvalCache, eval_key, \
     model_fingerprint
 from repro.errors import QuorumLostError, SchedulingError, ValidationError
@@ -121,6 +122,55 @@ def simulate_program(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
             seconds=result.makespan,
             job_seconds=tuple(sorted(job_seconds.items()))))
     return ProgramEstimate(spec, result.makespan, job_seconds, result)
+
+
+def job_floors(dag: JobDag, instance: InstanceType,
+               model: TaskTimeModel) -> list[tuple]:
+    """The half of :func:`makespan_lower_bound` no cluster size changes:
+    per job, in dependency order, ``(job, overhead, map Σd, map max d,
+    reduce Σd, reduce max d)``, ``d`` a task's uncontended local run."""
+    rows = []
+    for job in dag.topological_order():
+        row = [job, model.job_overhead(job)]
+        for tasks in (job.map_tasks, job.reduce_tasks):
+            durations = [model.task_duration(task, instance, 1, True)
+                         for task in tasks]
+            row += [sum(durations), max(durations, default=0.0)]
+        rows.append(tuple(row))
+    return rows
+
+
+def makespan_lower_bound(dag: JobDag, spec: ClusterSpec,
+                         model: TaskTimeModel,
+                         floors: list[tuple] | None = None) -> float:
+    """A proven floor on ``simulate_program(dag, spec, model).seconds``.
+
+    Per job ``overhead + max(max d, Σd / total_slots)`` for the map phase,
+    plus the shuffle and the same term for the reduce phase of a MapReduce
+    job, folded along the longest dependency path.  Sound because the
+    simulator starts a job's tasks ``job_overhead`` after its last
+    dependency ends, serialises map → shuffle → reduce, and a task never
+    runs faster contended or remote; failures only re-execute work (the
+    argument is in docs/optimizer.md).  ``floors``: the DAG's memoised
+    :func:`job_floors` on the spec's instance type.
+    """
+    if floors is None:
+        floors = job_floors(dag, spec.instance_type, model)
+    slots = spec.total_slots
+    finish: dict[str, float] = {}
+    for job, overhead, map_sum, map_max, reduce_sum, reduce_max in floors:
+        seconds = overhead
+        if job.map_tasks:  # a job without maps ends right after its overhead
+            seconds += max(map_max, map_sum / slots)
+            if job.kind is JobKind.MAPREDUCE:
+                bandwidth = (spec.num_nodes
+                             * spec.instance_type.network_bandwidth)
+                seconds += (model.shuffle_duration(job, bandwidth)
+                            + max(reduce_max, reduce_sum / slots))
+        finish[job.job_id] = seconds + max(
+            (finish[dep] for dep in job.depends_on), default=0.0)
+    # Shaved, so float summation order can never lift it over the simulation.
+    return max(finish.values(), default=0.0) * (1.0 - 1e-9)
 
 
 def analytic_wave_estimate(dag: JobDag, spec: ClusterSpec,

@@ -27,7 +27,8 @@ Three properties the exhaustive oracle tests lean on:
 * **Infeasibility is never guessed either.**  While no feasible incumbent
   exists the search keeps pricing (best predicted-feasibility first), so
   :class:`~repro.errors.InfeasibleConstraintError` is raised only after
-  the whole grid was priced — exactly when the exhaustive method raises.
+  every spec was priced or settled by its floor — exactly when the
+  exhaustive method raises.
 * **Local optimality.**  A final *polish* pass walks the grid neighbors
   of the incumbent until none improves, so the returned plan is a local
   optimum of the true (priced) objective, not of the model.
@@ -176,8 +177,8 @@ def surrogate_order(solver: GridSolver) -> int:
 
     Returns the number of model-guided pricings after the seed phase
     (``SearchStats.surrogate_rounds``).  The answer is whatever the
-    solver's incumbent is afterwards; when there is none the whole grid
-    has been priced.
+    solver's incumbent is afterwards; when there is none no spec is left
+    open (:meth:`GridSolver.is_open`).
     """
     features = np.array([_spec_features(spec) for spec in solver.specs])
     solver.price(_seed_indices(solver.specs), step=0)
@@ -185,7 +186,7 @@ def surrogate_order(solver: GridSolver) -> int:
     while solver.incumbent is None or rounds < MAX_ROUNDS:
         pick = _acquisition(solver, features)
         if pick is None:
-            break  # whole grid priced
+            break  # whole grid priced or settled
         index, score = pick
         if solver.incumbent is not None and score < EI_TOLERANCE:
             break  # model sees nothing left to gain
@@ -221,18 +222,19 @@ def _seed_indices(specs: list[ClusterSpec]) -> list[int]:
 
 def _acquisition(solver: GridSolver,
                  features: np.ndarray) -> tuple[int, float] | None:
-    """Best unpriced candidate by constrained EI: ``(index, score)``.
+    """Best open candidate by constrained EI: ``(index, score)``.
 
     With a feasible incumbent the score is expected improvement on the
     objective times the probability of feasibility; without one it is the
     probability of feasibility alone (find *any* feasible point first).
     Returns None when the grid is exhausted.
     """
-    unpriced = [i for i in range(len(solver.specs))
-                if i not in solver.plans]
+    unpriced = [i for i in range(len(solver.specs)) if solver.is_open(i)]
     if not unpriced:
         return None
     priced = sorted(solver.plans)
+    if len(priced) < 2:  # nothing to fit a model to yet: best floor first
+        return min(unpriced, key=solver.order.index), math.inf
     time_model = _RidgeModel(features[priced], np.log(
         [solver.plans[i].estimated_seconds for i in priced]))
     cost_model = _RidgeModel(features[priced], np.log(
@@ -294,8 +296,8 @@ def _polish(solver: GridSolver, step: int) -> int:
     """Greedy neighbor descent from the incumbent; returns pricings made.
 
     Certifies the incumbent as a local optimum of the *priced* objective:
-    every grid neighbor of the final plan has been priced and none
-    improves on it.
+    every grid neighbor of the final plan has been priced (or settled by
+    its floor) and none improves on it.
     """
     grid_index = {_spec_key(spec): index
                   for index, spec in enumerate(solver.specs)}
@@ -307,7 +309,7 @@ def _polish(solver: GridSolver, step: int) -> int:
         around = [grid_index.get(_spec_key(neighbor)) for neighbor
                   in _neighbors(solver.specs[before], solver.space)]
         fresh = [index for index in around
-                 if index is not None and index not in solver.plans]
+                 if index is not None and solver.is_open(index)]
         if not fresh:
             break
         solver.price(fresh, step=step + offset)

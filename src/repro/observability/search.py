@@ -58,8 +58,8 @@ class SearchStats:
     workers: int = 0
     wall_seconds: float = 0.0
     #: Simulations the search never requested at all, relative to pricing
-    #: the full grid without early abort (the surrogate's headline number;
-    #: 0 for exhaustive searches, which request the whole grid).
+    #: the full grid without early abort — specs settled by their floor,
+    #: scenarios skipped, and what the surrogate never looked at.
     simulations_avoided: int = 0
     #: Model-guided acquisition rounds a surrogate search ran (0 = the
     #: search was exhaustive).
@@ -199,6 +199,9 @@ class SearchTrace:
         #: lets ``explain_search`` tell "0 pruned" from "pruning n/a"
         #: (e.g. a single-matmul space where no candidate has a sibling).
         self.pruning_applicable = False
+        #: Specs the last search settled by floor, never priced (so no
+        #: record): (over the limit, behind the incumbent).
+        self.settled = (0, 0)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -309,6 +312,7 @@ class SearchTrace:
         self._frontier = []
         self.stats = None
         self.pruning_applicable = False
+        self.settled = (0, 0)
 
 
 class NullSearchTrace(SearchTrace):
