@@ -21,7 +21,8 @@ per-task memory — the trade-off experiment E2 sweeps.
 Every task carries a declarative :class:`~repro.hadoop.task.TaskWork` (bytes,
 flops) so the simulator can price it, and optionally a ``run`` closure doing
 the real tile math so the local executor can execute it.  Both are built from
-the same description.
+the same description.  Mult and add-partials tasks also carry a ``kernel``:
+the same arithmetic as one declarative plan a worker pool can evaluate.
 """
 
 from __future__ import annotations
@@ -481,16 +482,19 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
     work = TaskWork(bytes_read=bytes_read, bytes_written=bytes_written,
                     flops=max(1, flops), tile_ops=tile_ops,
                     memory_bytes=memory)
-    run = None
+    run = kernel = None
     if context.attach_run:
         run = _mult_runner(left, right, target_matrix, i_range, j_range,
                            k_range, context)
+        kernel = _mult_kernel(left, right, target_matrix, i_range, j_range,
+                              k_range, context)
     return make_map_task(
         task_id=task_id, work=work,
         preferred_nodes=context.preferred_nodes(chain(left_ids, right_ids)),
         run=run,
         label=f"mult i[{i_start}:{i_stop}) j[{j_start}:{j_stop}) "
               f"k[{k_start}:{k_stop})",
+        kernel=kernel,
     )
 
 
@@ -506,11 +510,8 @@ def _mult_runner(left: Operand, right: Operand, target_matrix: TiledMatrix,
         raise CompilationError("attach_run requires the target TiledMatrix")
 
     def run() -> None:
-        if _dispatch_mult(left, right, target_matrix,
-                          i_range, j_range, k_range, context):
-            return
-        # Reference inline path: the thread backend and any task the active
-        # dispatcher cannot take (sparse payloads) run exactly this.
+        # The inline reference path: what the thread backend runs, and what
+        # any backend runs when ``kernel()`` declines (sparse payloads).
         for i in range(*i_range):
             for j in range(*j_range):
                 accumulator = None
@@ -527,72 +528,72 @@ def _mult_runner(left: Operand, right: Operand, target_matrix: TiledMatrix,
     return run
 
 
-def _dispatch_mult(left: Operand, right: Operand, target_matrix: TiledMatrix,
-                   i_range, j_range, k_range,
-                   context: PhysicalContext) -> bool:
-    """Batch this task's whole (i, j, k) block into one kernel plan.
+def _mult_kernel(left: Operand, right: Operand, target_matrix: TiledMatrix,
+                 i_range, j_range, k_range, context: PhysicalContext):
+    """This task's whole (i, j, k) block as one kernel plan.
 
-    Returns False (and computes nothing) when no dispatcher is installed or
-    any input tile is sparse — the sparse*sparse kernel stays inline so its
-    CSR arithmetic matches the reference path bit for bit.  Each input tile
+    The kernel returns ``None`` (having computed nothing) when any input
+    tile is sparse — the sparse*sparse kernel stays inline so its CSR
+    arithmetic matches the reference path bit for bit.  Each input tile
     enters the payload table once, even though the inline loop would re-read
     it per output tile; results are identical, reads are fewer.
     """
-    dispatcher = kernels.current_dispatcher()
-    if dispatcher is None:
-        return False
-    left_payloads: list = []
-    right_payloads: list = []
-    for i in range(*i_range):
+
+    def kernel() -> kernels.KernelCall | None:
+        left_payloads: list = []
+        right_payloads: list = []
+        for i in range(*i_range):
+            for k in range(*k_range):
+                tile = context.read_tile(left.tile_id(i, k))
+                if tile.is_sparse:
+                    return None
+                left_payloads.append(tile.data)
         for k in range(*k_range):
-            tile = context.read_tile(left.tile_id(i, k))
-            if tile.is_sparse:
-                return False
-            left_payloads.append(tile.data)
-    for k in range(*k_range):
-        for j in range(*j_range):
-            tile = context.read_tile(right.tile_id(k, j))
-            if tile.is_sparse:
-                return False
-            right_payloads.append(tile.data)
-    positions = [(i, j)
-                 for i in range(*i_range) for j in range(*j_range)]
-    out_shapes = tuple(target_matrix.grid.tile_shape(i, j)
-                       for i, j in positions)
-    # The payload table already *is* the A block followed by the B block,
-    # so when tile shapes are uniform per operand the whole task reduces
-    # to grid geometry — backends then skip per-term plan encoding.
-    a_shape = left_payloads[0].shape
-    b_shape = right_payloads[0].shape
-    if (all(p.shape == a_shape for p in left_payloads)
-            and all(p.shape == b_shape for p in right_payloads)
-            and all(shape == out_shapes[0] for shape in out_shapes)):
-        plan = kernels.GridMultPlan(
-            ni=i_range[1] - i_range[0], nj=j_range[1] - j_range[0],
-            nk=k_range[1] - k_range[0],
-            a_shape=(int(a_shape[0]), int(a_shape[1])),
-            b_shape=(int(b_shape[0]), int(b_shape[1])),
-            left_transposed=left.transposed,
-            right_transposed=right.transposed,
-            out_shape=out_shapes[0])
-        results = dispatcher.run_grid_mult(left_payloads, right_payloads,
-                                           plan)
-    else:
-        n_left = len(left_payloads)
-        n_k = k_range[1] - k_range[0]
-        n_j = j_range[1] - j_range[0]
-        outputs = tuple(
-            tuple(((i - i_range[0]) * n_k + (k - k_range[0]),
-                   n_left + (k - k_range[0]) * n_j + (j - j_range[0]))
-                  for k in range(*k_range))
-            for i, j in positions)
-        transposed = (left.transposed,) * n_left \
-            + (right.transposed,) * len(right_payloads)
-        plan = kernels.BlockPlan(transposed, outputs, out_shapes)
-        results = dispatcher.run_plan(left_payloads + right_payloads, plan)
-    for (i, j), (array, nnz) in zip(positions, results):
-        target_matrix.put_tile(i, j, array, nnz=nnz)
-    return True
+            for j in range(*j_range):
+                tile = context.read_tile(right.tile_id(k, j))
+                if tile.is_sparse:
+                    return None
+                right_payloads.append(tile.data)
+        positions = [(i, j)
+                     for i in range(*i_range) for j in range(*j_range)]
+        out_shapes = tuple(target_matrix.grid.tile_shape(i, j)
+                           for i, j in positions)
+        # The payload table already *is* the A block followed by the B
+        # block, so when tile shapes are uniform per operand the whole task
+        # reduces to grid geometry — backends then skip per-term encoding.
+        a_shape = left_payloads[0].shape
+        b_shape = right_payloads[0].shape
+        if (all(p.shape == a_shape for p in left_payloads)
+                and all(p.shape == b_shape for p in right_payloads)
+                and all(shape == out_shapes[0] for shape in out_shapes)):
+            plan = kernels.GridMultPlan(
+                ni=i_range[1] - i_range[0], nj=j_range[1] - j_range[0],
+                nk=k_range[1] - k_range[0],
+                a_shape=(int(a_shape[0]), int(a_shape[1])),
+                b_shape=(int(b_shape[0]), int(b_shape[1])),
+                left_transposed=left.transposed,
+                right_transposed=right.transposed,
+                out_shape=out_shapes[0])
+        else:
+            n_left = len(left_payloads)
+            n_k = k_range[1] - k_range[0]
+            n_j = j_range[1] - j_range[0]
+            outputs = tuple(
+                tuple(((i - i_range[0]) * n_k + (k - k_range[0]),
+                       n_left + (k - k_range[0]) * n_j + (j - j_range[0]))
+                      for k in range(*k_range))
+                for i, j in positions)
+            transposed = (left.transposed,) * n_left \
+                + (right.transposed,) * len(right_payloads)
+            plan = kernels.BlockPlan(transposed, outputs, out_shapes)
+
+        def store(results) -> None:
+            for (i, j), (array, nnz) in zip(positions, results):
+                target_matrix.put_tile(i, j, array, nnz=nnz)
+
+        return kernels.KernelCall(plan, left_payloads + right_payloads, store)
+
+    return kernel
 
 
 def _operand_payload(operand: Operand, tile_row: int, tile_col: int,
@@ -634,14 +635,16 @@ def _build_add_job(job_id: str, partials: list[MatrixInfo],
             memory_bytes=2 * grid.tile_size * grid.tile_size
                          * DENSE_ELEMENT_BYTES,
         )
-        run = None
+        run = kernel = None
         if context.attach_run:
             run = _add_runner(partials, chunk, output_matrix, context)
+            kernel = _add_kernel(partials, chunk, output_matrix, context)
         tasks.append(make_map_task(
             task_id=f"{job_id}-m{index}", work=work,
             preferred_nodes=context.preferred_nodes(input_ids),
             run=run,
             label=f"add partials tiles[{start}:{stop}]",
+            kernel=kernel,
         ))
     return Job(job_id, JobKind.MAP_ONLY, tasks, depends_on=depends_on,
                label=f"add {len(partials)} partials -> {output.name}")
@@ -653,8 +656,6 @@ def _add_runner(partials: list[MatrixInfo], chunk,
         raise CompilationError("attach_run requires the output TiledMatrix")
 
     def run() -> None:
-        if _dispatch_add(partials, chunk, output_matrix, context):
-            return
         for row, col in chunk:
             total = None
             for partial in partials:
@@ -666,32 +667,34 @@ def _add_runner(partials: list[MatrixInfo], chunk,
     return run
 
 
-def _dispatch_add(partials: list[MatrixInfo], chunk,
-                  output_matrix: TiledMatrix,
-                  context: PhysicalContext) -> bool:
-    """Batch a chunk of partial-sum positions into one kernel plan.
+def _add_kernel(partials: list[MatrixInfo], chunk,
+                output_matrix: TiledMatrix, context: PhysicalContext):
+    """A chunk of partial-sum positions as one kernel plan.
 
     Sparse partials are densified here exactly as the inline loop would
     (``tile.to_dense()``), so the summation the worker performs is the same
     operation sequence on the same floats.
     """
-    dispatcher = kernels.current_dispatcher()
-    if dispatcher is None:
-        return False
-    payloads: list = []
-    outputs = []
-    for row, col in chunk:
-        terms = []
-        for partial in partials:
-            tile = context.read_tile(TileId(partial.name, row, col))
-            terms.append((len(payloads), None))
-            payloads.append(tile.to_dense())
-        outputs.append(tuple(terms))
-    grid = output_matrix.grid
-    out_shapes = tuple(grid.tile_shape(row, col) for row, col in chunk)
-    plan = kernels.BlockPlan((False,) * len(payloads), tuple(outputs),
-                             out_shapes)
-    for (row, col), (array, nnz) in zip(chunk,
-                                        dispatcher.run_plan(payloads, plan)):
-        output_matrix.put_tile(row, col, array, nnz=nnz)
-    return True
+
+    def kernel() -> kernels.KernelCall:
+        payloads: list = []
+        outputs = []
+        for row, col in chunk:
+            terms = []
+            for partial in partials:
+                tile = context.read_tile(TileId(partial.name, row, col))
+                terms.append((len(payloads), None))
+                payloads.append(tile.to_dense())
+            outputs.append(tuple(terms))
+        grid = output_matrix.grid
+        out_shapes = tuple(grid.tile_shape(row, col) for row, col in chunk)
+        plan = kernels.BlockPlan((False,) * len(payloads), tuple(outputs),
+                                 out_shapes)
+
+        def store(results) -> None:
+            for (row, col), (array, nnz) in zip(chunk, results):
+                output_matrix.put_tile(row, col, array, nnz=nnz)
+
+        return kernels.KernelCall(plan, payloads, store)
+
+    return kernel

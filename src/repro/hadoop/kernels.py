@@ -25,17 +25,17 @@ ragged-edge mult task, every add-partials chunk — as a :class:`BlockPlan`.
 A dispatcher ships what it is handed; the only conversion left is
 :func:`expand_grid`, the reference semantics of a grid plan.
 
-The module also hosts the dispatcher registry: an executor backend installs
-a :class:`KernelDispatcher` for the duration of a run, and runners consult
-:func:`current_dispatcher` at execution time.  With none installed (the
-thread backend, or any non-offloadable task) runners take their original
-inline path untouched.
+A task declares its kernel instead of looking one up: the compiler gives
+every mult and add-partials task a ``kernel`` callable that does the task's
+reads and returns a :class:`KernelCall` (or ``None`` when the task must run
+inline this time).  The executor that owns the task decides where the call
+is evaluated — there is no process-wide "active dispatcher", so two
+executors in one process never see each other's pool.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +230,22 @@ def plan_kind(plan) -> str:
     return PLAN_GRID if isinstance(plan, GridMultPlan) else PLAN_BLOCK
 
 
+@dataclass(frozen=True, eq=False)
+class KernelCall:
+    """One task's kernel, read and ready to evaluate.
+
+    ``payloads`` is the dense table ``plan`` indexes (for a
+    :class:`GridMultPlan`: the A block, then the B block).
+    ``store(results)`` takes the evaluator's ``(array, nnz)`` pairs, one
+    per plan output in order, and writes the task's output tiles with
+    those nonzero counts.
+    """
+
+    plan: "BlockPlan | GridMultPlan"
+    payloads: list[np.ndarray]
+    store: Callable[[list[tuple[np.ndarray, int]]], None]
+
+
 class KernelDispatcher:
     """Where a backend sends batched kernel plans for evaluation."""
 
@@ -267,36 +283,3 @@ class InlineDispatcher(KernelDispatcher):
 
     def run_plan(self, payloads, plan):
         return execute_plan(plan, payloads)
-
-
-# -- the active-dispatcher registry -------------------------------------------
-#
-# A plain stack guarded by a lock: executor threads only read the top, and
-# installs happen before task threads start.  Nested runs (a service driving
-# an executor) push/pop without clobbering each other.
-
-_lock = threading.Lock()
-_stack: list[KernelDispatcher] = []
-
-
-def current_dispatcher() -> KernelDispatcher | None:
-    """The dispatcher task runners should offload to, if any."""
-    with _lock:
-        return _stack[-1] if _stack else None
-
-
-@contextmanager
-def use_dispatcher(dispatcher: KernelDispatcher):
-    """Install ``dispatcher`` for the duration of the with-block."""
-    with _lock:
-        _stack.append(dispatcher)
-    try:
-        yield dispatcher
-    finally:
-        with _lock:
-            # Remove by identity, not position: interleaved exits from
-            # concurrent runs must each drop their own entry.
-            for index in range(len(_stack) - 1, -1, -1):
-                if _stack[index] is dispatcher:
-                    del _stack[index]
-                    break

@@ -28,17 +28,21 @@ real work, so chaos tests can kill precise (task, attempt) pairs — the same
 crash surface :mod:`repro.core.checkpoint` recovers from.
 
 Backends: ``backend="thread"`` (the default, and the reference semantics)
-runs every kernel in-process.  ``backend="process"`` keeps the *same*
-thread-pool orchestration — identical scheduling, retry, timeout, fault
-injection, and trace events — but installs a
-:class:`~repro.hadoop.procpool.ProcessDispatcher` for the duration of the
-run, so tasks that can express their arithmetic as a declarative
-:class:`~repro.hadoop.kernels.BlockPlan` (tiled multiplies, partial-sum
-adds) batch it into one shared-memory round-trip to a pool of worker
-processes.  Tasks that cannot (fused element-wise lambdas, test closures)
-run inline exactly as the thread backend would, which is what makes the two
-backends differentially testable: same tasks, same trace, bit-identical
-tiles.
+runs every task's ``run`` closure on the thread pool.  ``backend="process"``
+does the same for tasks that are only closures (fused element-wise lambdas,
+test closures), but a phase whose tasks all declare a ``kernel`` — tiled
+multiplies, partial-sum adds: arithmetic expressible as a
+:class:`~repro.hadoop.kernels.BlockPlan` or ``GridMultPlan`` — is shipped to
+a pool of worker processes by *one* feeder loop in the calling thread
+(:meth:`LocalExecutor._feed_phase`), which keeps every worker busy through
+:meth:`~repro.hadoop.procpool.ProcessDispatcher.send` / ``receive``.  One
+blocked thread per worker was measured to cost more than the kernels: two
+orchestration threads convoy on the GIL (1,274-1,907 context switches and
+134-148 ms per 288-task op, against 286 and 97 ms with one).  The two paths
+share what makes the backends differentially testable — one definition of
+an attempt (:meth:`LocalExecutor._begin_attempt` / ``_end_attempt``: slot,
+fault hook, timeout, metrics, trace event), one retry decision, one trace
+schema — so the same tasks give the same trace and bit-identical tiles.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 from repro.errors import (
     ExecutionError,
@@ -214,12 +219,12 @@ BACKENDS = (BACKEND_THREAD, BACKEND_PROCESS)
 class LocalExecutor:
     """Executes job DAGs with real computation on a thread pool.
 
-    With ``backend="process"``, CPU-bound tile kernels additionally batch
-    out to a pool of worker processes over shared memory (see the module
-    docstring); orchestration, retries, and traces are identical across
-    backends by construction.  The kernel pool is created lazily on the
-    first run, kept warm across runs, and torn down by :meth:`close` (or
-    automatically at interpreter exit).
+    With ``backend="process"``, phases of kernel-declaring tasks are
+    shipped to a pool of worker processes over shared memory instead (see
+    the module docstring); attempts, retries, and traces are identical
+    across backends by construction.  The kernel pool is created lazily on
+    the first run, kept warm across runs, and torn down by :meth:`close`
+    (or automatically at interpreter exit).
     """
 
     def __init__(self, max_workers: int = 4,
@@ -262,16 +267,11 @@ class LocalExecutor:
         """Execute all jobs in dependency order; returns timing report."""
         if self.metrics.enabled:
             self.metrics.inc(f"local.runs.{self.backend}")
+        dispatcher = None
         if self.backend == BACKEND_PROCESS:
-            from repro.hadoop import kernels
             from repro.hadoop.procpool import ProcessDispatcher
             dispatcher = ProcessDispatcher(self.kernel_pool(), self.metrics,
                                            recorder=self.recorder)
-            with kernels.use_dispatcher(dispatcher):
-                return self._run_dag(dag)
-        return self._run_dag(dag)
-
-    def _run_dag(self, dag: JobDag) -> LocalRunReport:
         report = LocalRunReport()
         finished: set[str] = set()
         slots = _SlotPool(self.max_workers)
@@ -281,25 +281,31 @@ class LocalExecutor:
                 raise ExecutionError(
                     f"job {job.job_id} scheduled before dependencies {missing}"
                 )
-            report.job_reports.append(self._run_job(job, slots))
+            report.job_reports.append(self._run_job(job, slots, dispatcher))
             finished.add(job.job_id)
         return report
 
-    def _run_job(self, job: Job, slots: _SlotPool) -> LocalJobReport:
+    def _run_job(self, job: Job, slots: _SlotPool,
+                 dispatcher) -> LocalJobReport:
         started = time.perf_counter()
         # Map phase, then (for MapReduce jobs) reduce phase — a real barrier,
         # matching Hadoop semantics.
-        self._run_phase(job, job.map_tasks, slots)
-        self._run_phase(job, job.reduce_tasks, slots)
+        self._run_phase(job, job.map_tasks, slots, dispatcher)
+        self._run_phase(job, job.reduce_tasks, slots, dispatcher)
         elapsed = time.perf_counter() - started
         if self.metrics.enabled:
             self.metrics.inc("local.jobs_completed")
             self.metrics.observe("local.job_seconds", elapsed)
         return LocalJobReport(job.job_id, elapsed, job.num_tasks)
 
-    def _run_phase(self, job: Job, tasks, slots: _SlotPool) -> None:
+    def _run_phase(self, job: Job, tasks, slots: _SlotPool,
+                   dispatcher) -> None:
         runnable = [task for task in tasks if task.run is not None]
         if not runnable:
+            return
+        if dispatcher is not None and all(task.kernel is not None
+                                          for task in runnable):
+            self._feed_phase(job, runnable, slots, dispatcher)
             return
         if self.max_workers == 1 or len(runnable) == 1:
             for task in runnable:
@@ -317,89 +323,241 @@ class LocalExecutor:
                 if not future.cancelled():
                     future.result()  # propagate the first failure
 
+    def _feed_phase(self, job: Job, tasks, slots: _SlotPool,
+                    dispatcher) -> None:
+        """Ship a phase of kernel tasks from this one thread.
+
+        While a worker is idle and a task is due: open the attempt, do the
+        task's reads (``kernel()``), ``send``; then wait on the pipes of
+        the plans in flight, ``receive`` (which stores the tiles) and close
+        the attempt.  The parent prepares task *n+1* while workers evaluate
+        *n* and *n-1*, and no second parent thread exists to contend with.
+        A task whose ``kernel()`` declines runs inline, here.  Failure
+        semantics are the thread pool's: the first exhausted task stops new
+        sends, plans in flight drain, and that first error is raised.
+        """
+        pool = dispatcher.pool
+        limit = min(self.max_workers, len(tasks))
+        # (not-before instant, position in the phase, task, attempt): a
+        # fresh task is due at once, a retry when its backoff has passed —
+        # which delays that task alone, never the feeder.
+        queue = [(0.0, index, task, 0) for index, task in enumerate(tasks)]
+        inflight: dict = {}  # pipe -> (worker handle, attempt, position, call)
+        failure: ExecutionError | None = None
+
+        def settle(entry: _Attempt, index: int) -> None:
+            nonlocal failure
+            error = self._end_attempt(entry, slots)
+            if error is None or failure is not None:
+                return
+            delay = self._retry_delay(entry.task, entry.attempt)
+            if delay is None:
+                failure = error
+            else:
+                heapq.heappush(queue, (time.monotonic() + delay, index,
+                                       entry.task, entry.attempt + 1))
+
+        try:
+            while inflight or (queue and failure is None):
+                starved = False
+                while (failure is None and queue and len(inflight) < limit
+                       and queue[0][0] <= time.monotonic()):
+                    handle = pool.acquire(wait=not inflight)
+                    if handle is None:  # another run holds the idle workers
+                        starved = True
+                        break
+                    __, index, task, attempt = heapq.heappop(queue)
+                    entry = self._begin_attempt(job, task, slots, attempt)
+                    call = None
+                    try:
+                        if entry.error is None:
+                            call = task.kernel()
+                            if call is None:
+                                task.run()
+                            else:
+                                # acquire() checked the worker before
+                                # the fault hook ran; check it again.
+                                pool.revive(handle)
+                                dispatcher.send(handle, call)
+                    except Exception as exc:
+                        entry.error, call = exc, None
+                    if call is None:
+                        pool.release(handle)
+                        settle(entry, index)
+                    else:
+                        inflight[handle.conn] = (handle, entry, index, call)
+                if not inflight:
+                    if queue and failure is None:  # only backoffs are left
+                        time.sleep(max(0.0, queue[0][0] - time.monotonic()))
+                    continue
+                wake = min(handle.reply_due
+                           for handle, *__ in inflight.values())
+                if (failure is None and queue and len(inflight) < limit
+                        and not starved):
+                    wake = min(wake, queue[0][0])  # a backoff ends first
+                ready = connection.wait(
+                    list(inflight), max(0.0, wake - time.monotonic()))
+                if not ready:
+                    # Overdue replies: receive() replaces the hung worker.
+                    now = time.monotonic()
+                    ready = [conn for conn, (handle, *__) in inflight.items()
+                             if handle.reply_due <= now]
+                for conn in ready:
+                    handle, entry, index, call = inflight.pop(conn)
+                    try:
+                        dispatcher.receive(handle, call)
+                    except Exception as exc:
+                        entry.error = exc
+                    finally:
+                        pool.release(handle)
+                    settle(entry, index)
+        finally:
+            # Empty unless something other than a task failed (an
+            # interrupt): a worker left mid-plan must not answer the next
+            # run, so it is replaced on its next acquire.
+            for handle, *__ in inflight.values():
+                handle.process.terminate()
+                pool.release(handle)
+        if failure is not None:
+            raise failure
+
     def _invoke(self, job: Job, task, slots: _SlotPool) -> None:
-        """Run one task to completion, retrying per the policy.
+        """Run one task to completion in this thread, retrying per the
+        policy.
 
         Raises :class:`~repro.errors.ExecutionError` once the task has
         exhausted its attempts.
         """
-        policy = self.retry_policy
-        for attempt in range(policy.max_attempts):
-            if attempt > 0:
-                delay = policy.delay_before(task.task_id, attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                if self.metrics.enabled:
-                    self.metrics.inc("local.task_retries")
-            try:
-                self._run_attempt(job, task, slots, attempt)
+        attempt = 0
+        while True:
+            error = self._run_attempt(job, task, slots, attempt)
+            if error is None:
                 return
-            except ExecutionError:
-                if attempt + 1 >= policy.max_attempts:
-                    raise
+            delay = self._retry_delay(task, attempt)
+            if delay is None:
+                raise error
+            if delay > 0:
+                time.sleep(delay)
+            attempt += 1
 
     def _run_attempt(self, job: Job, task, slots: _SlotPool,
-                     attempt: int) -> None:
-        recorder = self.recorder
+                     attempt: int) -> ExecutionError | None:
+        entry = self._begin_attempt(job, task, slots, attempt)
+        try:
+            if entry.error is None:
+                task.run()
+        except Exception as exc:
+            entry.error = exc
+        finally:
+            error = self._end_attempt(entry, slots)
+        return error
+
+    def _retry_delay(self, task, attempt: int) -> float | None:
+        """After failed ``attempt``: seconds before the retry may start, or
+        ``None`` when the policy allows the task no further attempt."""
+        if attempt + 1 >= self.retry_policy.max_attempts:
+            return None
+        if self.metrics.enabled:
+            self.metrics.inc("local.task_retries")
+        return self.retry_policy.delay_before(task.task_id, attempt + 1)
+
+    # -- one attempt ------------------------------------------------------------
+    #
+    # Both orchestrations — a task thread calling ``run`` and the feeder
+    # shipping ``kernel`` — bracket the work with this pair, so "an attempt"
+    # (slot, fault hook, timeout, ``local.*`` metrics, trace event) has one
+    # definition.
+
+    def _begin_attempt(self, job: Job, task, slots: _SlotPool,
+                       attempt: int) -> "_Attempt":
+        """Take a slot, start the attempt's clocks, fire the fault hook.
+
+        An injected fault lands in ``error``: the caller skips the work and
+        still closes the attempt.
+        """
         metrics = self.metrics
-        policy = self.retry_policy
         slot = slots.acquire()
+        started_wall = 0.0
         if metrics.enabled:
             inflight = metrics.gauge("local.inflight_tasks")
             inflight.add(1)
             # Series and gauge kinds cannot share a name in one registry.
             metrics.sample("local.inflight_tasks.samples", inflight.value)
             started_wall = metrics.now()
-        start = recorder.now() if recorder.enabled else 0.0
-        attempt_started = time.perf_counter()
-        status = STATUS_SUCCESS
-        try:
-            if self.fault_injector is not None:
+        entry = _Attempt(
+            job, task, attempt, slot,
+            self.recorder.now() if self.recorder.enabled else 0.0,
+            started_wall, time.perf_counter())
+        if self.fault_injector is not None:
+            try:
                 self.fault_injector.before_attempt(task.task_id, attempt)
-            task.run()
-            if policy.timeout_seconds is not None:
-                elapsed = time.perf_counter() - attempt_started
-                if elapsed > policy.timeout_seconds:
-                    # Post-hoc enforcement: the thread could not be
-                    # preempted, but the attempt still counts as failed.
-                    raise TaskTimeoutError(
-                        f"task {task.task_id} of job {job.job_id} took "
-                        f"{elapsed:.3f}s, over the {policy.timeout_seconds}s "
-                        f"timeout")
-        except ExecutionError:
-            status = STATUS_FAILED
-            raise
-        except Exception as exc:
-            status = STATUS_FAILED
-            raise ExecutionError(
-                f"task {task.task_id} of job {job.job_id} failed: {exc}"
-            ) from exc
-        finally:
-            if metrics.enabled:
-                inflight = metrics.gauge("local.inflight_tasks")
-                inflight.add(-1)
-                metrics.sample("local.inflight_tasks.samples", inflight.value)
-                metrics.observe("local.task_seconds",
-                                metrics.now() - started_wall)
-                if status == STATUS_SUCCESS:
-                    metrics.inc("local.tasks_completed")
-                    metrics.inc("local.bytes_read", task.work.bytes_read)
-                    metrics.inc("local.bytes_written",
-                                task.work.bytes_written)
-                else:
-                    metrics.inc("local.task_failures")
-            if recorder.enabled:
-                recorder.record(TraceEvent(
-                    job_id=job.job_id,
-                    task_id=task.task_id,
-                    phase=task.kind.value,
-                    slot=f"worker:{slot}",
-                    start=start,
-                    end=recorder.now(),
-                    bytes_read=task.work.bytes_read,
-                    bytes_written=task.work.bytes_written,
-                    attempt=attempt,
-                    status=status,
-                    label=task.label,
-                ))
-            slots.release(slot)
+            except Exception as exc:
+                entry.error = exc
+        return entry
+
+    def _end_attempt(self, entry: "_Attempt",
+                     slots: _SlotPool) -> ExecutionError | None:
+        """Close an attempt: enforce the timeout, account it, trace it,
+        free its slot.  Returns what failed it, or ``None`` on success."""
+        recorder = self.recorder
+        metrics = self.metrics
+        job, task, error = entry.job, entry.task, entry.error
+        timeout = self.retry_policy.timeout_seconds
+        if error is None:
+            elapsed = time.perf_counter() - entry.clock
+            if timeout is not None and elapsed > timeout:
+                # Post-hoc enforcement: the work could not be preempted,
+                # but the attempt still counts as failed.
+                error = TaskTimeoutError(
+                    f"task {task.task_id} of job {job.job_id} took "
+                    f"{elapsed:.3f}s, over the {timeout}s timeout")
+        elif not isinstance(error, ExecutionError):
+            cause = error
+            error = ExecutionError(
+                f"task {task.task_id} of job {job.job_id} failed: {cause}")
+            error.__cause__ = cause
+        status = STATUS_SUCCESS if error is None else STATUS_FAILED
+        if metrics.enabled:
+            inflight = metrics.gauge("local.inflight_tasks")
+            inflight.add(-1)
+            metrics.sample("local.inflight_tasks.samples", inflight.value)
+            metrics.observe("local.task_seconds",
+                            metrics.now() - entry.started_wall)
+            if error is None:
+                metrics.inc("local.tasks_completed")
+                metrics.inc("local.bytes_read", task.work.bytes_read)
+                metrics.inc("local.bytes_written", task.work.bytes_written)
+            else:
+                metrics.inc("local.task_failures")
+        if recorder.enabled:
+            recorder.record(TraceEvent(
+                job_id=job.job_id,
+                task_id=task.task_id,
+                phase=task.kind.value,
+                slot=f"worker:{entry.slot}",
+                start=entry.start,
+                end=recorder.now(),
+                bytes_read=task.work.bytes_read,
+                bytes_written=task.work.bytes_written,
+                attempt=entry.attempt,
+                status=status,
+                label=task.label,
+            ))
+        slots.release(entry.slot)
+        return error
+
+
+@dataclass(eq=False, slots=True)
+class _Attempt:
+    """An open attempt, between ``_begin_attempt`` and ``_end_attempt``."""
+
+    job: Job
+    task: object
+    attempt: int
+    slot: int
+    #: Recorder clock, registry clock and ``perf_counter`` at the start.
+    start: float
+    started_wall: float
+    clock: float
+    #: What failed the attempt so far (fault hook, the work, the reply).
+    error: BaseException | None = None

@@ -57,6 +57,7 @@ from repro.hadoop.kernels import (
     PLAN_GRID,
     BlockPlan,
     GridMultPlan,
+    KernelCall,
     KernelDispatcher,
     execute_grid_mult,
     execute_plan,
@@ -185,7 +186,8 @@ def _evaluate_into(shm_in, shm_out, in_slots, plan: BlockPlan
     return tuple(counts)
 
 
-def _evaluate_grid_into(shm_in, shm_out, plan: GridMultPlan) -> np.ndarray:
+def _evaluate_grid_into(shm_in, shm_out, plan: GridMultPlan
+                        ) -> tuple[int, ...]:
     """Structured mult fast path: the A and B blocks are back-to-back in
     the request buffer; evaluation runs over views of them."""
     a_rows, a_cols = plan.a_shape
@@ -204,7 +206,9 @@ def _evaluate_grid_into(shm_in, shm_out, plan: GridMultPlan) -> np.ndarray:
     out_view = np.frombuffer(shm_out.buf, dtype=np.float64,
                              count=outputs.size).reshape(outputs.shape)
     out_view[:] = outputs
-    return counts
+    # Plain ints, like the block path: an ndarray reply costs more to
+    # pickle than the whole rest of a one-tile response.
+    return tuple(counts.tolist())
 
 
 def _slot_view(buf, offset: int, shape: tuple[int, int],
@@ -240,6 +244,11 @@ class _WorkerHandle:
         #: segment per plan costs more than small-tile kernels themselves).
         self.shm_in = None
         self.shm_out = None
+        #: What :meth:`ProcessDispatcher.send` knows about the plan in
+        #: flight on this worker, for the matching ``receive``, and the
+        #: ``time.monotonic`` instant by which the reply is due.
+        self.flight = None
+        self.reply_due = 0.0
         self.spawn()
 
     @property
@@ -367,8 +376,11 @@ class KernelPool:
         self._finalizer = weakref.finalize(
             self, KernelPool._stop_all, self._handles)
 
-    def acquire(self) -> _WorkerHandle:
-        """Borrow a live worker (blocks if all are busy).
+    def acquire(self, wait: bool = True) -> _WorkerHandle | None:
+        """Borrow a live worker; if all are busy, block — or with
+        ``wait=False`` return ``None``, which is what a caller that already
+        holds a worker must ask for (holding one while blocking for another
+        is how two such callers would deadlock).
 
         Respawning a dead worker here is what makes worker death retryable:
         the attempt that hit the dead worker failed with an ordinary
@@ -383,6 +395,8 @@ class KernelPool:
             # stopped workers on the free list, and handing one out would
             # respawn a process nothing will ever stop.
             while not self._closed and not self._free:
+                if not wait:
+                    return None
                 self._condition.wait()
             if self._closed:
                 raise ExecutionError("kernel pool is closed")
@@ -390,11 +404,17 @@ class KernelPool:
         if metrics.enabled:
             metrics.observe("procpool.acquire_wait_seconds",
                             metrics.now() - started)
+        self.revive(handle)
+        return handle
+
+    def revive(self, handle: _WorkerHandle) -> None:
+        """Replace ``handle``'s worker if it has died since it was last
+        used (a borrower that kept the handle across other work re-checks
+        here, right before it sends)."""
         if not handle.alive:
             handle.spawn()
-            if metrics.enabled:
-                metrics.inc("procpool.respawns")
-        return handle
+            if self.metrics.enabled:
+                self.metrics.inc("procpool.respawns")
 
     def release(self, handle: _WorkerHandle) -> None:
         """Return a borrowed worker to the pool."""
@@ -421,6 +441,12 @@ class KernelPool:
 class ProcessDispatcher(KernelDispatcher):
     """Ships kernel plans to a :class:`KernelPool` over shared memory.
 
+    A plan leaves this process through :meth:`send` and comes back through
+    :meth:`receive`; between the two the worker (and its segment pair) is
+    the caller's, so an executor can keep every worker of the pool fed from
+    one thread.  :meth:`run_plan` / :meth:`run_grid_mult` are the two
+    halves back to back on a borrowed worker.
+
     With a live recorder, worker-side kernel spans shipped back with each
     response are merged into the parent trace as per-worker lanes; with a
     live metrics registry, pool health lands under ``procpool.*``.  Both
@@ -439,80 +465,107 @@ class ProcessDispatcher(KernelDispatcher):
 
     def run_plan(self, payloads, plan: BlockPlan):
         """Tuple-plan path: one slot per payload in, one per output back."""
-        in_slots, in_bytes = _layout(
-            [(int(p.shape[0]), int(p.shape[1])) for p in payloads])
-        out_slots, out_bytes = _layout(plan.out_shapes)
-
-        def pack(shm_in) -> None:
-            for payload, (offset, shape) in zip(payloads, in_slots):
-                _slot_view(shm_in.buf, offset, shape,
-                           writable=True)[:] = payload
-
-        def unpack(shm_out, counts):
-            return [(_slot_view(shm_out.buf, offset, shape).copy(), int(nnz))
-                    for (offset, shape), nnz in zip(out_slots, counts)]
-
-        return self._ship(plan, in_slots, in_bytes, out_bytes, pack, unpack)
+        return self._run(plan, payloads)
 
     def run_grid_mult(self, a_payloads, b_payloads, plan: GridMultPlan):
         """Structured mult path: two block writes, one block read, and a
         plan that pickles as a handful of ints."""
-        a_bytes = plan.a_count * plan.a_shape[0] * plan.a_shape[1] * 8
-        b_bytes = plan.b_count * plan.b_shape[0] * plan.b_shape[1] * 8
-        out_rows, out_cols = plan.out_shape
-        out_bytes = plan.n_outputs * out_rows * out_cols * 8
+        return self._run(plan, list(a_payloads) + list(b_payloads))
 
-        def pack(shm_in) -> None:
-            self._pack_block(shm_in, 0, plan.a_shape, a_payloads)
-            self._pack_block(shm_in, a_bytes, plan.b_shape, b_payloads)
+    def _run(self, plan, payloads):
+        results: list = []
+        call = KernelCall(plan, payloads, results.extend)
+        handle = self.pool.acquire()
+        try:
+            self.send(handle, call)
+            self.receive(handle, call)
+        finally:
+            self.pool.release(handle)
+        return results
 
-        def unpack(shm_out, counts):
-            # One block copy out of the response buffer; result tiles are
-            # views of it, and every slice is used, so nothing is wasted.
-            block = np.frombuffer(
-                shm_out.buf, dtype=np.float64,
-                count=plan.n_outputs * out_rows * out_cols).reshape(
-                    plan.n_outputs, out_rows, out_cols).copy()
-            return [(block[index], int(count))
-                    for index, count in enumerate(counts)]
+    def send(self, handle, call: KernelCall) -> None:
+        """Pack ``call`` into ``handle``'s request segment and post it.
 
-        return self._ship(plan, None, a_bytes + b_bytes, out_bytes,
-                          pack, unpack)
-
-    @staticmethod
-    def _pack_block(shm_in, offset: int, shape: tuple[int, int],
-                    payloads) -> None:
-        rows, cols = shape
-        block = np.frombuffer(shm_in.buf, dtype=np.float64,
-                              count=len(payloads) * rows * cols,
-                              offset=offset).reshape(
-                                  len(payloads), rows, cols)
-        for index, payload in enumerate(payloads):
-            block[index] = payload
-
-    def _ship(self, plan, in_slots, in_bytes: int, out_bytes: int,
-              pack, unpack):
-        """Round-trip one plan through a borrowed worker — the only way a
-        plan of either kind leaves this process.
-
-        ``pack(shm_in)`` writes the request segment and
-        ``unpack(shm_out, counts)`` copies the ``(array, nnz)`` results out
-        of the response segment; both run while the worker (and so its
-        segment pair) is held, and neither may keep a view of a segment.
+        The worker and both its segments belong to this plan until
+        :meth:`receive` returns (or raises) for the same ``handle``.
         """
         metrics = self.metrics
         started = metrics.now() if metrics.enabled else 0.0
-        handle = self.pool.acquire()
-        try:
+        plan, payloads = call.plan, call.payloads
+        if isinstance(plan, GridMultPlan):
+            in_slots = out_slots = None
+            a_bytes = plan.a_count * plan.a_shape[0] * plan.a_shape[1] * 8
+            in_bytes = a_bytes \
+                + plan.b_count * plan.b_shape[0] * plan.b_shape[1] * 8
+            out_bytes = plan.n_outputs * plan.out_shape[0] \
+                * plan.out_shape[1] * 8
             self._ensure_buffers(handle, in_bytes, out_bytes)
-            pack(handle.shm_in)
-            counts = self._round_trip(handle, in_slots, plan,
-                                      in_bytes, out_bytes)
-            results = unpack(handle.shm_out, counts)
-        finally:
-            self.pool.release(handle)
+            _pack_block(handle.shm_in, 0, plan.a_shape,
+                        payloads[:plan.a_count])
+            _pack_block(handle.shm_in, a_bytes, plan.b_shape,
+                        payloads[plan.a_count:])
+        else:
+            in_slots, in_bytes = _layout(
+                [(int(p.shape[0]), int(p.shape[1])) for p in payloads])
+            out_slots, out_bytes = _layout(plan.out_shapes)
+            self._ensure_buffers(handle, in_bytes, out_bytes)
+            for payload, (offset, shape) in zip(payloads, in_slots):
+                _slot_view(handle.shm_in.buf, offset, shape,
+                           writable=True)[:] = payload
+        handle.last_plan_kind = plan_kind(plan)
+        request = (handle.shm_in.name, in_slots, handle.shm_out.name, plan,
+                   self.recorder.enabled or metrics.enabled)
+        base = self.recorder.now() if self.recorder.enabled else 0.0
+        posted = metrics.now() if metrics.enabled else 0.0
+        handle.flight = (started, posted, base, in_bytes, out_bytes,
+                         out_slots)
+        handle.reply_due = time.monotonic() + REQUEST_TIMEOUT
+        try:
+            handle.conn.send(request)
+        except OSError as exc:
+            raise self._died(handle, exc) from exc
+
+    def receive(self, handle, call: KernelCall) -> None:
+        """Take the reply to the plan :meth:`send` posted on ``handle``,
+        copy the results out of the response segment and hand them to
+        ``call.store``.  Blocks until the reply is readable; a worker that
+        stays silent past :data:`REQUEST_TIMEOUT` is replaced.
+        """
+        metrics = self.metrics
+        started, posted, base, in_bytes, out_bytes, out_slots = handle.flight
+        try:
+            if not handle.conn.poll(
+                    max(0.0, handle.reply_due - time.monotonic())):
+                handle.process.terminate()  # likely wedged — replace it
+                raise ExecutionError(
+                    f"kernel worker {handle.index} (pid {handle.pid}) "
+                    f"timed out after {REQUEST_TIMEOUT}s "
+                    f"on a {handle.last_plan_kind} plan")
+            ok, body, events = handle.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(handle, exc) from exc
+        readable = metrics.now() if metrics.enabled else 0.0
+        if events:
+            self._ingest_events(handle, events, base, in_bytes, out_bytes)
+        if not ok:
+            raise ExecutionError(
+                f"kernel plan failed in worker {handle.index}: {body}")
+        plan, counts = call.plan, body
+        if out_slots is None:
+            # One block copy out of the response buffer; result tiles are
+            # views of it, and every slice is used, so nothing is wasted.
+            block = np.frombuffer(
+                handle.shm_out.buf, dtype=np.float64,
+                count=out_bytes // 8).reshape(
+                    plan.n_outputs, *plan.out_shape).copy()
+            results = list(zip(block, counts))
+        else:
+            results = [(_slot_view(handle.shm_out.buf, offset, shape).copy(),
+                        nnz)
+                       for (offset, shape), nnz in zip(out_slots, counts)]
+        call.store(results)
         if metrics.enabled:
-            elapsed = metrics.now() - started
+            ended = metrics.now()
             kind = plan_kind(plan)
             labels = {"plan": kind}
             metrics.inc("local.kernel_dispatches")
@@ -520,24 +573,28 @@ class ProcessDispatcher(KernelDispatcher):
             metrics.inc("local.kernel_dispatch_bytes", in_bytes + out_bytes)
             if kind == PLAN_GRID:
                 metrics.inc("local.kernel_dispatch_grid")
-            metrics.observe("local.kernel_dispatch_seconds", elapsed)
+            metrics.observe("local.kernel_dispatch_seconds", ended - started)
             metrics.inc("procpool.dispatches", labels=labels)
             metrics.inc("procpool.plan_tiles", plan.num_tiles, labels=labels)
             metrics.inc("procpool.request_bytes", in_bytes)
             metrics.inc("procpool.response_bytes", out_bytes)
-            metrics.observe("procpool.dispatch_seconds", elapsed,
+            metrics.observe("procpool.dispatch_seconds", ended - started,
                             labels=labels)
+            metrics.observe("procpool.pack_seconds", posted - started)
+            metrics.observe("procpool.wait_seconds", readable - posted)
+            metrics.observe("procpool.store_seconds", ended - readable)
             metrics.histogram("procpool.batch_tiles",
                               buckets=TILE_BATCH_BUCKETS
                               ).observe(plan.num_tiles)
-        return results
+
+    def _died(self, handle, exc) -> ExecutionError:
+        if self.metrics.enabled:
+            self.metrics.inc("procpool.worker_deaths")
+        return ExecutionError(
+            f"kernel worker {handle.index} (pid {handle.pid}) died "
+            f"mid-plan (last plan kind: {handle.last_plan_kind}): {exc}")
 
     # -- telemetry ------------------------------------------------------------
-
-    @property
-    def _collect(self) -> bool:
-        """Whether dispatches should carry worker-side telemetry back."""
-        return self.recorder.enabled or self.metrics.enabled
 
     def _ensure_buffers(self, handle, in_bytes: int, out_bytes: int) -> None:
         """Size the handle's segments, accounting regrowth when observed."""
@@ -591,38 +648,15 @@ class ProcessDispatcher(KernelDispatcher):
                     start=base + start_rel, end=base + end_rel,
                     bytes_read=amount, label="shm-attach"))
 
-    def _round_trip(self, handle, in_slots, plan, in_bytes: int,
-                    out_bytes: int) -> tuple[int, ...]:
-        """Send one plan to ``handle``'s worker and return its nnz counts."""
-        collect = self._collect
-        handle.last_plan_kind = plan_kind(plan)
-        request = (handle.shm_in.name, in_slots, handle.shm_out.name, plan,
-                   collect)
-        base = self.recorder.now() if self.recorder.enabled else 0.0
-        try:
-            handle.conn.send(request)
-            if not handle.conn.poll(REQUEST_TIMEOUT):
-                handle.process.terminate()  # likely wedged — replace it
-                raise ExecutionError(
-                    f"kernel worker {handle.index} (pid {handle.pid}) "
-                    f"timed out after {REQUEST_TIMEOUT}s "
-                    f"on a {handle.last_plan_kind} plan")
-            ok, body, events = handle.conn.recv()
-        except ExecutionError:
-            raise
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            if self.metrics.enabled:
-                self.metrics.inc("procpool.worker_deaths")
-            raise ExecutionError(
-                f"kernel worker {handle.index} (pid {handle.pid}) died "
-                f"mid-plan (last plan kind: {handle.last_plan_kind}): {exc}"
-            ) from exc
-        if events:
-            self._ingest_events(handle, events, base, in_bytes, out_bytes)
-        if not ok:
-            raise ExecutionError(
-                f"kernel plan failed in worker {handle.index}: {body}")
-        return body
+
+def _pack_block(shm_in, offset: int, shape: tuple[int, int],
+                payloads) -> None:
+    rows, cols = shape
+    block = np.frombuffer(shm_in.buf, dtype=np.float64,
+                          count=len(payloads) * rows * cols,
+                          offset=offset).reshape(len(payloads), rows, cols)
+    for index, payload in enumerate(payloads):
+        block[index] = payload
 
 
 def _layout(shapes) -> tuple[tuple[tuple[int, tuple[int, int]], ...], int]:

@@ -5,7 +5,10 @@ bytes written, floating-point operations, bytes contributed to a shuffle —
 so the simulator can price it without running it.  A task may also carry a
 real ``run`` callable, which the local executor invokes to do the actual
 linear algebra; the two paths share one description, which is what makes the
-"predicted vs. actual" experiment (E4) meaningful.
+"predicted vs. actual" experiment (E4) meaningful.  A task whose arithmetic
+is plan-shaped (tiled multiplies, partial-sum adds) also declares it as a
+``kernel``, which a backend with a worker pool ships instead of calling
+``run``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ValidationError
+from repro.hadoop.kernels import KernelCall
 
 
 class TaskKind(enum.Enum):
@@ -85,11 +89,16 @@ class Task:
     work: TaskWork
     #: Nodes holding replicas of this task's input (for locality scheduling).
     preferred_nodes: frozenset[str] = frozenset()
-    #: Real computation; called by the local executor, ignored by the
-    #: simulator.  Receives no arguments: inputs are bound at creation time.
+    #: Real computation, in the calling thread (the inline reference path);
+    #: called by the local executor, ignored by the simulator.  Receives no
+    #: arguments: inputs are bound at creation time.
     run: Callable[[], None] | None = None
     #: Free-form label for tracing ("mult A*B split (0,1,2)").
     label: str = ""
+    #: The same computation as a shippable kernel: does the task's reads and
+    #: returns a :class:`~repro.hadoop.kernels.KernelCall`, or ``None`` when
+    #: this attempt must go through ``run`` (a sparse operand).
+    kernel: Callable[[], KernelCall | None] | None = None
 
     def __post_init__(self) -> None:
         if not self.task_id:
@@ -125,9 +134,11 @@ class TaskAttempt:
 def make_map_task(task_id: str, work: TaskWork,
                   preferred_nodes: set[str] | frozenset[str] = frozenset(),
                   run: Callable[[], None] | None = None,
-                  label: str = "") -> Task:
+                  label: str = "",
+                  kernel: Callable[[], KernelCall | None] | None = None
+                  ) -> Task:
     return Task(task_id, TaskKind.MAP, work,
-                frozenset(preferred_nodes), run, label)
+                frozenset(preferred_nodes), run, label, kernel)
 
 
 def make_reduce_task(task_id: str, work: TaskWork,

@@ -14,11 +14,9 @@ Two storage modes:
   :class:`~repro.matrix.compression.EncodedTile` blob — tiles are compressed
   at rest like the 2013 system's — and reads must decode.
 
-Codec mode pairs with the **zero-copy fast path**: every ``put`` write-throughs
-the decoded tile into a resident table (optionally backed by a shared-memory
-:class:`~repro.matrix.arena.TileArena`, so the payload is a read-only view of
-mmap-backed pages that other local processes can map by name), and ``get``
-serves locally-resident tiles from it without touching the codec.  Only a
+Codec mode pairs with the **resident fast path**: every ``put`` write-throughs
+the decoded tile into a resident table, and ``get`` serves locally-resident
+tiles from it without touching the codec.  Only a
 genuinely cold read — a tile this process never wrote or already evicted —
 pays the decode.  :meth:`read_through_codec` deliberately bypasses the fast
 path so tests and audits can prove both paths return equal tiles.
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 from repro.errors import FileNotFoundInHDFSError, StorageError, ValidationError
 from repro.hdfs.namenode import NameNode
-from repro.matrix.arena import TileArena
 from repro.matrix.compression import (
     Codec,
     EncodedTile,
@@ -67,25 +64,18 @@ class TileStore(TileBacking):
     telemetry behind locality and caching experiments.
 
     ``codec`` selects codec-at-rest storage (see module docstring);
-    ``cache`` (default on) enables the resident fast path in codec mode;
-    ``arena`` — ``True`` for a private arena, or a shared
-    :class:`~repro.matrix.arena.TileArena` — additionally parks resident
-    dense payloads in shared memory and serves reads as zero-copy views.
+    ``cache`` (default on) enables the resident fast path in codec mode.
     """
 
     def __init__(self, namenode: NameNode, root: str = "/matrices",
                  metrics: MetricsRegistry = NULL_METRICS,
                  codec: "str | Codec | None" = None,
-                 cache: bool = True,
-                 arena: "TileArena | bool | None" = None):
+                 cache: bool = True):
         self.namenode = namenode
         self.root = root.rstrip("/")
         self.metrics = metrics
         self.codec = _resolve_codec(codec)
         self.cache_enabled = cache
-        if arena is True:
-            arena = TileArena()
-        self.arena: TileArena | None = arena or None
         self._resident: dict[str, Tile] = {}
         #: Codec invocation counters (also mirrored into ``metrics``).
         self.codec_encodes = 0
@@ -110,24 +100,11 @@ class TileStore(TileBacking):
 
     def _make_resident(self, path: str, tile: Tile) -> None:
         """Write-through the fast path: pin ``tile`` for same-process reads."""
-        if not self.cache_enabled:
-            return
-        if self.arena is not None and not tile.is_sparse:
-            ref = self.arena.store(tile.data)
-            if ref is not None:
-                view_tile = Tile(tile.tile_id, self.arena.view(ref))
-                view_tile.arena_ref = ref
-                self._resident[path] = view_tile
-                return
-            # Arena full: fall through and pin the in-heap tile instead.
-        self._resident[path] = tile
+        if self.cache_enabled:
+            self._resident[path] = tile
 
     def _evict(self, path: str) -> None:
-        tile = self._resident.pop(path, None)
-        if tile is not None and self.arena is not None:
-            ref = getattr(tile, "arena_ref", None)
-            if ref is not None:
-                self.arena.release(ref)
+        self._resident.pop(path, None)
 
     # -- TileBacking interface ---------------------------------------------------
 
@@ -260,15 +237,11 @@ class TileStore(TileBacking):
 
     def drop_resident(self) -> int:
         """Evict every resident tile (subsequent reads pay the codec);
-        returns how many were dropped.  The arena keeps its segments —
-        outstanding views stay valid — but their space becomes garbage."""
+        returns how many were dropped."""
         count = len(self._resident)
-        for path in list(self._resident):
-            self._evict(path)
+        self._resident.clear()
         return count
 
     def close(self) -> None:
-        """Drop resident tiles and release the arena's shared memory."""
+        """Drop resident tiles."""
         self.drop_resident()
-        if self.arena is not None:
-            self.arena.close()

@@ -13,7 +13,10 @@ prints:
 * **coverage** — what fraction of execution-only wall time the summed
   worker-side kernel spans account for (the process backend's "are we
   actually measuring the work?" number; > 1.0 means worker lanes ran in
-  parallel).
+  parallel);
+* **parent dispatch phases** — where the parent spent each kernel
+  dispatch: packing the request, waiting for the reply, storing the
+  results (from the run's ``procpool.*_seconds`` histograms).
 
 Everything here is pure trace arithmetic: no execution, no clocks, no
 backend knowledge beyond the lane-name conventions.
@@ -28,6 +31,11 @@ from repro.observability.trace import PHASE_KERNEL, Trace
 
 #: Lane-name prefix of process-pool worker lanes (see ``procpool``).
 WORKER_LANE_PREFIX = "procworker:"
+
+#: Parent-side phases of a kernel dispatch, in the order they happen; each
+#: is the ``procpool.<phase>_seconds`` histogram of the run's registry, and
+#: ``dispatch`` is the whole of which the other three are parts.
+DISPATCH_PHASES = ("dispatch", "pack", "wait", "store")
 
 #: Kernel-event labels that are bookkeeping, not plan evaluation.
 _NON_PLAN_LABELS = frozenset({"shm-attach", "shm-grow"})
@@ -80,6 +88,9 @@ class ExecutionProfile:
     kernel_seconds: float = 0.0
     #: Execution-only wall seconds the profile is normalized against.
     wall_seconds: float = 0.0
+    #: Parent seconds per :data:`DISPATCH_PHASES` entry, summed over the
+    #: run's dispatches (empty without a registry or without a pool).
+    dispatch_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def kernel_coverage(self) -> float:
@@ -94,6 +105,7 @@ class ExecutionProfile:
             "wall_seconds": self.wall_seconds,
             "kernel_seconds": self.kernel_seconds,
             "kernel_coverage": self.kernel_coverage,
+            "dispatch_seconds": dict(self.dispatch_seconds),
             "plans": [vars(plan).copy() for plan in self.plans],
             "tasks": [vars(task).copy() for task in self.tasks],
             "lanes": [
@@ -122,8 +134,8 @@ def profile_trace(trace: Trace, wall_seconds: float | None = None,
     coverage/utilization against (the local run report's total); when
     omitted, the trace's own makespan is used.  ``registry`` (a
     :class:`~repro.observability.metrics.MetricsRegistry` from the same
-    run) supplies the per-plan tile totals the trace events do not carry
-    (``procpool.plan_tiles``).
+    run) supplies what the trace events do not carry: per-plan tile totals
+    (``procpool.plan_tiles``) and the parent's dispatch-phase seconds.
     """
     plans: dict[str, PlanProfile] = {}
     tasks: dict[str, PlanProfile] = {}
@@ -148,13 +160,19 @@ def profile_trace(trace: Trace, wall_seconds: float | None = None,
         else trace.makespan
     for lane in lanes.values():
         lane.utilization = lane.busy_seconds / window if window > 0 else 0.0
+    dispatch_seconds: dict[str, float] = {}
     if registry is not None and getattr(registry, "enabled", False):
+        phases = {f"procpool.{phase}_seconds": phase
+                  for phase in DISPATCH_PHASES}
         for metric in registry.metrics():
-            if metric.name != "procpool.plan_tiles":
-                continue
-            kind = metric.label_dict().get("plan", "")
-            if kind in plans:
-                plans[kind].tiles = int(metric.value)
+            if metric.name in phases:
+                phase = phases[metric.name]
+                dispatch_seconds[phase] = dispatch_seconds.get(phase, 0.0) \
+                    + metric.sum
+            elif metric.name == "procpool.plan_tiles":
+                kind = metric.label_dict().get("plan", "")
+                if kind in plans:
+                    plans[kind].tiles = int(metric.value)
     ordered_lanes = sorted(lanes.values(),
                            key=lambda lane: (not lane.is_pool_worker,
                                              lane.lane))
@@ -164,6 +182,7 @@ def profile_trace(trace: Trace, wall_seconds: float | None = None,
         lanes=ordered_lanes,
         kernel_seconds=kernel_seconds,
         wall_seconds=window,
+        dispatch_seconds=dispatch_seconds,
     )
 
 
@@ -190,6 +209,10 @@ def render_profile(profile: ExecutionProfile, top: int = 10) -> str:
             f"worker kernel time: {profile.kernel_seconds:.4f}s "
             f"({profile.kernel_coverage:.0%} of wall; >100% means "
             f"parallel worker lanes)")
+    if profile.dispatch_seconds:
+        lines.append("parent time in kernel dispatches: " + "  ".join(
+            f"{phase} {profile.dispatch_seconds.get(phase, 0.0):.4f}s"
+            for phase in DISPATCH_PHASES))
     if profile.plans:
         lines.append("")
         lines.append("top kernel plans by cumulative time:")

@@ -29,7 +29,7 @@ from repro.core.executor import CumulonExecutor
 from repro.core.physical import MatMulParams
 from repro.core.program import Program
 from repro.errors import ExecutionError
-from repro.hadoop.kernels import BlockPlan
+from repro.hadoop.kernels import BlockPlan, KernelCall
 from repro.hadoop.local import FaultInjector, RetryPolicy, ScriptedFaults
 from repro.hadoop.procpool import (
     KERNEL_JOB_ID,
@@ -395,7 +395,7 @@ class TestWorkerDeath:
             os.kill(pid, signal.SIGKILL)
             handle.process.join(timeout=5)
             with pytest.raises(ExecutionError) as excinfo:
-                dispatcher._round_trip(handle, None, plan, 0, 0)
+                dispatcher.send(handle, KernelCall(plan, payloads, list))
             message = str(excinfo.value)
             assert "kernel worker 0" in message
             assert str(pid) in message

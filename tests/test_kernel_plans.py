@@ -1,4 +1,4 @@
-"""Unit tests for kernel plans, the dispatcher registry, and the arena.
+"""Unit tests for kernel plans and the inline dispatcher.
 
 Everything here is single-process (tier 1): plan semantics are locked via
 :class:`InlineDispatcher` and plain :func:`execute_plan` calls; the
@@ -6,7 +6,6 @@ process pool itself is exercised by the differential harness.
 """
 
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -16,13 +15,10 @@ from repro.hadoop.kernels import (
     BlockPlan,
     GridMultPlan,
     InlineDispatcher,
-    current_dispatcher,
     execute_grid_mult,
     execute_plan,
     expand_grid,
-    use_dispatcher,
 )
-from repro.matrix.arena import ArenaRef, TileArena
 
 RNG = np.random.default_rng(11)
 
@@ -156,102 +152,10 @@ class TestGridMultPlan:
 
 
 class TestDispatcherRegistry:
-    def test_default_is_none(self):
-        assert current_dispatcher() is None
-
-    def test_use_installs_and_removes(self):
-        dispatcher = InlineDispatcher()
-        with use_dispatcher(dispatcher) as installed:
-            assert installed is dispatcher
-            assert current_dispatcher() is dispatcher
-        assert current_dispatcher() is None
-
-    def test_nested_installs_unwind_by_identity(self):
-        outer, inner = InlineDispatcher(), InlineDispatcher()
-        with use_dispatcher(outer):
-            with use_dispatcher(inner):
-                assert current_dispatcher() is inner
-            assert current_dispatcher() is outer
-        assert current_dispatcher() is None
-
-    def test_visible_across_threads(self):
-        # Task threads must observe the dispatcher the run loop installed.
-        seen = []
-        with use_dispatcher(InlineDispatcher()) as dispatcher:
-            thread = threading.Thread(
-                target=lambda: seen.append(current_dispatcher()))
-            thread.start()
-            thread.join()
-        assert seen == [dispatcher]
-
+    # The process-wide registry this class was named for is gone (tasks
+    # declare their kernels); the inline evaluator it also covered stays.
     def test_inline_dispatcher_runs_plans(self):
         a, b = RNG.random((2, 3)), RNG.random((3, 2))
         plan = BlockPlan((False, False), (((0, 1),),), ((2, 2),))
         [(result, __)] = InlineDispatcher().run_plan([a, b], plan)
         assert np.array_equal(result, a @ b)
-
-
-class TestTileArena:
-    def test_store_and_view_roundtrip(self):
-        arena = TileArena()
-        try:
-            payload = RNG.random((8, 6))
-            ref = arena.store(payload)
-            view = arena.view(ref)
-            assert np.array_equal(view, payload)
-            assert not view.flags.writeable
-        finally:
-            arena.close()
-
-    def test_view_is_zero_copy(self):
-        arena = TileArena()
-        try:
-            ref = arena.store(np.ones((4, 4)))
-            assert arena.view(ref).base is not None  # a view, not a copy
-        finally:
-            arena.close()
-
-    def test_capacity_refusal_returns_none(self):
-        arena = TileArena(slab_bytes=1024, capacity_bytes=1024)
-        try:
-            assert arena.store(np.ones((8, 8))) is not None  # 512B fits
-            assert arena.store(np.ones((64, 64))) is None    # 32KB refused
-        finally:
-            arena.close()
-
-    def test_oversized_payload_gets_dedicated_segment(self):
-        arena = TileArena(slab_bytes=1024, capacity_bytes=64 * 1024)
-        try:
-            payload = RNG.random((32, 32))  # 8KB > slab
-            ref = arena.store(payload)
-            assert ref is not None
-            assert np.array_equal(arena.view(ref), payload)
-        finally:
-            arena.close()
-
-    def test_release_tracks_garbage(self):
-        arena = TileArena()
-        try:
-            ref = arena.store(np.ones((4, 4)))
-            arena.release(ref)
-            assert arena.stats()["garbage_bytes"] == ref.nbytes
-        finally:
-            arena.close()
-
-    def test_closed_arena_refuses_stores(self):
-        arena = TileArena()
-        arena.close()
-        assert arena.store(np.ones((2, 2))) is None
-
-    def test_foreign_ref_rejected(self):
-        arena = TileArena()
-        try:
-            with pytest.raises(ValidationError, match="not mine"):
-                arena.view(ArenaRef("psm_nonexistent", 0, (2, 2)))
-        finally:
-            arena.close()
-
-    def test_refs_are_picklable(self):
-        ref = ArenaRef("seg", 128, (4, 4))
-        assert pickle.loads(pickle.dumps(ref)) == ref
-        assert ref.nbytes == 128

@@ -19,6 +19,7 @@ import pytest
 from repro.hadoop.kernels import (
     BlockPlan,
     GridMultPlan,
+    KernelCall,
     PLAN_BLOCK,
     PLAN_GRID,
     plan_kind,
@@ -38,6 +39,8 @@ from repro.observability import (
     profile_trace,
     render_profile,
 )
+from repro.observability.trace import NullRecorder
+from tests.test_observability_metrics import _TripwireRegistry
 
 
 def make_mult_plan():
@@ -150,6 +153,127 @@ class TestWorkerProtocol:
                             count=16).reshape(4, 4).copy()
         assert np.array_equal(got, expected)
         assert counts[0] == np.count_nonzero(expected)
+
+
+    def test_both_plan_kinds_reply_with_plain_ints(self, harness):
+        # The grid evaluator counts with numpy; what crosses the pipe must
+        # still be a tuple of ints, as the block path's always was (an
+        # ndarray reply pickles to more bytes than the rest of the reply).
+        grid = GridMultPlan(ni=1, nj=1, nk=1, a_shape=(4, 4),
+                            b_shape=(4, 4), left_transposed=False,
+                            right_transposed=False, out_shape=(4, 4))
+        for plan in (make_mult_plan(), grid):
+            ok, counts, __ = harness.round_trip(plan, collect=False)
+            assert ok
+            assert type(counts) is tuple
+            assert [type(count) for count in counts] == [int]
+            assert counts[0] == np.count_nonzero(
+                harness.payloads[0] @ harness.payloads[1])
+
+
+class SpyConnection:
+    """The parent's pipe end, remembering what went each way."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent = []
+        self.received = []
+
+    def send(self, request):
+        self.sent.append(request)
+        self.conn.send(request)
+
+    def fileno(self):
+        return self.conn.fileno()
+
+    def poll(self, timeout):
+        return self.conn.poll(min(timeout, 10))
+
+    def recv(self):
+        self.received.append(self.conn.recv())
+        return self.received[-1]
+
+
+def harness_handle(harness):
+    """What ``send``/``receive`` need of a worker handle, over the harness."""
+    return SimpleNamespace(
+        index=0, lane="procworker:0", conn=SpyConnection(harness.conn),
+        shm_in=harness.shm_in, shm_out=harness.shm_out,
+        ensure_buffers=lambda *sizes: 0)
+
+
+class _TripwireClocks(_TripwireRegistry):
+    def now(self):
+        raise AssertionError("disabled metrics path read the clock")
+
+
+class _TripwireRecorder(NullRecorder):
+    def now(self):
+        raise AssertionError("disabled recorder path read the clock")
+
+    def record(self, event):
+        raise AssertionError("disabled recorder path built an event")
+
+
+class TestSendReceive:
+    """``ProcessDispatcher.send`` / ``receive`` over the in-thread worker."""
+
+    def call(self, harness, plan, sink):
+        return KernelCall(plan, harness.payloads, sink.extend)
+
+    @pytest.mark.parametrize("plan", [
+        make_mult_plan(),
+        GridMultPlan(1, 1, 1, (4, 4), (4, 4), False, False, (4, 4))],
+        ids=plan_kind)
+    def test_disabled_path_takes_no_timestamps_and_ships_no_payload(
+            self, harness, plan):
+        dispatcher = ProcessDispatcher(pool=None, metrics=_TripwireClocks(),
+                                       recorder=_TripwireRecorder())
+        handle = harness_handle(harness)
+        results = []
+        call = self.call(harness, plan, results)
+        dispatcher.send(handle, call)
+        dispatcher.receive(handle, call)
+        [request], [reply] = handle.conn.sent, handle.conn.received
+        assert request[4] is False, "collect flag must be off"
+        assert reply[2] is None, "worker shipped a telemetry buffer"
+        [(array, nnz)] = results
+        expected = harness.payloads[0] @ harness.payloads[1]
+        assert np.array_equal(array, expected)
+        assert nnz == np.count_nonzero(expected) and type(nnz) is int
+
+    def test_live_registry_splits_the_dispatch_into_its_phases(
+            self, harness):
+        registry = MetricsRegistry()
+        dispatcher = ProcessDispatcher(pool=None, metrics=registry)
+        handle = harness_handle(harness)
+        for __ in range(3):
+            call = self.call(harness, make_mult_plan(), [])
+            dispatcher.send(handle, call)
+            dispatcher.receive(handle, call)
+        assert handle.conn.sent[-1][4] is True
+        totals = {}
+        for metric in registry.metrics():
+            if metric.name.startswith("procpool.") \
+                    and metric.name.endswith("_seconds"):
+                assert metric.count == 3, metric.name
+                totals[metric.name] = metric.sum
+        # serve_seconds is the worker's own clock; the other three are the
+        # parts of the parent's dispatch_seconds.
+        assert set(totals) == {
+            "procpool.dispatch_seconds", "procpool.pack_seconds",
+            "procpool.wait_seconds", "procpool.store_seconds",
+            "procpool.serve_seconds"}
+        assert totals["procpool.dispatch_seconds"] == pytest.approx(
+            totals["procpool.pack_seconds"] + totals["procpool.wait_seconds"]
+            + totals["procpool.store_seconds"])
+        assert totals["procpool.serve_seconds"] \
+            <= totals["procpool.wait_seconds"]
+        profile = profile_trace(Trace(source="actual"), registry=registry)
+        assert profile.dispatch_seconds["wait"] \
+            == totals["procpool.wait_seconds"]
+        assert "parent time in kernel dispatches: dispatch" \
+            in render_profile(profile)
 
 
 class TestPlanKind:

@@ -8,9 +8,8 @@ Two invariants, fuzzed over random tiles and every registered codec:
    bit for bit, because the store pins the decoded tile, never the
    original.
 2. **Accounting invariance** — ``tile_bytes``/``matrix_bytes`` and the
-   namenode's usage numbers are identical whether the fast path is on,
-   off, or backed by a shared-memory arena: the cost model must not be
-   able to observe the cache.
+   namenode's usage numbers are identical whether the fast path is on or
+   off: the cost model must not be able to observe the cache.
 """
 
 import numpy as np
@@ -20,18 +19,17 @@ from hypothesis import strategies as st
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.tilestore import TileStore
-from repro.matrix.arena import TileArena
 from repro.matrix.compression import available_codecs
 from repro.matrix.tile import Tile, TileId
 
 CODEC_NAMES = sorted(available_codecs())
 
 
-def make_store(codec, cache=True, arena=None):
+def make_store(codec, cache=True):
     namenode = NameNode(replication=2)
     for index in range(3):
         namenode.register_datanode(DataNode(f"node-{index}", 10**9))
-    return TileStore(namenode, codec=codec, cache=cache, arena=arena)
+    return TileStore(namenode, codec=codec, cache=cache)
 
 
 @st.composite
@@ -76,42 +74,19 @@ def test_cold_read_equals_fastpath_read(tile, codec):
 
 
 @settings(max_examples=40, deadline=None)
-@given(tile=tiles(), codec=st.sampled_from(CODEC_NAMES))
-def test_arena_view_equals_codec_read(tile, codec):
-    store = make_store(codec, arena=TileArena())
-    try:
-        store.put(tile)
-        fast = store.get(tile.tile_id)
-        slow = store.read_through_codec(tile.tile_id)
-        assert np.array_equal(as_dense(fast), as_dense(slow))
-        if not fast.is_sparse and getattr(fast, "arena_ref", None) is not None:
-            # Zero-copy reads hand out immutable views.
-            assert not fast.data.flags.writeable
-    finally:
-        store.close()
-
-
-@settings(max_examples=40, deadline=None)
 @given(tile=tiles(), codec=st.sampled_from([None] + CODEC_NAMES))
 def test_accounting_unchanged_by_fastpath(tile, codec):
     """Byte accounting is a function of the tile, not of the read path."""
-    variants = [make_store(codec),
-                make_store(codec, cache=False),
-                make_store(codec, arena=TileArena())]
-    try:
-        for store in variants:
-            store.put(tile)
-            store.get(tile.tile_id)
-        reference = variants[0]
-        assert reference.tile_bytes(tile.tile_id) == tile.nbytes()
-        for store in variants[1:]:
-            assert store.tile_bytes(tile.tile_id) \
-                == reference.tile_bytes(tile.tile_id)
-            assert store.matrix_bytes("P") == reference.matrix_bytes("P")
-            assert store.namenode.total_used_bytes() \
-                == reference.namenode.total_used_bytes()
-    finally:
-        variants[2].close()
+    reference, cold = make_store(codec), make_store(codec, cache=False)
+    for store in (reference, cold):
+        store.put(tile)
+        store.get(tile.tile_id)
+    assert reference.tile_bytes(tile.tile_id) == tile.nbytes()
+    assert cold.tile_bytes(tile.tile_id) \
+        == reference.tile_bytes(tile.tile_id)
+    assert cold.matrix_bytes("P") == reference.matrix_bytes("P")
+    assert cold.namenode.total_used_bytes() \
+        == reference.namenode.total_used_bytes()
 
 
 @settings(max_examples=30, deadline=None)
