@@ -20,7 +20,8 @@ import time
 
 from repro.observability.metrics import MetricsRegistry
 from repro.service import run_script, validate_script
-from repro.service.durability import DurabilityStore, kill_and_recover
+from repro.service.durability import DurabilityStore
+from repro.service.loadgen import kill_and_recover
 
 from benchmarks.common import Table, report
 
@@ -112,8 +113,7 @@ def build_series():
         kill_after, total_records = last_decision_record(state_dir)
 
     with tempfile.TemporaryDirectory() as workdir:
-        chaos = kill_and_recover(script, os.path.join(workdir, "state"),
-                                 kill_after, fsync_every=1, workers=0)
+        chaos = kill_and_recover(script, workdir, kill_after=kill_after)
 
     rows = [
         ["plain", f"{plain_wall:.4f}", "-", "-", "-"],
@@ -147,7 +147,7 @@ def test_e25_kill_recover(benchmark):
             "bills_match": int(chaos.bills_match),
             "schedules_match": int(chaos.schedules_match),
             "lost_jobs": chaos.lost_jobs,
-            "double_billed_jobs": chaos.double_billed_jobs,
+            "double_billed_jobs": chaos.double_billed,
             "repriced_on_recovery": chaos.decisions_repriced,
         },
         params={"tiny": TINY, "heavy_jobs": HEAVY_JOBS,
@@ -164,7 +164,7 @@ def test_e25_kill_recover(benchmark):
     # durable admission decision replayed from the journal.
     assert chaos.ok, chaos.describe()
     assert chaos.lost_jobs == 0
-    assert chaos.double_billed_jobs == 0
+    assert chaos.double_billed == 0
     assert chaos.decisions_repriced == 0
     assert chaos.bills_match and chaos.schedules_match
     # Journal overhead stays small even against best-of-3 timer noise.

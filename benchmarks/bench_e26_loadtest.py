@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 from repro.observability.metrics import MetricsRegistry
-from repro.service.loadgen import run_loadtest, wall_clock_kill_and_recover
+from repro.service.loadgen import kill_and_recover, run_loadtest
 
 from benchmarks.common import Table, report
 
@@ -49,8 +49,8 @@ def build_series():
             Path(workdir), jobs=JOBS, tenants=TENANTS, processes=PROCESSES,
             arrival=ARRIVAL, time_scale=TIME_SCALE, fsync_every=FSYNC_EVERY)
     with tempfile.TemporaryDirectory() as workdir:
-        kill = wall_clock_kill_and_recover(
-            Path(workdir), jobs=KILL_JOBS, tenants=KILL_TENANTS,
+        kill = kill_and_recover(
+            None, workdir, jobs=KILL_JOBS, tenants=KILL_TENANTS,
             kill_after=KILL_AFTER, time_scale=TIME_SCALE)
 
     rows = [

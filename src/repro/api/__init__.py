@@ -66,9 +66,9 @@ from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.durability import (
     DurabilityStore,
     Journal,
-    KillRecoverReport,
+    JournalAudit,
     RecoveryStats,
-    kill_and_recover,
+    audit_journal,
     recover,
     resume_script,
 )
@@ -79,15 +79,6 @@ from repro.service.jobs import (
     ServiceReport,
     Tenant,
     TenantReport,
-)
-from repro.service.loadgen import (
-    JournalAudit,
-    LoadTestReport,
-    ProtocolClient,
-    WallKillReport,
-    audit_journal,
-    run_loadtest,
-    wall_clock_kill_and_recover,
 )
 from repro.service.protocol import ProtocolError
 from repro.service.scheduler import POLICY_FAIR, POLICY_FIFO, jain_fairness
@@ -125,13 +116,10 @@ __all__ = [
     "JournalAudit",
     "JournalCorruptionError",
     "JournalError",
-    "KillRecoverReport",
-    "LoadTestReport",
     "MetricsRegistry",
     "POLICY_FAIR",
     "POLICY_FIFO",
     "Program",
-    "ProtocolClient",
     "ProtocolError",
     "RecoveryError",
     "RecoveryStats",
@@ -152,20 +140,16 @@ __all__ = [
     "TraceEvent",
     "UnknownJobError",
     "ValidationError",
-    "WallKillReport",
     "audit_journal",
     "build_workload",
     "get_instance_type",
     "jain_fairness",
-    "kill_and_recover",
     "load_script",
     "recover",
     "reliability_frontier",
     "resume_script",
-    "run_loadtest",
     "run_program",
     "run_script",
     "save_script",
     "search",
-    "wall_clock_kill_and_recover",
 ]

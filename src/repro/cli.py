@@ -502,76 +502,31 @@ SCENARIO_SERVICE_KILL = "service-kill"
 
 
 def _cmd_chaos_service_kill(args, out) -> int:
-    """SIGKILL a journaled serve mid-burst, recover, compare digests."""
+    """SIGKILL a journaled serve mid-burst, recover, audit (and, for a
+    script, compare bills and schedules with an uninterrupted run)."""
     import tempfile
 
-    from repro.service.durability import (
-        DurabilityStore,
-        kill_and_recover,
-    )
-    from repro.service.script import (
-        build_service,
-        load_script,
-        submit_script_jobs,
-    )
+    from repro.service.loadgen import kill_and_recover
+    from repro.service.script import load_script
 
-    script = _load_script_or_die(load_script, Path(args.workload))
-    workers = args.workers if getattr(args, "workers", None) else 0
-    with tempfile.TemporaryDirectory(prefix="repro-service-kill-") as tmp:
-        # Probe run: count the journal records one full burst writes, so
-        # the kill point (unless pinned via --chaos-seed) lands mid-burst.
-        probe = DurabilityStore(Path(tmp) / "probe", fsync_every=1)
-        probe_service = build_service(script, workers=workers, store=probe)
-        submit_script_jobs(probe_service, script)
-        probe_service.drain()
-        probe_service.close_durability()
-        total = probe.journal.records
-        kill_after = (args.chaos_seed if args.chaos_seed > 0
-                      else max(2, total // 2))
-        report = kill_and_recover(script, Path(tmp) / "run", kill_after,
-                                  fsync_every=1, workers=workers)
-    if args.json:
-        emit_json({
-            "scenario": SCENARIO_SERVICE_KILL,
-            "script": args.workload,
-            "journal_records_full_run": total,
-            "kill_after": report.kill_after,
-            "killed": report.killed,
-            "ok": report.ok,
-            "jobs_expected": report.jobs_expected,
-            "jobs_recovered": report.jobs_recovered,
-            "resubmitted": report.resubmitted,
-            "lost_jobs": report.lost_jobs,
-            "double_billed_jobs": report.double_billed_jobs,
-            "decisions_replayed": report.decisions_replayed,
-            "decisions_repriced": report.decisions_repriced,
-            "recovery_wall_seconds": report.recovery_wall_seconds,
-            "bills_match": report.bills_match,
-            "schedules_match": report.schedules_match,
-        }, out)
+    if args.wall_clock:
+        script = None
+        burst = {"jobs": args.jobs, "tenants": args.tenants,
+                 "workload": args.workload, "scale": args.scale}
+        source = {"workload": args.workload, "scale": args.scale}
     else:
-        print(report.describe(), file=out)
-    return 0 if report.ok else 1
-
-
-def _cmd_chaos_wall_kill(args, out) -> int:
-    """SIGKILL the live wall-clock socket server mid-burst and recover."""
-    import tempfile
-
-    from repro.service.loadgen import wall_clock_kill_and_recover
-
-    with tempfile.TemporaryDirectory(prefix="repro-wall-kill-") as tmp:
-        report = wall_clock_kill_and_recover(
-            Path(tmp), jobs=args.jobs, tenants=args.tenants,
-            kill_after=args.chaos_seed, workload=args.workload,
-            scale=args.scale)
+        script = _load_script_or_die(load_script, Path(args.workload))
+        burst = {}
+        source = {"script": args.workload}
+    with tempfile.TemporaryDirectory(prefix="repro-service-kill-") as tmp:
+        report = kill_and_recover(
+            script, tmp,
+            kill_after=args.chaos_seed if args.chaos_seed > 0 else None,
+            **burst)
     if args.json:
-        document = report.to_doc()
-        document["scenario"] = SCENARIO_SERVICE_KILL
-        document["wall_clock"] = True
-        document["workload"] = args.workload
-        document["scale"] = args.scale
-        emit_json(document, out)
+        emit_json({"scenario": SCENARIO_SERVICE_KILL,
+                   "wall_clock": args.wall_clock, **source,
+                   **report.to_doc()}, out)
     else:
         print(report.describe(), file=out)
     return 0 if report.ok else 1
@@ -579,8 +534,6 @@ def _cmd_chaos_wall_kill(args, out) -> int:
 
 def cmd_chaos(args, out) -> int:
     if args.scenario == SCENARIO_SERVICE_KILL:
-        if getattr(args, "wall_clock", False):
-            return _cmd_chaos_wall_kill(args, out)
         return _cmd_chaos_service_kill(args, out)
     program, tile = build_workload(args.workload, args.scale)
     searched = None
@@ -1023,6 +976,34 @@ def _workers_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _live_server_parent(note: str) -> argparse.ArgumentParser:
+    """Parent parser: the live socket server's batching and clock.
+
+    Built fresh for each subcommand: ``parents=`` shares the ``Action``
+    objects, so one subcommand's ``set_defaults`` would leak into the
+    other's.  ``note`` says when the options apply.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--tick-interval", dest="tick_interval", type=float,
+                        default=0.05,
+                        help=f"scheduler tick period in wall seconds "
+                             f"({note})")
+    parent.add_argument("--max-batch", dest="max_batch", type=int,
+                        default=256,
+                        help=f"max submissions admitted per scheduler tick "
+                             f"({note})")
+    parent.add_argument("--max-wait", dest="max_wait", type=float,
+                        default=None,
+                        help=f"max wall seconds a submission may wait for a "
+                             f"batch to fill (default: one tick interval; "
+                             f"{note})")
+    parent.add_argument("--time-scale", dest="time_scale", type=float,
+                        default=1.0,
+                        help=f"virtual cluster seconds per wall second "
+                             f"({note})")
+    return parent
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1164,7 +1145,9 @@ def make_parser() -> argparse.ArgumentParser:
                              "--recover` there would pick up")
 
     serve = subparsers.add_parser(
-        "serve", parents=[cluster, workers, as_json],
+        "serve", parents=[cluster, workers, _live_server_parent("with "
+                                                                "--listen"),
+                          as_json],
         help="replay a submission script on the multi-tenant job service, "
              "or run the live wall-clock socket server with --listen")
     serve.add_argument("script", nargs="?", default=None,
@@ -1192,26 +1175,11 @@ def make_parser() -> argparse.ArgumentParser:
                        help="serve a live NDJSON socket (unix path, or "
                             "HOST:PORT for TCP) on the wall clock instead "
                             "of replaying a script (see docs/serving.md)")
-    serve.add_argument("--tick-interval", dest="tick_interval", type=float,
-                       default=0.05,
-                       help="scheduler tick period in wall seconds "
-                            "(with --listen)")
-    serve.add_argument("--max-batch", dest="max_batch", type=int,
-                       default=256,
-                       help="max submissions admitted per scheduler tick "
-                            "(with --listen)")
-    serve.add_argument("--max-wait", dest="max_wait", type=float,
-                       default=None,
-                       help="max wall seconds a submission may wait for a "
-                            "batch to fill (default: one tick interval; "
-                            "with --listen)")
-    serve.add_argument("--time-scale", dest="time_scale", type=float,
-                       default=1.0,
-                       help="virtual cluster seconds per wall second "
-                            "(with --listen)")
 
     loadtest = subparsers.add_parser(
-        "loadtest", parents=[cluster, as_json],
+        "loadtest", parents=[cluster, _live_server_parent("of the spawned "
+                                                          "server"),
+                             as_json],
         help="fire a multi-process submission burst at a live wall-clock "
              "server and audit the journal (benchmark E26)")
     loadtest.add_argument("workload", nargs="?", default="multiply",
@@ -1235,18 +1203,8 @@ def make_parser() -> argparse.ArgumentParser:
                                "--arrival burst)")
     loadtest.add_argument("--seed", type=int, default=7,
                           help="arrival-process seed")
-    loadtest.add_argument("--tick-interval", dest="tick_interval",
-                          type=float, default=0.02,
-                          help="server scheduler tick period in seconds")
-    loadtest.add_argument("--max-batch", dest="max_batch", type=int,
-                          default=512,
-                          help="server max submissions per tick")
-    loadtest.add_argument("--max-wait", dest="max_wait", type=float,
-                          default=None,
-                          help="server max batching delay in seconds")
-    loadtest.add_argument("--time-scale", dest="time_scale", type=float,
-                          default=600.0,
-                          help="virtual cluster seconds per wall second")
+    loadtest.set_defaults(tick_interval=0.02, max_batch=512,
+                          time_scale=600.0)
     loadtest.add_argument("--fsync-every", dest="fsync_every", type=int,
                           default=4096,
                           help="journal fsync batching on the server")

@@ -168,21 +168,6 @@ def metrics_to_csv(registry: MetricsRegistry) -> str:
     return buffer.getvalue()
 
 
-def write_metrics(path: str, registry: MetricsRegistry,
-                  format: str = "json") -> None:
-    """Write the registry to a file in the chosen format."""
-    if format == "json":
-        document = metrics_to_json(registry, indent=2)
-    elif format == "prom":
-        document = to_prometheus(registry)
-    elif format == "csv":
-        document = metrics_to_csv(registry)
-    else:
-        raise ValidationError(f"unknown metrics format {format!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document)
-
-
 # ---------------------------------------------------------------------------
 # ASCII rendering.
 # ---------------------------------------------------------------------------

@@ -148,10 +148,6 @@ class Trace:
         """Ids of jobs with at least one task attempt."""
         return {event.job_id for event in self.events if event.is_task()}
 
-    def events_for_job(self, job_id: str) -> list[TraceEvent]:
-        """Every event tagged with ``job_id``, in recorded order."""
-        return [event for event in self.events if event.job_id == job_id]
-
     def by_slot(self) -> dict[str, list[TraceEvent]]:
         """Task events grouped by slot, each lane sorted by start time."""
         lanes: dict[str, list[TraceEvent]] = {}

@@ -23,15 +23,18 @@ This package adds the missing serving layer:
   write-ahead journal + snapshot compaction that makes the whole service
   crash-safe: ``recover()`` replays the journal into the exact in-memory
   state (schedules, bills, admission decisions — zero re-pricings), and
-  :func:`~repro.service.durability.kill_and_recover` is the chaos harness
-  proving it under real SIGKILL;
+  :func:`~repro.service.durability.audit_journal` recounts a journal
+  independently of the service that wrote it;
 * a **wall-clock socket server** (:mod:`repro.service.server`) — ``repro
   serve --listen`` accepts streaming NDJSON submissions
   (:mod:`repro.service.protocol`), batches admission per scheduler tick
   (:mod:`repro.service.ticks`), and group-commits each batch to the
-  journal before acking; :mod:`repro.service.loadgen` is the matching
-  multi-process load generator and journal auditor (``repro loadtest``,
-  benchmark E26, and the ``--wall-clock`` chaos scenario).
+  journal before acking.
+
+The test rigs live in :mod:`repro.service.loadgen` and are not exported
+here: the load generator (``repro loadtest``, benchmark E26) and the one
+SIGKILL chaos harness, ``kill_and_recover`` (``repro chaos --scenario
+service-kill``, benchmarks E25 and E26).
 """
 
 from repro.service.admission import (
@@ -48,10 +51,10 @@ from repro.service.admission import (
 from repro.service.durability import (
     DurabilityStore,
     Journal,
+    JournalAudit,
     JournalScan,
-    KillRecoverReport,
     RecoveryStats,
-    kill_and_recover,
+    audit_journal,
     read_journal,
     recover,
     report_digest,
@@ -92,16 +95,6 @@ from repro.service.script import (
     submit_script_jobs,
     validate_script,
 )
-from repro.service.loadgen import (
-    JournalAudit,
-    LoadTestReport,
-    ProtocolClient,
-    ServerThread,
-    WallKillReport,
-    audit_journal,
-    run_loadtest,
-    wall_clock_kill_and_recover,
-)
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -118,14 +111,12 @@ __all__ = [
     "JOB_STATES",
     "Journal",
     "JournalScan",
-    "KillRecoverReport",
     "RecoveryStats",
     "JobHandle",
     "JobRecord",
     "JobResult",
     "JobService",
     "JournalAudit",
-    "LoadTestReport",
     "MAX_FRAME_BYTES",
     "POLICIES",
     "POLICY_FAIR",
@@ -138,18 +129,15 @@ __all__ = [
     "STATE_PENDING",
     "STATE_REJECTED",
     "STATE_RUNNING",
-    "ProtocolClient",
     "ProtocolError",
     "ReproServer",
     "ServerStats",
-    "ServerThread",
     "ServiceReport",
     "SlotRequest",
     "Tenant",
     "TenantReport",
     "VirtualClockDriver",
     "WallClockDriver",
-    "WallKillReport",
     "allocate_slots",
     "audit_journal",
     "build_service",
@@ -158,7 +146,6 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "jain_fairness",
-    "kill_and_recover",
     "load_script",
     "parse_listen",
     "plan_digest",
@@ -168,13 +155,11 @@ __all__ = [
     "recover",
     "report_digest",
     "resume_script",
-    "run_loadtest",
     "run_script",
     "save_script",
     "scan_journal",
     "schedule_digest",
     "submit_script_jobs",
     "validate_script",
-    "wall_clock_kill_and_recover",
     "weighted_shares",
 ]

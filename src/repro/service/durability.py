@@ -43,9 +43,11 @@ additionally replayed verbatim, so recovery performs **zero re-pricings**
 of anything already decided (``decisions_replayed`` vs
 ``decisions_priced`` on the recovered service prove it).
 
-See ``docs/service.md`` ("Durability and recovery") for the operator
-view, and :func:`kill_and_recover` for the chaos harness the E25 bench
-and CI smoke drive.
+:func:`audit_journal` recounts a journal directory independently of the
+service that wrote it: one decision per submission, one terminal record
+per admitted job.  See ``docs/service.md`` ("Durability and recovery")
+for the operator view; the SIGKILL chaos harness that E25, E26 and CI
+drive is :func:`repro.service.loadgen.kill_and_recover`.
 """
 
 from __future__ import annotations
@@ -57,11 +59,8 @@ import json
 import os
 import signal
 import struct
-import subprocess
-import sys
 import time
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,6 +88,7 @@ from repro.service.jobs import (
     EV_ADMIT,
     EV_ADVANCE,
     EV_CANCEL,
+    EV_CANCELLED,
     EV_COMPLETE,
     EV_FAILED,
     EV_HEADER,
@@ -102,7 +102,7 @@ from repro.service.jobs import (
     STATE_FAILED,
     Tenant,
 )
-from repro.service.script import submit_script_jobs, validate_script
+from repro.service.script import validate_script
 from repro.workloads import build_workload
 
 #: Journal schema version (bumped on incompatible record changes).
@@ -215,6 +215,106 @@ def read_journal(path: str | Path) -> list[dict]:
             f"journal {path}: {scan.error} record #{scan.error_index} "
             f"at byte {scan.valid_bytes} (of {scan.total_bytes})")
     return scan.records
+
+
+# -- journal audit -------------------------------------------------------------
+
+
+@dataclass
+class JournalAudit:
+    """Ground-truth recount of a server run from its journal directory."""
+
+    submitted: int = 0
+    decided: int = 0
+    admitted: int = 0
+    rejected: int = 0
+    completed: int = 0
+    failed: int = 0
+    cancelled: int = 0
+    #: Jobs with more than one admission decision (must be 0).
+    double_decided: int = 0
+    #: Jobs with more than one terminal record (double billing; must be 0).
+    double_billed: int = 0
+    #: Admitted jobs with no terminal record (lost work; 0 after a drain).
+    lost: int = 0
+    #: Acked job ids missing from the journal (group-commit violation).
+    unjournaled_acks: int = 0
+
+    @property
+    def ok(self) -> bool:
+        """Zero lost, double-billed, double-decided, or unjournaled jobs."""
+        return (self.lost == 0 and self.double_billed == 0
+                and self.double_decided == 0 and self.unjournaled_acks == 0)
+
+    def to_doc(self) -> dict:
+        return {"submitted": self.submitted, "decided": self.decided,
+                "admitted": self.admitted, "rejected": self.rejected,
+                "completed": self.completed, "failed": self.failed,
+                "cancelled": self.cancelled,
+                "double_decided": self.double_decided,
+                "double_billed": self.double_billed, "lost": self.lost,
+                "unjournaled_acks": self.unjournaled_acks,
+                "ok": self.ok}
+
+
+def audit_journal(directory: str | Path,
+                  acked: list[str] | None = None) -> JournalAudit:
+    """Recount a journal directory: decisions and terminals per job.
+
+    Composes the snapshot (if one exists) with the current journal
+    segment, so compacted history still counts.  ``acked`` optionally
+    cross-checks the wire against the disk: every job id a client saw an
+    ``ack`` for must appear as a journaled submission (the group-commit
+    guarantee).
+    """
+    store = DurabilityStore(Path(directory))
+    submits: dict[str, int] = {}
+    decisions: dict[str, int] = {}
+    admitted: set[str] = set()
+    rejected: set[str] = set()
+    terminals: dict[str, int] = {}
+    by_terminal = {EV_COMPLETE: 0, EV_FAILED: 0, EV_CANCELLED: 0}
+    if store.snapshot_path.exists():
+        snapshot = json.loads(store.snapshot_path.read_text())
+        for jdoc in snapshot.get("jobs", []):
+            job_id = jdoc["job_id"]
+            submits[job_id] = 1
+            state = jdoc["state"]
+            if state != "pending":
+                decisions[job_id] = 1
+                (rejected if state == "rejected" else admitted).add(job_id)
+            if state in ("completed", "failed", "cancelled"):
+                terminals[job_id] = 1
+                key = {"completed": EV_COMPLETE, "failed": EV_FAILED,
+                       "cancelled": EV_CANCELLED}[state]
+                by_terminal[key] += 1
+    for record in scan_journal(store.journal_path).records:
+        kind = record.get("ev")
+        job_id = record.get("job_id")
+        if kind == EV_SUBMIT:
+            submits[job_id] = submits.get(job_id, 0) + 1
+        elif kind in (EV_ADMIT, EV_REJECT):
+            decisions[job_id] = decisions.get(job_id, 0) + 1
+            (admitted if kind == EV_ADMIT else rejected).add(job_id)
+        elif kind in by_terminal:
+            terminals[job_id] = terminals.get(job_id, 0) + 1
+            by_terminal[kind] += 1
+    audit = JournalAudit(
+        submitted=len(submits),
+        decided=len(decisions),
+        admitted=len(admitted),
+        rejected=len(rejected),
+        completed=by_terminal[EV_COMPLETE],
+        failed=by_terminal[EV_FAILED],
+        cancelled=by_terminal[EV_CANCELLED],
+        double_decided=sum(1 for n in decisions.values() if n > 1),
+        double_billed=sum(1 for n in terminals.values() if n > 1),
+        lost=sum(1 for job_id in admitted if job_id not in terminals),
+    )
+    if acked:
+        audit.unjournaled_acks = sum(1 for job_id in set(acked)
+                                     if job_id not in submits)
+    return audit
 
 
 # -- the write-ahead journal ---------------------------------------------------
@@ -918,7 +1018,7 @@ def resume_script(service: JobService, script: dict) -> list:
     return handles
 
 
-# -- digests + the kill-and-recover chaos harness ------------------------------
+# -- digests ------------------------------------------------------------------
 
 
 def report_digest(report) -> str:
@@ -936,137 +1036,3 @@ def schedule_digest(service: JobService) -> str:
                                  key=lambda r: r.job_id)]
     payload = json.dumps(rows, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class KillRecoverReport:
-    """Outcome of one SIGKILL-mid-burst + recover() chaos run."""
-
-    kill_after: int
-    killed: bool
-    exit_code: int
-    durable_records: int
-    jobs_expected: int
-    jobs_recovered: int
-    resubmitted: int
-    lost_jobs: int
-    double_billed_jobs: int
-    decisions_replayed: int
-    decisions_repriced: int
-    recovery_wall_seconds: float
-    bills_match: bool
-    schedules_match: bool
-    baseline_digest: str
-    recovered_digest: str
-
-    @property
-    def ok(self) -> bool:
-        """Zero lost, zero double-billed, byte-equal bills and schedules."""
-        return (self.lost_jobs == 0 and self.double_billed_jobs == 0
-                and self.bills_match and self.schedules_match)
-
-    def describe(self) -> str:
-        verdict = "OK" if self.ok else "DIVERGED"
-        fate = "killed" if self.killed else "ran to completion"
-        return (f"kill@{self.kill_after} ({fate}): "
-                f"{verdict} — {self.jobs_recovered}/{self.jobs_expected} "
-                f"jobs ({self.resubmitted} resubmitted, {self.lost_jobs} "
-                f"lost, {self.double_billed_jobs} double-billed), "
-                f"{self.decisions_replayed} decisions replayed / "
-                f"{self.decisions_repriced} re-priced, recovery "
-                f"{self.recovery_wall_seconds * 1e3:.1f}ms")
-
-
-def _serve_command(script_path: Path, journal_dir: Path, fsync_every: int,
-                   snapshot_every: int) -> list[str]:
-    command = [sys.executable, "-m", "repro", "serve", str(script_path),
-               "--journal", str(journal_dir),
-               "--fsync-every", str(fsync_every)]
-    if snapshot_every:
-        command += ["--snapshot-every", str(snapshot_every)]
-    return command
-
-
-def kill_and_recover(script: dict, directory: str | Path, kill_after: int,
-                     *, fsync_every: int = 1, snapshot_every: int = 0,
-                     workers: int = 0,
-                     timeout_seconds: float = 600.0) -> KillRecoverReport:
-    """SIGKILL a journaled service run mid-burst, recover, and compare.
-
-    Runs ``repro serve <script> --journal <dir>`` in a subprocess with the
-    deterministic crash hook armed (:data:`KILL_AFTER_ENV`), so the
-    process dies by real ``SIGKILL`` after the ``kill_after``-th journal
-    record is durable.  Then recovers in-process, resubmits whatever the
-    journal never saw, drains, and compares bills and schedules —
-    byte-equal digests — against an uninterrupted in-process run of the
-    same script.
-    """
-    from repro.service.script import build_service
-
-    validate_script(script)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    # The uninterrupted baseline (shared-nothing: its own cache).
-    baseline = build_service(script, workers=workers)
-    submit_script_jobs(baseline, script)
-    baseline.drain()
-    baseline_report = baseline.report()
-    baseline_digest = report_digest(baseline_report)
-    baseline_schedule = schedule_digest(baseline)
-
-    script_path = directory / "script.json"
-    script_path.write_text(json.dumps(script, sort_keys=True))
-    journal_dir = directory / "state"
-    env = dict(os.environ)
-    src_root = Path(__file__).resolve().parents[2]
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                           else []))
-    env[KILL_AFTER_ENV] = str(kill_after)
-    proc = subprocess.run(
-        _serve_command(script_path, journal_dir, fsync_every,
-                       snapshot_every),
-        env=env, capture_output=True, text=True, timeout=timeout_seconds)
-    killed = proc.returncode == -signal.SIGKILL
-    if not killed and proc.returncode != 0:
-        raise JournalError(
-            f"journaled serve failed (rc={proc.returncode}) without being "
-            f"killed:\n{proc.stderr[-2000:]}")
-
-    started = time.perf_counter()
-    service = recover(journal_dir, workers=workers,
-                      fsync_every=fsync_every,
-                      snapshot_every=snapshot_every)
-    recovery_wall = time.perf_counter() - started
-    resubmitted = resume_script(service, script)
-    service.drain()
-    recovered_report = service.report()
-    service.close_durability()
-
-    counts = Counter(record.source["script_index"]
-                     for record in service.jobs.values()
-                     if record.source and "script_index" in record.source)
-    expected = len(script["jobs"])
-    lost = sum(1 for index in range(expected) if counts.get(index, 0) == 0)
-    double = sum(max(0, n - 1) for n in counts.values())
-    recovered_digest = report_digest(recovered_report)
-    recovered_schedule = schedule_digest(service)
-    return KillRecoverReport(
-        kill_after=kill_after,
-        killed=killed,
-        exit_code=proc.returncode,
-        durable_records=service.recovery.records_scanned,
-        jobs_expected=expected,
-        jobs_recovered=sum(1 for n in counts.values() if n > 0),
-        resubmitted=len(resubmitted),
-        lost_jobs=lost,
-        double_billed_jobs=double,
-        decisions_replayed=service.recovery.decisions_replayed,
-        decisions_repriced=service.recovery.decisions_repriced,
-        recovery_wall_seconds=recovery_wall,
-        bills_match=recovered_digest == baseline_digest,
-        schedules_match=recovered_schedule == baseline_schedule,
-        baseline_digest=baseline_digest,
-        recovered_digest=recovered_digest,
-    )

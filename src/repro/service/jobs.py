@@ -229,13 +229,6 @@ class JobResult:
             return float("inf")
         return self.finished_at - self.submitted_at
 
-    @property
-    def queue_seconds(self) -> float:
-        """Time between submission and the first allocated slot."""
-        if self.started_at is None:
-            return float("inf")
-        return self.started_at - self.submitted_at
-
 
 class JobHandle:
     """A tenant's view of one submission: status, result, cancel."""
@@ -364,12 +357,6 @@ class JobService:
         self._store = store
         self.journal = store.journal
         self._snapshot_every = store.snapshot_every
-
-    def take_snapshot(self) -> None:
-        """Snapshot full state now and compact (rotate) the journal."""
-        if self._store is None:
-            raise ValidationError("no durability store attached")
-        self._store.snapshot(self)
 
     def close_durability(self) -> None:
         """Flush the journal and persist the admission memo (idempotent)."""

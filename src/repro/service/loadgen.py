@@ -1,7 +1,9 @@
-"""Load generation, journal auditing, and chaos for the wall-clock server.
+"""Load generation and SIGKILL chaos for the ``repro serve`` subprocess.
 
-Three layers, all speaking the NDJSON protocol of
-:mod:`repro.service.protocol`:
+Test rigs, not product API: importable from here, absent from
+:mod:`repro.api`.  Both speak the NDJSON protocol of
+:mod:`repro.service.protocol` and spawn ``repro serve`` through one
+builder (:func:`_spawn_serve`):
 
 * :class:`ProtocolClient` — a tiny blocking client (tests, scripting);
 * :func:`run_loadtest` — the multi-process load generator behind
@@ -10,16 +12,16 @@ Three layers, all speaking the NDJSON protocol of
   worker *processes* with a configurable arrival process, measures
   client-side admission latency (submit -> ack), and audits the journal
   afterwards to prove zero lost / double-billed jobs;
-* :func:`wall_clock_kill_and_recover` — the wall-clock extension of the
-  ``service-kill`` chaos scenario: SIGKILL the live server mid-burst,
-  recover the journal in-process, and verify every *acked* submission
-  survived (the group-commit guarantee: acks are sent only after the
-  batch's fsync).
+* :func:`kill_and_recover` — the ``service-kill`` chaos scenario behind
+  E25, E26 and ``repro chaos``: SIGKILL a journaled server mid-burst
+  (a virtual-clock script replay, or a live ``--listen`` burst), recover
+  the journal in-process, and verify nothing was lost or billed twice —
+  and, for a script, that bills and schedule match an uninterrupted run.
 
-The journal audit (:func:`audit_journal`) is the ground truth for both:
-it recounts the write-ahead journal record-for-record — one admission
-decision per submission, exactly one terminal record per admitted job —
-independently of anything the server said on the wire.
+The ground truth for both is
+:func:`~repro.service.durability.audit_journal`, which recounts the
+write-ahead journal record-for-record independently of anything the
+server said on the wire.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import queue
 import random
 import signal
 import socket
@@ -34,25 +37,21 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.errors import ServiceError, ValidationError
+from repro.errors import JournalError, ServiceError, ValidationError
 from repro.service.durability import (
     KILL_AFTER_ENV,
     DurabilityStore,
+    JournalAudit,
+    audit_journal,
     recover,
-    scan_journal,
+    report_digest,
+    resume_script,
+    schedule_digest,
 )
-from repro.service.jobs import (
-    EV_ADMIT,
-    EV_CANCELLED,
-    EV_COMPLETE,
-    EV_FAILED,
-    EV_REJECT,
-    EV_SUBMIT,
-    _percentile,
-)
+from repro.service.jobs import _percentile
 from repro.service.protocol import (
     T_ACK,
     T_BYE,
@@ -62,6 +61,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
 )
+from repro.service.script import build_service, submit_script_jobs
 from repro.service.server import parse_listen
 
 #: Arrival processes the load generator can drive.
@@ -70,8 +70,8 @@ ARRIVAL_POISSON = "poisson"    # exponential gaps (memoryless)
 ARRIVAL_BURST = "burst"        # back-to-back bursts, then a pause
 ARRIVALS = (ARRIVAL_UNIFORM, ARRIVAL_POISSON, ARRIVAL_BURST)
 
-#: Terminal journal event kinds (exactly one per admitted job).
-_TERMINAL_EVENTS = (EV_COMPLETE, EV_FAILED, EV_CANCELLED)
+#: Safety timeout (seconds) for one chaos run's server and client.
+_KILL_TIMEOUT = 600.0
 
 
 def _connect(listen: str, timeout: float = 30.0) -> socket.socket:
@@ -244,15 +244,18 @@ def _worker_main(out_q, listen: str, worker_id: int,
     try:
         sock = _connect(listen, timeout=timeout)
     except ServiceError:
-        out_q.put({"worker": worker_id, "latencies": [], "acked": [],
-                   "states": {}, "errors": ["connect-failed"],
+        out_q.put({"worker": worker_id, "sent": 0, "latencies": [],
+                   "acked": [], "states": {}, "errors": ["connect-failed"],
                    "drained": False})
         return
     file = sock.makefile("rb")
 
     def reader() -> None:
         while True:
-            line = file.readline()
+            try:
+                line = file.readline()
+            except OSError:  # reset by a server that died mid-frame
+                line = b""
             if not line:
                 died.set()
                 drained.set()
@@ -311,112 +314,13 @@ def _worker_main(out_q, listen: str, worker_id: int,
             pass
     out_q.put({
         "worker": worker_id,
+        "sent": len(send_times),
         "latencies": list(latencies.values()),
         "acked": acked,
         "states": states,
         "errors": errors,
         "drained": drained.is_set() and not died.is_set(),
     })
-
-
-# -- journal audit -------------------------------------------------------------
-
-
-@dataclass
-class JournalAudit:
-    """Ground-truth recount of a server run from its journal directory."""
-
-    submitted: int = 0
-    decided: int = 0
-    admitted: int = 0
-    rejected: int = 0
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    #: Jobs with more than one admission decision (must be 0).
-    double_decided: int = 0
-    #: Jobs with more than one terminal record (double billing; must be 0).
-    double_billed: int = 0
-    #: Admitted jobs with no terminal record (lost work; 0 after a drain).
-    lost: int = 0
-    #: Acked job ids missing from the journal (group-commit violation).
-    unjournaled_acks: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """Zero lost, double-billed, double-decided, or unjournaled jobs."""
-        return (self.lost == 0 and self.double_billed == 0
-                and self.double_decided == 0 and self.unjournaled_acks == 0)
-
-    def to_doc(self) -> dict:
-        return {"submitted": self.submitted, "decided": self.decided,
-                "admitted": self.admitted, "rejected": self.rejected,
-                "completed": self.completed, "failed": self.failed,
-                "cancelled": self.cancelled,
-                "double_decided": self.double_decided,
-                "double_billed": self.double_billed, "lost": self.lost,
-                "unjournaled_acks": self.unjournaled_acks,
-                "ok": self.ok}
-
-
-def audit_journal(directory: str | Path,
-                  acked: list[str] | None = None) -> JournalAudit:
-    """Recount a journal directory: decisions and terminals per job.
-
-    Composes the snapshot (if one exists) with the current journal
-    segment, so compacted history still counts.  ``acked`` optionally
-    cross-checks the wire against the disk: every job id a client saw an
-    ``ack`` for must appear as a journaled submission (the group-commit
-    guarantee).
-    """
-    store = DurabilityStore(Path(directory))
-    submits: dict[str, int] = {}
-    decisions: dict[str, int] = {}
-    admitted: set[str] = set()
-    rejected: set[str] = set()
-    terminals: dict[str, int] = {}
-    by_terminal = {EV_COMPLETE: 0, EV_FAILED: 0, EV_CANCELLED: 0}
-    if store.snapshot_path.exists():
-        snapshot = json.loads(store.snapshot_path.read_text())
-        for jdoc in snapshot.get("jobs", []):
-            job_id = jdoc["job_id"]
-            submits[job_id] = 1
-            state = jdoc["state"]
-            if state != "pending":
-                decisions[job_id] = 1
-                (rejected if state == "rejected" else admitted).add(job_id)
-            if state in ("completed", "failed", "cancelled"):
-                terminals[job_id] = 1
-                key = {"completed": EV_COMPLETE, "failed": EV_FAILED,
-                       "cancelled": EV_CANCELLED}[state]
-                by_terminal[key] += 1
-    for record in scan_journal(store.journal_path).records:
-        kind = record.get("ev")
-        job_id = record.get("job_id")
-        if kind == EV_SUBMIT:
-            submits[job_id] = submits.get(job_id, 0) + 1
-        elif kind in (EV_ADMIT, EV_REJECT):
-            decisions[job_id] = decisions.get(job_id, 0) + 1
-            (admitted if kind == EV_ADMIT else rejected).add(job_id)
-        elif kind in _TERMINAL_EVENTS:
-            terminals[job_id] = terminals.get(job_id, 0) + 1
-            by_terminal[kind] += 1
-    audit = JournalAudit(
-        submitted=len(submits),
-        decided=len(decisions),
-        admitted=len(admitted),
-        rejected=len(rejected),
-        completed=by_terminal[EV_COMPLETE],
-        failed=by_terminal[EV_FAILED],
-        cancelled=by_terminal[EV_CANCELLED],
-        double_decided=sum(1 for n in decisions.values() if n > 1),
-        double_billed=sum(1 for n in terminals.values() if n > 1),
-        lost=sum(1 for job_id in admitted if job_id not in terminals),
-    )
-    if acked:
-        audit.unjournaled_acks = sum(1 for job_id in set(acked)
-                                     if job_id not in submits)
-    return audit
 
 
 # -- the loadtest driver -------------------------------------------------------
@@ -495,30 +399,32 @@ class LoadTestReport:
             f"-> {'OK' if self.ok else 'FAILED'}")
 
 
-def _server_command(listen: str, journal: Path, *, instance: str,
-                    nodes: int, slots: int, tick_interval: float,
-                    max_batch: int, max_wait: float | None,
-                    time_scale: float, fsync_every: int) -> list[str]:
-    command = [sys.executable, "-m", "repro", "serve",
-               "--listen", listen, "--journal", str(journal),
-               "--instance", instance, "--nodes", str(nodes),
-               "--slots", str(slots),
-               "--tick-interval", str(tick_interval),
-               "--max-batch", str(max_batch),
-               "--time-scale", str(time_scale),
-               "--fsync-every", str(fsync_every), "--json"]
-    if max_wait is not None:
-        command += ["--max-wait", str(max_wait)]
-    return command
+def _spawn_serve(journal: Path, fsync_every: int, *args: str,
+                 kill_after: int | None = None) -> subprocess.Popen:
+    """Start ``repro serve ARGS --journal JOURNAL`` from this source tree.
 
-
-def _spawn_env() -> dict:
+    ``kill_after`` arms the deterministic crash hook
+    (:data:`~repro.service.durability.KILL_AFTER_ENV`): the server
+    SIGKILLs itself once that many journal records are durable.
+    """
     env = dict(os.environ)
     src_root = Path(__file__).resolve().parents[2]
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src_root)] + ([env["PYTHONPATH"]]
                            if env.get("PYTHONPATH") else []))
-    return env
+    if kill_after is not None:
+        env[KILL_AFTER_ENV] = str(kill_after)
+    command = [sys.executable, "-m", "repro", "serve", *args,
+               "--journal", str(journal), "--fsync-every", str(fsync_every)]
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def _submissions(jobs: int, tenants: int, workload: str,
+                 scale: str) -> list[tuple[str, str, str]]:
+    """``jobs`` (tenant, workload, scale) triples, tenants round-robin."""
+    return [(f"t{index % tenants:04d}", workload, scale)
+            for index in range(jobs)]
 
 
 def run_loadtest(directory: str | Path, *,
@@ -561,19 +467,18 @@ def run_loadtest(directory: str | Path, *,
     proc = None
     if listen is None:
         listen = str(directory / "server.sock")
-        proc = subprocess.Popen(
-            _server_command(listen, journal, instance=instance, nodes=nodes,
-                            slots=slots, tick_interval=tick_interval,
-                            max_batch=max_batch, max_wait=max_wait,
-                            time_scale=time_scale, fsync_every=fsync_every),
-            env=_spawn_env(), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True)
+        max_wait_args = ([] if max_wait is None
+                         else ["--max-wait", str(max_wait)])
+        proc = _spawn_serve(
+            journal, fsync_every, "--listen", listen, "--instance",
+            instance, "--nodes", str(nodes), "--slots", str(slots),
+            "--tick-interval", str(tick_interval), "--max-batch",
+            str(max_batch), "--time-scale", str(time_scale), "--json",
+            *max_wait_args)
     try:
         wait_for_server(listen, timeout=min(60.0, timeout), proc=proc)
 
-        # Deal (tenant, workload, scale) triples round-robin to workers.
-        triples = [(f"t{index % tenants:04d}", workload, scale)
-                   for index in range(jobs)]
+        triples = _submissions(jobs, tenants, workload, scale)
         shares = [triples[index::processes] for index in range(processes)]
         out_q = multiprocessing.Queue()
         workers = [
@@ -662,173 +567,183 @@ def _stop_server(listen: str, proc: subprocess.Popen | None,
         return None
 
 
-# -- wall-clock kill-and-recover chaos -----------------------------------------
+# -- SIGKILL chaos: kill, recover, audit ---------------------------------------
 
 
 @dataclass
-class WallKillReport:
-    """Outcome of one SIGKILL-mid-burst chaos run on the live server."""
+class KillRecoverReport:
+    """Outcome of one SIGKILL-mid-burst + ``recover()`` chaos run.
+
+    The script facts (``full_run_records``, ``bills_match``,
+    ``schedules_match``) are None for a live burst; the wire facts
+    (``sent``, ``acked``, ``lost_acked``) are None for a script replay.
+    """
 
     kill_after: int
     killed: bool
     exit_code: int
-    sent: int
-    acked: int
-    journaled_submits: int
-    #: Acked submissions missing from the journal (must be 0: acks follow
-    #: the group commit).
-    lost_acked: int
+    #: Jobs in the script, or submissions in the live burst.
+    jobs: int
+    durable_records: int
+    #: Jobs the recovered journal held, and script jobs it never saw.
+    recovered_jobs: int
+    resubmitted: int
     #: Admitted jobs with no terminal record after the recovery drain.
     lost_jobs: int
+    #: Jobs with more than one terminal record.
     double_billed: int
-    recovered_jobs: int
     decisions_replayed: int
     decisions_repriced: int
     recovery_wall_seconds: float
+    full_run_records: int | None = None
+    bills_match: bool | None = None
+    schedules_match: bool | None = None
+    sent: int | None = None
+    acked: int | None = None
+    #: Acked submissions missing from the journal (must be 0: acks follow
+    #: the group commit).
+    lost_acked: int | None = None
 
     @property
     def ok(self) -> bool:
-        """Killed for real, nothing acked was lost, nothing billed twice."""
-        return (self.killed and self.lost_acked == 0
-                and self.lost_jobs == 0 and self.double_billed == 0)
+        """Killed for real, nothing lost or billed twice, digests equal."""
+        return (self.killed and self.lost_jobs == 0
+                and self.double_billed == 0 and not self.lost_acked
+                and self.bills_match is not False
+                and self.schedules_match is not False)
 
     def describe(self) -> str:
         verdict = "OK" if self.ok else "DIVERGED"
         fate = "killed" if self.killed else f"exit {self.exit_code}"
-        return (f"wall-clock kill@{self.kill_after} ({fate}): {verdict} — "
-                f"{self.acked}/{self.sent} acked, "
-                f"{self.journaled_submits} journaled, "
-                f"{self.lost_acked} acked-but-lost, "
-                f"{self.lost_jobs} lost, {self.double_billed} "
-                f"double-billed; {self.recovered_jobs} jobs recovered "
-                f"({self.decisions_replayed} decisions replayed / "
-                f"{self.decisions_repriced} re-priced) in "
+        wire = ("" if self.sent is None else
+                f"{self.acked}/{self.sent} acked ({self.lost_acked} "
+                f"acked-but-lost), ")
+        digests = ("" if self.bills_match is None else
+                   f", bills {'match' if self.bills_match else 'differ'}, "
+                   f"schedules "
+                   f"{'match' if self.schedules_match else 'differ'}")
+        return (f"kill@{self.kill_after} ({fate}): {verdict} — {wire}"
+                f"{self.recovered_jobs}/{self.jobs} jobs recovered "
+                f"({self.resubmitted} resubmitted, {self.lost_jobs} lost, "
+                f"{self.double_billed} double-billed){digests}; "
+                f"{self.decisions_replayed} decisions replayed / "
+                f"{self.decisions_repriced} re-priced, recovery "
                 f"{self.recovery_wall_seconds * 1e3:.1f}ms")
 
     def to_doc(self) -> dict:
-        return {"kill_after": self.kill_after, "killed": self.killed,
-                "exit_code": self.exit_code, "sent": self.sent,
-                "acked": self.acked,
-                "journaled_submits": self.journaled_submits,
-                "lost_acked": self.lost_acked, "lost_jobs": self.lost_jobs,
-                "double_billed": self.double_billed,
-                "recovered_jobs": self.recovered_jobs,
-                "decisions_replayed": self.decisions_replayed,
-                "decisions_repriced": self.decisions_repriced,
-                "recovery_wall_seconds": self.recovery_wall_seconds,
-                "ok": self.ok}
+        doc = {key: value for key, value in asdict(self).items()
+               if value is not None}
+        doc["ok"] = self.ok
+        return doc
 
 
-def wall_clock_kill_and_recover(directory: str | Path, *,
-                                jobs: int = 120,
-                                tenants: int = 12,
-                                kill_after: int = 0,
-                                workload: str = "multiply",
-                                scale: str = "tiny",
-                                tick_interval: float = 0.01,
-                                max_batch: int = 64,
-                                time_scale: float = 600.0,
-                                timeout: float = 600.0) -> WallKillReport:
-    """SIGKILL the live wall-clock server mid-burst, recover, audit.
+def kill_and_recover(script: dict | None, directory: str | Path, *,
+                     kill_after: int | None = None,
+                     jobs: int = 120,
+                     tenants: int = 12,
+                     workload: str = "multiply",
+                     scale: str = "tiny",
+                     time_scale: float = 600.0) -> KillRecoverReport:
+    """SIGKILL a journaled ``repro serve`` mid-burst, recover, audit.
 
-    Spawns ``repro serve --listen --journal`` with the deterministic
-    crash hook armed (``fsync_every=1`` so every record is a kill
-    point), fires a concurrent submission burst, and lets the hook kill
-    the server after the ``kill_after``-th journal record.  Then
-    recovers the journal **in-process**, drains the recovered service,
-    and audits: every submission the client got an ``ack`` for must be
-    in the journal (group commit ordering), and no admitted job may end
-    with zero or two terminal records.
+    With a submission ``script`` the server replays it on the virtual
+    clock.  A journaled in-process run of the same script (in
+    ``directory/baseline``) first counts the records a full run writes —
+    ``kill_after`` must fall among them and defaults to half way — and
+    gives the bills and schedule the recovered run must reproduce.
+    Without one, the server listens on a socket at ``time_scale`` and
+    takes a burst of ``jobs`` submissions of ``workload`` at ``scale``
+    across ``tenants`` tenants; ``kill_after`` defaults to twice ``jobs``.
+
+    Either way every record is synced and the server dies by real
+    ``SIGKILL`` after the ``kill_after``-th.  The journal is recovered
+    in-process, script jobs it never saw are resubmitted, the service
+    drains, and :func:`audit_journal` recounts it: no admitted job
+    without a terminal record or with two, every acked job journaled.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     journal = directory / "state"
-    listen = str(directory / "server.sock")
-    if kill_after <= 0:
-        # Each job costs ~5+ journal records end-to-end; twice the job
-        # count lands mid-burst with submissions still in flight.
-        kill_after = max(8, jobs * 2)
-    env = _spawn_env()
-    env[KILL_AFTER_ENV] = str(kill_after)
-    proc = subprocess.Popen(
-        _server_command(listen, journal, instance="m1.large", nodes=8,
-                        slots=2, tick_interval=tick_interval,
-                        max_batch=max_batch, max_wait=None,
-                        time_scale=time_scale, fsync_every=1),
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if script is not None:
+        baseline = build_service(
+            script, store=DurabilityStore(directory / "baseline"))
+        submit_script_jobs(baseline, script)
+        baseline.drain()
+        baseline.close_durability()
+        full_run_records = baseline.journal.records
+        if kill_after is None:
+            kill_after = max(2, full_run_records // 2)
+        if kill_after > full_run_records:
+            raise ValidationError(
+                f"kill_after={kill_after} is past the last of the "
+                f"{full_run_records} records a full run writes")
+        script_path = directory / "script.json"
+        script_path.write_text(json.dumps(script, sort_keys=True))
+        serve_args = [str(script_path)]
+    else:
+        full_run_records = None
+        if kill_after is None:
+            kill_after = max(8, jobs * 2)
+        listen = str(directory / "server.sock")
+        serve_args = ["--listen", listen, "--tick-interval", "0.01",
+                      "--max-batch", "64", "--time-scale", str(time_scale)]
+    if kill_after < 1:
+        raise ValidationError(f"kill_after must be >= 1, got {kill_after}")
 
-    acked: list[str] = []
-    sent = 0
+    proc = _spawn_serve(journal, 1, *serve_args, kill_after=kill_after)
+    sent = acked = None
     try:
-        wait_for_server(listen, timeout=min(60.0, timeout), proc=proc)
-        sock = _connect(listen, timeout=10.0)
-        file = sock.makefile("rb")
-        dead = threading.Event()
-
-        def reader() -> None:
-            while True:
-                try:
-                    line = file.readline()
-                except OSError:
-                    break
-                if not line:
-                    break
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if doc.get("type") == T_ACK and doc.get("job_id"):
-                    acked.append(doc["job_id"])
-            dead.set()
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        try:
-            for index in range(jobs):
-                sock.sendall(encode_frame({
-                    "type": "submit", "tenant": f"t{index % tenants:03d}",
-                    "workload": workload, "scale": scale, "req": index}))
-                sent += 1
-                if dead.is_set():
-                    break
-        except OSError:
-            pass  # the server died under us — exactly the point
-        # Wait for the SIGKILL to land (the burst may finish first).
-        proc.wait(timeout=timeout)
-        dead.wait(timeout=10.0)
-        try:
-            sock.close()
-        except OSError:
-            pass
+        if script is None:
+            wait_for_server(listen, timeout=60.0, proc=proc)
+            outcome = queue.SimpleQueue()
+            _worker_main(outcome, listen, 0,
+                         _submissions(jobs, tenants, workload, scale),
+                         ARRIVAL_UNIFORM, 0.0, 0, 1, _KILL_TIMEOUT)
+            burst = outcome.get()
+            sent, acked = burst["sent"], burst["acked"]
+        __, stderr = proc.communicate(timeout=_KILL_TIMEOUT)
     finally:
         if proc.poll() is None:
             proc.kill()
-        proc.wait(timeout=30.0)
-
+            proc.communicate(timeout=30.0)
     killed = proc.returncode == -signal.SIGKILL
+    if not killed and proc.returncode != 0:
+        raise JournalError(
+            f"journaled serve failed (rc={proc.returncode}) without being "
+            f"killed:\n{stderr[-2000:]}")
 
     started = time.perf_counter()
     service = recover(journal, fsync_every=1)
-    service.drain()
     recovery_wall = time.perf_counter() - started
     recovered_jobs = len(service.jobs)
-    decisions_replayed = service.recovery.decisions_replayed
-    decisions_repriced = service.recovery.decisions_repriced
+    resubmitted = (len(resume_script(service, script))
+                   if script is not None else 0)
+    service.drain()
+    bills_match = schedules_match = None
+    if script is not None:
+        bills_match = (report_digest(service.report())
+                       == report_digest(baseline.report()))
+        schedules_match = schedule_digest(service) == schedule_digest(baseline)
     service.close_durability()
 
     audit = audit_journal(journal, acked=acked)
-    return WallKillReport(
+    return KillRecoverReport(
         kill_after=kill_after,
         killed=killed,
         exit_code=proc.returncode,
-        sent=sent,
-        acked=len(acked),
-        journaled_submits=audit.submitted,
-        lost_acked=audit.unjournaled_acks,
+        jobs=len(script["jobs"]) if script is not None else jobs,
+        durable_records=service.recovery.records_scanned,
+        recovered_jobs=recovered_jobs,
+        resubmitted=resubmitted,
         lost_jobs=audit.lost,
         double_billed=audit.double_billed,
-        recovered_jobs=recovered_jobs,
-        decisions_replayed=decisions_replayed,
-        decisions_repriced=decisions_repriced,
+        decisions_replayed=service.recovery.decisions_replayed,
+        decisions_repriced=service.recovery.decisions_repriced,
         recovery_wall_seconds=recovery_wall,
+        full_run_records=full_run_records,
+        bills_match=bills_match,
+        schedules_match=schedules_match,
+        sent=sent,
+        acked=None if acked is None else len(acked),
+        lost_acked=None if acked is None else audit.unjournaled_acks,
     )

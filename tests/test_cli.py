@@ -360,8 +360,19 @@ class TestServeDurability:
         assert document["killed"] is True
         assert document["ok"] is True
         assert document["lost_jobs"] == 0
-        assert document["double_billed_jobs"] == 0
+        assert document["double_billed"] == 0
         assert document["bills_match"] and document["schedules_match"]
+        assert document["full_run_records"] >= 5
+
+    def test_chaos_service_kill_past_the_run_fails(self, tmp_path, capsys):
+        # A 3-job script writes a few dozen records: a kill point past
+        # them could never land, so the run is refused, not passed.
+        script = self.build_script(tmp_path, jobs=3)
+        code, text = run_cli("chaos", str(script), "--scenario",
+                             "service-kill", "--chaos-seed", "100000")
+        assert code == 1
+        assert text == ""
+        assert "past the last" in capsys.readouterr().err
 
 
 class TestChaos:

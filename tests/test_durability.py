@@ -38,7 +38,6 @@ from repro.service import (
     DurabilityStore,
     audit_journal,
     Journal,
-    kill_and_recover,
     read_journal,
     recover,
     report_digest,
@@ -65,6 +64,7 @@ from repro.service.jobs import (
     EV_SUBMIT,
     JobService,
 )
+from repro.service.loadgen import kill_and_recover
 from repro.service.script import build_service
 from repro.workloads import build_workload
 
@@ -614,22 +614,38 @@ class TestResumeScript:
         service.close_durability()
 
 
+class TestKillPoint:
+    def test_a_kill_past_the_last_record_is_refused_before_spawning(
+            self, tmp_path):
+        # A kill point the run never reaches would let the server finish
+        # cleanly; the rig refuses it instead of reporting a clean pass.
+        with pytest.raises(ValidationError, match="past the last"):
+            kill_and_recover(small_script(jobs=3), tmp_path,
+                             kill_after=100000)
+        assert (tmp_path / "baseline" / "journal.wal").exists()
+        assert not (tmp_path / "state").exists()
+
+
 @pytest.mark.slow
 class TestRealSigkill:
     def test_kill_and_recover_subprocess(self, tmp_path):
+        # The default kill point lands half way through the records the
+        # journaled baseline run wrote.
         script = small_script()
-        probe = tmp_path / "probe"
-        run_script(script, store=DurabilityStore(probe, fsync_every=1))
-        total = len(read_journal(probe / "journal.wal"))
-        chaos = kill_and_recover(script, tmp_path / "chaos",
-                                 kill_after=max(2, total // 2),
-                                 fsync_every=1)
+        chaos = kill_and_recover(script, tmp_path)
+        total = len(read_journal(tmp_path / "baseline" / "journal.wal"))
+        assert chaos.full_run_records == total
+        assert chaos.kill_after == max(2, total // 2)
         assert chaos.killed
         assert chaos.exit_code == -signal.SIGKILL
+        assert chaos.durable_records >= chaos.kill_after
         assert chaos.ok, chaos.describe()
         assert chaos.lost_jobs == 0
-        assert chaos.double_billed_jobs == 0
+        assert chaos.double_billed == 0
         assert chaos.bills_match and chaos.schedules_match
+        assert (chaos.recovered_jobs + chaos.resubmitted
+                == chaos.jobs == len(script["jobs"]))
+        assert "lost_acked" not in chaos.to_doc()
 
 
 class TestRestoreEdgeCases:

@@ -17,15 +17,18 @@ import pytest
 from repro.cli import main
 from repro.cloud import ClusterSpec, get_instance_type
 from repro.errors import ValidationError
-from repro.service.durability import DurabilityStore, recover
+from repro.service.durability import (
+    DurabilityStore,
+    JournalAudit,
+    audit_journal,
+    recover,
+)
 from repro.service.jobs import JobService
 from repro.service.loadgen import (
-    JournalAudit,
     ProtocolClient,
     ServerThread,
-    audit_journal,
+    kill_and_recover,
     run_loadtest,
-    wall_clock_kill_and_recover,
 )
 from repro.service.server import (
     LATENCY_WINDOW,
@@ -317,15 +320,18 @@ class TestLoadTestSubprocess:
         assert report.ok
         assert report.acked == 30
 
-    def test_wall_clock_kill_and_recover(self, tmp_path):
-        report = wall_clock_kill_and_recover(tmp_path, jobs=40, tenants=8,
-                                             tick_interval=0.01)
+    def test_live_burst_kill_and_recover(self, tmp_path):
+        report = kill_and_recover(None, tmp_path, jobs=40, tenants=8)
         assert report.killed
         assert report.ok
+        assert report.kill_after == 80
         assert report.lost_acked == 0
         assert report.lost_jobs == 0
         assert report.double_billed == 0
-        assert report.journaled_submits > 0
+        assert report.recovered_jobs > 0
+        assert 0 < report.sent <= 40 and report.acked <= report.sent
+        assert report.bills_match is None
+        assert "bills_match" not in report.to_doc()
         assert "OK" in report.describe()
 
     def test_cli_loadtest_json(self, tmp_path):
