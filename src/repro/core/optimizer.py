@@ -53,7 +53,11 @@ from repro.hadoop.faults import (
     RandomNodeFailures,
     SpotRevocationWaves,
 )
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+from repro.observability.metrics import (
+    NULL_METRICS,
+    MetricsRegistry,
+    percentile,
+)
 from repro.observability.search import (
     NULL_SEARCH_TRACE,
     ORIGIN_ADHOC,
@@ -105,13 +109,6 @@ class SearchSpace:
         if self.tile_size_options is not None:
             return list(self.tile_size_options)
         return [default]
-
-
-def _percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    index = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return ordered[index]
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ class ReliablePlan:
         finite = self._finite_seconds()
         if not finite:
             return float("inf")
-        return _percentile(finite, 0.95)
+        return percentile(finite, 0.95)
 
     @property
     def mean_cost(self) -> float:
@@ -222,7 +219,7 @@ class ReliablePlan:
         finite = self._finite_costs()
         if not finite:
             return float("inf")
-        return _percentile(finite, 0.95)
+        return percentile(finite, 0.95)
 
     def expected_overrun(self, deadline_seconds: float) -> float:
         """Mean seconds past the deadline across completed scenarios."""
@@ -237,7 +234,7 @@ class ReliablePlan:
         finite = self._finite_seconds()
         if not finite:
             return float("inf")
-        return max(0.0, _percentile(finite, 0.95) - deadline_seconds)
+        return max(0.0, percentile(finite, 0.95) - deadline_seconds)
 
     def expected_cost_overrun(self, budget_dollars: float) -> float:
         """Mean dollars spent past the budget across scenarios."""

@@ -23,6 +23,7 @@ JSON, CSV, ASCII dashboards) live in
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -46,6 +47,13 @@ DEFAULT_MAX_SAMPLES = 4096
 
 LabelDict = dict[str, str]
 LabelKey = tuple[tuple[str, str], ...]
+
+
+def percentile(values: list[float], fraction: float) -> float:
+    """Nearest-rank percentile (deterministic, no interpolation)."""
+    ordered = sorted(values)
+    index = max(0, math.ceil(fraction * len(ordered)) - 1)
+    return ordered[index]
 
 
 def _label_key(labels: LabelDict | None) -> LabelKey:

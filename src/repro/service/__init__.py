@@ -101,7 +101,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
 )
-from repro.service.server import ReproServer, ServerStats, parse_listen
+from repro.service.server import ReproServer, parse_listen
 from repro.service.ticks import VirtualClockDriver, WallClockDriver
 
 __all__ = [
@@ -131,7 +131,6 @@ __all__ = [
     "STATE_RUNNING",
     "ProtocolError",
     "ReproServer",
-    "ServerStats",
     "ServiceReport",
     "SlotRequest",
     "Tenant",

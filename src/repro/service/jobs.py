@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import math
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -55,7 +54,11 @@ from repro.errors import (
     ValidationError,
 )
 from repro.observability.cost import CostMeter
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+from repro.observability.metrics import (
+    NULL_METRICS,
+    MetricsRegistry,
+    percentile,
+)
 from repro.observability.trace import (
     NULL_RECORDER,
     PHASE_JOB,
@@ -108,13 +111,6 @@ EFFECT_EVENTS = frozenset((EV_ADMIT, EV_REJECT, EV_START, EV_COMPLETE,
 
 #: Remaining slot-seconds below this count as done (float drift guard).
 _WORK_EPSILON = 1e-6
-
-
-def _percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    index = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return ordered[index]
 
 
 @dataclass
@@ -850,9 +846,9 @@ class JobService:
                 dollars=share * total_dollars,
                 mean_latency_seconds=(sum(latencies) / len(latencies)
                                       if latencies else 0.0),
-                p50_latency_seconds=(_percentile(latencies, 0.50)
+                p50_latency_seconds=(percentile(latencies, 0.50)
                                      if latencies else 0.0),
-                p95_latency_seconds=(_percentile(latencies, 0.95)
+                p95_latency_seconds=(percentile(latencies, 0.95)
                                      if latencies else 0.0),
             ))
         completed = sum(t.completed for t in tenants)

@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import JournalError, ServiceError, ValidationError
+from repro.observability.metrics import percentile
 from repro.service.durability import (
     KILL_AFTER_ENV,
     DurabilityStore,
@@ -51,7 +52,6 @@ from repro.service.durability import (
     resume_script,
     schedule_digest,
 )
-from repro.service.jobs import _percentile
 from repro.service.protocol import (
     T_ACK,
     T_BYE,
@@ -542,7 +542,7 @@ def run_loadtest(directory: str | Path, *,
 
 
 def _ms(values: list[float], fraction: float) -> float:
-    return _percentile(values, fraction) * 1e3 if values else 0.0
+    return percentile(values, fraction) * 1e3 if values else 0.0
 
 
 def _stop_server(listen: str, proc: subprocess.Popen | None,

@@ -22,10 +22,12 @@ Tick anatomy (all on the event loop; the service itself is synchronous)::
       -> send acks (admission outcome)       (durable by now)
       -> send results for newly-terminal jobs
 
-Everything observable is metered under ``server.*``: accept latency
-(enqueue -> ack), per-tick wall time, batch sizes, queue depth, group
-commits.  A final :meth:`ReproServer.report` summarizes the run for the
-``repro loadtest`` harness (see :mod:`repro.service.loadgen`).
+The server counts everything once, in the ``server.*`` instruments of
+the :class:`~repro.observability.metrics.MetricsRegistry` it owns
+(``ReproServer.metrics``): counters, accept latency (enqueue -> ack),
+per-tick wall time, batch sizes, queue depth.  The ``status`` frame and
+the final :meth:`ReproServer.report` (read by the ``repro loadtest``
+harness, see :mod:`repro.service.loadgen`) are views of that registry.
 
 Robustness: malformed frames get structured ``error`` frames and the
 connection survives; a disconnected client's jobs keep running (their
@@ -40,13 +42,13 @@ import asyncio
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.program import Program
 from repro.errors import ProtocolError, ValidationError
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
-from repro.service.jobs import JobService, _percentile
+from repro.observability.metrics import MetricsRegistry, percentile
+from repro.service.jobs import JobService
 from repro.service.protocol import (
     ERR_BAD_FRAME,
     ERR_DRAIN_PENDING,
@@ -132,81 +134,23 @@ class _Connection:
                 self.closed = True
 
 
-#: How many recent samples a :class:`LatencyWindow` keeps for percentiles.
-LATENCY_WINDOW = 8192
+#: The server's counters, ``server.<name>`` in its registry.
+COUNTERS = ("connections", "accepted", "rejected", "cancelled_requests",
+            "results_sent", "errors_sent", "protocol_errors", "torn_frames",
+            "ticks", "group_commits")
 
 
-class LatencyWindow:
-    """Latency samples in bounded memory.
-
-    ``count``, ``mean`` and ``max`` cover every sample ever added; the
-    percentiles are taken over the most recent :data:`LATENCY_WINDOW`.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self.recent: deque[float] = deque(maxlen=LATENCY_WINDOW)
-
-    def add(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        self.max = max(self.max, seconds)
-        self.recent.append(seconds)
-
-    def to_doc(self) -> dict:
-        """JSON-able summary: ``count`` alone while empty."""
-        if not self.count:
-            return {"count": 0}
-        recent = list(self.recent)
-        return {"count": self.count,
-                "mean": self.total / self.count,
-                "p50": _percentile(recent, 0.50),
-                "p95": _percentile(recent, 0.95),
-                "p99": _percentile(recent, 0.99),
-                "max": self.max}
-
-
-@dataclass
-class ServerStats:
-    """Counters and latency samples for one server run (JSON-able)."""
-
-    connections: int = 0
-    submissions: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    cancelled_requests: int = 0
-    results_sent: int = 0
-    errors_sent: int = 0
-    protocol_errors: int = 0
-    torn_frames: int = 0
-    ticks: int = 0
-    group_commits: int = 0
-    max_batch_seen: int = 0
-    #: Wall seconds per scheduler tick (only ticks that did work).
-    tick_seconds: LatencyWindow = field(default_factory=LatencyWindow)
-    #: Enqueue-to-ack wall seconds per submission (server side).
-    accept_seconds: LatencyWindow = field(default_factory=LatencyWindow)
-
-    def to_doc(self) -> dict:
-        """JSON-able summary with latency percentiles."""
-        return {
-            "connections": self.connections,
-            "submissions": self.submissions,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "cancelled_requests": self.cancelled_requests,
-            "results_sent": self.results_sent,
-            "errors_sent": self.errors_sent,
-            "protocol_errors": self.protocol_errors,
-            "torn_frames": self.torn_frames,
-            "ticks": self.ticks,
-            "group_commits": self.group_commits,
-            "max_batch_seen": self.max_batch_seen,
-            "tick_seconds": self.tick_seconds.to_doc(),
-            "accept_seconds": self.accept_seconds.to_doc(),
-        }
+def _latency_doc(histogram, recent) -> dict:
+    """Count, mean and max from the whole-run ``histogram``; percentiles
+    from the ``recent`` series; ``count`` alone while empty."""
+    if not histogram.count:
+        return {"count": 0}
+    values = recent.values()
+    return {"count": histogram.count, "mean": histogram.mean,
+            "p50": percentile(values, 0.50),
+            "p95": percentile(values, 0.95),
+            "p99": percentile(values, 0.99),
+            "max": histogram.max}
 
 
 class ReproServer:
@@ -225,8 +169,7 @@ class ReproServer:
                  tick_interval: float = 0.05,
                  max_batch: int = 256,
                  max_wait: float | None = None,
-                 time_scale: float = 1.0,
-                 metrics: MetricsRegistry = NULL_METRICS):
+                 time_scale: float = 1.0):
         if tick_interval <= 0:
             raise ValidationError("tick_interval must be positive")
         if max_batch <= 0:
@@ -241,8 +184,17 @@ class ReproServer:
         self.max_wait = (float(max_wait) if max_wait is not None
                          else float(tick_interval))
         self.driver = WallClockDriver(service, time_scale=time_scale)
-        self.metrics = metrics
-        self.stats = ServerStats()
+        self.metrics = MetricsRegistry()
+        self._count = {name: self.metrics.counter(f"server.{name}")
+                       for name in COUNTERS}
+        #: Latencies: whole-run histogram plus the 8,192 most recent
+        #: samples for percentiles (bounded memory on long runs).
+        self._tick_seconds, self._accept_seconds = (
+            (self.metrics.histogram(f"server.{name}"),
+             self.metrics.series(f"server.{name}.recent", max_samples=8192))
+            for name in ("tick_seconds", "accept_seconds"))
+        self._batch_size = self.metrics.histogram("server.batch_size")
+        self._queue_depth = self.metrics.series("server.queue_depth")
         self._pending: deque[_PendingSubmit] = deque()
         #: Acked-but-not-yet-resulted jobs -> owning connection (or None
         #: once the owner disconnected; the job still runs to completion).
@@ -390,21 +342,17 @@ class ReproServer:
         # Group commit: one fsync makes the whole batch durable, then ack.
         if service.journal is not None and service.journal.pending:
             service.journal.sync()
-            self.stats.group_commits += 1
-            if self.metrics.enabled:
-                self.metrics.inc("server.group_commits")
+            self._count["group_commits"].inc()
         now = time.perf_counter()
+        stamp = self.metrics.now()
+        accepted, rejected = self._count["accepted"], self._count["rejected"]
+        accept_total, accept_recent = self._accept_seconds
         for item, job_id in acked:
             record = service.jobs[job_id]
-            self.stats.submissions += 1
-            if record.state == "rejected":
-                self.stats.rejected += 1
-            else:
-                self.stats.accepted += 1
+            (rejected if record.state == "rejected" else accepted).inc()
             latency = now - item.enqueued
-            self.stats.accept_seconds.add(latency)
-            if self.metrics.enabled:
-                self.metrics.observe("server.accept_seconds", latency)
+            accept_total.observe(latency)
+            accept_recent.record(stamp, latency)
             ack = {"type": T_ACK, "job_id": job_id, "state": record.state,
                    "estimated_dollars": record.estimated_dollars}
             if record.reject_reason:
@@ -424,21 +372,17 @@ class ReproServer:
                 conn.open_jobs.discard(job_id)
                 frames.append(
                     (conn, self._result_frame(service.jobs[job_id])))
-                self.stats.results_sent += 1
+                self._count["results_sent"].inc()
         self._terminal.clear()
         frames.extend(self._check_drains())
-        self.stats.ticks += 1
-        if batch:
-            self.stats.max_batch_seen = max(self.stats.max_batch_seen,
-                                            len(batch))
+        self._count["ticks"].inc()
         if worked:
             elapsed = time.perf_counter() - started
-            self.stats.tick_seconds.add(elapsed)
-            if self.metrics.enabled:
-                self.metrics.observe("server.tick_seconds", elapsed)
-                self.metrics.observe("server.batch_size", len(batch))
-                self.metrics.sample("server.queue_depth",
-                                    len(self._pending), t=service.now)
+            tick_total, tick_recent = self._tick_seconds
+            tick_total.observe(elapsed)
+            tick_recent.record(stamp, elapsed)
+            self._batch_size.observe(len(batch))
+            self._queue_depth.record(service.now, len(self._pending))
         return frames
 
     def _check_drains(self) -> list[tuple[_Connection, dict]]:
@@ -500,9 +444,7 @@ class ReproServer:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         self._conns.add(conn)
-        self.stats.connections += 1
-        if self.metrics.enabled:
-            self.metrics.inc("server.connections")
+        self._count["connections"].inc()
         try:
             while not conn.closed:
                 try:
@@ -510,9 +452,7 @@ class ReproServer:
                 except asyncio.IncompleteReadError as error:
                     if error.partial:
                         # Torn frame: the client died mid-write.
-                        self.stats.torn_frames += 1
-                        if self.metrics.enabled:
-                            self.metrics.inc("server.torn_frames")
+                        self._count["torn_frames"].inc()
                     break
                 except asyncio.LimitOverrunError:
                     # The line outgrew the read buffer: framing is lost,
@@ -546,9 +486,7 @@ class ReproServer:
                     req = maybe.get("req")
             except (ValueError, UnicodeDecodeError):
                 pass
-            self.stats.protocol_errors += 1
-            if self.metrics.enabled:
-                self.metrics.inc("server.protocol_errors")
+            self._count["protocol_errors"].inc()
             self._send_error(conn, req, error)
             return True
         kind = doc["type"]
@@ -577,7 +515,7 @@ class ReproServer:
                 conn.send({"type": T_BYE})
                 return False
         except ProtocolError as error:
-            self.stats.protocol_errors += 1
+            self._count["protocol_errors"].inc()
             self._send_error(conn, req, error)
         except Exception as error:  # never die on one bad frame
             self._send_error(conn, req,
@@ -585,7 +523,7 @@ class ReproServer:
         return True
 
     def _send_error(self, conn: _Connection, req, error: ProtocolError):
-        self.stats.errors_sent += 1
+        self._count["errors_sent"].inc()
         conn.send(error_frame(error.code, str(error), req=req))
 
     def _on_submit(self, conn: _Connection, doc: dict) -> None:
@@ -625,7 +563,7 @@ class ReproServer:
                 f"job {job_id} already reached terminal state "
                 f"{record.state!r}")
         self.service.cancel(job_id)
-        self.stats.cancelled_requests += 1
+        self._count["cancelled_requests"].inc()
         ack = {"type": T_ACK, "job_id": job_id, "state": "cancelling"}
         if "req" in doc:
             ack["req"] = doc["req"]
@@ -661,6 +599,16 @@ class ReproServer:
 
     # -- reporting -------------------------------------------------------------
 
+    def stats_doc(self) -> dict:
+        """The server's counters and latencies: a view of :attr:`metrics`."""
+        doc = {name: int(counter.value)
+               for name, counter in self._count.items()}
+        doc["submissions"] = doc["accepted"] + doc["rejected"]
+        doc["max_batch_seen"] = int(max(0.0, self._batch_size.max))
+        doc["tick_seconds"] = _latency_doc(*self._tick_seconds)
+        doc["accept_seconds"] = _latency_doc(*self._accept_seconds)
+        return doc
+
     def status_doc(self) -> dict:
         """Live server status (the ``status`` frame payload)."""
         admission = self.service.admission
@@ -676,7 +624,7 @@ class ReproServer:
             "tenants": len(self.service.tenants),
             "price_hits": admission.price_hits,
             "price_misses": admission.price_misses,
-            "stats": self.stats.to_doc(),
+            "stats": self.stats_doc(),
         }
 
     def report(self) -> dict:
@@ -688,7 +636,7 @@ class ReproServer:
             "max_batch": self.max_batch,
             "max_wait": self.max_wait,
             "time_scale": self.driver.time_scale,
-            "server": self.stats.to_doc(),
+            "server": self.stats_doc(),
             "price_hits": self.service.admission.price_hits,
             "price_misses": self.service.admission.price_misses,
             "service": self.service.report().summary(),

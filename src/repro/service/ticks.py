@@ -72,8 +72,6 @@ class WallClockDriver:
         self._clock = clock
         self._origin_wall = clock()
         self._origin_virtual = service.now
-        #: Ticks driven so far (diagnostics).
-        self.ticks = 0
 
     def rebase(self) -> None:
         """Re-anchor wall→virtual mapping at the service's current time.
@@ -99,7 +97,6 @@ class WallClockDriver:
         target = self.now_virtual() if to is None else to
         if target > self.service.now:
             self.service.run_until(target)
-        self.ticks += 1
         return self.service.now
 
     def seconds_until(self, virtual_at: float) -> float:

@@ -30,14 +30,17 @@ from repro.service.loadgen import (
     kill_and_recover,
     run_loadtest,
 )
-from repro.service.server import (
-    LATENCY_WINDOW,
-    ReproServer,
-    ServerStats,
-    parse_listen,
-)
+from repro.service.server import ReproServer, parse_listen
 from repro.service.ticks import VirtualClockDriver, WallClockDriver
 from repro.workloads import build_workload
+
+
+#: The keys of a server's ``report()["server"]`` and status ``stats``.
+SERVER_STATS_KEYS = (
+    "connections", "submissions", "accepted", "rejected",
+    "cancelled_requests", "results_sent", "errors_sent", "protocol_errors",
+    "torn_frames", "ticks", "group_commits", "max_batch_seen",
+    "tick_seconds", "accept_seconds")
 
 
 def run_cli(*argv):
@@ -172,8 +175,9 @@ class TestInProcessServer:
                         seen += 1
                 client.send({"type": "drain", "scope": "all"})
                 client.recv_until("drained")
-        assert server.stats.accepted == 8
-        assert server.stats.group_commits >= 1
+        stats = server.report()["server"]
+        assert stats["accepted"] == stats["submissions"] == 8
+        assert stats["group_commits"] >= 1
         # One cached Program -> one real pricing, the rest memo hits.
         assert server.service.admission.price_misses == 1
         assert server.service.admission.price_hits == 7
@@ -223,25 +227,71 @@ class TestInProcessServer:
         assert report["server"]["results_sent"] == 1
         assert report["service"]["throughput_jobs_per_hour"] > 0
 
+    def test_report_is_a_view_of_the_registry(self, tmp_path):
+        server = self.serve(tmp_path, journal=True)
+        with ServerThread(server):
+            with ProtocolClient(server.listen) as client:
+                for index in range(6):
+                    client.send({"type": "submit", "tenant": f"t{index % 2}",
+                                 "workload": "multiply", "scale": "tiny"})
+                client.send({"type": "drain", "scope": "all"})
+                client.recv_until("drained")
+        snapshot = server.metrics.snapshot()
+        assert snapshot["counters"] and snapshot["histograms"]
+        metrics = server.metrics
+        stats = server.report()["server"]
+        assert sorted(stats) == sorted(SERVER_STATS_KEYS)
+        for name in ("connections", "accepted", "rejected",
+                     "cancelled_requests", "results_sent", "errors_sent",
+                     "protocol_errors", "torn_frames", "ticks",
+                     "group_commits"):
+            assert stats[name] == metrics.counter(f"server.{name}").value
+        assert stats["submissions"] == 6
+        assert stats["max_batch_seen"] \
+            == metrics.histogram("server.batch_size").max >= 1
+        for name in ("tick_seconds", "accept_seconds"):
+            histogram = metrics.histogram(f"server.{name}")
+            assert stats[name]["count"] == histogram.count > 0
+            assert stats[name]["max"] == histogram.max
+            assert stats[name]["mean"] == histogram.mean
+        assert stats["accept_seconds"]["count"] == 6
+        assert len(metrics.series("server.queue_depth")) > 0
+
 
 class TestServerStatsStayBounded:
+    """A server's latencies keep whole-run figures in a histogram and
+    percentiles over a bounded recent series."""
+
+    WINDOW = 8192
+
+    def latency(self, server, name):
+        return (server.metrics.histogram(f"server.{name}"),
+                server.metrics.series(f"server.{name}.recent"))
+
+    def add(self, server, name, seconds):
+        histogram, recent = self.latency(server, name)
+        histogram.observe(seconds)
+        recent.record(0.0, seconds)
+
     def test_ten_windows_of_ticks_leave_memory_flat(self):
-        stats = ServerStats()
+        server = ReproServer(make_service(), "x.sock")
         sizes = []
-        for tick in range(10 * LATENCY_WINDOW):
-            stats.tick_seconds.add(0.001 * (tick % 100 + 1))
-            stats.accept_seconds.add(0.5)
-            if (tick + 1) % LATENCY_WINDOW == 0:
-                sizes.append((len(stats.tick_seconds.recent),
-                              sys.getsizeof(stats.tick_seconds.recent),
-                              sys.getsizeof(stats.accept_seconds.recent)))
+        for tick in range(10 * self.WINDOW):
+            self.add(server, "tick_seconds", 0.001 * (tick % 100 + 1))
+            self.add(server, "accept_seconds", 0.5)
+            if (tick + 1) % self.WINDOW == 0:
+                sizes.append(tuple(
+                    (len(recent), sys.getsizeof(recent.samples()))
+                    for __, recent in (
+                        self.latency(server, "tick_seconds"),
+                        self.latency(server, "accept_seconds"))))
         assert sizes == [sizes[0]] * 10
-        assert sizes[0][0] == LATENCY_WINDOW
-        doc = stats.to_doc()
+        assert sizes[0][0][0] == self.WINDOW
+        doc = server.report()["server"]
         tick = doc["tick_seconds"]
         assert sorted(tick) == ["count", "max", "mean", "p50", "p95", "p99"]
         # count, mean and max are lifetime figures; percentiles recent.
-        assert tick["count"] == 10 * LATENCY_WINDOW
+        assert tick["count"] == 10 * self.WINDOW
         assert tick["max"] == pytest.approx(0.1)
         assert tick["mean"] == pytest.approx(0.0505, rel=1e-2)
         assert 0.001 <= tick["p50"] <= tick["p95"] <= tick["p99"] <= 0.1
@@ -249,13 +299,13 @@ class TestServerStatsStayBounded:
         json.dumps(doc)
 
     def test_lifetime_maximum_outlives_the_window(self):
-        stats = ServerStats()
-        stats.tick_seconds.add(9.0)
-        for __ in range(LATENCY_WINDOW):
-            stats.tick_seconds.add(0.01)
-        doc = stats.to_doc()["tick_seconds"]
+        server = ReproServer(make_service(), "x.sock")
+        assert server.report()["server"]["tick_seconds"] == {"count": 0}
+        self.add(server, "tick_seconds", 9.0)
+        for __ in range(self.WINDOW):
+            self.add(server, "tick_seconds", 0.01)
+        doc = server.report()["server"]["tick_seconds"]
         assert doc["max"] == 9.0 and doc["p99"] == 0.01
-        assert ServerStats().to_doc()["tick_seconds"] == {"count": 0}
 
 
 class TestJournalAudit:

@@ -40,6 +40,7 @@ from repro.service.protocol import (
     validate_frame,
 )
 from repro.service.server import ReproServer
+from tests.test_server import SERVER_STATS_KEYS
 
 
 def make_server(tmp_path, **kwargs):
@@ -180,7 +181,8 @@ class TestLiveProtocolEdges:
             submit_and_ack(client)
 
     def test_torn_frame_counted_and_server_lives(self, live):
-        before = live.stats.torn_frames
+        torn = live.metrics.counter("server.torn_frames")
+        before = torn.value
         client = ProtocolClient(live.listen)
         client.send_raw(b'{"type": "submit", "tenant": "a"')  # no newline
         client.close()
@@ -190,10 +192,9 @@ class TestLiveProtocolEdges:
         # The probe round-trip can outrun the first connection's EOF
         # handling; wait for the reader task to log the torn frame.
         deadline = time.monotonic() + 5.0
-        while (live.stats.torn_frames != before + 1
-               and time.monotonic() < deadline):
+        while torn.value != before + 1 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert live.stats.torn_frames == before + 1
+        assert torn.value == before + 1
 
     def test_disconnect_mid_submit_orphans_job(self, live):
         client = ProtocolClient(live.listen)
@@ -252,7 +253,7 @@ class TestLiveProtocolEdges:
             doc = status["server"]
             assert doc["mode"] == "wall"
             assert doc["accepting"] is True
-            assert "stats" in doc
+            assert sorted(doc["stats"]) == sorted(SERVER_STATS_KEYS)
 
     def test_bye_closes_cleanly(self, live):
         with ProtocolClient(live.listen) as client:
