@@ -70,7 +70,6 @@ from repro.service.durability import (
     RecoveryStats,
     audit_journal,
     recover,
-    resume_script,
 )
 from repro.service.jobs import (
     JobHandle,
@@ -147,7 +146,6 @@ __all__ = [
     "load_script",
     "recover",
     "reliability_frontier",
-    "resume_script",
     "run_program",
     "run_script",
     "save_script",

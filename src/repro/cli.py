@@ -652,25 +652,17 @@ def cmd_submit(args, out) -> int:
     if getattr(args, "journal", None):
         # Report how much of the (updated) script a journaled service at
         # --journal has already made durable, and how much `serve
-        # --recover` would pick up fresh.
-        from repro.service.durability import DurabilityStore, scan_journal
+        # --recover` would pick up fresh.  Only submissions carrying a
+        # script_index are this script's jobs.
+        from repro.service.durability import read_store
         from repro.service.jobs import EV_SUBMIT
 
-        store = DurabilityStore(Path(args.journal))
-        durable: set = set()
-        if store.has_state():
-            if store.snapshot_path.exists():
-                snapshot = _json.loads(store.snapshot_path.read_text())
-                for jdoc in snapshot.get("jobs", []):
-                    source = jdoc.get("source") or {}
-                    if "script_index" in source:
-                        durable.add(source["script_index"])
-            for record in scan_journal(store.journal_path).records:
-                if record.get("ev") == EV_SUBMIT:
-                    source = record.get("source") or {}
-                    durable.add(source.get("script_index",
-                                           record.get("job_id")))
-        pending = len(script["jobs"]) - len(durable)
+        state = read_store(Path(args.journal))
+        durable = {(doc.get("source") or {}).get("script_index")
+                   for doc in (state.snapshot or {}).get("jobs", [])
+                   + [r for r in state.tail if r.get("ev") == EV_SUBMIT]}
+        pending = sum(index not in durable
+                      for index in range(len(script["jobs"])))
     if args.json:
         document = {"script": str(path), "jobs": len(script["jobs"]),
                     "tenants": [entry["name"]
@@ -702,8 +694,8 @@ def _durable_start(args, script, workers: int):
         KILL_AFTER_ENV,
         DurabilityStore,
         recover,
-        resume_script,
     )
+    from repro.service.script import submit_script_jobs
 
     journal_dir = Path(args.journal)
     if args.recover:
@@ -711,7 +703,7 @@ def _durable_start(args, script, workers: int):
                           fsync_every=args.fsync_every,
                           snapshot_every=args.snapshot_every)
         if script is not None:
-            resume_script(service, script)
+            submit_script_jobs(service, script)
         return service, None
     store = DurabilityStore(
         journal_dir, fsync_every=args.fsync_every,

@@ -18,13 +18,15 @@ This package adds the missing serving layer:
   :class:`~repro.observability.cost.CostMeter`;
 * **submission scripts** (:mod:`repro.service.script`) — JSON documents
   the ``repro serve`` / ``repro submit`` CLI pair round-trips, so a whole
-  multi-tenant workload replays bit-identically from one file;
+  multi-tenant workload replays bit-identically from one file (and the
+  idempotent ``submit_script_jobs`` finishes a recovered run);
 * a **durable control plane** (:mod:`repro.service.durability`) — a
   write-ahead journal + snapshot compaction that makes the whole service
   crash-safe: ``recover()`` replays the journal into the exact in-memory
   state (schedules, bills, admission decisions — zero re-pricings), and
   :func:`~repro.service.durability.audit_journal` recounts a journal
-  independently of the service that wrote it;
+  independently of the service that wrote it (both read it via
+  ``read_store``);
 * a **wall-clock socket server** (:mod:`repro.service.server`) — ``repro
   serve --listen`` accepts streaming NDJSON submissions
   (:mod:`repro.service.protocol`), batches admission per scheduler tick
@@ -58,7 +60,6 @@ from repro.service.durability import (
     read_journal,
     recover,
     report_digest,
-    resume_script,
     scan_journal,
     schedule_digest,
 )
@@ -153,7 +154,6 @@ __all__ = [
     "read_journal",
     "recover",
     "report_digest",
-    "resume_script",
     "run_script",
     "save_script",
     "scan_journal",

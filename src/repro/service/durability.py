@@ -31,9 +31,12 @@ Snapshots + compaction
 ``snapshot_every`` bounds replay time for long uptimes: at quiescent
 points the full service state is written (atomically) to
 ``snapshot.json`` with epoch ``E+1`` and the journal is rotated to a
-fresh segment whose header carries the same epoch.  Recovery composes
-``snapshot ∘ journal-tail``; a journal whose epoch predates the snapshot
-(crash between the two writes) is discarded as already-compacted.
+fresh segment whose header carries the same epoch.  The state of a
+directory is ``snapshot ∘ journal-tail``; a journal whose epoch predates
+the snapshot (crash between the two writes) is already compacted in and
+contributes nothing.  :func:`read_store` is the one reader that applies
+these rules — recovery, the audit and ``repro submit --journal`` all
+read a directory through it.
 
 Admission memo persistence
 --------------------------
@@ -61,7 +64,7 @@ import signal
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
@@ -98,11 +101,13 @@ from repro.service.jobs import (
     EV_TENANT,
     JobRecord,
     JobService,
+    STATE_CANCELLED,
     STATE_COMPLETED,
     STATE_FAILED,
+    STATE_PENDING,
+    STATE_REJECTED,
     Tenant,
 )
-from repro.service.script import validate_script
 from repro.workloads import build_workload
 
 #: Journal schema version (bumped on incompatible record changes).
@@ -247,48 +252,39 @@ class JournalAudit:
                 and self.double_decided == 0 and self.unjournaled_acks == 0)
 
     def to_doc(self) -> dict:
-        return {"submitted": self.submitted, "decided": self.decided,
-                "admitted": self.admitted, "rejected": self.rejected,
-                "completed": self.completed, "failed": self.failed,
-                "cancelled": self.cancelled,
-                "double_decided": self.double_decided,
-                "double_billed": self.double_billed, "lost": self.lost,
-                "unjournaled_acks": self.unjournaled_acks,
-                "ok": self.ok}
+        return {**asdict(self), "ok": self.ok}
 
 
 def audit_journal(directory: str | Path,
                   acked: list[str] | None = None) -> JournalAudit:
     """Recount a journal directory: decisions and terminals per job.
 
-    Composes the snapshot (if one exists) with the current journal
-    segment, so compacted history still counts.  ``acked`` optionally
-    cross-checks the wire against the disk: every job id a client saw an
-    ``ack`` for must appear as a journaled submission (the group-commit
-    guarantee).
+    Reads the directory through :func:`read_store`, so compacted history
+    in the snapshot counts and a stale pre-snapshot segment does not.
+    ``acked`` optionally cross-checks the wire against the disk: every
+    job id a client saw an ``ack`` for must appear as a journaled
+    submission (the group-commit guarantee).
     """
-    store = DurabilityStore(Path(directory))
+    state = read_store(directory)
     submits: dict[str, int] = {}
     decisions: dict[str, int] = {}
     admitted: set[str] = set()
     rejected: set[str] = set()
     terminals: dict[str, int] = {}
     by_terminal = {EV_COMPLETE: 0, EV_FAILED: 0, EV_CANCELLED: 0}
-    if store.snapshot_path.exists():
-        snapshot = json.loads(store.snapshot_path.read_text())
-        for jdoc in snapshot.get("jobs", []):
-            job_id = jdoc["job_id"]
-            submits[job_id] = 1
-            state = jdoc["state"]
-            if state != "pending":
-                decisions[job_id] = 1
-                (rejected if state == "rejected" else admitted).add(job_id)
-            if state in ("completed", "failed", "cancelled"):
-                terminals[job_id] = 1
-                key = {"completed": EV_COMPLETE, "failed": EV_FAILED,
-                       "cancelled": EV_CANCELLED}[state]
-                by_terminal[key] += 1
-    for record in scan_journal(store.journal_path).records:
+    terminal_states = {STATE_COMPLETED: EV_COMPLETE, STATE_FAILED: EV_FAILED,
+                       STATE_CANCELLED: EV_CANCELLED}
+    for jdoc in (state.snapshot or {}).get("jobs", []):
+        job_id = jdoc["job_id"]
+        submits[job_id] = 1
+        if jdoc["state"] != STATE_PENDING:
+            decisions[job_id] = 1
+            (rejected if jdoc["state"] == STATE_REJECTED
+             else admitted).add(job_id)
+        if jdoc["state"] in terminal_states:
+            terminals[job_id] = 1
+            by_terminal[terminal_states[jdoc["state"]]] += 1
+    for record in state.tail:
         kind = record.get("ev")
         job_id = record.get("job_id")
         if kind == EV_SUBMIT:
@@ -451,33 +447,24 @@ def header_record(service: JobService, epoch: int) -> dict:
     }
 
 
+#: The :class:`JobRecord` fields a snapshot stores as they are; the
+#: program (by name) and the error (as text) are stored beside them.
+_SNAPSHOT_JOB_FIELDS = (
+    "job_id", "tenant", "submit_at", "order", "state", "tile_size", "source",
+    "cancel_requested", "work_slot_seconds", "remaining_slot_seconds",
+    "max_slots", "estimated_dollars", "reject_reason", "allocated_slots",
+    "started_at", "finished_at", "slot_seconds", "dollars", "missed_deadline")
+
+
 def snapshot_service(service: JobService, epoch: int) -> dict:
     """Full JSON-able state at a quiescent point (between events)."""
     jobs = []
     for record in service.jobs.values():
-        jobs.append({
-            "job_id": record.job_id,
-            "tenant": record.tenant,
-            "program": record.program.name,
-            "submit_at": record.submit_at,
-            "order": record.order,
-            "state": record.state,
-            "tile_size": record.tile_size,
-            "source": record.source,
-            "cancel_requested": record.cancel_requested,
-            "work_slot_seconds": record.work_slot_seconds,
-            "remaining_slot_seconds": record.remaining_slot_seconds,
-            "max_slots": record.max_slots,
-            "estimated_dollars": record.estimated_dollars,
-            "reject_reason": record.reject_reason,
-            "allocated_slots": record.allocated_slots,
-            "started_at": record.started_at,
-            "finished_at": record.finished_at,
-            "slot_seconds": record.slot_seconds,
-            "dollars": record.dollars,
-            "missed_deadline": record.missed_deadline,
-            "error": str(record.error) if record.error is not None else None,
-        })
+        jdoc = {name: getattr(record, name) for name in _SNAPSHOT_JOB_FIELDS}
+        jdoc["program"] = record.program.name
+        jdoc["error"] = (str(record.error) if record.error is not None
+                         else None)
+        jobs.append(jdoc)
     events = []
     for at, seq, kind, payload in sorted(service._events):
         if kind == "complete":
@@ -549,11 +536,8 @@ def default_resolver(source: dict | None, name: str):
 def restore_service(doc: dict, *,
                     cache: EvalCache | None = None,
                     workers: int = 0,
-                    executor=None,
-                    coefficients=None,
                     metrics=NULL_METRICS,
-                    recorder=NULL_RECORDER,
-                    resolve=default_resolver) -> JobService:
+                    recorder=NULL_RECORDER) -> JobService:
     """Rebuild a :class:`JobService` from a snapshot (or header) document."""
     config = doc.get("config", doc)
     try:
@@ -569,12 +553,10 @@ def restore_service(doc: dict, *,
             spec,
             policy=config["policy"],
             tile_size=int(config["tile_size"]),
-            coefficients=coefficients,
             billing=billing_cls(),
             cache=cache,
             workers=workers,
             tune_physical=bool(config["tune_physical"]),
-            executor=executor,
             metrics=metrics,
             recorder=recorder,
         )
@@ -594,23 +576,10 @@ def restore_service(doc: dict, *,
     for jdoc in doc["jobs"]:
         record = JobRecord(
             job_id=jdoc["job_id"], tenant=jdoc["tenant"],
-            program=resolve(jdoc.get("source"), jdoc["program"]),
-            submit_at=jdoc["submit_at"], order=jdoc["order"],
-            state=jdoc["state"], tile_size=jdoc["tile_size"],
-            source=jdoc.get("source"),
-            cancel_requested=bool(jdoc.get("cancel_requested", False)),
-        )
-        record.work_slot_seconds = jdoc["work_slot_seconds"]
-        record.remaining_slot_seconds = jdoc["remaining_slot_seconds"]
-        record.max_slots = jdoc["max_slots"]
-        record.estimated_dollars = jdoc["estimated_dollars"]
-        record.reject_reason = jdoc["reject_reason"]
-        record.allocated_slots = jdoc["allocated_slots"]
-        record.started_at = jdoc["started_at"]
-        record.finished_at = jdoc["finished_at"]
-        record.slot_seconds = jdoc["slot_seconds"]
-        record.dollars = jdoc["dollars"]
-        record.missed_deadline = jdoc["missed_deadline"]
+            program=default_resolver(jdoc.get("source"), jdoc["program"]),
+            submit_at=jdoc["submit_at"], order=jdoc["order"])
+        for name in _SNAPSHOT_JOB_FIELDS:
+            setattr(record, name, jdoc[name])
         if jdoc.get("error") is not None and record.state == STATE_FAILED:
             record.error = ServiceError(jdoc["error"])
         service.jobs[record.job_id] = record
@@ -768,43 +737,39 @@ class RecoveryStats:
                    f"tail" if self.truncated_bytes else ""))
 
 
-def recover(directory: str | Path, *,
-            workers: int = 0,
-            executor=None,
-            coefficients=None,
-            metrics=NULL_METRICS,
-            recorder=NULL_RECORDER,
-            resolve=default_resolver,
-            fsync_every: int = 32,
-            snapshot_every: int = 0,
-            validate: bool = True,
-            strict: bool = False) -> JobService:
-    """Reconstruct a journaled :class:`JobService` exactly.
+@dataclass
+class StoredState:
+    """A durability directory read back: its state is ``snapshot ∘ tail``.
 
-    Composes ``snapshot ∘ journal-tail``: the snapshot (when present)
-    restores bulk state instantly and the journal's commands are replayed
-    through the real event loop on top.  Journaled admission decisions
-    are installed first, so replay re-prices nothing already decided;
-    journaled *effects* must match the regenerated ones record-for-record
-    (``validate=False`` skips that check), or :class:`RecoveryError`.
-
-    A torn tail (unsynced records lost to the crash) is truncated away
-    and the journal reattached for appending; ``strict=True`` refuses to
-    recover past any scan error instead.  The recovered service carries a
-    :class:`RecoveryStats` at ``service.recovery``, emits
-    ``journal.replay_*`` metrics, and (with a recorder) a recovery trace
-    span.
+    ``tail`` is the journal after its header (empty for a stale segment,
+    which ``rotate_header`` then replaces); ``scan`` is the raw segment
+    scan, whose ``valid_bytes`` is where recovery truncates.
     """
-    started = time.perf_counter()
-    store = DurabilityStore(Path(directory), fsync_every=fsync_every,
-                            snapshot_every=snapshot_every, metrics=metrics)
+
+    snapshot: dict | None
+    tail: list[dict]
+    scan: JournalScan
+    rotate_header: dict | None = None
+
+
+def read_store(directory: str | Path, strict: bool = False) -> StoredState:
+    """Read a durability directory, composing snapshot and journal by epoch.
+
+    The one place that knows how ``snapshot.json`` and ``journal.wal``
+    fit together.  No state reads as empty.  A segment behind the
+    snapshot's epoch (a crash between the snapshot write and the
+    rotation) is already compacted in: it adds nothing and is marked for
+    rotation.  An unreadable snapshot, a bad version, no snapshot and no
+    header, or a segment ahead of the snapshot raise
+    :class:`RecoveryError`; ``strict=True`` also refuses scan errors.
+    """
+    store = DurabilityStore(Path(directory))
     if not store.has_state():
-        raise RecoveryError(f"nothing to recover in {directory}")
-    cache = store.load_cache(metrics=metrics)
-    snapshot_doc = None
+        return StoredState(None, [], JournalScan())
+    snapshot = None
     if store.snapshot_path.exists():
         try:
-            snapshot_doc = json.loads(store.snapshot_path.read_text())
+            snapshot = json.loads(store.snapshot_path.read_text())
         except (OSError, json.JSONDecodeError) as error:
             raise RecoveryError(
                 f"unreadable snapshot {store.snapshot_path}: "
@@ -814,50 +779,69 @@ def recover(directory: str | Path, *,
         raise JournalCorruptionError(
             f"journal {store.journal_path}: {scan.error} record "
             f"#{scan.error_index} at byte {scan.valid_bytes}")
-
-    # Compose snapshot and journal tail by epoch.
-    rotate_header = None
-    if snapshot_doc is not None:
-        _check_version(snapshot_doc, "snapshot")
-        epoch = int(snapshot_doc["epoch"])
-        base = restore_service(
-            snapshot_doc, cache=cache, workers=workers, executor=executor,
-            coefficients=coefficients, metrics=metrics, recorder=recorder,
-            resolve=resolve)
-        journal_epoch = (int(scan.records[0].get("epoch", -1))
-                         if scan.records
-                         and scan.records[0].get("ev") == EV_HEADER else -1)
-        if journal_epoch == epoch:
-            tail = scan.records[1:]
-        elif journal_epoch < epoch:
-            # Crash between snapshot write and journal rotation: the
-            # journal predates the snapshot and is already compacted in.
-            tail = []
-            rotate_header = header_record(base, epoch=epoch)
-        else:
-            raise RecoveryError(
-                f"journal epoch {journal_epoch} is ahead of snapshot "
-                f"epoch {epoch}; refusing to guess")
-    else:
-        epoch = None
-        if not scan.records or scan.records[0].get("ev") != EV_HEADER:
+    header = (scan.records[0] if scan.records
+              and scan.records[0].get("ev") == EV_HEADER else None)
+    if snapshot is None:
+        if header is None:
             raise RecoveryError(
                 f"journal {store.journal_path} does not start with a "
                 f"header record")
-        header = scan.records[0]
         _check_version(header, "journal")
-        base = restore_service(
-            header, cache=cache, workers=workers, executor=executor,
-            coefficients=coefficients, metrics=metrics, recorder=recorder,
-            resolve=resolve)
-        tail = scan.records[1:]
+        return StoredState(None, scan.records[1:], scan)
+    _check_version(snapshot, "snapshot")
+    epoch = int(snapshot["epoch"])
+    journal_epoch = int(header.get("epoch", -1)) if header else -1
+    if journal_epoch > epoch:
+        raise RecoveryError(
+            f"journal epoch {journal_epoch} is ahead of snapshot "
+            f"epoch {epoch}; refusing to guess")
+    if journal_epoch < epoch:
+        return StoredState(snapshot, [], scan,
+                           rotate_header=snapshot["config"])
+    return StoredState(snapshot, scan.records[1:], scan)
+
+
+def recover(directory: str | Path, *,
+            workers: int = 0,
+            metrics=NULL_METRICS,
+            recorder=NULL_RECORDER,
+            fsync_every: int = 32,
+            snapshot_every: int = 0,
+            strict: bool = False) -> JobService:
+    """Reconstruct a journaled :class:`JobService` exactly.
+
+    Reads the directory through :func:`read_store` (``strict=True``
+    refuses to recover past any scan error), then restore → replay →
+    validate/redo → reattach: the snapshot (when present) restores bulk
+    state instantly and the tail's commands are replayed through the
+    real event loop on top.  Journaled admission decisions are installed
+    first, so replay re-prices nothing already decided; journaled
+    *effects* must match the regenerated ones record-for-record, or
+    :class:`RecoveryError`.
+
+    A torn tail (unsynced records lost to the crash) is truncated away
+    and the journal reattached for appending.  The recovered service
+    carries a :class:`RecoveryStats` at ``service.recovery``, emits
+    ``journal.replay_*`` metrics, and (with a recorder) a recovery trace
+    span.
+    """
+    started = time.perf_counter()
+    state = read_store(directory, strict=strict)
+    if state.snapshot is None and not state.scan.records:
+        raise RecoveryError(f"nothing to recover in {directory}")
+    store = DurabilityStore(Path(directory), fsync_every=fsync_every,
+                            snapshot_every=snapshot_every, metrics=metrics)
+    base = restore_service(state.snapshot or state.scan.records[0],
+                           cache=store.load_cache(metrics=metrics),
+                           workers=workers, metrics=metrics, recorder=recorder)
+    epoch = int(state.snapshot["epoch"]) if state.snapshot else None
 
     # Pass 1: collect decisions and terminal outcomes so replay re-prices
     # nothing and honors pre-crash executor results; keep journaled
     # effects aside for validation.
     journaled_effects = []
     commands = []
-    for record in tail:
+    for record in state.tail:
         kind = record.get("ev")
         if kind in (EV_ADMIT, EV_REJECT):
             base._replay_decisions[record["job_id"]] = \
@@ -891,7 +875,7 @@ def recover(directory: str | Path, *,
             elif kind == EV_SUBMIT:
                 _catch_up(base, record["clock"])
                 handle = base.submit(
-                    resolve(record.get("source"), record["program"]),
+                    default_resolver(record.get("source"), record["program"]),
                     tenant=record["tenant"],
                     submit_at=record["at"],
                     tile_size=record["tile_size"],
@@ -908,18 +892,17 @@ def recover(directory: str | Path, *,
     finally:
         base._replaying = False
 
-    if validate:
-        prefix = base._replay_effects[:len(journaled_effects)]
-        if journaled_effects != prefix:
-            index = next((i for i, (a, b)
-                          in enumerate(zip(journaled_effects, prefix))
-                          if a != b), len(prefix))
-            journaled = (journaled_effects[index]
-                         if index < len(journaled_effects) else None)
-            regenerated = prefix[index] if index < len(prefix) else None
-            raise RecoveryError(
-                f"replay diverged at effect #{index}: journaled "
-                f"{journaled!r} vs regenerated {regenerated!r}")
+    prefix = base._replay_effects[:len(journaled_effects)]
+    if journaled_effects != prefix:
+        index = next((i for i, (a, b)
+                      in enumerate(zip(journaled_effects, prefix))
+                      if a != b), len(prefix))
+        journaled = (journaled_effects[index]
+                     if index < len(journaled_effects) else None)
+        regenerated = prefix[index] if index < len(prefix) else None
+        raise RecoveryError(
+            f"replay diverged at effect #{index}: journaled "
+            f"{journaled!r} vs regenerated {regenerated!r}")
     # A crash inside a run_until window leaves its ``advance`` durable
     # but only some of its effects; replay re-ran the whole window.
     redone = base._replay_effects[len(journaled_effects):]
@@ -928,9 +911,10 @@ def recover(directory: str | Path, *,
     # Reattach the (truncated) journal for post-recovery appends, and
     # write down the effects it had not reached: the journal stays the
     # full record (audits, a second recovery) of what the service did.
+    scan = state.scan
     truncated = scan.total_bytes - scan.valid_bytes
-    store.resume(epoch if epoch is not None else 0, scan.valid_bytes,
-                 rotate_header=rotate_header)
+    store.resume(epoch or 0, scan.valid_bytes,
+                 rotate_header=state.rotate_header)
     base.attach_durability(store, fresh=False)
     for effect in redone:
         base.journal.append(effect)
@@ -940,11 +924,10 @@ def recover(directory: str | Path, *,
     base.recovery = RecoveryStats(
         records_scanned=len(scan.records),
         commands_replayed=len(commands),
-        effects_validated=len(journaled_effects) if validate else 0,
+        effects_validated=len(journaled_effects),
         decisions_replayed=base.decisions_replayed,
         decisions_repriced=base.decisions_priced,
-        snapshot_epoch=int(snapshot_doc["epoch"])
-        if snapshot_doc is not None else None,
+        snapshot_epoch=epoch,
         truncated_bytes=truncated,
         scan_error=scan.error,
         wall_seconds=wall,
@@ -980,42 +963,6 @@ def _catch_up(service: JobService, clock: float) -> None:
     """
     if clock > service.now:
         service.run_until(clock)
-
-
-def resume_script(service: JobService, script: dict) -> list:
-    """Re-submit the script jobs (and tenants) the journal never saw.
-
-    The journal is the durable truth; anything in the script that is not
-    in the recovered service — tenants, or jobs identified by their
-    ``script_index`` provenance — was lost to the crash before it was
-    synced, so it is submitted afresh.  Arrivals whose scripted time is
-    already in the past land at the recovered clock instead.
-    """
-    validate_script(script)
-    for tenant in script["tenants"]:
-        if tenant["name"] not in service.tenants:
-            service.add_tenant(
-                tenant["name"],
-                budget_dollars=tenant.get("budget_dollars"),
-                deadline_seconds=tenant.get("deadline_seconds"),
-                weight=float(tenant.get("weight", 1.0)))
-    seen = {record.source.get("script_index")
-            for record in service.jobs.values() if record.source}
-    handles = []
-    for index, job in enumerate(script["jobs"]):
-        if index in seen:
-            continue
-        program, tile = build_workload(job["workload"],
-                                       job.get("scale", "tiny"))
-        handles.append(service.submit(
-            program,
-            tenant=job["tenant"],
-            submit_at=max(float(job.get("submit_at", 0.0)), service.now),
-            tile_size=int(job["tile_size"]) if "tile_size" in job else tile,
-            source={"workload": job["workload"],
-                    "scale": job.get("scale", "tiny"),
-                    "script_index": index}))
-    return handles
 
 
 # -- digests ------------------------------------------------------------------

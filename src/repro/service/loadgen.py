@@ -49,7 +49,6 @@ from repro.service.durability import (
     audit_journal,
     recover,
     report_digest,
-    resume_script,
     schedule_digest,
 )
 from repro.service.protocol import (
@@ -716,7 +715,7 @@ def kill_and_recover(script: dict | None, directory: str | Path, *,
     service = recover(journal, fsync_every=1)
     recovery_wall = time.perf_counter() - started
     recovered_jobs = len(service.jobs)
-    resubmitted = (len(resume_script(service, script))
+    resubmitted = (len(submit_script_jobs(service, script))
                    if script is not None else 0)
     service.drain()
     bills_match = schedules_match = None

@@ -84,6 +84,9 @@ def validate_script(script: dict) -> dict:
         if job["tenant"] not in names:
             raise ValidationError(
                 f"job references unregistered tenant {job['tenant']!r}")
+        if float(job.get("submit_at", 0.0)) < 0:
+            raise ValidationError(
+                f"job submit_at {job['submit_at']} is negative")
     return script
 
 
@@ -101,9 +104,10 @@ def build_service(script: dict,
                   store=None) -> JobService:
     """Construct the :class:`~repro.service.jobs.JobService` a script asks for.
 
-    ``store`` optionally attaches a
-    :class:`~repro.service.durability.DurabilityStore` *before* tenants are
-    registered, so the whole run — tenancy included — lands in the journal.
+    The service starts empty: :func:`submit_script_jobs` registers the
+    tenants and submits the jobs.  ``store`` optionally attaches a
+    :class:`~repro.service.durability.DurabilityStore` first, so the whole
+    run — tenancy included — lands in the journal.
     """
     validate_script(script)
     cluster = script["cluster"]
@@ -124,13 +128,6 @@ def build_service(script: dict,
     )
     if store is not None:
         service.attach_durability(store)
-    for tenant in script["tenants"]:
-        service.add_tenant(
-            tenant["name"],
-            budget_dollars=tenant.get("budget_dollars"),
-            deadline_seconds=tenant.get("deadline_seconds"),
-            weight=float(tenant.get("weight", 1.0)),
-        )
     return service
 
 
@@ -144,15 +141,33 @@ def script_job_source(job: dict, index: int) -> dict:
 
 
 def submit_script_jobs(service: JobService, script: dict) -> list[JobHandle]:
-    """Submit every script job (tagged with replayable provenance)."""
+    """Register the script's missing tenants and submit its unseen jobs.
+
+    Idempotent: a job whose ``script_index`` the service already holds (a
+    recovered journal's) is skipped, and an arrival already in the past
+    lands at ``service.now``.  Returns a handle per job submitted.
+    """
+    validate_script(script)
+    for tenant in script["tenants"]:
+        if tenant["name"] not in service.tenants:
+            service.add_tenant(
+                tenant["name"],
+                budget_dollars=tenant.get("budget_dollars"),
+                deadline_seconds=tenant.get("deadline_seconds"),
+                weight=float(tenant.get("weight", 1.0)),
+            )
+    seen = {record.source.get("script_index")
+            for record in service.jobs.values() if record.source}
     handles = []
     for index, job in enumerate(script["jobs"]):
+        if index in seen:
+            continue
         program, tile = build_workload(job["workload"],
                                        job.get("scale", "tiny"))
         handles.append(service.submit(
             program,
             tenant=job["tenant"],
-            submit_at=float(job.get("submit_at", 0.0)),
+            submit_at=max(float(job.get("submit_at", 0.0)), service.now),
             tile_size=int(job["tile_size"]) if "tile_size" in job else tile,
             source=script_job_source(job, index),
         ))

@@ -339,6 +339,45 @@ class TestServeDurability:
         assert document["recovery"]["decisions_repriced"] == 0
         assert document["recovery"]["decisions_replayed"] == 2
 
+    def test_submit_journal_ignores_non_script_submissions(self, tmp_path):
+        # A journal fed by live submissions (no script_index) holds none
+        # of this script's jobs: they are all still pending.
+        from repro.service import DurabilityStore, JobService
+        from repro.cloud import ClusterSpec, get_instance_type
+
+        journal = tmp_path / "state"
+        service = JobService(ClusterSpec(get_instance_type("c1.medium"), 2,
+                                         2))
+        service.attach_durability(DurabilityStore(journal))
+        service.add_tenant("live")
+        for __ in range(5):
+            program, tile = build_workload("multiply", "tiny")
+            service.submit(program, "live", tile_size=tile,
+                           source={"workload": "multiply", "scale": "tiny"})
+        service.drain()
+        service.close_durability()
+        script = self.build_script(tmp_path)
+        code, text = run_cli(
+            "submit", str(script), "multiply", "--scale", "tiny",
+            "--tenant", "acme", "--journal", str(journal), "--json")
+        assert code == 0
+        document = json.loads(text)
+        assert document["journal_pending_jobs"] == document["jobs"] == 3
+
+    def test_submit_journal_counts_jobs_held_in_the_snapshot(self, tmp_path):
+        script = self.build_script(tmp_path, jobs=3)
+        journal = tmp_path / "state"
+        code, __ = run_cli("serve", str(script), "--journal", str(journal),
+                           "--snapshot-every", "4")
+        assert code == 0
+        assert (journal / "snapshot.json").exists()
+        code, text = run_cli(
+            "submit", str(script), "multiply", "--scale", "tiny",
+            "--tenant", "acme", "--submit-at", "120", "--journal",
+            str(journal), "--json")
+        assert code == 0
+        assert json.loads(text)["journal_pending_jobs"] == 1
+
     def test_serve_recover_text_describes_replay(self, tmp_path):
         script = self.build_script(tmp_path)
         journal = tmp_path / "state"

@@ -41,7 +41,6 @@ from repro.service import (
     read_journal,
     recover,
     report_digest,
-    resume_script,
     run_script,
     scan_journal,
     schedule_digest,
@@ -256,7 +255,7 @@ class TestKillSweepDeterminism:
                 if store.journal is not None:
                     store.journal.close()
             service = recover(workdir, fsync_every=1)
-            resume_script(service, script)
+            submit_script_jobs(service, script)
             service.drain()
             if (report_digest(service.report()) != report_dig
                     or schedule_digest(service) != schedule_dig):
@@ -282,7 +281,7 @@ class TestKillSweepDeterminism:
         service = recover(workdir, fsync_every=1)
         assert service.recovery.decisions_replayed == len(script["jobs"])
         assert service.recovery.decisions_repriced == 0
-        resume_script(service, script)
+        submit_script_jobs(service, script)
         service.drain()
         assert service.decisions_priced == 0
         service.close_durability()
@@ -488,7 +487,7 @@ class TestSnapshots:
                 if store.journal is not None:
                     store.journal.close()
             service = recover(workdir, fsync_every=1, snapshot_every=6)
-            resume_script(service, script)
+            submit_script_jobs(service, script)
             service.drain()
             assert report_digest(service.report()) == report_dig, kill_after
             assert schedule_digest(service) == schedule_dig, kill_after
@@ -509,7 +508,7 @@ class TestTornAndCorrupt:
         service = recover(tmp_path / "state")
         assert service.recovery.scan_error == ERROR_TORN
         assert service.recovery.truncated_bytes > 0
-        resume_script(service, script)
+        submit_script_jobs(service, script)
         service.drain()
         assert report_digest(service.report()) == report_dig
         assert schedule_digest(service) == schedule_dig
@@ -602,16 +601,74 @@ class TestResumeScript:
         service = recover(tmp_path / "state")
         durable = {record.source["script_index"]
                    for record in service.jobs.values() if record.source}
-        handles = resume_script(service, script)
+        handles = submit_script_jobs(service, script)
         assert len(handles) == len(script["jobs"]) - len(durable)
         resubmitted = {record.source["script_index"]
                        for record in service.jobs.values()
                        if record.source}
         assert resubmitted == set(range(len(script["jobs"])))
-        # Idempotent: a second resume has nothing left to add.
-        assert resume_script(service, script) == []
+        # Idempotent: a second call has nothing left to add.
+        assert submit_script_jobs(service, script) == []
         service.drain()
         service.close_durability()
+
+    def test_negative_submit_at_is_refused(self):
+        # The resubmission clamp lands past arrivals at the clock; a
+        # script asking for an arrival before t=0 is an input error.
+        script = small_script(jobs=2)
+        script["jobs"][1]["submit_at"] = -5.0
+        with pytest.raises(ValidationError, match="negative"):
+            validate_script(script)
+
+
+class TestStaleSegment:
+    """A crash between the snapshot write and the journal rotation."""
+
+    def crash_before_rotation(self, tmp_path, script, monkeypatch):
+        rotate = Journal.rotate
+
+        def rotate_once_then_crash(journal, header):
+            monkeypatch.setattr(Journal, "rotate", rotate)
+            raise JournalKilled("crash before the rotation")
+
+        monkeypatch.setattr(Journal, "rotate", rotate_once_then_crash)
+        store = DurabilityStore(tmp_path / "state", fsync_every=1,
+                                snapshot_every=8)
+        with pytest.raises(JournalKilled):
+            run_script(script, store=store)
+        store.journal.close()
+        records = read_journal(tmp_path / "state" / "journal.wal")
+        snapshot = json.loads(
+            (tmp_path / "state" / "snapshot.json").read_text())
+        assert records[0]["epoch"] < snapshot["epoch"]
+        return tmp_path / "state"
+
+    def test_recovery_discards_the_stale_segment(self, tmp_path,
+                                                 monkeypatch):
+        script = small_script()
+        report_dig, schedule_dig = baseline_digests(script)
+        workdir = self.crash_before_rotation(tmp_path, script, monkeypatch)
+        service = recover(workdir, fsync_every=1)
+        assert service.recovery.snapshot_epoch == 1
+        submit_script_jobs(service, script)
+        service.drain()
+        assert report_digest(service.report()) == report_dig
+        assert schedule_digest(service) == schedule_dig
+        service.close_durability()
+        assert read_journal(workdir / "journal.wal")[0]["epoch"] == 1
+
+    def test_audit_composes_by_epoch(self, tmp_path, monkeypatch):
+        script = small_script()
+        workdir = self.crash_before_rotation(tmp_path, script, monkeypatch)
+        # The stale segment's decisions are already in the snapshot.
+        assert audit_journal(workdir).double_decided == 0
+        service = recover(workdir, fsync_every=1)
+        submit_script_jobs(service, script)
+        service.drain()
+        service.close_durability()
+        audit = audit_journal(workdir)
+        assert audit.ok, audit.to_doc()
+        assert audit.completed == len(script["jobs"])
 
 
 class TestKillPoint:
