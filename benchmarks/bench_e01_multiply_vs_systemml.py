@@ -7,7 +7,7 @@ every size (roughly 1.5-3x), and the gap is widest for CPMM, which
 materializes and re-shuffles the partial products.
 """
 
-from repro.baselines import plan_cpmm, plan_rmm
+from repro.baselines.systemml import plan_cpmm, plan_rmm
 from repro.core.physical import (
     MatMulParams,
     MatrixInfo,

@@ -19,14 +19,15 @@ import time
 
 import numpy as np
 
-from repro.cloud import InstanceType
+from repro.cloud.instances import InstanceType
 from repro.core.benchmarking import fit_local_coefficients
 from repro.core.compiler import CompilerParams
 from repro.core.costmodel import CumulonCostModel
 from repro.core.executor import CumulonExecutor
 from repro.core.physical import MatMulParams
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
-from repro.workloads import build_gnmf_program, build_multiply_program
+from repro.workloads.chains import build_multiply_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import RESULTS_DIR, Table, report
 

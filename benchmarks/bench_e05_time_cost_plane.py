@@ -8,11 +8,11 @@ buy time with money, and hourly billing makes cost a step function of
 cluster size rather than a smooth curve.
 """
 
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
 from repro.core.plans import skyline
-from repro.workloads import build_rsvd_program
+from repro.workloads.rsvd import build_rsvd_program
 
 from benchmarks.common import Table, report
 

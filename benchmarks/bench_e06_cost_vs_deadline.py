@@ -7,12 +7,13 @@ jumps.  Under per-second billing the same sweep is much smoother, which is
 the billing-model ablation.
 """
 
-from repro.cloud import PerSecondBilling, get_instance_type
+from repro.cloud.instances import get_instance_type
+from repro.cloud.pricing import PerSecondBilling
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
 from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError
-from repro.workloads import build_rsvd_program
+from repro.workloads.rsvd import build_rsvd_program
 
 from benchmarks.common import Table, report
 

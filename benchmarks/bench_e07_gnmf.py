@@ -8,11 +8,11 @@ driven by avoided shuffles, fused element-wise passes, and fewer/cheaper
 job launches.
 """
 
-from repro.baselines import compile_systemml_program
+from repro.baselines.systemml_program import compile_systemml_program
 from repro.core.compiler import compile_program
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
-from repro.workloads import build_gnmf_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import Table, reference_model, reference_spec, report
 

@@ -5,19 +5,19 @@ simulated wall-clock on the reference cluster, and the dollar cost under
 hourly billing.  Cumulon and SystemML columns side by side.
 """
 
-from repro.baselines import compile_systemml_program
-from repro.cloud import HourlyBilling
+from repro.baselines.systemml_program import compile_systemml_program
+from repro.cloud.pricing import HourlyBilling
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.optimizer import DEFAULT_MATMUL_OPTIONS
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
-from repro.workloads import (
-    build_gnmf_program,
+from repro.workloads.chains import (
     build_multiply_program,
-    build_normal_equations_program,
     build_power_iteration_program,
-    build_rsvd_program,
 )
+from repro.workloads.gnmf import build_gnmf_program
+from repro.workloads.regression import build_normal_equations_program
+from repro.workloads.rsvd import build_rsvd_program
 
 from benchmarks.common import Table, reference_model, reference_spec, report
 

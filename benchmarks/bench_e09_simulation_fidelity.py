@@ -11,7 +11,7 @@ shrinks as task counts grow and the tail amortizes — exactly the regime
 knowledge the optimizer needs the simulator for.
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.simcost import analytic_wave_estimate, simulate_program
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.task import TaskWork, make_map_task

@@ -20,7 +20,7 @@ from repro.core.physical import (
 from repro.core.simcost import simulate_program
 from repro.hadoop.job import JobDag
 from repro.matrix.tiled import TileGrid
-from repro.workloads import build_multiply_program
+from repro.workloads.chains import build_multiply_program
 
 from benchmarks.common import Table, reference_model, reference_spec, report
 

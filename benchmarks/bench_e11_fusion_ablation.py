@@ -11,7 +11,8 @@ repeated job overheads.
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
-from repro.workloads import build_gnmf_program, build_power_iteration_program
+from repro.workloads.chains import build_power_iteration_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import Table, reference_model, reference_spec, report
 

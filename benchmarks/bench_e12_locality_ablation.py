@@ -10,7 +10,8 @@ node-local fraction and a visibly faster job; raising replication lifts the
 blind scheduler's accidental locality and narrows the gap.
 """
 
-from repro.cloud import ClusterSpec, get_instance_type, provision
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.provisioning import provision
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import (
     ElementwiseParams,

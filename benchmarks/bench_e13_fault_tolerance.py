@@ -16,7 +16,7 @@ to replicated HDFS, the run degrades onto survivors) should beat
 cluster) on time and dollars.
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.cloud.spot import SpotMarket
 from repro.core.advisor import advise_checkpoint_interval
 from repro.core.chaos import (
@@ -31,7 +31,8 @@ from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import PhysicalContext
 from repro.hadoop.faults import RandomFailures
 from repro.hadoop.simulator import ClusterSimulator, FAILED, KILLED
-from repro.workloads import build_gnmf_program, build_multiply_program
+from repro.workloads.chains import build_multiply_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import Table, report
 

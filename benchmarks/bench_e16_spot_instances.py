@@ -9,7 +9,7 @@ but inflate completion time (and, without checkpointing, can pay *more*
 overall by burning restarted hours).
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.cloud.spot import (
     SpotMarket,
     estimate_spot_deployment,
@@ -19,7 +19,7 @@ from repro.core.compiler import compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
-from repro.workloads import build_rsvd_program
+from repro.workloads.rsvd import build_rsvd_program
 
 from benchmarks.common import Table, report
 

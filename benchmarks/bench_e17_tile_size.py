@@ -7,11 +7,11 @@ U-curve over tile sizes for a fixed multiply and cluster, with the optimizer
 (given ``tile_size_options``) picking a near-optimal size automatically.
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
 from repro.core.search import SearchSpec, search
-from repro.workloads import build_multiply_program
+from repro.workloads.chains import build_multiply_program
 
 from benchmarks.common import Table, report
 

@@ -8,12 +8,12 @@ job overhead and the ragged final wave dominate; text input is an order of
 magnitude larger than the binary tiles written.
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
 from repro.hadoop.job import JobDag
-from repro.ingest import plan_ingest_job
+from repro.ingest.loader import plan_ingest_job
 
 from benchmarks.common import Table, report
 

@@ -7,13 +7,14 @@ job's latency at a tiny cost to the batch job.  Expected shape: fair cuts
 small-job latency by an order of magnitude with <10% batch slowdown.
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import PhysicalContext
 from repro.hadoop.job import Job, JobDag
 from repro.hadoop.simulator import FAIR, FIFO, ClusterSimulator
-from repro.workloads import build_gnmf_program, build_multiply_program
+from repro.workloads.chains import build_multiply_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import Table, report
 

@@ -10,12 +10,12 @@ deadlines shared wins again (everything fits on one small cluster).
 Finding this band automatically is what the workflow optimizer is for.
 """
 
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.optimizer import SearchSpace
 from repro.core.physical import MatMulParams
 from repro.core.workflow import WorkflowOptimizer, WorkflowStage
 from repro.errors import InfeasibleConstraintError
-from repro.workloads import (
+from repro.workloads.chains import (
     build_multiply_program,
     build_power_iteration_program,
 )

@@ -13,7 +13,7 @@ change the answer.
 
 import time
 
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.evalcache import NULL_EVAL_CACHE
 from repro.core.optimizer import (
     DeploymentOptimizer,
@@ -23,7 +23,7 @@ from repro.core.optimizer import (
 from repro.core.physical import MatMulParams
 from repro.core.search import SearchSpec, _search
 from repro.errors import InfeasibleConstraintError
-from repro.workloads import build_gnmf_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import Table, report
 

@@ -14,7 +14,8 @@ import json
 import os
 
 from repro.observability.metrics import MetricsRegistry
-from repro.service import jain_fairness, run_script, validate_script
+from repro.service.scheduler import jain_fairness
+from repro.service.script import run_script, validate_script
 
 from benchmarks.common import Table, report
 

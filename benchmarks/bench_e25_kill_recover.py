@@ -19,9 +19,9 @@ import tempfile
 import time
 
 from repro.observability.metrics import MetricsRegistry
-from repro.service import run_script, validate_script
 from repro.service.durability import DurabilityStore
 from repro.service.loadgen import kill_and_recover
+from repro.service.script import run_script, validate_script
 
 from benchmarks.common import Table, report
 

@@ -21,7 +21,7 @@ for CI smoke; the grid and the >=5x bar stay the same.
 import os
 import time
 
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.optimizer import (
     DeploymentOptimizer,
     ReliabilityModel,
@@ -30,7 +30,7 @@ from repro.core.optimizer import (
 from repro.core.physical import MatMulParams
 from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError
-from repro.workloads import build_gnmf_program
+from repro.workloads.gnmf import build_gnmf_program
 
 from benchmarks.common import Table, report
 

@@ -30,7 +30,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.costmodel import CumulonCostModel
 from repro.observability.metrics import MetricsRegistry
 

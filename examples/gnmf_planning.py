@@ -13,21 +13,21 @@ Run with:  python examples/gnmf_planning.py
 
 import numpy as np
 
-from repro.baselines import compile_systemml_program
-from repro.cloud import get_instance_type
-from repro.core import (
-    CumulonCostModel,
+from repro.api import (
+    ClusterSpec,
     DeploymentOptimizer,
-    PhysicalContext,
     SearchSpace,
     SearchSpec,
-    compile_program,
+    get_instance_type,
     run_program,
     search,
-    simulate_program,
 )
-from repro.cloud import ClusterSpec
-from repro.workloads import build_gnmf_program, reference_gnmf
+from repro.baselines.systemml_program import compile_systemml_program
+from repro.core.compiler import compile_program
+from repro.core.costmodel import CumulonCostModel
+from repro.core.physical import PhysicalContext
+from repro.core.simcost import simulate_program
+from repro.workloads.gnmf import build_gnmf_program, reference_gnmf
 
 
 def verify_small_instance() -> None:

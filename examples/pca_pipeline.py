@@ -13,21 +13,24 @@ Run with:  python examples/pca_pipeline.py
 
 import numpy as np
 
-from repro.cloud import ClusterSpec, get_instance_type, provision
-from repro.core import (
+from repro.api import (
+    ClusterSpec,
     CompilerParams,
-    CumulonCostModel,
     CumulonExecutor,
-    PhysicalContext,
-    compile_program,
-    explain_program,
-    simulate_program,
+    get_instance_type,
 )
+from repro.cloud.provisioning import provision
+from repro.core.compiler import compile_program
+from repro.core.costmodel import CumulonCostModel
+from repro.core.explain import explain_program
 from repro.core.optimizer import DEFAULT_MATMUL_OPTIONS
+from repro.core.physical import PhysicalContext
+from repro.core.simcost import simulate_program
 from repro.hadoop.metrics import render_timeline, utilization
 from repro.hdfs.tilestore import TileStore
-from repro.ingest import format_csv_matrix, ingest_csv
-from repro.workloads import (
+from repro.ingest.loader import ingest_csv
+from repro.ingest.parser import format_csv_matrix
+from repro.workloads.pca import (
     build_pca_program,
     explained_variance_ratio,
     principal_components,

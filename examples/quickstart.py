@@ -5,15 +5,15 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import (
+from repro.api import (
     CumulonExecutor,
     DeploymentOptimizer,
     Program,
     SearchSpace,
     SearchSpec,
+    get_instance_type,
     search,
 )
-from repro.cloud import get_instance_type
 
 
 def main() -> None:

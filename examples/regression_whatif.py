@@ -11,17 +11,17 @@ Run with:  python examples/regression_whatif.py
 
 import numpy as np
 
-from repro.cloud import get_instance_type
-from repro.core import (
+from repro.api import (
     DeploymentOptimizer,
     SearchSpace,
     SearchSpec,
+    get_instance_type,
     run_program,
     search,
 )
-from repro.data import regression_dataset
+from repro.data.generators import regression_dataset
 from repro.errors import InfeasibleConstraintError
-from repro.workloads import (
+from repro.workloads.regression import (
     build_normal_equations_program,
     solve_normal_equations,
 )

@@ -10,10 +10,16 @@ and the simulations each spends.
 Run with:  python examples/rsvd_budget.py
 """
 
-from repro.cloud import PerSecondBilling, get_instance_type
-from repro.core import DeploymentOptimizer, SearchSpace, SearchSpec, search
+from repro.api import (
+    DeploymentOptimizer,
+    SearchSpace,
+    SearchSpec,
+    get_instance_type,
+    search,
+)
+from repro.cloud.pricing import PerSecondBilling
 from repro.errors import InfeasibleConstraintError
-from repro.workloads import build_rsvd_program
+from repro.workloads.rsvd import build_rsvd_program
 
 
 def make_space() -> SearchSpace:

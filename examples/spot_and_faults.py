@@ -9,16 +9,18 @@ Demonstrates the reproduction's extensions on one GNMF deployment:
 Run with:  python examples/spot_and_faults.py
 """
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.api import ClusterSpec, get_instance_type
 from repro.cloud.spot import (
     SpotMarket,
     estimate_spot_deployment,
     on_demand_cost,
 )
-from repro.core import CumulonCostModel, PhysicalContext, compile_program
+from repro.core.compiler import compile_program
+from repro.core.costmodel import CumulonCostModel
+from repro.core.physical import PhysicalContext
 from repro.hadoop.faults import RandomFailures
 from repro.hadoop.simulator import ClusterSimulator, KILLED
-from repro.workloads import build_gnmf_program
+from repro.workloads.gnmf import build_gnmf_program
 
 
 def make_dag():

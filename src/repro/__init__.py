@@ -8,8 +8,8 @@ provisioning, and configuration settings under time/budget constraints.
 
 Quick tour::
 
-    from repro.core import Program, run_program
-    from repro.core import DeploymentOptimizer, SearchSpec, search
+    from repro.api import Program, run_program
+    from repro.api import DeploymentOptimizer, SearchSpec, search
 
     p = Program("demo")
     a = p.declare_input("A", 1000, 1000)

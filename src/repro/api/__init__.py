@@ -87,7 +87,7 @@ from repro.service.script import (
     save_script,
 )
 from repro.service.server import ReproServer
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 __all__ = [
     "AdmissionController",

@@ -1,23 +1,1 @@
 """Baseline systems: SystemML-style MapReduce plans, single node."""
-
-from repro.baselines.naive import plan_single_node
-from repro.baselines.systemml import (
-    BaselineMultiply,
-    plan_best_systemml,
-    plan_cpmm,
-    plan_rmm,
-)
-from repro.baselines.systemml_program import (
-    SystemMLCompiler,
-    compile_systemml_program,
-)
-
-__all__ = [
-    "BaselineMultiply",
-    "SystemMLCompiler",
-    "compile_systemml_program",
-    "plan_best_systemml",
-    "plan_cpmm",
-    "plan_rmm",
-    "plan_single_node",
-]

@@ -77,7 +77,7 @@ import json as _json
 import sys
 from pathlib import Path
 
-from repro.cloud import EC2_CATALOG, ClusterSpec, get_instance_type
+from repro.cloud.instances import EC2_CATALOG, ClusterSpec, get_instance_type
 from repro.cloud.spot import SpotMarket
 from repro.core.advisor import advise_checkpoint_interval
 from repro.core.chaos import (
@@ -103,25 +103,25 @@ from repro.core.physical import PhysicalContext
 from repro.core.search import METHODS, SearchSpec, search
 from repro.core.simcost import simulate_program
 from repro.errors import InfeasibleConstraintError, ReproError
-from repro.observability import (
-    CostMeter,
-    InMemoryRecorder,
-    MetricsRegistry,
-    NULL_METRICS,
-    NULL_RECORDER,
-    SOURCE_ACTUAL,
-    SOURCE_SIMULATED,
-    SearchTrace,
-    chrome_trace_json,
+from repro.observability.cost import CostMeter
+from repro.observability.diff import trace_diff
+from repro.observability.export import chrome_trace_json, to_csv
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+from repro.observability.metrics_export import (
     metrics_to_csv,
     metrics_to_json,
     render_dashboard,
-    to_csv,
     to_prometheus,
-    trace_diff,
+)
+from repro.observability.search import SearchTrace
+from repro.observability.trace import (
+    NULL_RECORDER,
+    SOURCE_ACTUAL,
+    SOURCE_SIMULATED,
+    InMemoryRecorder,
 )
 from repro.service.scheduler import POLICIES, POLICY_FAIR
-from repro.workloads import SCALES, WORKLOAD_NAMES, build_workload
+from repro.workloads.catalog import SCALES, WORKLOAD_NAMES, build_workload
 
 
 def package_version() -> str:

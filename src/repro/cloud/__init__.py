@@ -1,47 +1,1 @@
 """Cloud provisioning: instance catalog, cluster specs, billing."""
-
-from repro.cloud.instances import (
-    EC2_CATALOG,
-    ClusterSpec,
-    InstanceType,
-    get_instance_type,
-)
-from repro.cloud.pricing import (
-    DEFAULT_BILLING,
-    BillingModel,
-    HourlyBilling,
-    PerSecondBilling,
-)
-from repro.cloud.spot import (
-    SpotEstimate,
-    SpotMarket,
-    SpotRun,
-    estimate_spot_deployment,
-    on_demand_cost,
-    simulate_spot_run,
-)
-from repro.cloud.provisioning import (
-    DEFAULT_STARTUP_SECONDS,
-    ProvisionedCluster,
-    provision,
-)
-
-__all__ = [
-    "EC2_CATALOG",
-    "ClusterSpec",
-    "InstanceType",
-    "get_instance_type",
-    "DEFAULT_BILLING",
-    "BillingModel",
-    "HourlyBilling",
-    "PerSecondBilling",
-    "DEFAULT_STARTUP_SECONDS",
-    "SpotEstimate",
-    "SpotMarket",
-    "SpotRun",
-    "estimate_spot_deployment",
-    "on_demand_cost",
-    "simulate_spot_run",
-    "ProvisionedCluster",
-    "provision",
-]

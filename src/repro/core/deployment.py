@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.cloud.pricing import DEFAULT_BILLING, BillingModel
 from repro.cloud.provisioning import DEFAULT_STARTUP_SECONDS
-from repro.core.compiler import CompilerParams, compile_program
+from repro.core.compiler import compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import PhysicalContext
 from repro.core.plans import DeploymentPlan
@@ -21,7 +21,7 @@ from repro.core.program import Program
 from repro.core.simcost import simulate_program
 from repro.errors import ValidationError
 from repro.hadoop.job import JobDag
-from repro.ingest import plan_ingest_job
+from repro.ingest.loader import plan_ingest_job
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,3 @@ def amortized_breakdown(program: Program, plan: DeploymentPlan,
         dollars=billing.cost(plan.spec, total) / runs,
     )
 
-
-def compare_breakdown(program: Program, plan: DeploymentPlan,
-                      params_variants: dict[str, CompilerParams],
-                      tile_size: int | None = None
-                      ) -> dict[str, CostBreakdown]:
-    """Breakdowns of the same deployment under different compiler params."""
-    results = {}
-    for label, params in params_variants.items():
-        variant = DeploymentPlan(plan.spec, params, plan.estimated_seconds,
-                                 plan.estimated_cost, plan.tile_size)
-        results[label] = estimate_deployment(program, variant, tile_size)
-    return results

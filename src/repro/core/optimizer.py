@@ -221,29 +221,6 @@ class ReliablePlan:
             return float("inf")
         return percentile(finite, 0.95)
 
-    def expected_overrun(self, deadline_seconds: float) -> float:
-        """Mean seconds past the deadline across completed scenarios."""
-        finite = self._finite_seconds()
-        if not finite:
-            return float("inf")
-        return sum(max(0.0, s - deadline_seconds)
-                   for s in finite) / len(finite)
-
-    def p95_overrun(self, deadline_seconds: float) -> float:
-        """Seconds the p95 completion time exceeds the deadline by."""
-        finite = self._finite_seconds()
-        if not finite:
-            return float("inf")
-        return max(0.0, percentile(finite, 0.95) - deadline_seconds)
-
-    def expected_cost_overrun(self, budget_dollars: float) -> float:
-        """Mean dollars spent past the budget across scenarios."""
-        finite = self._finite_costs()
-        if not finite:
-            return float("inf")
-        return sum(max(0.0, c - budget_dollars)
-                   for c in finite) / len(finite)
-
     def describe(self) -> str:
         """Human-readable reliability summary of this plan."""
         n = len(self.scenario_seconds)

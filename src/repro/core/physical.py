@@ -27,7 +27,6 @@ the same arithmetic as one declarative plan a worker pool can evaluate.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -349,17 +348,6 @@ class MatMulJobs:
 
     def jobs(self) -> list[Job]:
         return [self.mult_job] + ([self.add_job] if self.add_job else [])
-
-
-def estimate_task_memory_bytes(left: Operand, right: Operand,
-                               params: MatMulParams, tile_size: int) -> int:
-    """Peak dense working-set of one mult task (inputs + accumulators)."""
-    k_tiles = left.tile_cols
-    seg = math.ceil(k_tiles / params.k_splits)
-    tiles_held = (params.tiles_per_task_i * seg
-                  + seg * params.tiles_per_task_j
-                  + params.tiles_per_task_i * params.tiles_per_task_j)
-    return tiles_held * tile_size * tile_size * DENSE_ELEMENT_BYTES
 
 
 def build_matmul_jobs(job_id: str, left: Operand, right: Operand,

@@ -1,21 +1,1 @@
 """Synthetic dataset generators for the evaluation workloads."""
-
-from repro.data.generators import (
-    low_rank_plus_noise,
-    random_dense,
-    random_gaussian,
-    random_nonnegative,
-    random_sparse,
-    regression_dataset,
-    stochastic_adjacency,
-)
-
-__all__ = [
-    "low_rank_plus_noise",
-    "random_dense",
-    "random_gaussian",
-    "random_nonnegative",
-    "random_sparse",
-    "regression_dataset",
-    "stochastic_adjacency",
-]

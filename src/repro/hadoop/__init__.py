@@ -1,90 +1,1 @@
 """Simulated Hadoop engine: tasks, jobs, slot scheduling, local execution."""
-
-from repro.hadoop.faults import (
-    CAUSE_CRASH,
-    CAUSE_REVOCATION,
-    CompositeNodeFailures,
-    FailureModel,
-    NodeFailure,
-    NodeFailureModel,
-    NoFailures,
-    NoNodeFailures,
-    RandomFailures,
-    RandomNodeFailures,
-    SpotRevocationWaves,
-    TargetedFailures,
-    TargetedNodeFailures,
-)
-from repro.hadoop.job import Job, JobDag, JobKind
-from repro.hadoop.local import (
-    NO_RETRY,
-    CrashAfterCalls,
-    FaultInjector,
-    LocalExecutor,
-    LocalJobReport,
-    LocalRunReport,
-    RetryPolicy,
-    ScriptedFaults,
-)
-from repro.hadoop.metrics import (
-    UtilizationReport,
-    render_timeline,
-    straggler_report,
-    utilization,
-)
-from repro.hadoop.simulator import (
-    ClusterSimulator,
-    JobTimeline,
-    SimulationResult,
-)
-from repro.hadoop.task import (
-    Task,
-    TaskAttempt,
-    TaskKind,
-    TaskWork,
-    make_map_task,
-    make_reduce_task,
-)
-from repro.hadoop.timemodel import FixedTimeModel, TaskTimeModel
-
-__all__ = [
-    "CAUSE_CRASH",
-    "CAUSE_REVOCATION",
-    "ClusterSimulator",
-    "CompositeNodeFailures",
-    "FailureModel",
-    "NodeFailure",
-    "NodeFailureModel",
-    "NoFailures",
-    "NoNodeFailures",
-    "RandomFailures",
-    "RandomNodeFailures",
-    "SpotRevocationWaves",
-    "TargetedFailures",
-    "TargetedNodeFailures",
-    "FixedTimeModel",
-    "Job",
-    "JobDag",
-    "JobKind",
-    "JobTimeline",
-    "LocalExecutor",
-    "UtilizationReport",
-    "render_timeline",
-    "straggler_report",
-    "utilization",
-    "LocalJobReport",
-    "LocalRunReport",
-    "NO_RETRY",
-    "CrashAfterCalls",
-    "FaultInjector",
-    "RetryPolicy",
-    "ScriptedFaults",
-    "SimulationResult",
-    "Task",
-    "TaskAttempt",
-    "TaskKind",
-    "TaskTimeModel",
-    "TaskWork",
-    "make_map_task",
-    "make_reduce_task",
-]

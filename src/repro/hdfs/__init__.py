@@ -1,27 +1,1 @@
 """Simulated HDFS: namenode, datanodes, placement, and the tile store."""
-
-from repro.hdfs.blocks import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_REPLICATION,
-    BlockId,
-    BlockInfo,
-    split_into_block_sizes,
-)
-from repro.hdfs.datanode import DataNode
-from repro.hdfs.namenode import FileEntry, NameNode
-from repro.hdfs.placement import DefaultPlacement, PlacementPolicy
-from repro.hdfs.tilestore import TileStore
-
-__all__ = [
-    "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_REPLICATION",
-    "BlockId",
-    "BlockInfo",
-    "DataNode",
-    "DefaultPlacement",
-    "FileEntry",
-    "NameNode",
-    "PlacementPolicy",
-    "TileStore",
-    "split_into_block_sizes",
-]

@@ -1,19 +1,1 @@
 """Data ingestion: text parsing and load-job planning."""
-
-from repro.ingest.loader import ingest_array, ingest_csv, plan_ingest_job
-from repro.ingest.parser import (
-    TEXT_BYTES_PER_VALUE,
-    estimated_text_bytes,
-    format_csv_matrix,
-    parse_csv_matrix,
-)
-
-__all__ = [
-    "TEXT_BYTES_PER_VALUE",
-    "estimated_text_bytes",
-    "format_csv_matrix",
-    "ingest_array",
-    "ingest_csv",
-    "parse_csv_matrix",
-    "plan_ingest_job",
-]

@@ -1,59 +1,1 @@
 """Tiled-matrix storage substrate (Cumulon's unit of data)."""
-
-from repro.matrix.tile import (
-    DENSE_ELEMENT_BYTES,
-    SPARSE_ELEMENT_BYTES,
-    SPARSE_THRESHOLD,
-    Tile,
-    TileId,
-    elementwise_flops,
-    matmul_flops,
-    tile_add,
-    tile_elementwise,
-    tile_matmul,
-)
-from repro.matrix.compression import (
-    Codec,
-    CompressionReport,
-    NoCompression,
-    Quantized8Codec,
-    ZlibCodec,
-    available_codecs,
-    compression_report,
-)
-from repro.matrix.tiled import (
-    DEFAULT_TILE_SIZE,
-    DenseBacking,
-    TileBacking,
-    TileGrid,
-    TiledMatrix,
-    assert_same_grid,
-    multiply_grid,
-)
-
-__all__ = [
-    "DENSE_ELEMENT_BYTES",
-    "SPARSE_ELEMENT_BYTES",
-    "SPARSE_THRESHOLD",
-    "DEFAULT_TILE_SIZE",
-    "Codec",
-    "CompressionReport",
-    "NoCompression",
-    "Quantized8Codec",
-    "ZlibCodec",
-    "available_codecs",
-    "compression_report",
-    "Tile",
-    "TileId",
-    "TileGrid",
-    "TiledMatrix",
-    "TileBacking",
-    "DenseBacking",
-    "assert_same_grid",
-    "multiply_grid",
-    "matmul_flops",
-    "elementwise_flops",
-    "tile_add",
-    "tile_elementwise",
-    "tile_matmul",
-]

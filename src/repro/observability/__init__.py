@@ -10,152 +10,3 @@ Tracing is off by default — every emission site takes a
 :class:`TraceRecorder` defaulting to :data:`NULL_RECORDER`, whose hooks are
 no-ops — so the hot paths pay nothing unless a caller opts in.
 """
-
-from repro.observability.cost import (
-    COST_SERIES,
-    OVERRUN_BUDGET,
-    OVERRUN_DEADLINE,
-    CostMeter,
-    CostOverrun,
-)
-from repro.observability.diff import JobDiff, TaskDiff, TraceDiff, trace_diff
-from repro.observability.export import (
-    CSV_COLUMNS,
-    chrome_trace_json,
-    structural_summary,
-    to_chrome_events,
-    to_csv,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_csv,
-)
-from repro.observability.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    TimeSeries,
-)
-from repro.observability.metrics_export import (
-    METRICS_CSV_COLUMNS,
-    escape_label_value,
-    metrics_to_csv,
-    metrics_to_json,
-    render_dashboard,
-    render_series,
-    render_sparkline,
-    to_prometheus,
-)
-from repro.observability.profiling import (
-    WORKER_LANE_PREFIX,
-    ExecutionProfile,
-    LaneProfile,
-    PlanProfile,
-    profile_trace,
-    render_profile,
-)
-from repro.observability.search import (
-    NULL_SEARCH_TRACE,
-    CandidateRecord,
-    NullSearchTrace,
-    SearchTrace,
-)
-from repro.observability.trace import (
-    NULL_RECORDER,
-    PHASE_JOB,
-    PHASE_KERNEL,
-    PHASE_MAP,
-    PHASE_NODE,
-    PHASE_REDUCE,
-    PHASE_REEXEC,
-    PHASE_REREPLICATION,
-    PHASE_SHUFFLE,
-    PHASE_SPAN,
-    SCHEMA_FIELDS,
-    SOURCE_ACTUAL,
-    SOURCE_SIMULATED,
-    STATUS_FAILED,
-    STATUS_KILLED,
-    STATUS_LOST,
-    STATUS_REVOKED,
-    STATUS_SUCCESS,
-    TASK_PHASES,
-    InMemoryRecorder,
-    NullRecorder,
-    Trace,
-    TraceEvent,
-    TraceRecorder,
-)
-
-__all__ = [
-    "COST_SERIES",
-    "CSV_COLUMNS",
-    "CandidateRecord",
-    "CostMeter",
-    "CostOverrun",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "ExecutionProfile",
-    "Gauge",
-    "Histogram",
-    "InMemoryRecorder",
-    "JobDiff",
-    "LaneProfile",
-    "METRICS_CSV_COLUMNS",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_RECORDER",
-    "NULL_SEARCH_TRACE",
-    "NullMetricsRegistry",
-    "NullRecorder",
-    "NullSearchTrace",
-    "OVERRUN_BUDGET",
-    "OVERRUN_DEADLINE",
-    "PHASE_JOB",
-    "PHASE_KERNEL",
-    "PHASE_MAP",
-    "PHASE_NODE",
-    "PHASE_REDUCE",
-    "PHASE_REEXEC",
-    "PHASE_REREPLICATION",
-    "PHASE_SHUFFLE",
-    "PHASE_SPAN",
-    "PlanProfile",
-    "SCHEMA_FIELDS",
-    "SOURCE_ACTUAL",
-    "SOURCE_SIMULATED",
-    "STATUS_FAILED",
-    "STATUS_KILLED",
-    "STATUS_LOST",
-    "STATUS_REVOKED",
-    "STATUS_SUCCESS",
-    "SearchTrace",
-    "TASK_PHASES",
-    "TaskDiff",
-    "TimeSeries",
-    "Trace",
-    "TraceDiff",
-    "TraceEvent",
-    "TraceRecorder",
-    "WORKER_LANE_PREFIX",
-    "chrome_trace_json",
-    "escape_label_value",
-    "metrics_to_csv",
-    "metrics_to_json",
-    "profile_trace",
-    "render_dashboard",
-    "render_profile",
-    "render_series",
-    "render_sparkline",
-    "structural_summary",
-    "to_chrome_events",
-    "to_csv",
-    "to_prometheus",
-    "trace_diff",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_csv",
-]

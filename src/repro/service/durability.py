@@ -108,7 +108,7 @@ from repro.service.jobs import (
     STATE_REJECTED,
     Tenant,
 )
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 #: Journal schema version (bumped on incompatible record changes).
 #: 2: one ``tick`` per event instant (not per event), digest over the raw

@@ -40,7 +40,7 @@ from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.trace import NULL_RECORDER, TraceRecorder
 from repro.service.jobs import JobHandle, JobService, ServiceReport
 from repro.service.scheduler import POLICY_FAIR
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 _CLUSTER_KEYS = {"instance", "nodes", "slots_per_node"}
 _TENANT_KEYS = {"name", "budget_dollars", "deadline_seconds", "weight"}

@@ -77,7 +77,7 @@ from repro.service.protocol import (
     validate_frame,
 )
 from repro.service.ticks import WallClockDriver
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 #: Drain scopes.
 SCOPE_CONN = "conn"

@@ -1,74 +1,7 @@
-"""The paper's evaluation workloads as Cumulon programs."""
+"""The paper's evaluation workloads as Cumulon programs.
 
-from repro.workloads.catalog import (
-    SCALES,
-    WORKLOAD_NAMES,
-    build_workload,
-)
-from repro.workloads.chains import (
-    build_chain_program,
-    build_multiply_program,
-    build_power_iteration_program,
-    reference_power_iteration,
-)
-from repro.workloads.gnmf import build_gnmf_program, reference_gnmf
-from repro.workloads.kmeans import (
-    build_soft_kmeans_program,
-    centroid_match_error,
-    clustered_dataset,
-    reference_soft_kmeans,
-)
-from repro.workloads.logistic import (
-    accuracy,
-    build_logistic_program,
-    classification_dataset,
-    reference_logistic,
-)
-from repro.workloads.regression import (
-    build_gradient_descent_program,
-    build_normal_equations_program,
-    reference_gradient_descent,
-    solve_normal_equations,
-)
-from repro.workloads.pca import (
-    build_pca_program,
-    explained_variance_ratio,
-    principal_components,
-    reference_pca,
-)
-from repro.workloads.rsvd import (
-    build_rsvd_program,
-    reference_rsvd,
-    sketch_quality,
-)
+The package re-exports the catalog and nothing else; each program builder
+and its numpy reference are imported from the module that defines them.
+"""
 
-__all__ = [
-    "SCALES",
-    "WORKLOAD_NAMES",
-    "build_workload",
-    "build_chain_program",
-    "build_multiply_program",
-    "build_power_iteration_program",
-    "build_gnmf_program",
-    "build_logistic_program",
-    "classification_dataset",
-    "accuracy",
-    "reference_logistic",
-    "build_gradient_descent_program",
-    "build_normal_equations_program",
-    "build_pca_program",
-    "principal_components",
-    "explained_variance_ratio",
-    "reference_pca",
-    "build_rsvd_program",
-    "build_soft_kmeans_program",
-    "centroid_match_error",
-    "clustered_dataset",
-    "reference_soft_kmeans",
-    "reference_gnmf",
-    "reference_gradient_descent",
-    "reference_power_iteration",
-    "reference_rsvd",
-    "sketch_quality",
-    "solve_normal_equations",
-]
+from repro.workloads.catalog import SCALES, WORKLOAD_NAMES, build_workload

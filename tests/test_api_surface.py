@@ -9,6 +9,7 @@ snapshot says so too.  Regenerate with::
     PYTHONPATH=src python tests/test_api_surface.py --regen
 """
 
+import ast
 import inspect
 import sys
 from pathlib import Path
@@ -67,6 +68,49 @@ def test_facade_has_no_unlisted_public_names():
         and not inspect.ismodule(getattr(api, name))
     ]
     assert not unlisted, f"public but not in __all__: {unlisted}"
+
+
+def _body_after_docstring(tree: ast.Module) -> list[str]:
+    """Each statement past the docstring, as a short comparable string."""
+    body = tree.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    described = []
+    for node in body:
+        if isinstance(node, ast.ImportFrom):
+            names = ", ".join(sorted(a.name for a in node.names))
+            described.append(f"from {node.module} import {names}")
+        elif isinstance(node, ast.Assign):
+            described.append(
+                " = ".join(ast.unparse(t) for t in node.targets) + " = ...")
+        else:
+            described.append(ast.unparse(node).split("\n")[0])
+    return described
+
+
+def test_api_is_the_only_facade():
+    """repro.api is the one module that re-exports.  Every other package
+    ``__init__`` holds its docstring and nothing else, so a name outside
+    the facade has exactly one import path: the module that defines it."""
+    package_root = Path(api.__file__).resolve().parent.parent
+    allowed = {
+        "__init__.py": ["__version__ = ..."],
+        "workloads/__init__.py": [
+            "from repro.workloads.catalog import "
+            "SCALES, WORKLOAD_NAMES, build_workload"],
+    }
+    offenders = {}
+    for init in sorted(package_root.rglob("__init__.py")):
+        rel = init.relative_to(package_root).as_posix()
+        if rel == "api/__init__.py":
+            continue
+        body = _body_after_docstring(ast.parse(init.read_text()))
+        if body != allowed.get(rel, []):
+            offenders[rel] = body
+    assert not offenders, (
+        "only repro.api may re-export; import names from their defining "
+        f"module instead: {offenders}")
 
 
 if __name__ == "__main__":

@@ -37,13 +37,9 @@ from repro.hadoop.procpool import (
     ProcessDispatcher,
 )
 from repro.matrix.tiled import DenseBacking
-from repro.observability import (
-    SOURCE_ACTUAL,
-    InMemoryRecorder,
-    MetricsRegistry,
-    profile_trace,
-)
-from repro.observability.profiling import WORKER_LANE_PREFIX
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import SOURCE_ACTUAL, InMemoryRecorder
+from repro.observability.profiling import WORKER_LANE_PREFIX, profile_trace
 from repro.workloads.chains import build_chain_program
 from repro.workloads.gnmf import build_gnmf_program
 

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    plan_best_systemml,
-    plan_cpmm,
-    plan_rmm,
-    plan_single_node,
-)
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.baselines.naive import plan_single_node
+from repro.baselines.systemml import plan_best_systemml, plan_cpmm, plan_rmm
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import (
     MatMulParams,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.cloud.spot import SpotMarket
 from repro.core.advisor import (
     advise_checkpoint_interval,
@@ -25,7 +25,8 @@ from repro.errors import ValidationError
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.task import TaskWork, make_map_task
 from repro.hadoop.timemodel import FixedTimeModel
-from repro.observability import InMemoryRecorder, MetricsRegistry, PHASE_NODE
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import PHASE_NODE, InMemoryRecorder
 
 
 def spec(nodes=2, slots=2):

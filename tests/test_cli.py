@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_workload, main
 from repro.errors import ReproError
-from repro.observability import validate_chrome_trace
+from repro.observability.export import validate_chrome_trace
 
 
 def run_cli(*argv):
@@ -342,8 +342,9 @@ class TestServeDurability:
     def test_submit_journal_ignores_non_script_submissions(self, tmp_path):
         # A journal fed by live submissions (no script_index) holds none
         # of this script's jobs: they are all still pending.
-        from repro.service import DurabilityStore, JobService
-        from repro.cloud import ClusterSpec, get_instance_type
+        from repro.service.durability import DurabilityStore
+        from repro.service.jobs import JobService
+        from repro.cloud.instances import ClusterSpec, get_instance_type
 
         journal = tmp_path / "state"
         service = JobService(ClusterSpec(get_instance_type("c1.medium"), 2,

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.cloud import (
-    EC2_CATALOG,
-    ClusterSpec,
-    HourlyBilling,
-    PerSecondBilling,
-    get_instance_type,
-    provision,
-)
+from repro.cloud.instances import EC2_CATALOG, ClusterSpec, get_instance_type
+from repro.cloud.pricing import HourlyBilling, PerSecondBilling
+from repro.cloud.provisioning import provision
 from repro.errors import ValidationError
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.benchmarking import (
     REFERENCE_COEFFICIENTS,
     HardwareCoefficients,

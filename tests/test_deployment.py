@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.cloud import ClusterSpec, PerSecondBilling, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.pricing import PerSecondBilling
 from repro.core.compiler import CompilerParams
-from repro.core.deployment import (
-    amortized_breakdown,
-    compare_breakdown,
-    estimate_deployment,
-)
+from repro.core.deployment import amortized_breakdown, estimate_deployment
 from repro.core.physical import MatMulParams
 from repro.core.plans import DeploymentPlan
 from repro.errors import ValidationError
-from repro.workloads import build_gnmf_program, build_multiply_program
+from repro.workloads.chains import build_multiply_program
+from repro.workloads.gnmf import build_gnmf_program
 
 
 def make_plan(nodes=8, tile=2048, matmul=MatMulParams(1, 1, 1)):
@@ -96,14 +94,11 @@ class TestCompare:
     def test_variants_differ(self):
         program = build_gnmf_program(20480, 10240, 128, iterations=1)
         plan = make_plan()
-        variants = {
-            "fused": CompilerParams(fusion_enabled=True),
-            "unfused": CompilerParams(fusion_enabled=False),
-        }
-        results = compare_breakdown(program, plan, variants)
-        assert set(results) == {"fused", "unfused"}
-        assert results["fused"].compute_seconds \
-            < results["unfused"].compute_seconds
+        fused, unfused = (
+            estimate_deployment(program, DeploymentPlan(
+                plan.spec, CompilerParams(fusion_enabled=enabled),
+                plan.estimated_seconds, plan.estimated_cost, plan.tile_size))
+            for enabled in (True, False))
+        assert fused.compute_seconds < unfused.compute_seconds
         # Load and startup are identical across compiler variants.
-        assert results["fused"].load_seconds \
-            == pytest.approx(results["unfused"].load_seconds)
+        assert fused.load_seconds == pytest.approx(unfused.load_seconds)

@@ -22,7 +22,7 @@ import signal
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.evalcache import EvalCache
 from repro.errors import (
     JournalCorruptionError,
@@ -33,39 +33,39 @@ from repro.errors import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import InMemoryRecorder, PHASE_SPAN
-from repro.service import (
-    STATE_CANCELLED,
-    DurabilityStore,
-    audit_journal,
-    Journal,
-    read_journal,
-    recover,
-    report_digest,
-    run_script,
-    scan_journal,
-    schedule_digest,
-    submit_script_jobs,
-    validate_script,
-)
 from repro.service.durability import (
     ERROR_CORRUPT,
     ERROR_TORN,
     EVENT_KINDS,
     JOURNAL_VERSION,
     KILL_RAISE,
+    DurabilityStore,
+    Journal,
     JournalKilled,
+    audit_journal,
     encode_record,
+    read_journal,
+    recover,
+    report_digest,
+    scan_journal,
     scan_records,
+    schedule_digest,
 )
 from repro.service.jobs import (
     EV_HEADER,
     EV_RECOVERED,
     EV_SUBMIT,
+    STATE_CANCELLED,
     JobService,
 )
 from repro.service.loadgen import kill_and_recover
-from repro.service.script import build_service
-from repro.workloads import build_workload
+from repro.service.script import (
+    build_service,
+    run_script,
+    submit_script_jobs,
+    validate_script,
+)
+from repro.workloads.catalog import build_workload
 
 
 def small_script(jobs=4):

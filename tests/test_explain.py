@@ -1,6 +1,6 @@
 """Unit tests for the EXPLAIN utilities."""
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.explain import (
     dag_to_dot,
@@ -11,7 +11,7 @@ from repro.core.explain import (
 from repro.core.physical import MatMulParams, PhysicalContext
 from repro.core.plans import DeploymentPlan
 from repro.core.program import Program
-from repro.workloads import build_gnmf_program
+from repro.workloads.gnmf import build_gnmf_program
 
 
 def compiled_sample(params=None):
@@ -48,7 +48,7 @@ class TestExplainProgram:
         assert "compute=" in line
 
     def test_mapreduce_jobs_show_shuffle(self):
-        from repro.baselines import compile_systemml_program
+        from repro.baselines.systemml_program import compile_systemml_program
         program = build_gnmf_program(64, 64, 4, iterations=1)
         compiled = compile_systemml_program(program, PhysicalContext(16))
         text = explain_program(compiled)
@@ -91,7 +91,7 @@ class TestDot:
                 assert f'"{dep}" -> "{job.job_id}";' in dot
 
     def test_colors_distinguish_job_kinds(self):
-        from repro.baselines import compile_systemml_program
+        from repro.baselines.systemml_program import compile_systemml_program
         program = build_gnmf_program(64, 64, 4, iterations=1)
         mr = compile_systemml_program(program, PhysicalContext(16))
         assert "lightsalmon" in dag_to_dot(mr.dag)

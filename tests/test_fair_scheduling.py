@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import ValidationError
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.simulator import FAIR, FIFO, ClusterSimulator

@@ -14,7 +14,7 @@ import io
 import pytest
 
 from repro.cli import build_workload, main
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.evalcache import NULL_EVAL_CACHE
 from repro.core.optimizer import (
     DeploymentOptimizer,
@@ -24,7 +24,7 @@ from repro.core.optimizer import (
 from repro.core.physical import MatMulParams
 from repro.core.search import METHODS, SearchSpec, _search, search
 from repro.errors import ValidationError
-from repro.observability import SearchTrace
+from repro.observability.search import SearchTrace
 
 
 def gnmf_space():

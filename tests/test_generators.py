@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (
+from repro.data.generators import (
     low_rank_plus_noise,
     random_dense,
     random_gaussian,

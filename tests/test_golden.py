@@ -9,8 +9,9 @@ and the affected EXPERIMENTS.md entries together.
 
 import pytest
 
-from repro.baselines import plan_cpmm, plan_rmm
-from repro.cloud import ClusterSpec, HourlyBilling, get_instance_type
+from repro.baselines.systemml import plan_cpmm, plan_rmm
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.pricing import HourlyBilling
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import (
@@ -23,7 +24,8 @@ from repro.core.physical import (
 from repro.core.simcost import simulate_program
 from repro.hadoop.job import JobDag
 from repro.matrix.tiled import TileGrid
-from repro.workloads import build_gnmf_program, build_multiply_program
+from repro.workloads.chains import build_multiply_program
+from repro.workloads.gnmf import build_gnmf_program
 
 
 def spec(nodes=8, slots=2, instance="m1.large"):

@@ -22,20 +22,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.executor import CumulonExecutor
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
-from repro.observability import (
-    InMemoryRecorder,
+from repro.observability.export import structural_summary, to_chrome_events
+from repro.observability.trace import (
     SOURCE_ACTUAL,
     SOURCE_SIMULATED,
-    structural_summary,
-    to_chrome_events,
+    InMemoryRecorder,
 )
-from repro.workloads import build_gnmf_program
+from repro.workloads.gnmf import build_gnmf_program
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gnmf_trace_golden.json"
 

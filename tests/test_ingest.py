@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import PhysicalContext
 from repro.core.simcost import simulate_program
 from repro.errors import ValidationError
 from repro.hadoop.job import JobDag
-from repro.ingest import (
+from repro.ingest.loader import ingest_csv, plan_ingest_job
+from repro.ingest.parser import (
     TEXT_BYTES_PER_VALUE,
     estimated_text_bytes,
     format_csv_matrix,
-    ingest_csv,
     parse_csv_matrix,
-    plan_ingest_job,
 )
 from repro.matrix.tiled import DenseBacking
 

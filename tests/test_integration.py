@@ -7,13 +7,10 @@ provision -> store -> compile -> simulate -> optimize -> execute -> verify.
 import numpy as np
 import pytest
 
-from repro.baselines import compile_systemml_program
-from repro.cloud import (
-    ClusterSpec,
-    HourlyBilling,
-    get_instance_type,
-    provision,
-)
+from repro.baselines.systemml_program import compile_systemml_program
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.pricing import HourlyBilling
+from repro.cloud.provisioning import provision
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.executor import CumulonExecutor
@@ -26,11 +23,8 @@ from repro.hadoop.local import LocalExecutor
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hdfs.tilestore import TileStore
 from repro.matrix.tiled import TiledMatrix
-from repro.workloads import (
-    build_gnmf_program,
-    build_rsvd_program,
-    reference_gnmf,
-)
+from repro.workloads.gnmf import build_gnmf_program, reference_gnmf
+from repro.workloads.rsvd import build_rsvd_program
 
 
 class TestExecuteOnSimulatedHDFS:

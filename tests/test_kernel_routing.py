@@ -21,8 +21,9 @@ from repro.core.compiler import CompilerParams, compile_program
 from repro.core.executor import CumulonExecutor, run_program
 from repro.core.physical import MatMulParams, PhysicalContext
 from repro.hadoop.kernels import GridMultPlan, execute_plan, expand_grid
-from repro.observability import MetricsRegistry
-from repro.workloads import build_chain_program, build_workload
+from repro.observability.metrics import MetricsRegistry
+from repro.workloads.catalog import build_workload
+from repro.workloads.chains import build_chain_program
 from tests.test_backend_differential import metric_total
 
 SPLITS = ((1, 1, 1), (1, 1, 2), (2, 2, 3))

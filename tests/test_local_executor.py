@@ -17,11 +17,11 @@ from repro.errors import ExecutionError
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.local import LocalExecutor
 from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
-from repro.observability import (
-    InMemoryRecorder,
+from repro.observability.trace import (
     SOURCE_ACTUAL,
     STATUS_FAILED,
     STATUS_SUCCESS,
+    InMemoryRecorder,
 )
 
 BACKENDS = ["thread",
@@ -318,7 +318,7 @@ class TestRetryPolicy:
 
     def test_retries_counted_in_metrics(self, local_executor):
         from repro.hadoop.local import RetryPolicy, ScriptedFaults
-        from repro.observability import MetricsRegistry
+        from repro.observability.metrics import MetricsRegistry
         registry = MetricsRegistry()
         counter, lock = [], threading.Lock()
         dag = JobDag([Job("j", JobKind.MAP_ONLY,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import ValidationError
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.metrics import (
@@ -16,12 +16,8 @@ from repro.hadoop.metrics import (
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task
 from repro.hadoop.timemodel import FixedTimeModel, TaskTimeModel
-from repro.observability import (
-    NULL_RECORDER,
-    InMemoryRecorder,
-    to_chrome_events,
-    validate_chrome_trace,
-)
+from repro.observability.export import to_chrome_events, validate_chrome_trace
+from repro.observability.trace import NULL_RECORDER, InMemoryRecorder
 
 
 def spec(nodes=2, slots=2):

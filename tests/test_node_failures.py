@@ -7,7 +7,7 @@ outputs, and its HDFS replicas with it.
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import (
     QuorumLostError,
     SchedulingError,
@@ -35,14 +35,14 @@ from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
 from repro.hadoop.timemodel import FixedTimeModel
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.observability import (
-    InMemoryRecorder,
-    MetricsRegistry,
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import (
     PHASE_NODE,
     PHASE_REEXEC,
     PHASE_REREPLICATION,
     STATUS_LOST,
     STATUS_REVOKED,
+    InMemoryRecorder,
 )
 
 

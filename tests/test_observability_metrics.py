@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.errors import ValidationError
 from repro.hadoop.job import Job, JobDag, JobKind
@@ -18,23 +18,27 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.tilestore import TileStore
 from repro.matrix.tile import Tile, TileId
-from repro.observability import (
+from repro.observability.cost import (
     COST_SERIES,
-    CostMeter,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
     OVERRUN_BUDGET,
     OVERRUN_DEADLINE,
+    CostMeter,
+)
+from repro.observability.metrics import (
+    NULL_METRICS,
+    MetricsRegistry,
+    NullMetricsRegistry,
+)
+from repro.observability.metrics_export import (
+    METRICS_CSV_COLUMNS,
     metrics_to_csv,
     metrics_to_json,
     render_dashboard,
     render_sparkline,
     to_prometheus,
 )
-from repro.observability.metrics_export import METRICS_CSV_COLUMNS
-from repro.service import JobService
-from repro.workloads import build_workload
+from repro.service.jobs import JobService
+from repro.workloads.catalog import build_workload
 
 import numpy as np
 

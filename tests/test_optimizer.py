@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cloud import ClusterSpec, HourlyBilling, PerSecondBilling, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
 from repro.core.search import SearchSpec, search
 from repro.errors import InfeasibleConstraintError, ValidationError
-from repro.workloads import build_multiply_program
+from repro.workloads.chains import build_multiply_program
 
 
 @pytest.fixture(scope="module")
@@ -188,17 +189,10 @@ class TestReliabilityAwareSearch:
         assert all(s == float("inf") for s in plan.scenario_seconds)
         assert all(c == float("inf") for c in plan.scenario_costs)
 
-    def test_reliable_plan_overruns_nonnegative(self, small_optimizer,
-                                                small_space, reliability):
+    def test_reliable_plan_describes_scenarios(self, small_optimizer,
+                                               small_space, reliability):
         reliable = min_cost(small_optimizer, 3600.0, small_space,
                             reliability=reliability).reliable
-        assert reliable.expected_overrun(3600.0) >= 0
-        assert reliable.p95_overrun(3600.0) >= 0
-        # Overruns past the mean completion time must be visible.
-        tight = reliable.mean_seconds / 2.0
-        assert reliable.expected_overrun(tight) > 0
-        assert reliable.p95_overrun(tight) >= reliable.expected_overrun(tight)
-        assert reliable.expected_cost_overrun(0.0) == reliable.mean_cost
         assert "scenario" in reliable.describe()
 
     def test_scenarios_validated(self):

@@ -12,7 +12,6 @@ from repro.core.physical import (
     PhysicalContext,
     build_elementwise_job,
     build_matmul_jobs,
-    estimate_task_memory_bytes,
     partial_name,
 )
 from repro.errors import ShapeError, ValidationError
@@ -72,9 +71,15 @@ class TestMatMulParams:
     def test_memory_estimate_grows_with_chunk(self):
         left = Operand(info("A", 16, 16, 4))
         right = Operand(info("B", 16, 16, 4))
-        small = estimate_task_memory_bytes(left, right, MatMulParams(1, 1, 4), 4)
-        large = estimate_task_memory_bytes(left, right, MatMulParams(4, 4, 1), 4)
-        assert large > small
+
+        def peak(params):
+            jobs = build_matmul_jobs("j", left, right, "C", PhysicalContext(4),
+                                     params)
+            return max(task.work.memory_bytes
+                       for task in jobs.mult_job.map_tasks)
+
+        # 4x4 accumulators + two 4-tile strips = 48 tiles, against 1 + 2 = 3.
+        assert peak(MatMulParams(4, 4, 1)) > peak(MatMulParams(1, 1, 4))
 
 
 class TestMatMulJobs:

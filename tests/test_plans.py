@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import CompilerParams
 from repro.core.plans import (
     DeploymentPlan,

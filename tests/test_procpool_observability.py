@@ -30,16 +30,15 @@ from repro.hadoop.procpool import (
     _layout,
     _worker_main,
 )
-from repro.observability import (
-    InMemoryRecorder,
-    MetricsRegistry,
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.profiling import profile_trace, render_profile
+from repro.observability.trace import (
     PHASE_KERNEL,
+    InMemoryRecorder,
+    NullRecorder,
     Trace,
     TraceEvent,
-    profile_trace,
-    render_profile,
 )
-from repro.observability.trace import NullRecorder
 from tests.test_observability_metrics import _TripwireRegistry
 
 

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import build_workload
-from repro.cloud import EC2_CATALOG, ClusterSpec
+from repro.cloud.instances import EC2_CATALOG, ClusterSpec
 from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.core.costmodel import CostModelConfig, CumulonCostModel
 from repro.core.evalcache import EvalCache

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.evalcache import (
@@ -34,8 +34,8 @@ from repro.hadoop.faults import (
     TargetedNodeFailures,
 )
 from repro.hadoop.simulator import dag_fingerprint
-from repro.observability import MetricsRegistry
-from repro.workloads import build_multiply_program
+from repro.observability.metrics import MetricsRegistry
+from repro.workloads.chains import build_multiply_program
 
 #: One draw of every component that must be part of the memo key.
 KEY_COMPONENTS = st.tuples(

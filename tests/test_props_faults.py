@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import SchedulingError
 from repro.hadoop.faults import RandomFailures
 from repro.hadoop.job import Job, JobDag, JobKind
@@ -133,7 +133,8 @@ from repro.hadoop.faults import (  # noqa: E402
 from repro.hadoop.simulator import LOST  # noqa: E402
 from repro.hdfs.datanode import DataNode  # noqa: E402
 from repro.hdfs.namenode import NameNode  # noqa: E402
-from repro.observability import InMemoryRecorder, MetricsRegistry  # noqa: E402
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import InMemoryRecorder
 
 
 def _run_with_node_failures(n_tasks, nodes, slots, rate, seed):

@@ -11,19 +11,19 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.hadoop.faults import RandomFailures
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.local import LocalExecutor
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
 from repro.hadoop.timemodel import FixedTimeModel
-from repro.observability import (
-    InMemoryRecorder,
+from repro.observability.trace import (
     SOURCE_ACTUAL,
     SOURCE_SIMULATED,
     STATUS_FAILED,
     STATUS_SUCCESS,
+    InMemoryRecorder,
 )
 
 

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, HourlyBilling, PerSecondBilling, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.core.compiler import CompilerParams
 from repro.core.costmodel import CumulonCostModel
 from repro.core.plans import (

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task

@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 from repro.api import ClusterSpec, get_instance_type
 from repro.errors import AdmissionRejectedError, JobCancelledError
 from repro.observability.metrics import MetricsRegistry
-from repro.service import DurabilityStore, JobService, read_journal
+from repro.service.durability import DurabilityStore, read_journal
 from repro.service.jobs import (
     EV_ADMIT,
     EV_CANCELLED,
     EV_COMPLETE,
     EV_REJECT,
     EV_TICK,
+    JobService,
 )
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 #: Cheap to price and different in work and width.
 PROGRAMS = [build_workload(name, "tiny")

@@ -47,7 +47,8 @@ from repro.hadoop.local import (
 )
 from repro.hadoop.procpool import KernelPool
 from repro.hadoop.task import TaskWork, make_map_task
-from repro.observability import InMemoryRecorder, MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import InMemoryRecorder
 from repro.observability.profiling import WORKER_LANE_PREFIX
 from tests.test_backend_differential import metric_total, timing_free_events
 from tests.test_procpool_observability import (

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import ClusterSpec, get_instance_type, provision
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.provisioning import provision
 from repro.errors import ValidationError
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import build_workload, main
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import CompilerParams
 from repro.core.optimizer import (
     DeploymentOptimizer,
@@ -24,7 +24,8 @@ from repro.core.physical import MatMulParams
 from repro.core.plans import cheapest_within_deadline, fastest_within_budget
 from repro.core.search import SearchSpec, search
 from repro.errors import ValidationError
-from repro.observability import InMemoryRecorder, MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import InMemoryRecorder
 from repro.observability.search import SearchStats
 
 

@@ -5,23 +5,21 @@ import io
 import pytest
 
 from repro.cli import build_workload, main
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.explain import explain_search
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import MatMulParams
 from repro.errors import ValidationError
-from repro.observability import (
-    NULL_SEARCH_TRACE,
-    CandidateRecord,
-    MetricsRegistry,
-    SearchTrace,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.search import (
+    NULL_SEARCH_TRACE,
     ORIGIN_GRID,
     STATUS_EVALUATED,
     STATUS_PRUNED,
+    CandidateRecord,
+    SearchTrace,
 )
-from repro.workloads import build_multiply_program
+from repro.workloads.chains import build_multiply_program
 
 
 def tiny_space(node_counts=(2, 4), slots=(2,), instances=("m1.large",),

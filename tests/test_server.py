@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import ValidationError
 from repro.service.durability import (
     DurabilityStore,
@@ -32,7 +32,7 @@ from repro.service.loadgen import (
 )
 from repro.service.server import ReproServer, parse_listen
 from repro.service.ticks import VirtualClockDriver, WallClockDriver
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 
 #: The keys of a server's ``report()["server"]`` and status ``stats``.

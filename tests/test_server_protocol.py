@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import ProtocolError
 from repro.service.jobs import JobService
 from repro.service.loadgen import ProtocolClient, ServerThread

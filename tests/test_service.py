@@ -13,23 +13,27 @@ from repro.api import (
     get_instance_type,
 )
 from repro.errors import ValidationError
-from repro.service import (
-    POLICY_FAIR,
-    POLICY_FIFO,
+from repro.service.admission import (
     REJECT_BUDGET,
     REJECT_DEADLINE,
+    AdmissionController,
+)
+from repro.service.jobs import (
     STATE_CANCELLED,
     STATE_COMPLETED,
     STATE_PENDING,
     STATE_REJECTED,
-    AdmissionController,
     JobService,
+)
+from repro.service.scheduler import (
+    POLICY_FAIR,
+    POLICY_FIFO,
     SlotRequest,
     allocate_slots,
     jain_fairness,
     weighted_shares,
 )
-from repro.workloads import build_workload
+from repro.workloads.catalog import build_workload
 
 
 def cluster(nodes=4, slots=2, instance="c1.medium"):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import SOURCE_SIMULATED, InMemoryRecorder
-from repro.service import run_script, validate_script
+from repro.service.script import run_script, validate_script
 
 SCRIPT = {
     "cluster": {"instance": "c1.medium", "nodes": 4, "slots_per_node": 2},

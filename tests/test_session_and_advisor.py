@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.advisor import validate_plan
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.physical import MatMulParams, PhysicalContext
 from repro.core.program import Program
 from repro.core.session import CumulonSession
 from repro.errors import ValidationError
-from repro.ingest import format_csv_matrix
-from repro.workloads import build_normal_equations_program
+from repro.ingest.parser import format_csv_matrix
+from repro.workloads.regression import build_normal_equations_program
 
 RNG = np.random.default_rng(91)
 
@@ -134,7 +134,7 @@ class TestAdvisor:
         assert any(w.kind == "granularity" for w in warnings)
 
     def test_shuffle_warning_for_rmm_replication(self):
-        from repro.baselines import plan_rmm
+        from repro.baselines.systemml import plan_rmm
         from repro.core.compiler import CompiledProgram
         from repro.core.physical import MatrixInfo, Operand
         from repro.matrix.tiled import TileGrid

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import MatrixInfo, PhysicalContext
@@ -18,7 +18,7 @@ from repro.hdfs.namenode import NameNode
 from repro.hdfs.tilestore import TileStore
 from repro.matrix.tile import TileId
 from repro.matrix.tiled import TileGrid
-from repro.workloads import build_multiply_program
+from repro.workloads.chains import build_multiply_program
 
 
 def compiled_multiply(n=4096, tile=1024, params=None, context=None):

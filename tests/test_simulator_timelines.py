@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.systemml_program import compile_systemml_program
-from repro.cloud import ClusterSpec, get_instance_type, provision
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.provisioning import provision
 from repro.core.compiler import CompilerParams, compile_program
 from repro.core.costmodel import CumulonCostModel
 from repro.core.physical import (
@@ -44,8 +45,9 @@ from repro.hadoop.faults import (
 )
 from repro.hadoop.simulator import FAIR, FIFO, ClusterSimulator
 from repro.hdfs.tilestore import TileStore
-from repro.observability import InMemoryRecorder
-from repro.workloads import build_gnmf_program, build_workload
+from repro.observability.trace import InMemoryRecorder
+from repro.workloads.catalog import build_workload
+from repro.workloads.gnmf import build_gnmf_program
 
 FIXTURE = Path(__file__).parent / "fixtures" / "simulator_timelines.json"
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_workload
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.optimizer import (
     DeploymentOptimizer,
     ReliabilityModel,

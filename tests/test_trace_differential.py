@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cloud import ClusterSpec, get_instance_type
+from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.executor import CumulonExecutor
 from repro.core.program import Program
 from repro.hadoop.job import Job, JobDag, JobKind
@@ -26,14 +26,14 @@ from repro.hadoop.local import LocalExecutor
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
 from repro.hadoop.timemodel import FixedTimeModel
-from repro.observability import (
-    InMemoryRecorder,
+from repro.observability.diff import trace_diff
+from repro.observability.trace import (
     PHASE_SHUFFLE,
     SCHEMA_FIELDS,
     SOURCE_ACTUAL,
     SOURCE_SIMULATED,
+    InMemoryRecorder,
     TraceEvent,
-    trace_diff,
 )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import get_instance_type
+from repro.cloud.instances import get_instance_type
 from repro.core.optimizer import SearchSpace
 from repro.core.physical import MatMulParams
 from repro.core.workflow import (
@@ -10,7 +10,8 @@ from repro.core.workflow import (
     WorkflowStage,
 )
 from repro.errors import InfeasibleConstraintError, ValidationError
-from repro.workloads import build_gnmf_program, build_multiply_program
+from repro.workloads.chains import build_multiply_program
+from repro.workloads.gnmf import build_gnmf_program
 
 TILE = 2048
 

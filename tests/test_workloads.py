@@ -5,20 +5,23 @@ import pytest
 
 from repro.core.executor import run_program
 from repro.errors import ValidationError
-from repro.workloads import (
+from repro.workloads.chains import (
     build_chain_program,
-    build_gnmf_program,
-    build_gradient_descent_program,
     build_multiply_program,
-    build_normal_equations_program,
     build_power_iteration_program,
-    build_rsvd_program,
-    reference_gnmf,
-    reference_gradient_descent,
     reference_power_iteration,
+)
+from repro.workloads.gnmf import build_gnmf_program, reference_gnmf
+from repro.workloads.regression import (
+    build_gradient_descent_program,
+    build_normal_equations_program,
+    reference_gradient_descent,
+    solve_normal_equations,
+)
+from repro.workloads.rsvd import (
+    build_rsvd_program,
     reference_rsvd,
     sketch_quality,
-    solve_normal_equations,
 )
 
 RNG = np.random.default_rng(11)
@@ -126,7 +129,7 @@ class TestRegression:
         np.testing.assert_allclose(result.output("Xty"), x.T @ y, rtol=1e-8)
 
     def test_end_to_end_recovers_weights(self):
-        from repro.data import regression_dataset
+        from repro.data.generators import regression_dataset
         x, y, w_true = regression_dataset(400, 5, seed=3, noise=0.01)
         program = build_normal_equations_program(400, 5)
         result = run_program(program,
@@ -189,9 +192,11 @@ class TestPowerIteration:
 
 class TestLogistic:
     def test_matches_reference(self):
-        from repro.workloads import (build_logistic_program,
-                                     classification_dataset,
-                                     reference_logistic)
+        from repro.workloads.logistic import (
+            build_logistic_program,
+            classification_dataset,
+            reference_logistic,
+        )
         x, y, __ = classification_dataset(40, 5, seed=8)
         w0 = np.zeros((5, 1))
         program = build_logistic_program(40, 5, iterations=4,
@@ -201,8 +206,11 @@ class TestLogistic:
         np.testing.assert_allclose(result.output("w"), expected, rtol=1e-8)
 
     def test_training_improves_accuracy(self):
-        from repro.workloads import (accuracy, classification_dataset,
-                                     reference_logistic)
+        from repro.workloads.logistic import (
+            accuracy,
+            classification_dataset,
+            reference_logistic,
+        )
         x, y, __ = classification_dataset(400, 6, seed=9)
         w0 = np.zeros((6, 1))
         untrained = accuracy(x, y, w0)
@@ -216,7 +224,7 @@ class TestLogistic:
         assert node.density == 1.0
 
     def test_validation(self):
-        from repro.workloads import build_logistic_program
+        from repro.workloads.logistic import build_logistic_program
         with pytest.raises(ValidationError):
             build_logistic_program(0, 5, 3, 0.1)
         with pytest.raises(ValidationError):
@@ -225,7 +233,7 @@ class TestLogistic:
 
 class TestPCA:
     def test_matches_reference(self):
-        from repro.workloads import build_pca_program, reference_pca
+        from repro.workloads.pca import build_pca_program, reference_pca
         x = RNG.random((60, 20)) + 0.1
         g = RNG.standard_normal((20, 5))
         program = build_pca_program(60, 20, 5)
@@ -235,9 +243,12 @@ class TestPCA:
         np.testing.assert_allclose(result.output("C"), cov_ref, rtol=1e-7)
 
     def test_captures_planted_structure(self):
-        from repro.workloads import (build_pca_program,
-                                     explained_variance_ratio,
-                                     principal_components, reference_pca)
+        from repro.workloads.pca import (
+            build_pca_program,
+            explained_variance_ratio,
+            principal_components,
+            reference_pca,
+        )
         rng = np.random.default_rng(77)
         # Two dominant directions + small isotropic noise.
         basis = rng.standard_normal((12, 2))
@@ -249,7 +260,7 @@ class TestPCA:
         assert explained_variance_ratio(covariance, components) > 0.8
 
     def test_validation(self):
-        from repro.workloads import build_pca_program, principal_components
+        from repro.workloads.pca import build_pca_program, principal_components
         with pytest.raises(ValidationError):
             build_pca_program(10, 5, 6)
         with pytest.raises(ValidationError):
@@ -258,9 +269,11 @@ class TestPCA:
 
 class TestSoftKMeans:
     def test_matches_reference(self):
-        from repro.workloads import (build_soft_kmeans_program,
-                                     clustered_dataset,
-                                     reference_soft_kmeans)
+        from repro.workloads.kmeans import (
+            build_soft_kmeans_program,
+            clustered_dataset,
+            reference_soft_kmeans,
+        )
         x, __ = clustered_dataset(48, 6, 3, seed=12)
         rng = np.random.default_rng(4)
         c0 = x[rng.choice(48, 3, replace=False)]
@@ -272,8 +285,11 @@ class TestSoftKMeans:
     def test_recovers_planted_centers(self):
         # Soft k-means is a local optimizer: start from perturbed truth
         # (random restarts handle the global problem in practice).
-        from repro.workloads import (centroid_match_error, clustered_dataset,
-                                     reference_soft_kmeans)
+        from repro.workloads.kmeans import (
+            centroid_match_error,
+            clustered_dataset,
+            reference_soft_kmeans,
+        )
         x, truth = clustered_dataset(300, 4, 4, seed=5, spread=0.05)
         rng = np.random.default_rng(9)
         c0 = truth + 0.4 * rng.standard_normal(truth.shape)
@@ -283,8 +299,11 @@ class TestSoftKMeans:
         assert centroid_match_error(found, truth) < 0.1
 
     def test_iterations_improve_fit(self):
-        from repro.workloads import (centroid_match_error, clustered_dataset,
-                                     reference_soft_kmeans)
+        from repro.workloads.kmeans import (
+            centroid_match_error,
+            clustered_dataset,
+            reference_soft_kmeans,
+        )
         x, truth = clustered_dataset(200, 4, 3, seed=6, spread=0.05)
         rng = np.random.default_rng(2)
         c0 = x[rng.choice(200, 3, replace=False)] \
@@ -295,7 +314,7 @@ class TestSoftKMeans:
             <= centroid_match_error(early, truth)
 
     def test_validation(self):
-        from repro.workloads import build_soft_kmeans_program
+        from repro.workloads.kmeans import build_soft_kmeans_program
         with pytest.raises(ValidationError):
             build_soft_kmeans_program(10, 4, 0, 3)
         with pytest.raises(ValidationError):
