@@ -58,7 +58,7 @@ def run_case(name, program, inputs, registry=None):
     coefficients = fit_local_coefficients(tile_size=TILE)
     model = CumulonCostModel(coefficients)
     executor = CumulonExecutor(tile_size=TILE, max_workers=1,
-                               params=CompilerParams(
+                               compiler_params=CompilerParams(
                                    matmul=MatMulParams(1, 1, 1)),
                                metrics=registry if registry is not None
                                else NULL_METRICS)
@@ -131,9 +131,7 @@ def test_e04_model_accuracy(benchmark):
     with open(snapshot_path) as handle:
         snapshot = json.load(handle)
     assert snapshot["experiment"] == "E04"
-    counters = {c["name"]: c["value"]
-                for c in snapshot["metrics"]["counters"]}
-    assert counters.get("local.tasks_completed", 0) > 0
+    assert registry.counter("local.tasks_completed").value > 0
     for name, predicted, actual, error in rows:
         # Predictions must be the right order of magnitude and correlated.
         assert predicted > 0 and actual > 0

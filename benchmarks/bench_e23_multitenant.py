@@ -51,7 +51,7 @@ def make_script(policy):
 def run_policy(policy):
     registry = MetricsRegistry()
     service_report, handles = run_script(make_script(policy),
-                                         metrics=registry, workers=0)
+                                         metrics=registry)
     return service_report, handles, registry
 
 

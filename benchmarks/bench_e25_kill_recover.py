@@ -63,7 +63,7 @@ def timed_run(script, journaled, workdir):
         store = DurabilityStore(os.path.join(workdir, "state"),
                                 fsync_every=FSYNC_EVERY)
     start = time.perf_counter()
-    service_report, __ = run_script(script, workers=0, store=store)
+    service_report, __ = run_script(script, store=store)
     wall = time.perf_counter() - start
     return wall, service_report
 
@@ -108,8 +108,7 @@ def build_series():
     # durable, so recovery must re-price exactly zero jobs.
     with tempfile.TemporaryDirectory() as workdir:
         state_dir = os.path.join(workdir, "state")
-        run_script(script, workers=0,
-                   store=DurabilityStore(state_dir, fsync_every=1))
+        run_script(script, store=DurabilityStore(state_dir, fsync_every=1))
         kill_after, total_records = last_decision_record(state_dir)
 
     with tempfile.TemporaryDirectory() as workdir:

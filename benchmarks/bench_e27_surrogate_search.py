@@ -85,8 +85,8 @@ def sweep(optimizer, method):
 
 def build_series():
     program = make_program()
-    exhaustive = DeploymentOptimizer(program, tile_size=TILE, workers=4)
-    surrogate = DeploymentOptimizer(program, tile_size=TILE, workers=4)
+    exhaustive = DeploymentOptimizer(program, tile_size=TILE)
+    surrogate = DeploymentOptimizer(program, tile_size=TILE)
     full_grid = exhaustive.grid_sim_requests(make_space(), SCENARIOS)
     grid_plans, grid_seconds, grid_sims = sweep(exhaustive, "exhaustive")
     model_plans, model_seconds, model_sims = sweep(surrogate, "surrogate")

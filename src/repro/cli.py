@@ -61,8 +61,9 @@ inject the same seeded failures into their simulated runs.
 
 Shared flags are hoisted into parent parsers so every command spells them
 the same way: ``--scenario``/``--chaos-seed`` (failure injection),
-``--workers`` (thread pools), ``--instance``/``--nodes``/``--slots``
-(cluster shape), the ``WORKLOAD``/``--scale`` pair, and ``--json``
+``--workers``/``--backend`` (executor threads and backend, on ``trace``
+and ``profile`` only), ``--instance``/``--nodes``/``--slots`` (cluster
+shape), the ``WORKLOAD``/``--scale`` pair, and ``--json``
 (machine-readable output) which **every** subcommand honors.
 
 Workloads are the paper's evaluation programs at preset scales
@@ -231,10 +232,8 @@ def cmd_explain(args, out) -> int:
     stats = None
     if args.search:
         trace = SearchTrace()
-        workers = args.workers if args.workers is not None else 0
         optimizer = DeploymentOptimizer(program, tile_size=tile,
-                                        search_trace=trace,
-                                        workers=workers)
+                                        search_trace=trace)
         space = build_search_space(args)
         if args.method == "surrogate":
             if args.deadline is None and args.budget is None:
@@ -370,11 +369,9 @@ def cmd_trace(args, out) -> int:
         inputs = {name: rng.random(var.shape) * 0.9 + 0.1
                   for name, var in program.inputs.items()}
         actual_recorder = InMemoryRecorder(source=SOURCE_ACTUAL)
-        workers = args.workers if args.workers is not None else 2
-        with CumulonExecutor(tile_size=tile, max_workers=workers,
+        with CumulonExecutor(tile_size=tile, max_workers=args.workers,
                              recorder=actual_recorder,
-                             backend=getattr(args, "backend", "thread")
-                             ) as executor:
+                             backend=args.backend) as executor:
             executor.run(program, inputs)
         traces.append(actual_recorder.trace())
         diff_text = explain_trace_diff(trace_diff(traces[0], traces[1]))
@@ -422,11 +419,9 @@ def cmd_profile(args, out) -> int:
               for name, var in program.inputs.items()}
     recorder = InMemoryRecorder(source=SOURCE_ACTUAL)
     registry = MetricsRegistry()
-    workers = args.workers if args.workers is not None else 2
-    with CumulonExecutor(tile_size=tile, max_workers=workers,
+    with CumulonExecutor(tile_size=tile, max_workers=args.workers,
                          recorder=recorder, metrics=registry,
-                         backend=getattr(args, "backend", "thread")
-                         ) as executor:
+                         backend=args.backend) as executor:
         result = executor.run(program, inputs)
     profile = profile_trace(recorder.trace(),
                             wall_seconds=result.report.total_seconds,
@@ -434,12 +429,11 @@ def cmd_profile(args, out) -> int:
     if args.json:
         payload = profile.to_document()
         payload.update({"workload": args.workload, "scale": args.scale,
-                        "backend": getattr(args, "backend", "thread"),
-                        "workers": workers})
+                        "backend": args.backend, "workers": args.workers})
         document = _json.dumps(payload, indent=2, sort_keys=True)
     else:
         header = (f"{args.workload}/{args.scale} on backend="
-                  f"{getattr(args, 'backend', 'thread')} ({workers} workers)")
+                  f"{args.backend} ({args.workers} workers)")
         document = f"{header}\n{render_profile(profile, top=args.top)}"
     if args.out:
         _write_out(args.out, document + "\n")
@@ -680,7 +674,7 @@ def cmd_submit(args, out) -> int:
     return 0
 
 
-def _durable_start(args, script, workers: int):
+def _durable_start(args, script):
     """Open ``--journal DIR`` for a serve run; returns ``(service, store)``.
 
     With ``--recover`` the journal is replayed into a running service
@@ -699,8 +693,7 @@ def _durable_start(args, script, workers: int):
 
     journal_dir = Path(args.journal)
     if args.recover:
-        service = recover(journal_dir, workers=workers,
-                          fsync_every=args.fsync_every,
+        service = recover(journal_dir, fsync_every=args.fsync_every,
                           snapshot_every=args.snapshot_every)
         if script is not None:
             submit_script_jobs(service, script)
@@ -743,18 +736,17 @@ def cmd_serve(args, out) -> int:
               if args.script else None)
     if script is not None and args.policy:
         script["policy"] = args.policy
-    workers = args.workers if args.workers is not None else 0
     if args.listen:
-        return _cmd_serve_listen(args, out, script, workers)
+        return _cmd_serve_listen(args, out, script)
     if script is None and not (args.journal and args.recover):
         raise ReproError(
             "serve needs a submission script (or --listen for the socket "
             "server, or --journal DIR --recover to finish a crashed run)")
     service = None
     if args.journal:
-        service, store = _durable_start(args, script, workers)
+        service, store = _durable_start(args, script)
         if service is None:
-            service = build_service(script, workers=workers, store=store)
+            service = build_service(script, store=store)
             submit_script_jobs(service, script)
         service.drain()
         report = service.report()
@@ -763,7 +755,7 @@ def cmd_serve(args, out) -> int:
                 for record in sorted(service.jobs.values(),
                                      key=lambda record: record.order)]
     else:
-        report, handles = run_script(script, workers=workers)
+        report, handles = run_script(script)
         jobs = [{"job_id": handle.job_id, "state": handle.status}
                 for handle in handles]
     if args.json:
@@ -792,7 +784,7 @@ def cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_serve_listen(args, out, script, workers: int) -> int:
+def _cmd_serve_listen(args, out, script) -> int:
     """Run the wall-clock socket server until a ``shutdown`` frame;
     ``script`` (optional) seeds the service before it starts listening."""
     from repro.service.jobs import JobService
@@ -801,16 +793,15 @@ def _cmd_serve_listen(args, out, script, workers: int) -> int:
 
     service = store = None
     if args.journal:
-        service, store = _durable_start(args, script, workers)
+        service, store = _durable_start(args, script)
     if service is None:
         if script is not None:
-            service = build_service(script, workers=workers, store=store)
+            service = build_service(script, store=store)
             submit_script_jobs(service, script)
         else:
             spec = ClusterSpec(get_instance_type(args.instance),
                                args.nodes, args.slots)
-            service = JobService(spec, policy=args.policy or POLICY_FAIR,
-                                 workers=workers)
+            service = JobService(spec, policy=args.policy or POLICY_FAIR)
             if store is not None:
                 service.attach_durability(store)
     server = ReproServer(service, args.listen,
@@ -951,15 +942,11 @@ def _search_parent(require_constraint: bool = False
 
 
 def _workers_parent() -> argparse.ArgumentParser:
-    """Parent parser: ``--workers`` thread-pool sizing.
-
-    The default is None so each command can pick its own meaning of
-    "unset" (sequential pricing for searches, 2 threads for real runs).
-    """
+    """Parent parser: how ``trace`` and ``profile`` run the executor."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--workers", type=int, default=None,
-                        help="thread-pool size (default depends on the "
-                             "command; 0 = sequential)")
+    parent.add_argument("--workers", type=int, default=2,
+                        help="executor threads for the real run "
+                             "(default 2)")
     parent.add_argument("--backend", choices=["thread", "process"],
                         default="thread",
                         help="local execution backend for real runs: "
@@ -1016,7 +1003,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     explain = subparsers.add_parser("explain",
                                     parents=[workload, _search_parent(),
-                                             workers, as_json],
+                                             as_json],
                                     help="EXPLAIN a workload")
     explain.add_argument("--dot", action="store_true",
                          help="emit Graphviz source instead of text")
@@ -1137,8 +1124,7 @@ def make_parser() -> argparse.ArgumentParser:
                              "--recover` there would pick up")
 
     serve = subparsers.add_parser(
-        "serve", parents=[cluster, workers, _live_server_parent("with "
-                                                                "--listen"),
+        "serve", parents=[cluster, _live_server_parent("with --listen"),
                           as_json],
         help="replay a submission script on the multi-tenant job service, "
              "or run the live wall-clock socket server with --listen")

@@ -37,15 +37,10 @@ into ``optimizer.evalcache_hits`` / ``optimizer.evalcache_misses``.
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import asdict, dataclass, fields, is_dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields, is_dataclass
 
 from repro.errors import ValidationError
-
-#: Persistence-document schema version (see :meth:`EvalCache.to_document`).
-CACHE_SCHEMA_VERSION = 1
 
 #: Default bound on memo entries; oldest entries are evicted FIFO beyond it.
 DEFAULT_MAX_ENTRIES = 65536
@@ -142,9 +137,10 @@ class CachedEstimate:
 class EvalCache:
     """Thread-safe content-addressed memo of candidate simulations.
 
-    Shared freely: parallel evaluation workers consult it concurrently,
-    and several optimizers over the same program may share one instance
-    (keys are content-addressed, so cross-optimizer hits are sound).
+    Shared freely: several optimizers over the same program, or across
+    threads, may share one instance (keys are content-addressed, so
+    cross-optimizer hits are sound).  It lives in memory only; a
+    recovered service rebuilds its admission decisions from the journal.
     """
 
     enabled = True
@@ -214,98 +210,11 @@ class EvalCache:
             self.hits = 0
             self.misses = 0
 
-    # -- persistence (the durable admission memo) ------------------------------
-
-    def to_document(self) -> dict:
-        """JSON-able dump of every memo entry.
-
-        Keys are content-addressed, so a dumped cache can be reloaded (or
-        merged into another cache) on any process: equal keys are
-        guaranteed to describe the same simulation.  This is what lets a
-        restarted job service skip re-pricing everything it already
-        decided (see :mod:`repro.service.durability`).
-        """
-        with self._lock:
-            entries = [{"key": asdict(key), "estimate": asdict(entry)}
-                       for key, entry in self._entries.items()]
-        return {"schema_version": CACHE_SCHEMA_VERSION, "entries": entries}
-
-    def merge_document(self, document: dict) -> int:
-        """Load entries from :meth:`to_document` output; returns the count.
-
-        Existing entries win on key collisions (they describe the same
-        simulation anyway); malformed documents raise
-        :class:`~repro.errors.ValidationError`.
-        """
-        if not isinstance(document, dict) or "entries" not in document:
-            raise ValidationError("eval-cache document needs an "
-                                  "'entries' list")
-        version = document.get("schema_version")
-        if version != CACHE_SCHEMA_VERSION:
-            raise ValidationError(
-                f"eval-cache document schema {version!r} is not "
-                f"{CACHE_SCHEMA_VERSION}")
-        loaded = 0
-        for item in document["entries"]:
-            try:
-                key_doc = dict(item["key"])
-                est_doc = dict(item["estimate"])
-                key = EvalKey(
-                    dag_fp=str(key_doc["dag_fp"]),
-                    instance=str(key_doc["instance"]),
-                    nodes=int(key_doc["nodes"]),
-                    slots=int(key_doc["slots"]),
-                    locality_aware=bool(key_doc["locality_aware"]),
-                    min_live_nodes=int(key_doc["min_live_nodes"]),
-                    model_fp=str(key_doc["model_fp"]),
-                    failures_fp=str(key_doc["failures_fp"]),
-                )
-                entry = CachedEstimate(
-                    seconds=float(est_doc["seconds"]),
-                    job_seconds=tuple(
-                        (str(name), float(seconds))
-                        for name, seconds in est_doc.get("job_seconds", ())),
-                    aborted=bool(est_doc.get("aborted", False)),
-                    abort_message=str(est_doc.get("abort_message", "")),
-                    abort_quorum=bool(est_doc.get("abort_quorum", False)),
-                )
-            except (KeyError, TypeError, ValueError) as error:
-                raise ValidationError(
-                    f"malformed eval-cache entry: {error}") from error
-            with self._lock:
-                if key not in self._entries:
-                    if len(self._entries) >= self.max_entries:
-                        self._entries.pop(next(iter(self._entries)))
-                    self._entries[key] = entry
-                    loaded += 1
-        return loaded
-
-    def save(self, path: str | Path) -> None:
-        """Persist the memo as JSON (atomic: tmp file + rename)."""
-        target = Path(path)
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_document(), sort_keys=True))
-        tmp.replace(target)
-
-    @classmethod
-    def load(cls, path: str | Path,
-             max_entries: int = DEFAULT_MAX_ENTRIES,
-             metrics=None) -> "EvalCache":
-        """Rebuild a cache from :meth:`save` output."""
-        cache = cls(max_entries=max_entries, metrics=metrics)
-        try:
-            document = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise ValidationError(
-                f"cannot load eval cache from {path}: {error}") from error
-        cache.merge_document(document)
-        return cache
-
 
 class NullEvalCache(EvalCache):
     """Disabled cache: every lookup misses, nothing is stored.
 
-    The sequential-baseline object: an optimizer holding this prices every
+    The uncached-baseline object: an optimizer holding this prices every
     candidate from scratch, which is what the differential tests and the
     E22 bench compare the memoized search against.
     """

@@ -169,8 +169,8 @@ def explain_search(trace: SearchTrace) -> str:
             f"({stats.hit_rate * 100.0:.0f}% hit rate), "
             f"{stats.scenarios_skipped} scenarios skipped")
         lines.append(
-            f"  workers={stats.workers} wall={stats.wall_seconds:.2f}s "
-            f"~{stats.estimated_speedup:.1f}x vs uncached sequential")
+            f"  wall={stats.wall_seconds:.2f}s "
+            f"~{stats.estimated_speedup:.1f}x vs uncached")
         if stats.surrogate_rounds or stats.simulations_avoided:
             lines.append(
                 f"  {stats.simulations_avoided} simulations avoided vs the "

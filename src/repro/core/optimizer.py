@@ -16,6 +16,9 @@ The pipeline mirrors the paper:
 
 This module is the *pricing* layer: compile cache, simulation, per-spec
 physical tuning, the scenario stress test and the search-stats window.
+Candidates are priced one at a time on the calling thread; what makes a
+search cheap is the simulation memo (:mod:`repro.core.evalcache`), the
+proven floor and early scenario abort, not parallelism.
 Constrained search over what it prices lives in :mod:`repro.core.search`.
 
 Costs follow the billing model (hourly by default), which is what makes the
@@ -26,9 +29,7 @@ from __future__ import annotations
 
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -249,14 +250,8 @@ class DeploymentOptimizer:
     (see :mod:`repro.core.evalcache`); the default is a fresh enabled
     cache, so repeated searches and the reliability-aware search reuse
     earlier pricings.  Pass :data:`~repro.core.evalcache.NULL_EVAL_CACHE`
-    to price every candidate from scratch (the sequential baseline the
+    to price every candidate from scratch (the uncached baseline the
     differential tests and the E22 bench compare against).
-
-    ``workers`` sizes a thread pool for candidate pricing (0 or 1 =
-    sequential).  Parallel pricing is deterministic: workers only *price*
-    (pure simulation + billing), while the main thread folds results and
-    records telemetry in submission order, so the chosen plan, the Pareto
-    frontier, and the search trace are bit-identical to a sequential run.
     """
 
     def __init__(self, program: Program, tile_size: int,
@@ -270,8 +265,11 @@ class DeploymentOptimizer:
                  search_trace: SearchTrace = NULL_SEARCH_TRACE,
                  cache: EvalCache | None = None,
                  workers: int = 0):
-        if workers < 0:
-            raise ValidationError(f"workers must be >= 0, got {workers}")
+        # Pinned to 0: the layer-cake benchmark still passes workers=0.
+        if workers != 0:
+            raise ValidationError(
+                f"workers={workers}: the pricing thread pool was removed; "
+                f"candidates are priced sequentially")
         self.program = program
         self.tile_size = tile_size
         self.model = CumulonCostModel(coefficients, cost_config)
@@ -282,13 +280,11 @@ class DeploymentOptimizer:
         self.metrics = metrics
         self.search_trace = search_trace
         self.cache = cache if cache is not None else EvalCache(metrics=metrics)
-        self.workers = workers
         self._compiled_cache: dict[tuple[CompilerParams, int],
                                    CompiledProgram] = {}
         #: ``job_floors`` per (compile key, instance type): see :meth:`floor`.
         self._floor_cache: dict[tuple, list[tuple]] = {}
         #: Search-performance accounting (see :class:`SearchStats`).
-        self._stats_lock = threading.Lock()
         self._sim_requests = 0
         self._scenarios_skipped = 0
         #: Stats of the most recent search, kept even when no
@@ -317,14 +313,8 @@ class DeploymentOptimizer:
 
     def _price(self, compiled: CompiledProgram,
                spec: ClusterSpec) -> tuple[float, float]:
-        """Pure pricing of one compiled program on one spec: (seconds, $).
-
-        Thread-safe (no trace/metrics/recorder side effects beyond the
-        lock-protected counters), so parallel workers may call it
-        concurrently; all recording happens later on the main thread.
-        """
-        with self._stats_lock:
-            self._sim_requests += 1
+        """Pure pricing of one compiled program on one spec: (seconds, $)."""
+        self._sim_requests += 1
         estimate = simulate_program(compiled.dag, spec, self.model,
                                     locality_aware=self.locality_aware,
                                     cache=self.cache)
@@ -338,23 +328,17 @@ class DeploymentOptimizer:
 
     def _plan(self, spec: ClusterSpec, compiler_params: CompilerParams,
               tile_size: int | None = None,
-              priced: tuple[float, float] | None = None,
               origin: str = ORIGIN_ADHOC,
               step: int | None = None) -> DeploymentPlan:
         """Price one combination and record it (trace, metrics, spans).
 
-        ``priced`` short-circuits the simulation with a ``(seconds, cost)``
-        pair a pool worker already computed; recording still happens here,
-        on the calling (main) thread.  ``origin``/``step`` tag the search
-        trace record with which search asked, and when.
+        ``origin``/``step`` tag the search trace record with which search
+        asked, and when.
         """
         tile_size = tile_size if tile_size is not None else self.tile_size
         compiled = self.compile_with(compiler_params, tile_size)
-        if priced is None:
-            with self.recorder.span(f"simulate:{spec.describe()}",
-                                    "optimizer"):
-                priced = self._price(compiled, spec)
-        seconds, cost = priced
+        with self.recorder.span(f"simulate:{spec.describe()}", "optimizer"):
+            seconds, cost = self._price(compiled, spec)
         plan = DeploymentPlan(spec, compiler_params, seconds, cost,
                               tile_size=tile_size)
         if self.metrics.enabled:
@@ -376,15 +360,13 @@ class DeploymentOptimizer:
         """Each spec's best physical plan, lazily and in ``specs`` order.
 
         The one pricing path: every search method, the grid enumeration
-        and the service's admission pricing come through here.  Pricing
-        for the whole batch fans out across the pool up front; the fold —
-        sibling pruning, trace records tagged ``origin``/``step`` — is
-        sequential, one spec per ``next()``, so a caller can interleave
-        its own work (stress tests) exactly as a sequential search would.
+        and the service's admission pricing come through here.  One spec
+        is priced per ``next()``, so a caller can interleave its own work
+        (stress tests) between specs.
         """
         combos = self._combos(space)
-        for spec, row in zip(specs, self._price_rows(specs, combos)):
-            yield self._tune(spec, combos, row, origin, step)
+        for spec in specs:
+            yield self._tune(spec, combos, origin, step)
 
     def best_params_for(self, spec: ClusterSpec, space: SearchSpace,
                         origin: str = ORIGIN_ADHOC,
@@ -392,46 +374,18 @@ class DeploymentOptimizer:
         """Tune physical parameters and tile size for a fixed cluster spec."""
         return next(self.tune_specs([spec], space, origin, step))
 
-    def _price_rows(self, specs: list[ClusterSpec],
-                    combos: list[tuple[int, CompilerParams]]
-                    ) -> list[list[tuple[float, float]] | None]:
-        """Price every (spec, combo) pair — the one fan-out over the pool.
-
-        Sequential mode (``workers <= 1``) returns ``None`` per spec, which
-        makes :meth:`_tune` price inline (with its ``simulate:`` spans) —
-        the baseline path.  Parallel mode precompiles every combo on the
-        main thread (the compile cache is not thread-safe), then workers
-        run only the pure :meth:`_price`; each spec gets its
-        ``(seconds, cost)`` pairs back in ``combos`` order, so the
-        downstream fold is bit-identical to the sequential one.
-        """
-        if self.workers <= 1 or len(specs) * len(combos) <= 1:
-            return [None] * len(specs)
-        compiled = [self.compile_with(params, tile_size)
-                    for tile_size, params in combos]
-        pairs = [(program, spec) for spec in specs for program in compiled]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            flat = list(pool.map(lambda pair: self._price(*pair), pairs))
-        width = len(compiled)
-        return [flat[start:start + width]
-                for start in range(0, len(flat), width)]
-
     def _tune(self, spec: ClusterSpec,
               combos: list[tuple[int, CompilerParams]],
-              priced: list[tuple[float, float]] | None,
               origin: str, step: int | None) -> DeploymentPlan:
-        """Fold one spec's combos down to the fastest (``priced``: its
-        :meth:`_price_rows` row, or None to simulate here)."""
+        """Price one spec's combos and fold them down to the fastest."""
         trace = self.search_trace
         if trace.enabled and len(combos) > 1:
             trace.pruning_applicable = True
         best: DeploymentPlan | None = None
         best_index: int | None = None
-        for position, (tile_size, params) in enumerate(combos):
-            plan = self._plan(
-                spec, params, tile_size,
-                priced=priced[position] if priced is not None else None,
-                origin=origin, step=step)
+        for tile_size, params in combos:
+            plan = self._plan(spec, params, tile_size,
+                              origin=origin, step=step)
             index = len(trace) - 1 if trace.enabled else None
             if (best is None
                     or plan.estimated_seconds < best.estimated_seconds):
@@ -487,8 +441,7 @@ class DeploymentOptimizer:
         exceeded = 0
         for index in range(n):
             node_failures = reliability.node_failures(index)
-            with self._stats_lock:
-                self._sim_requests += 1
+            self._sim_requests += 1
             try:
                 estimate = simulate_program(
                     compiled.dag, plan.spec, self.model,
@@ -549,7 +502,6 @@ class DeploymentOptimizer:
             sims_executed=requests - hits,
             cache_hits=hits,
             scenarios_skipped=self._scenarios_skipped - baseline["skipped"],
-            workers=self.workers,
             wall_seconds=time.perf_counter() - baseline["started"],
             simulations_avoided=avoided,
             surrogate_rounds=surrogate_rounds)

@@ -9,7 +9,6 @@ frontier) of those points.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,77 +52,19 @@ class DeploymentPlan:
                 f"cost=${self.estimated_cost:.2f}")
 
 
-class ParetoFrontier:
-    """Incremental time/cost skyline: insert candidates as they arrive.
+def skyline(plans: Iterable[DeploymentPlan]) -> list[DeploymentPlan]:
+    """Pareto-optimal plans, ordered by increasing time.
 
-    The classic batch skyline sorts all N candidates and scans; maintained
-    incrementally during a search, every insertion would naively re-scan the
-    whole candidate set.  This structure keeps the frontier as a list sorted
-    by time with strictly decreasing cost, so one insertion is a binary
-    search plus removal of the (amortized O(1)) newly dominated suffix —
-    the optimizer's frontier stays current per candidate without per-
-    insertion re-scans.
-
-    Semantics are locked to :func:`skyline` (which is implemented on top of
-    this class, and property-tested against a brute-force reference): ties
-    on both axes keep the earlier arrival.
+    Sort by (time, cost), then sweep: a plan joins only when it is
+    strictly cheaper than the last plan kept, so of two plans tied on
+    both axes the earlier one stays.
     """
-
-    def __init__(self, plans: Iterable[DeploymentPlan] = ()):
-        #: Sorted (seconds, cost) keys, parallel to ``_plans``.
-        self._keys: list[tuple[float, float]] = []
-        self._plans: list[DeploymentPlan] = []
-        self.extend(plans)
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def __iter__(self):
-        return iter(self._plans)
-
-    def add(self, plan: DeploymentPlan) -> bool:
-        """Insert one candidate; returns True iff it joins the frontier.
-
-        A rejected candidate is dominated (or tied) by an existing member;
-        an accepted one may evict the members it now dominates.
-        """
-        key = (plan.estimated_seconds, plan.estimated_cost)
-        index = bisect_right(self._keys, key)
-        # Everything before `index` is no slower; costs there decrease
-        # strictly, so the immediate predecessor holds their minimum cost.
-        if index > 0 and self._keys[index - 1][1] <= key[1]:
-            return False
-        self._keys.insert(index, key)
-        self._plans.insert(index, plan)
-        # Evict the suffix this plan dominates: later (slower) entries
-        # whose cost is no longer strictly below ours.
-        end = index + 1
-        while end < len(self._keys) and self._keys[end][1] >= key[1]:
-            end += 1
-        del self._keys[index + 1:end]
-        del self._plans[index + 1:end]
-        return True
-
-    def extend(self, plans: Iterable[DeploymentPlan]) -> None:
-        for plan in plans:
-            self.add(plan)
-
-    def plans(self) -> list[DeploymentPlan]:
-        """Frontier members, ordered by increasing time."""
-        return list(self._plans)
-
-    def dominates(self, plan: DeploymentPlan) -> bool:
-        """Would ``plan`` be rejected if offered right now?"""
-        key = (plan.estimated_seconds, plan.estimated_cost)
-        index = bisect_right(self._keys, key)
-        return index > 0 and self._keys[index - 1][1] <= key[1]
-
-
-def skyline(plans: list[DeploymentPlan]) -> list[DeploymentPlan]:
-    """Pareto-optimal plans, ordered by increasing time."""
-    return ParetoFrontier(sorted(
-        plans, key=lambda plan: (plan.estimated_seconds,
-                                 plan.estimated_cost))).plans()
+    frontier: list[DeploymentPlan] = []
+    for plan in sorted(plans, key=lambda plan: (plan.estimated_seconds,
+                                                plan.estimated_cost)):
+        if not frontier or plan.estimated_cost < frontier[-1].estimated_cost:
+            frontier.append(plan)
+    return frontier
 
 
 def cheapest_within_deadline(plans: list[DeploymentPlan],

@@ -206,8 +206,8 @@ class CumulonSession:
         """An optimizer for (usually a scaled-up version of) a program.
 
         Extra keyword arguments pass straight through to
-        :class:`~repro.core.optimizer.DeploymentOptimizer` (``workers``,
-        ``cache``, ``billing``, ``search_trace``, ...); the session's
+        :class:`~repro.core.optimizer.DeploymentOptimizer` (``cache``,
+        ``billing``, ``search_trace``, ...); the session's
         metrics registry is wired in unless overridden.
         """
         optimizer_kwargs.setdefault("metrics", self._registry)

@@ -20,7 +20,7 @@ pure waste under hourly billing).
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass
 
 from repro.cloud.instances import ClusterSpec
@@ -118,15 +118,12 @@ class WorkflowOptimizer:
         """Cheapest single cluster completing the workflow in time."""
         space = space if space is not None else SearchSpace()
         best: WorkflowPlan | None = None
-        for instance in space.instance_types:
-            for num_nodes in space.node_counts:
-                for slots in space.slots_for(instance):
-                    spec = ClusterSpec(instance, num_nodes, slots)
-                    plan = self.evaluate_shared(spec, space)
-                    if plan.total_seconds > deadline_seconds:
-                        continue
-                    if best is None or plan.total_cost < best.total_cost:
-                        best = plan
+        for spec in self._optimizers[self.stages[0].name].grid_specs(space):
+            plan = self.evaluate_shared(spec, space)
+            if plan.total_seconds > deadline_seconds:
+                continue
+            if best is None or plan.total_cost < best.total_cost:
+                best = plan
         if best is None:
             raise InfeasibleConstraintError(
                 f"no shared cluster finishes within {deadline_seconds:.0f}s"
@@ -144,11 +141,11 @@ class WorkflowOptimizer:
         own startup), then gets its min-cost plan under that share.
         """
         space = space if space is not None else SearchSpace()
-        fastest = {}
-        for stage in self.stages:
-            plans = self._optimizers[stage.name].enumerate_plans(space)
-            fastest[stage.name] = min(plan.estimated_seconds
-                                      for plan in plans)
+        fastest = {
+            stage.name: search(self._optimizers[stage.name], SearchSpec(
+                objective="min-time", budget_dollars=math.inf,
+                space=space)).plan.estimated_seconds
+            for stage in self.stages}
         total_fastest = sum(fastest[stage.name] + self.startup_seconds
                             for stage in self.stages)
         if total_fastest > deadline_seconds:

@@ -40,10 +40,10 @@ class SearchStats:
 
     Attached to a :class:`SearchTrace` by the optimizer's solvers and
     printed by ``explain_search`` / ``repro explain --search``.  The
-    central ratio is ``sims_executed`` vs ``sim_requests``: the memoized
-    search *asks* for the same number of simulations as the sequential
-    one (that is the bit-identical guarantee) but actually *runs* only
-    the cache misses, and skips reliability scenarios it can prove
+    central ratio is ``sims_executed`` vs ``sim_requests``: the memo
+    never changes what a search *requests* (that is the bit-identical
+    guarantee), only how many of those requests actually *run* — the
+    cache misses.  Early abort skips reliability scenarios it can prove
     irrelevant.
     """
 
@@ -54,8 +54,6 @@ class SearchStats:
     cache_hits: int = 0
     #: Reliability scenario simulations skipped by early abort / bounds.
     scenarios_skipped: int = 0
-    #: Thread-pool size used for candidate evaluation (0 = sequential).
-    workers: int = 0
     wall_seconds: float = 0.0
     #: Simulations the search never requested at all, relative to pricing
     #: the full grid without early abort — specs settled by their floor,
@@ -93,7 +91,6 @@ class SearchStats:
             "cache_hits": self.cache_hits,
             "hit_rate": self.hit_rate,
             "scenarios_skipped": self.scenarios_skipped,
-            "workers": self.workers,
             "wall_seconds": self.wall_seconds,
             "estimated_speedup": self.estimated_speedup,
             "simulations_avoided": self.simulations_avoided,
@@ -113,7 +110,6 @@ class SearchStats:
             sims_executed=int(document.get("sims_executed", 0)),
             cache_hits=int(document.get("cache_hits", 0)),
             scenarios_skipped=int(document.get("scenarios_skipped", 0)),
-            workers=int(document.get("workers", 0)),
             wall_seconds=float(document.get("wall_seconds", 0.0)),
             simulations_avoided=int(document.get("simulations_avoided", 0)),
             surrogate_rounds=int(document.get("surrogate_rounds", 0)),

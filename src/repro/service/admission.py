@@ -5,7 +5,8 @@ then simulate on the service's cluster spec — so admission decisions rest
 on the same estimates deployment decisions do.  One shared
 :class:`~repro.core.evalcache.EvalCache` spans all tenants: when ten
 tenants submit the same parameterized workload, nine admissions are pure
-cache hits.
+cache hits.  The memo lives in memory only; a recovered service takes its
+decisions from the journal.
 
 The tenancy price is the *slot-second rate*: the cluster's hourly rental
 divided across its slots.  A job's estimated dollars are the slot-seconds
@@ -160,15 +161,12 @@ class AdmissionController:
     admission (every matmul split in ``space`` is priced, exactly like the
     optimizer's per-spec tuning) and pricing the default
     :class:`~repro.core.compiler.CompilerParams` only — the cheap mode a
-    session front-door uses.  ``workers`` sizes the optimizer's pricing
-    pool; parallel pricing is deterministic (results fold in submission
-    order), so admission decisions are identical for any worker count.
+    session front-door uses.
     """
 
     def __init__(self, spec: ClusterSpec, tile_size: int = 256,
                  coefficients: HardwareCoefficients | None = None,
                  cache: EvalCache | None = None,
-                 workers: int = 0,
                  tune_physical: bool = True):
         if tile_size <= 0:
             raise ValidationError(f"tile_size must be positive: {tile_size}")
@@ -176,7 +174,6 @@ class AdmissionController:
         self.tile_size = tile_size
         self.coefficients = coefficients
         self.cache = cache if cache is not None else EvalCache()
-        self.workers = workers
         self.tune_physical = tune_physical
         #: The degenerate search space admission pricing enumerates: the
         #: service's one spec, tuned over physical parameters only.
@@ -212,7 +209,6 @@ class AdmissionController:
                 coefficients=self.coefficients,
                 startup_seconds=0.0,  # the shared cluster is already up
                 cache=self.cache,
-                workers=self.workers,
             )
             self._optimizers[key] = optimizer
         return optimizer

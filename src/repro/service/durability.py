@@ -38,13 +38,13 @@ contributes nothing.  :func:`read_store` is the one reader that applies
 these rules — recovery, the audit and ``repro submit --journal`` all
 read a directory through it.
 
-Admission memo persistence
---------------------------
-The shared :class:`~repro.core.evalcache.EvalCache` is dumped to
-``evalcache.json`` alongside snapshots; journaled admission decisions are
-additionally replayed verbatim, so recovery performs **zero re-pricings**
-of anything already decided (``decisions_replayed`` vs
-``decisions_priced`` on the recovered service prove it).
+Admission decisions
+-------------------
+Journaled admission decisions are replayed verbatim, so recovery performs
+**zero re-pricings** of anything already decided (``decisions_replayed``
+vs ``decisions_priced`` on the recovered service prove it).  Only jobs
+the crash left undecided are priced again, and the simulator is
+deterministic, so they price exactly as before.
 
 :func:`audit_journal` recounts a journal directory independently of the
 service that wrote it: one decision per submission, one terminal record
@@ -69,7 +69,6 @@ from pathlib import Path
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.cloud.pricing import HourlyBilling, PerSecondBilling
-from repro.core.evalcache import EvalCache
 from repro.errors import (
     JournalCorruptionError,
     JournalError,
@@ -534,8 +533,6 @@ def default_resolver(source: dict | None, name: str):
 
 
 def restore_service(doc: dict, *,
-                    cache: EvalCache | None = None,
-                    workers: int = 0,
                     metrics=NULL_METRICS,
                     recorder=NULL_RECORDER) -> JobService:
     """Rebuild a :class:`JobService` from a snapshot (or header) document."""
@@ -554,8 +551,6 @@ def restore_service(doc: dict, *,
             policy=config["policy"],
             tile_size=int(config["tile_size"]),
             billing=billing_cls(),
-            cache=cache,
-            workers=workers,
             tune_physical=bool(config["tune_physical"]),
             metrics=metrics,
             recorder=recorder,
@@ -605,17 +600,15 @@ def restore_service(doc: dict, *,
 
 
 class DurabilityStore:
-    """One directory holding a service's journal, snapshot, and memo.
+    """One directory holding a service's journal and snapshot.
 
-    Layout: ``journal.wal`` (the live segment), ``snapshot.json`` (the
-    latest full-state snapshot, if any), ``evalcache.json`` (the
-    persisted admission memo).  All replacements are atomic
+    Layout: ``journal.wal`` (the live segment) and ``snapshot.json`` (the
+    latest full-state snapshot, if any).  All replacements are atomic
     (tmp + rename), so a crash at any instant leaves a recoverable pair.
     """
 
     JOURNAL_NAME = "journal.wal"
     SNAPSHOT_NAME = "snapshot.json"
-    CACHE_NAME = "evalcache.json"
 
     def __init__(self, directory: str | Path, *, fsync_every: int = 32,
                  snapshot_every: int = 0, kill_after: int = 0,
@@ -639,10 +632,6 @@ class DurabilityStore:
     @property
     def snapshot_path(self) -> Path:
         return self.directory / self.SNAPSHOT_NAME
-
-    @property
-    def cache_path(self) -> Path:
-        return self.directory / self.CACHE_NAME
 
     def has_state(self) -> bool:
         """Whether this directory already holds a recoverable service."""
@@ -689,22 +678,10 @@ class DurabilityStore:
         _write_json_atomic(self.snapshot_path,
                            snapshot_service(service, epoch=self.epoch))
         self.journal.rotate(header_record(service, epoch=self.epoch))
-        self.save_cache(service.admission.cache)
         self.snapshots_taken += 1
         if self.metrics.enabled:
             self.metrics.inc("journal.snapshots")
 
-    def save_cache(self, cache: EvalCache) -> None:
-        """Persist the admission memo next to the journal."""
-        if cache is not None and cache.enabled:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            cache.save(self.cache_path)
-
-    def load_cache(self, metrics=NULL_METRICS) -> EvalCache:
-        """The persisted admission memo (empty cache when absent)."""
-        if self.cache_path.exists():
-            return EvalCache.load(self.cache_path, metrics=metrics)
-        return EvalCache(metrics=metrics)
 
 
 # -- recovery ------------------------------------------------------------------
@@ -802,7 +779,6 @@ def read_store(directory: str | Path, strict: bool = False) -> StoredState:
 
 
 def recover(directory: str | Path, *,
-            workers: int = 0,
             metrics=NULL_METRICS,
             recorder=NULL_RECORDER,
             fsync_every: int = 32,
@@ -832,8 +808,7 @@ def recover(directory: str | Path, *,
     store = DurabilityStore(Path(directory), fsync_every=fsync_every,
                             snapshot_every=snapshot_every, metrics=metrics)
     base = restore_service(state.snapshot or state.scan.records[0],
-                           cache=store.load_cache(metrics=metrics),
-                           workers=workers, metrics=metrics, recorder=recorder)
+                           metrics=metrics, recorder=recorder)
     epoch = int(state.snapshot["epoch"]) if state.snapshot else None
 
     # Pass 1: collect decisions and terminal outcomes so replay re-prices

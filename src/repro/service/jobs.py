@@ -280,7 +280,6 @@ class JobService:
                  coefficients: HardwareCoefficients | None = None,
                  billing: BillingModel | None = None,
                  cache: EvalCache | None = None,
-                 workers: int = 0,
                  tune_physical: bool = True,
                  executor: CumulonExecutor | None = None,
                  metrics: MetricsRegistry = NULL_METRICS,
@@ -293,7 +292,7 @@ class JobService:
         self.billing = billing if billing is not None else DEFAULT_BILLING
         self.admission = AdmissionController(
             spec, tile_size=tile_size, coefficients=coefficients,
-            cache=cache, workers=workers, tune_physical=tune_physical)
+            cache=cache, tune_physical=tune_physical)
         self.executor = executor
         self.metrics = metrics
         self.recorder = recorder
@@ -355,9 +354,7 @@ class JobService:
         self._snapshot_every = store.snapshot_every
 
     def close_durability(self) -> None:
-        """Flush the journal and persist the admission memo (idempotent)."""
-        if self._store is not None:
-            self._store.save_cache(self.admission.cache)
+        """Flush and close the journal (idempotent)."""
         if self.journal is not None:
             self.journal.close()
 

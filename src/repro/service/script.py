@@ -98,7 +98,6 @@ def save_script(script: dict, path: str | Path) -> None:
 
 def build_service(script: dict,
                   cache: EvalCache | None = None,
-                  workers: int = 0,
                   metrics: MetricsRegistry = NULL_METRICS,
                   recorder: TraceRecorder = NULL_RECORDER,
                   store=None) -> JobService:
@@ -121,7 +120,6 @@ def build_service(script: dict,
         policy=script.get("policy", POLICY_FAIR),
         tile_size=int(script.get("tile_size", 256)),
         cache=cache,
-        workers=workers,
         tune_physical=bool(script.get("tune_physical", True)),
         metrics=metrics,
         recorder=recorder,
@@ -176,19 +174,17 @@ def submit_script_jobs(service: JobService, script: dict) -> list[JobHandle]:
 
 def run_script(script: dict,
                cache: EvalCache | None = None,
-               workers: int = 0,
                metrics: MetricsRegistry = NULL_METRICS,
                recorder: TraceRecorder = NULL_RECORDER,
                store=None) -> tuple[ServiceReport, list[JobHandle]]:
     """Replay a submission script to completion.
 
     Returns the drained service's report plus one handle per job, in
-    script order.  Deterministic: the same script (and worker count —
-    though pricing folds make even that irrelevant) always produces the
-    same report.  With ``store``, the run is journaled and the admission
-    memo persisted at the end (see :mod:`repro.service.durability`).
+    script order.  Deterministic: the same script always produces the
+    same report.  With ``store``, the run is journaled and the journal
+    closed at the end (see :mod:`repro.service.durability`).
     """
-    service = build_service(script, cache=cache, workers=workers,
+    service = build_service(script, cache=cache,
                             metrics=metrics, recorder=recorder, store=store)
     handles = submit_script_jobs(service, script)
     service.drain()

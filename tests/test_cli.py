@@ -157,6 +157,21 @@ class TestProfile:
         assert json.loads(target.read_text(encoding="utf-8"))["lanes"]
 
 
+class TestExecutorFlags:
+    """``--workers``/``--backend`` exist only where the executor runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ("explain", "gnmf", "--scale", "tiny", "--backend", "process"),
+        ("explain", "gnmf", "--scale", "tiny", "--search", "--workers", "4"),
+        ("serve", "S.json", "--backend", "process", "--workers", "3"),
+    ])
+    def test_commands_that_do_not_execute_refuse_them(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVersion:
     def test_version_flag_prints_package_version(self, capsys):
         import repro

@@ -23,7 +23,6 @@ import signal
 import pytest
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
-from repro.core.evalcache import EvalCache
 from repro.errors import (
     JournalCorruptionError,
     JournalError,
@@ -541,17 +540,15 @@ class TestTornAndCorrupt:
             read_journal(path)
 
 
-class TestEvalCachePersistence:
-    def test_admission_memo_round_trips(self, tmp_path):
-        script = small_script()
-        registry = MetricsRegistry()
-        cache = EvalCache(metrics=registry)
-        store = DurabilityStore(tmp_path / "state")
-        run_script(script, cache=cache, store=store)
-        assert (tmp_path / "state" / "evalcache.json").exists()
-        loaded = store.load_cache()
-        assert loaded.to_document()["entries"] \
-            == cache.to_document()["entries"]
+class TestStoreLayout:
+    def test_directory_holds_journal_and_snapshot_only(self, tmp_path):
+        """The admission memo is not persisted: recovery replays journaled
+        decisions instead."""
+        store = DurabilityStore(tmp_path / "state", snapshot_every=4)
+        run_script(small_script(), store=store)
+        assert store.snapshots_taken > 0
+        assert sorted(path.name for path in (tmp_path / "state").iterdir()) \
+            == ["journal.wal", "snapshot.json"]
 
 
 class TestObservability:

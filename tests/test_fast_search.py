@@ -1,10 +1,10 @@
 """Differential tests: the fast search must equal the sequential one.
 
-The memoized / parallel / early-aborting optimizer is only allowed to be
-*faster* — the chosen plan, the Pareto frontier, and the search trace must
-be bit-identical to a sequential optimizer pricing every candidate from
-scratch (``NULL_EVAL_CACHE``, ``workers=0``, and the search driver's
-unpruned ``early_abort=False`` pass).  These tests lock that guarantee on
+The memoized, early-aborting optimizer is only allowed to be *faster* —
+the chosen plan, the Pareto frontier, and the search trace must be
+bit-identical to an optimizer pricing every candidate from scratch
+(``NULL_EVAL_CACHE`` and the search driver's unpruned
+``early_abort=False`` pass).  These tests lock that guarantee on
 GNMF, including a reliability-aware run with seeded failure scenarios,
 for both search methods.
 """
@@ -38,16 +38,14 @@ def gnmf_space():
 
 
 def make_optimizer(fast: bool, trace=None):
-    """``fast=False`` is the sequential baseline the fast path must match."""
+    """``fast`` keeps the default memo; ``fast=False`` is the uncached
+    baseline the fast path must match."""
     program, tile = build_workload("gnmf", "tiny")
     kwargs = {}
     if trace is not None:
         kwargs["search_trace"] = trace
-    if fast:
-        kwargs["workers"] = 4  # default cache stays enabled
-    else:
+    if not fast:
         kwargs["cache"] = NULL_EVAL_CACHE
-        kwargs["workers"] = 0
     return DeploymentOptimizer(program, tile_size=tile, **kwargs)
 
 
@@ -76,7 +74,7 @@ class TestDifferentialGrid:
         assert fast_trace.frontier_plans() == slow_trace.frontier_plans()
 
     def test_identical_deadline_solution(self):
-        """workers=0 vs workers=4: same plan, same trace, same requests —
+        """Uncached vs memoized: same plan, same trace, same requests —
         for both methods, with and without a reliability block."""
         for method in METHODS:
             for model in (None, reliability()):
@@ -113,7 +111,6 @@ class TestDifferentialGrid:
         assert stats.cache_hits == stats.sim_requests  # all repeats
         assert stats.hit_rate == 1.0
         assert stats.sims_executed == 0
-        assert stats.workers == 4
         assert stats.estimated_speedup > 1.0
 
 
@@ -134,7 +131,7 @@ class TestDifferentialReliable:
         assert fast.last_search_stats.scenarios_skipped > 0
 
     def test_sequential_early_abort_alone_matches(self):
-        """Early abort must be sound on its own (no cache, no threads)."""
+        """Early abort must be sound on its own (no cache)."""
         a = reliable_search(make_optimizer(fast=False), early_abort=False)
         b = reliable_search(make_optimizer(fast=False), early_abort=True)
         assert b.plan == a.plan
@@ -142,10 +139,18 @@ class TestDifferentialReliable:
 
 
 class TestWorkerValidation:
+    """``workers`` is pinned to 0: the pricing pool it sized is gone."""
+
     def test_negative_workers_rejected(self):
         program, tile = build_workload("gnmf", "tiny")
         with pytest.raises(ValidationError):
             DeploymentOptimizer(program, tile_size=tile, workers=-1)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_pool_sizes_rejected(self, workers):
+        program, tile = build_workload("gnmf", "tiny")
+        with pytest.raises(ValidationError, match="pool was removed"):
+            DeploymentOptimizer(program, tile, workers=workers)
 
 
 class TestExplainSearchPerf:
@@ -159,28 +164,14 @@ class TestExplainSearchPerf:
     def test_perf_block_printed(self):
         code, text = self.run_cli(
             "explain", "gnmf", "--scale", "tiny", "--search",
-            "--workers", "2", "--instances", "m1.large",
+            "--instances", "m1.large",
             "--node-counts", "2,4", "--slot-options", "2")
         assert code == 0
         assert "search performance:" in text
         assert "hit rate" in text
-        assert "workers=2" in text
-        assert "vs uncached sequential" in text
+        assert "vs uncached" in text
+        assert "workers=" not in text
         # Perf lines must not masquerade as candidate lines.
         perf_lines = [l for l in text.splitlines()
-                      if "search performance" in l or "workers=" in l]
+                      if "search performance" in l or "wall=" in l]
         assert all(not l.strip().startswith("#") for l in perf_lines)
-
-    def test_workers_output_identical_to_sequential(self):
-        argv = ("explain", "gnmf", "--scale", "tiny", "--search",
-                "--instances", "m1.large", "--node-counts", "2,4",
-                "--slot-options", "2")
-        __, sequential = self.run_cli(*argv)
-        __, parallel = self.run_cli(*argv, "--workers", "4")
-        strip = ("search performance", "workers=")
-
-        def body(text):
-            return [l for l in text.splitlines()
-                    if not any(s in l for s in strip)]
-
-        assert body(parallel) == body(sequential)

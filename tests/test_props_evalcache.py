@@ -24,7 +24,7 @@ from repro.core.evalcache import (
     model_fingerprint,
 )
 from repro.core.physical import PhysicalContext
-from repro.core.plans import DeploymentPlan, ParetoFrontier, skyline
+from repro.core.plans import DeploymentPlan, skyline
 from repro.errors import ValidationError
 from repro.hadoop.faults import (
     CompositeNodeFailures,
@@ -207,28 +207,11 @@ def brute_force_keys(points):
 
 
 class TestIncrementalFrontier:
-    @given(points=st.lists(POINT, min_size=1, max_size=40))
+    @given(points=st.lists(POINT, min_size=1, max_size=40), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force_in_any_insertion_order(self, points):
-        """Incremental insertion == brute-force skyline, order-independent."""
-        frontier = ParetoFrontier()
-        for plan in make_plans(points):
-            frontier.add(plan)
-        keys = [(p.estimated_seconds, p.estimated_cost) for p in frontier]
-        assert keys == brute_force_keys(points)
-        # And the batch helper built on it agrees.
-        batch = skyline(make_plans(points))
+    def test_matches_brute_force_in_any_insertion_order(self, points, data):
+        """skyline() == brute-force skyline, whatever the input order."""
+        shuffled = data.draw(st.permutations(points))
+        frontier = skyline(make_plans(shuffled))
         assert [(p.estimated_seconds, p.estimated_cost)
-                for p in batch] == keys
-
-    @given(points=st.lists(POINT, min_size=2, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_add_verdict_matches_membership(self, points):
-        """add() returns True iff the plan survives on the frontier."""
-        frontier = ParetoFrontier()
-        for plan in make_plans(points):
-            dominated = frontier.dominates(plan)
-            accepted = frontier.add(plan)
-            assert accepted != dominated
-            if accepted:
-                assert plan in list(frontier)
+                for p in frontier] == brute_force_keys(points)

@@ -208,7 +208,7 @@ class TestPricingSpans:
 class TestStatsRoundTrip:
     def test_to_dict_from_dict_round_trip(self):
         stats = SearchStats(sim_requests=40, sims_executed=25,
-                            cache_hits=15, scenarios_skipped=6, workers=4,
+                            cache_hits=15, scenarios_skipped=6,
                             wall_seconds=1.5, simulations_avoided=80,
                             surrogate_rounds=7)
         rebuilt = SearchStats.from_dict(stats.to_dict())
@@ -220,6 +220,7 @@ class TestStatsRoundTrip:
         assert document["hit_rate"] == 0.5
         assert document["simulations_avoided"] == 0
         assert document["surrogate_rounds"] == 0
+        assert "workers" not in document
 
     def test_search_sets_registry_gauges(self):
         registry = MetricsRegistry()

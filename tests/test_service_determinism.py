@@ -1,14 +1,10 @@
 """Concurrency/determinism guarantees of the job service.
 
 The contract: the same submission script produces bit-identical
-schedules, per-tenant bills, and metrics snapshots — across repeated
-runs, and across pricing worker counts (workers=1 vs N), because parallel
-admission pricing folds results in deterministic submission order.
+schedules, per-tenant bills, and metrics snapshots across repeated runs.
 """
 
 import json
-
-import pytest
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import SOURCE_SIMULATED, InMemoryRecorder
@@ -38,14 +34,13 @@ SCRIPT = {
 }
 
 
-def run_once(workers=0, metrics=None, recorder=None):
+def run_once(metrics=None, recorder=None):
     extra = {}
     if metrics is not None:
         extra["metrics"] = metrics
     if recorder is not None:
         extra["recorder"] = recorder
-    report, handles = run_script(validate_script(dict(SCRIPT)),
-                                 workers=workers, **extra)
+    report, handles = run_script(validate_script(dict(SCRIPT)), **extra)
     schedule = [(handle.job_id, handle.status) for handle in handles]
     return report, schedule
 
@@ -61,18 +56,11 @@ class TestDeterminism:
         assert canonical(first) == canonical(second)
         assert schedule_a == schedule_b
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_count_does_not_change_outcome(self, workers):
-        baseline, schedule_a = run_once(workers=0)
-        parallel, schedule_b = run_once(workers=workers)
-        assert canonical(baseline) == canonical(parallel)
-        assert schedule_a == schedule_b
-
     def test_metrics_snapshots_identical(self):
         snapshots = []
-        for workers in (1, 4):
+        for __ in range(2):
             registry = MetricsRegistry()
-            run_once(workers=workers, metrics=registry)
+            run_once(metrics=registry)
             snapshots.append(json.dumps(registry.snapshot(),
                                         sort_keys=True, default=str))
         assert snapshots[0] == snapshots[1]
@@ -91,7 +79,7 @@ class TestDeterminism:
 
     def test_per_tenant_bills_reproducible(self):
         first, __ = run_once()
-        second, __ = run_once(workers=4)
+        second, __ = run_once()
         for tenant_a, tenant_b in zip(first.tenants, second.tenants):
             assert tenant_a.dollars == tenant_b.dollars
             assert tenant_a.slot_seconds == tenant_b.slot_seconds
