@@ -29,13 +29,11 @@ def plan_single_node(left: Operand, right: Operand, output_name: str,
     output = MatrixInfo(output_name, grid)
     rows, inner = left.shape
     cols = right.shape[1]
-    work = TaskWork(
-        bytes_read=left.info.total_bytes() + right.info.total_bytes(),
-        bytes_written=output.total_bytes(),
-        flops=matmul_flops(rows, inner, cols),
-        memory_bytes=(left.info.total_bytes() + right.info.total_bytes()
-                      + output.total_bytes()),
-    )
+    read = left.info.total_bytes() + right.info.total_bytes()
+    written = output.total_bytes()
+    work = TaskWork(bytes_read=read, bytes_written=written,
+                    flops=matmul_flops(rows, inner, cols),
+                    memory_bytes=read + written)
     task = make_map_task(f"{job_id}-m0", work,
                          label=f"single-node {output_name}")
     job = Job(job_id, JobKind.MAP_ONLY, [task],

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.physical import MatrixInfo, Operand, PhysicalContext
+from repro.core.physical import MatrixInfo, Operand, PhysicalContext, add_runner
 from repro.errors import ShapeError
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
@@ -61,7 +61,7 @@ def plan_rmm(left: Operand, right: Operand, output_name: str,
     for index, (operand, replication) in enumerate(
             ((left, tile_cols), (right, tile_rows))):
         # Mappers read the stored layout directly; use stored positions.
-        for tile_index, (row, col) in enumerate(_operand_positions(operand)):
+        for tile_index, (row, col) in enumerate(operand.info.grid.positions()):
             tile_bytes = operand.info.tile_bytes(row, col)
             work = TaskWork(bytes_read=tile_bytes,
                             shuffle_bytes=tile_bytes * replication,
@@ -80,13 +80,10 @@ def plan_rmm(left: Operand, right: Operand, output_name: str,
 
     reduce_tasks = []
     for reduce_index, (row, col) in enumerate(grid.positions()):
-        incoming = (sum(left.tile_bytes(row, k) for k in range(k_tiles))
-                    + sum(right.tile_bytes(k, col) for k in range(k_tiles)))
+        incoming = (left.block_bytes((row, row + 1), (0, k_tiles))
+                    + right.block_bytes((0, k_tiles), (col, col + 1)))
         out_rows, out_cols = grid.tile_shape(row, col)
-        flops = sum(
-            matmul_flops(out_rows, _inner_width(left, row, k), out_cols)
-            for k in range(k_tiles)
-        )
+        flops = matmul_flops(out_rows, left.shape[1], out_cols)
         # element_ops: deserializing/merging the sorted shuffle input.
         work = TaskWork(bytes_read=incoming,
                         bytes_written=output.tile_bytes(row, col),
@@ -127,7 +124,7 @@ def plan_cpmm(left: Operand, right: Operand, output_name: str,
     map_tasks = []
     for index, operand in enumerate((left, right)):
         # Mappers read the stored layout directly; use stored positions.
-        for tile_index, (row, col) in enumerate(_operand_positions(operand)):
+        for tile_index, (row, col) in enumerate(operand.info.grid.positions()):
             tile_bytes = operand.info.tile_bytes(row, col)
             work = TaskWork(bytes_read=tile_bytes, shuffle_bytes=tile_bytes,
                             element_ops=tile_bytes // 8)
@@ -139,14 +136,10 @@ def plan_cpmm(left: Operand, right: Operand, output_name: str,
             ))
     reduce_tasks = []
     for k in range(k_tiles):
-        incoming = (sum(left.tile_bytes(i, k) for i in range(grid.tile_rows))
-                    + sum(right.tile_bytes(k, j)
-                          for j in range(grid.tile_cols)))
-        flops = sum(
-            matmul_flops(grid.tile_shape(i, j)[0], _inner_width(left, i, k),
-                         grid.tile_shape(i, j)[1])
-            for i in range(grid.tile_rows) for j in range(grid.tile_cols)
-        )
+        incoming = (left.block_bytes((0, grid.tile_rows), (k, k + 1))
+                    + right.block_bytes((k, k + 1), (0, grid.tile_cols)))
+        ((inner, __),) = left.extents(1, k, k + 1)
+        flops = matmul_flops(grid.rows, inner, grid.cols)
         written = partials[k].total_bytes()
         run = None
         if context.attach_run:
@@ -174,12 +167,12 @@ def plan_cpmm(left: Operand, right: Operand, output_name: str,
             ))
     reduce_tasks2 = []
     for reduce_index, (row, col) in enumerate(grid.positions()):
-        incoming = sum(partial.tile_bytes(row, col) for partial in partials)
+        # Every partial shares C's descriptor, so shares its tile sizes.
+        incoming = k_tiles * output.tile_bytes(row, col)
         rows, cols = grid.tile_shape(row, col)
         run = None
         if context.attach_run:
-            run = _sum_partials_runner(partials, output_matrix, row, col,
-                                       context)
+            run = add_runner(partials, [(row, col)], output_matrix, context)
         reduce_tasks2.append(make_reduce_task(
             task_id=f"{job_prefix}2-r{reduce_index}",
             work=TaskWork(bytes_read=incoming,
@@ -246,20 +239,6 @@ def _cross_product_runner(left: Operand, right: Operand,
     return run
 
 
-def _sum_partials_runner(partials: list[MatrixInfo],
-                         output_matrix: TiledMatrix, row: int, col: int,
-                         context: PhysicalContext):
-    def run() -> None:
-        total = None
-        for partial in partials:
-            tile = context.read_tile(TileId(partial.name, row, col))
-            payload = tile.to_dense()
-            total = payload if total is None else total + payload
-        output_matrix.put_tile(row, col, total)
-
-    return run
-
-
 def _dense_payload(operand: Operand, tile_row: int, tile_col: int,
                    context: PhysicalContext) -> np.ndarray:
     tile = context.read_tile(operand.tile_id(tile_row, tile_col))
@@ -279,13 +258,3 @@ def _check_conforming(left: Operand, right: Operand) -> None:
     if left.info.grid.tile_size != right.info.grid.tile_size:
         raise ShapeError("operands must share a tile size")
 
-
-def _operand_positions(operand: Operand):
-    """Stored tile positions of an operand (mapper reads stored layout)."""
-    return operand.info.grid.positions()
-
-
-def _inner_width(left: Operand, tile_row: int, k: int) -> int:
-    stored_row, stored_col = left.stored_position(tile_row, k)
-    rows, cols = left.info.grid.tile_shape(stored_row, stored_col)
-    return rows if left.transposed else cols

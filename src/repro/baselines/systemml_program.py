@@ -19,9 +19,9 @@ from repro.core.physical import (
     MatrixInfo,
     PhysicalContext,
     broadcast_position,
+    elementwise_runner,
 )
 from repro.core.program import Program
-from repro.errors import CompilationError
 from repro.hadoop.job import Job, JobKind
 from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
 from repro.matrix.tile import TileId
@@ -107,8 +107,8 @@ def elementwise_as_mapreduce(job_id: str, kernel: FusedKernel,
         rows, cols = grid.tile_shape(row, col)
         run = None
         if context.attach_run:
-            run = _reduce_elementwise_runner(kernel, row, col, output_matrix,
-                                             context)
+            run = elementwise_runner(kernel, [(row, col)], context,
+                                     output_matrix)
         reduce_tasks.append(make_reduce_task(
             task_id=f"{job_id}-r{reduce_index}",
             work=TaskWork(bytes_read=incoming,
@@ -122,24 +122,6 @@ def elementwise_as_mapreduce(job_id: str, kernel: FusedKernel,
     return Job(job_id, JobKind.MAPREDUCE, map_tasks, reduce_tasks,
                depends_on=depends_on,
                label=f"sysml {kernel.label or 'ew'} -> {output.name}")
-
-
-def _reduce_elementwise_runner(kernel: FusedKernel, row: int, col: int,
-                               output_matrix: TiledMatrix,
-                               context: PhysicalContext):
-    if output_matrix is None:
-        raise CompilationError("attach_run requires the output TiledMatrix")
-
-    def run() -> None:
-        payloads = []
-        for operand in kernel.operands:
-            position = broadcast_position(operand, row, col)
-            tile = context.read_tile(operand.tile_id(*position))
-            dense = tile.to_dense()
-            payloads.append(dense.T if operand.transposed else dense)
-        output_matrix.put_tile(row, col, kernel.fn(*payloads))
-
-    return run
 
 
 def compile_systemml_program(program: Program,

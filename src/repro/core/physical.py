@@ -27,6 +27,7 @@ the same arithmetic as one declarative plan a worker pool can evaluate.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -75,9 +76,9 @@ class MatrixInfo:
     def shape(self) -> tuple[int, int]:
         return self.grid.shape
 
-    def tile_bytes(self, tile_row: int, tile_col: int) -> int:
-        """Estimated serialized size of one tile, given density/compression."""
-        rows, cols = self.grid.tile_shape(tile_row, tile_col)
+    def shape_bytes(self, rows: int, cols: int) -> int:
+        """Estimated serialized size of a ``rows x cols`` tile, given
+        density/compression."""
         if self.density >= SPARSE_THRESHOLD:
             raw = rows * cols * DENSE_ELEMENT_BYTES
         else:
@@ -85,9 +86,20 @@ class MatrixInfo:
             raw = nnz * SPARSE_ELEMENT_BYTES
         return max(64, int(raw * self.bytes_scale))
 
+    def tile_bytes(self, tile_row: int, tile_col: int) -> int:
+        return self.shape_bytes(*self.grid.tile_shape(tile_row, tile_col))
+
+    def block_bytes(self, rows: tuple[int, int],
+                    cols: tuple[int, int]) -> int:
+        """Summed size of the tiles in rows x cols (``(start, stop)`` tile
+        ranges), priced once per distinct tile shape."""
+        return sum(self.shape_bytes(height, width) * n_rows * n_cols
+                   for height, n_rows in self.grid.extents(0, *rows)
+                   for width, n_cols in self.grid.extents(1, *cols))
+
     def total_bytes(self) -> int:
-        return sum(self.tile_bytes(row, col)
-                   for row, col in self.grid.positions())
+        return self.block_bytes((0, self.grid.tile_rows),
+                                (0, self.grid.tile_cols))
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,17 @@ class Operand:
     def tile_bytes(self, tile_row: int, tile_col: int) -> int:
         stored_row, stored_col = self.stored_position(tile_row, tile_col)
         return self.info.tile_bytes(stored_row, stored_col)
+
+    def extents(self, axis: int, start: int,
+                stop: int) -> tuple[tuple[int, int], ...]:
+        """:meth:`TileGrid.extents` along a logical axis."""
+        return self.info.grid.extents(axis ^ self.transposed, start, stop)
+
+    def block_bytes(self, rows: tuple[int, int],
+                    cols: tuple[int, int]) -> int:
+        """:meth:`MatrixInfo.block_bytes` over logical tile ranges."""
+        return self.info.block_bytes(*((cols, rows) if self.transposed
+                                       else (rows, cols)))
 
 
 @dataclass(frozen=True)
@@ -247,15 +270,42 @@ class PhysicalContext:
     def read_tile(self, tile_id: TileId):
         return self.backing.get(tile_id)
 
-    def write_tile(self, output: TiledMatrix, tile_row: int, tile_col: int,
-                   payload) -> None:
-        output.put_tile(tile_row, tile_col, payload)
-
 
 def _chunk_ranges(total: int, per_chunk: int):
     """Yield (start, stop) covering range(total) in per_chunk-sized pieces."""
     for start in range(0, total, per_chunk):
         yield (start, min(total, start + per_chunk))
+
+
+def _span(extents) -> int:
+    """Total length of :meth:`TileGrid.extents` runs."""
+    return sum(length * count for length, count in extents)
+
+
+def _priced_chunks(grid: TileGrid, per_chunk: int, price):
+    """Cut the grid's row-major positions into ``per_chunk`` runs and yield
+    ``(start, stop, positions, totals)`` per run, ``totals`` summing the
+    dict ``price(row, col)`` field by field over the run's tiles.
+
+    The tiles of one (last row?, last column?) class share a shape, so
+    ``price`` runs once per class and a run is summed per class, not per
+    tile.
+    """
+    rows, cols = grid.tile_rows, grid.tile_cols
+    table = {(row, col): price(row, col)
+             for row in {0, rows - 1} for col in {0, cols - 1}}
+    last_row = (rows - 1) * cols
+    for start, stop in _chunk_ranges(grid.num_tiles, per_chunk):
+        totals = dict.fromkeys(table[0, 0], 0)
+        for row, first, end in ((0, start, min(stop, last_row)),
+                                (rows - 1, max(start, last_row), stop)):
+            if first < end:
+                edge = end // cols - first // cols  # in the last column
+                for col, count in ((cols - 1, edge), (0, end - first - edge)):
+                    for field, value in table[row, col].items():
+                        totals[field] += count * value
+        yield (start, stop, [divmod(position, cols)
+                             for position in range(start, stop)], totals)
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +323,24 @@ def build_elementwise_job(job_id: str, kernel: FusedKernel,
             f"kernel shape {kernel.shape} != output shape {output.shape}"
         )
     grid = output.grid
-    positions = list(grid.positions())
+    tile_elements = context.tile_size * context.tile_size
+    chunks = _priced_chunks(grid, params.tiles_per_task, lambda row, col: dict(
+        bytes_read=sum(
+            operand.tile_bytes(*broadcast_position(operand, row, col))
+            for operand in kernel.operands),
+        bytes_written=output.tile_bytes(row, col),
+        element_ops=math.prod(grid.tile_shape(row, col)) * kernel.n_operators))
     tasks = []
-    for index, (start, stop) in enumerate(
-            _chunk_ranges(len(positions), params.tiles_per_task)):
-        chunk = positions[start:stop]
+    for index, (start, stop, chunk, totals) in enumerate(chunks):
         input_ids = (operand.tile_id(*broadcast_position(operand, row, col))
                      for row, col in chunk for operand in kernel.operands)
-        tile_elements = context.tile_size * context.tile_size
-        work = TaskWork(
-            bytes_read=sum(
-                operand.tile_bytes(*broadcast_position(operand, row, col))
-                for row, col in chunk
-                for operand in kernel.operands),
-            bytes_written=sum(output.tile_bytes(row, col) for row, col in chunk),
-            element_ops=sum(rows * cols * kernel.n_operators
-                            for rows, cols in (grid.tile_shape(row, col)
-                                               for row, col in chunk)),
-            tile_ops=len(chunk) * (len(kernel.operands) + 2),
-            memory_bytes=(len(kernel.operands) + 1)
-                         * tile_elements * DENSE_ELEMENT_BYTES,
-        )
+        work = TaskWork(**totals,
+                        tile_ops=len(chunk) * (len(kernel.operands) + 2),
+                        memory_bytes=(len(kernel.operands) + 1)
+                        * tile_elements * DENSE_ELEMENT_BYTES)
         run = None
         if context.attach_run:
-            run = _elementwise_runner(kernel, chunk, context, output_matrix)
+            run = elementwise_runner(kernel, chunk, context, output_matrix)
         tasks.append(make_map_task(
             task_id=f"{job_id}-m{index}",
             work=work,
@@ -309,8 +353,9 @@ def build_elementwise_job(job_id: str, kernel: FusedKernel,
                label=kernel.label or f"elementwise -> {output.name}")
 
 
-def _elementwise_runner(kernel: FusedKernel, chunk, context: PhysicalContext,
-                        output_matrix: TiledMatrix):
+def elementwise_runner(kernel: FusedKernel, chunk, context: PhysicalContext,
+                       output_matrix: TiledMatrix):
+    """Evaluate ``kernel`` at each output tile position of ``chunk``."""
     if output_matrix is None:
         raise CompilationError("attach_run requires the output TiledMatrix")
 
@@ -323,8 +368,7 @@ def _elementwise_runner(kernel: FusedKernel, chunk, context: PhysicalContext,
                 dense = tile.to_dense()
                 payloads.append(dense.T if operand.transposed else dense)
             # numpy broadcasting stretches vector payloads within the tile.
-            result = kernel.fn(*payloads)
-            context.write_tile(output_matrix, row, col, result)
+            output_matrix.put_tile(row, col, kernel.fn(*payloads))
 
     return run
 
@@ -438,22 +482,12 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
     right_ids = (right.tile_id(k, j)
                  for k in range(k_start, k_stop) for j in range(j_start, j_stop))
 
-    bytes_read = (sum(left.tile_bytes(i, k)
-                      for i in range(i_start, i_stop)
-                      for k in range(k_start, k_stop))
-                  + sum(right.tile_bytes(k, j)
-                        for k in range(k_start, k_stop)
-                        for j in range(j_start, j_stop)))
-    bytes_written = sum(target.tile_bytes(i, j)
-                        for i in range(i_start, i_stop)
-                        for j in range(j_start, j_stop))
-    flops = 0
-    for i in range(i_start, i_stop):
-        for j in range(j_start, j_stop):
-            out_rows, out_cols = grid.tile_shape(i, j)
-            for k in range(k_start, k_stop):
-                inner = _inner_tile_width(left, i, k)
-                flops += matmul_flops(out_rows, inner, out_cols)
+    bytes_read = (left.block_bytes(i_range, k_range)
+                  + right.block_bytes(k_range, j_range))
+    bytes_written = target.block_bytes(i_range, j_range)
+    flops = matmul_flops(_span(grid.extents(0, *i_range)),
+                         _span(left.extents(1, *k_range)),
+                         _span(grid.extents(1, *j_range)))
     # Sparse inputs cut effective flops roughly with the density product.
     sparsity_scale = max(left.info.density * right.info.density, 1e-6)
     flops = int(flops * min(1.0, sparsity_scale * 4))
@@ -484,12 +518,6 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
               f"k[{k_start}:{k_stop})",
         kernel=kernel,
     )
-
-
-def _inner_tile_width(left: Operand, tile_row: int, tile_col: int) -> int:
-    stored_row, stored_col = left.stored_position(tile_row, tile_col)
-    rows, cols = left.info.grid.tile_shape(stored_row, stored_col)
-    return rows if left.transposed else cols
 
 
 def _mult_runner(left: Operand, right: Operand, target_matrix: TiledMatrix,
@@ -602,30 +630,21 @@ def _build_add_job(job_id: str, partials: list[MatrixInfo],
                    context: PhysicalContext, depends_on: set[str]) -> Job:
     """Map-only job summing the per-segment partials into the final output."""
     grid = output.grid
-    positions = list(grid.positions())
     # Small chunks keep add tasks cheap; the add phase is I/O bound anyway.
-    chunk_size = 4
+    chunks = _priced_chunks(grid, 4, lambda row, col: dict(
+        bytes_read=sum(partial.tile_bytes(row, col) for partial in partials),
+        bytes_written=output.tile_bytes(row, col),
+        element_ops=math.prod(grid.tile_shape(row, col)) * len(partials)))
     tasks = []
-    for index, (start, stop) in enumerate(
-            _chunk_ranges(len(positions), chunk_size)):
-        chunk = positions[start:stop]
+    for index, (start, stop, chunk, totals) in enumerate(chunks):
         input_ids = (TileId(partial.name, row, col)
                      for row, col in chunk for partial in partials)
-        work = TaskWork(
-            bytes_read=sum(partial.tile_bytes(row, col)
-                           for row, col in chunk for partial in partials),
-            bytes_written=sum(output.tile_bytes(row, col)
-                              for row, col in chunk),
-            element_ops=sum(rows * cols * len(partials)
-                            for rows, cols in (grid.tile_shape(row, col)
-                                               for row, col in chunk)),
-            tile_ops=len(chunk) * (len(partials) + 1),
-            memory_bytes=2 * grid.tile_size * grid.tile_size
-                         * DENSE_ELEMENT_BYTES,
-        )
+        work = TaskWork(**totals, tile_ops=len(chunk) * (len(partials) + 1),
+                        memory_bytes=2 * grid.tile_size * grid.tile_size
+                        * DENSE_ELEMENT_BYTES)
         run = kernel = None
         if context.attach_run:
-            run = _add_runner(partials, chunk, output_matrix, context)
+            run = add_runner(partials, chunk, output_matrix, context)
             kernel = _add_kernel(partials, chunk, output_matrix, context)
         tasks.append(make_map_task(
             task_id=f"{job_id}-m{index}", work=work,
@@ -638,8 +657,9 @@ def _build_add_job(job_id: str, partials: list[MatrixInfo],
                label=f"add {len(partials)} partials -> {output.name}")
 
 
-def _add_runner(partials: list[MatrixInfo], chunk,
-                output_matrix: TiledMatrix, context: PhysicalContext):
+def add_runner(partials: list[MatrixInfo], chunk,
+               output_matrix: TiledMatrix, context: PhysicalContext):
+    """Sum the co-positioned tiles of ``partials`` at each ``chunk`` tile."""
     if output_matrix is None:
         raise CompilationError("attach_run requires the output TiledMatrix")
 

@@ -55,8 +55,8 @@ def plan_ingest_job(job_id: str, name: str, rows: int, cols: int,
     for strip in range(grid.tile_rows):
         strip_height = grid.tile_shape(strip, 0)[0]
         values = strip_height * cols
-        strip_tiles_bytes = sum(output.tile_bytes(strip, col)
-                                for col in range(grid.tile_cols))
+        strip_tiles_bytes = output.block_bytes((strip, strip + 1),
+                                               (0, grid.tile_cols))
         work = TaskWork(
             bytes_read=values * TEXT_BYTES_PER_VALUE,
             bytes_written=strip_tiles_bytes,

@@ -61,6 +61,23 @@ class TileGrid:
         width = min(self.tile_size, self.cols - tile_col * self.tile_size)
         return (height, width)
 
+    def extents(self, axis: int, start: int,
+                stop: int) -> tuple[tuple[int, int], ...]:
+        """Tile lengths along ``axis`` (0 rows, 1 cols) over tile indices
+        ``[start, stop)`` as ``(length, count)`` runs: every tile is
+        ``tile_size`` long except possibly the grid's last."""
+        size = self.shape[axis]
+        tiles = -(-size // self.tile_size)
+        if not 0 <= start <= stop <= tiles:
+            raise ValidationError(
+                f"tile range [{start}, {stop}) outside axis {axis} "
+                f"of {tiles} tiles")
+        edge = size - (tiles - 1) * self.tile_size
+        ragged = start < stop == tiles and edge != self.tile_size
+        full = stop - start - ragged
+        runs = ((self.tile_size, full),) if full else ()
+        return runs + ((edge, 1),) if ragged else runs
+
     def check_position(self, tile_row: int, tile_col: int) -> None:
         if not (0 <= tile_row < self.tile_rows and 0 <= tile_col < self.tile_cols):
             raise ValidationError(

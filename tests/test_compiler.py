@@ -9,9 +9,15 @@ from repro.core.compiler import (
     normalize_transposes,
 )
 from repro.core.expr import Binary, MatMul, Transpose, Var, evaluate_with_numpy
-from repro.core.physical import ElementwiseParams, MatMulParams, PhysicalContext
+from repro.core.physical import (
+    ElementwiseParams,
+    MatMulParams,
+    MatrixInfo,
+    PhysicalContext,
+)
 from repro.core.program import Program
 from repro.hadoop.job import JobKind
+from repro.workloads.chains import build_chain_program
 
 
 def var(name="A", rows=6, cols=6):
@@ -192,6 +198,30 @@ class TestCompilerStructure:
         np.testing.assert_allclose(result.output("P"), env["A"] @ env["B"])
         np.testing.assert_allclose(result.output("Q"),
                                    2 * (env["A"] @ env["B"]))
+
+    def test_mult_pricing_does_not_visit_tiles(self, monkeypatch):
+        # Tripwire: a task is priced per tile-shape class, so a coarse
+        # split of the 384^3 chain (2 tasks over 12x12x12 tiles each) must
+        # not price more tile shapes than the one-tile split (288 tasks).
+        calls = []
+        real = MatrixInfo.shape_bytes
+
+        def counting(self, rows, cols):
+            calls.append((rows, cols))
+            return real(self, rows, cols)
+
+        monkeypatch.setattr(MatrixInfo, "shape_bytes", counting)
+        program = build_chain_program(dimension=384, length=3)
+        counts = {}
+        for split in ((12, 12, 1), (1, 1, 1)):
+            calls.clear()
+            compiled = compile_program(
+                program, PhysicalContext(32),
+                CompilerParams(matmul=MatMulParams(*split)))
+            counts[split] = len(calls)
+            # Three block sums (A, B, C) of one shape each per mult task.
+            assert len(calls) == 3 * compiled.dag.num_tasks()
+        assert 0 < counts[12, 12, 1] <= counts[1, 1, 1]
 
     def test_work_accounting_positive(self):
         compiled = compile_simple(lambda a, b: (a @ b) * 3.0)

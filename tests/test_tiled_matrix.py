@@ -66,6 +66,20 @@ class TestTileGrid:
             covered[rows, cols] += 1
         assert (covered == 1).all()
 
+    @pytest.mark.parametrize("axis, start, stop, runs", [
+        (0, 0, 3, ((4, 2), (2, 1))),   # 10 rows: two full tiles, edge 2
+        (0, 1, 2, ((4, 1),)),          # interior range: no edge tile
+        (0, 2, 3, ((2, 1),)),          # only the ragged edge
+        (0, 3, 3, ()),                 # empty range
+        (1, 0, 2, ((4, 2),)),          # 8 cols: the last tile is full
+    ])
+    def test_extents_are_run_lengths(self, axis, start, stop, runs):
+        assert TileGrid(10, 8, 4).extents(axis, start, stop) == runs
+
+    def test_extents_range_checked(self):
+        with pytest.raises(ValidationError):
+            TileGrid(10, 8, 4).extents(0, 2, 4)
+
 
 class TestTiledMatrix:
     def test_roundtrip(self):
