@@ -1,9 +1,9 @@
-"""Post-simulation metrics: utilization, stragglers, and timeline rendering.
+"""Post-simulation metrics: utilization and timeline rendering.
 
 Turns a :class:`~repro.hadoop.simulator.SimulationResult` into the numbers a
-cluster operator looks at — per-node busy fractions, wave structure, money
-wasted on idle slots — plus an ASCII Gantt chart for quick inspection in a
-terminal or a report.
+cluster operator looks at — per-node busy seconds and the busy fraction of
+all slot-time — plus an ASCII Gantt chart for quick inspection in a terminal
+or a report.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
-from repro.hadoop.simulator import SUCCESS, SimulationResult
+from repro.hadoop.simulator import SimulationResult
 
 
 @dataclass
@@ -29,20 +29,6 @@ class UtilizationReport:
         if self.total_slot_seconds == 0:
             return 0.0
         return self.busy_slot_seconds / self.total_slot_seconds
-
-    @property
-    def idle_slot_seconds(self) -> float:
-        return self.total_slot_seconds - self.busy_slot_seconds
-
-    def most_loaded_node(self) -> str:
-        if not self.per_node_busy:
-            raise ValidationError("utilization report has no nodes")
-        return max(self.per_node_busy, key=self.per_node_busy.get)
-
-    def least_loaded_node(self) -> str:
-        if not self.per_node_busy:
-            raise ValidationError("utilization report has no nodes")
-        return min(self.per_node_busy, key=self.per_node_busy.get)
 
 
 def utilization(result: SimulationResult) -> UtilizationReport:
@@ -62,30 +48,6 @@ def utilization(result: SimulationResult) -> UtilizationReport:
         busy_slot_seconds=busy,
         per_node_busy=per_node,
     )
-
-
-def straggler_report(result: SimulationResult,
-                     threshold: float = 1.5) -> list[tuple[str, str, float]]:
-    """Successful attempts slower than ``threshold`` x their job's mean.
-
-    Returns (job_id, task_id, slowdown-vs-mean), worst first.
-    """
-    if threshold <= 0:
-        raise ValidationError("threshold must be positive")
-    stragglers = []
-    for job_id, timeline in result.job_timelines.items():
-        successes = timeline.attempts_with_status(SUCCESS)
-        if not successes:
-            continue
-        mean = sum(a.duration for a in successes) / len(successes)
-        if mean == 0:
-            continue
-        for attempt in successes:
-            ratio = attempt.duration / mean
-            if ratio > threshold:
-                stragglers.append((job_id, attempt.task.task_id, ratio))
-    stragglers.sort(key=lambda item: -item[2])
-    return stragglers
 
 
 def render_timeline(result: SimulationResult, width: int = 72) -> str:

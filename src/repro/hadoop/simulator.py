@@ -25,6 +25,12 @@ the least busy node, smallest name first) and failures are pure functions of
 seeds, so a given input always yields the same timeline.  Task duration is
 computed once, at task start, from the node's concurrency at that moment — a
 documented simplification that keeps the simulation linear-time.
+
+:class:`ClusterSimulator` holds configuration only.  Each ``run()`` builds a
+private run object that owns the slot pool, job states, clock and event
+heap, and a table maps each event kind to one handler method.  An attempt in
+flight is one record, its task-end event's payload, marked when a twin
+finished first (KILLED) or its node died (LOST).
 """
 
 from __future__ import annotations
@@ -150,11 +156,6 @@ class SimulationResult:
         except KeyError:
             raise ValidationError(f"no timeline for job {job_id!r}") from None
 
-    def total_task_seconds(self) -> float:
-        return sum(attempt.duration
-                   for timeline in self.job_timelines.values()
-                   for attempt in timeline.attempts)
-
     def count_attempts(self, status: str) -> int:
         return sum(len(t.attempts_with_status(status))
                    for t in self.job_timelines.values())
@@ -241,7 +242,7 @@ class _SlotPool:
 
     def release(self, node: _NodeState, slot: int) -> None:
         """Free ``slot`` of a live node (a dead node's attempts are
-        voided at its death, never released)."""
+        reconciled at its death, never released)."""
         node.busy = busy = node.busy - 1
         self.free += 1
         heapq.heappush(node.free_slots, slot)
@@ -261,6 +262,24 @@ class _SlotPool:
 SPECULATION_THRESHOLD = 1.2
 
 
+class _InFlight:
+    """One attempt holding a slot, from its start to its task-end event.
+
+    It is that event's payload, an entry of the run's ``live`` table and,
+    until a twin completes the task, of ``_TaskState.running``.  ``ended``
+    is None while it runs on its own clock; KILLED once a twin finished
+    first (its event reaps it); LOST once its node died (all was reconciled
+    then, so its event is ignored).
+    """
+
+    __slots__ = ("attempt", "state", "node", "index", "slot", "ended")
+
+    def __init__(self, attempt: TaskAttempt, state: _JobState,
+                 node: _NodeState, index: int, slot: int):
+        self.attempt, self.state, self.node = attempt, state, node
+        self.index, self.slot, self.ended = index, slot, None
+
+
 class _TaskState:
     """Per-task progress: attempt counting, completion, speculation."""
 
@@ -271,8 +290,8 @@ class _TaskState:
         self.task = task
         self.next_attempt = 0
         self.completed = False
-        #: In-flight attempts of this task: token -> start time.
-        self.running: dict[int, float] = {}
+        #: In-flight attempts of this task, oldest first.
+        self.running: list[_InFlight] = []
         self.speculated = False
         #: Node holding this task's output (map outputs live on local disk
         #: until the shuffle fetches them; node loss invalidates them).
@@ -310,11 +329,6 @@ class _JobState:
     def finished(self) -> bool:
         return (self.maps_remaining == 0 and self.reduces_remaining == 0
                 and self.shuffle_done)
-
-    def running_incomplete_tasks(self) -> list[_TaskState]:
-        """Tasks with an attempt in flight and no completion yet."""
-        return [ts for ts in self.task_states.values()
-                if ts.running and not ts.completed]
 
 
 _RUNNING_ATTEMPTS = attrgetter("running_attempts")
@@ -361,508 +375,492 @@ class ClusterSimulator:
                 raise ValidationError(
                     f"slow-node factor must be >= 1, got {factor} for {name}"
                 )
-        self._clock = 0.0
 
     def run(self, dag: JobDag, start_time: float = 0.0) -> SimulationResult:
         if len(dag) == 0:
             return SimulationResult(self.spec, {}, start_time)
-        pool = _SlotPool(self.spec.node_names(), self.spec.slots_per_node,
-                         self.slow_nodes)
-        nodes = pool.nodes
-        states = {job.job_id: _JobState(job) for job in dag}
-        order = [job.job_id for job in dag.topological_order()]
-        remaining_deps = {job.job_id: set(job.depends_on) for job in dag}
+        return _Run(self, dag, start_time).simulate()
 
-        #: jobs whose dependencies are satisfied and that have runnable tasks
-        runnable: list[str] = []
+
+class _Run:
+    """Everything one :meth:`ClusterSimulator.run` changes, and its handlers.
+
+    The simulator holds configuration only.  Each run builds one of these,
+    drains its heap of ``(time, sequence, kind, payload)`` events and reads
+    the result off it.  ``_HANDLERS`` maps each event kind to one method;
+    a handler returns True for a stale event, which changes nothing, so
+    the loop neither dispatches nor samples after it.  Every other event
+    is followed by one dispatch (docs/architecture.md says why).
+    """
+
+    def __init__(self, sim: ClusterSimulator, dag: JobDag, start_time: float):
+        self.sim = sim
+        self.pool = _SlotPool(sim.spec.node_names(), sim.spec.slots_per_node,
+                              sim.slow_nodes)
+        self.states = {job.job_id: _JobState(job) for job in dag}
+        self.order = [job.job_id for job in dag.topological_order()]
+        self.remaining_deps = {job.job_id: set(job.depends_on) for job in dag}
+        #: Jobs whose dependencies are satisfied and that have runnable tasks.
+        self.runnable: list[str] = []
+        self.clock = start_time
+        self.next_spec_check = float("inf")
+        self.events: list[tuple[float, int, str, object]] = []
+        self.sequence = itertools.count()
+        #: Every attempt holding a slot, in start order (dict order), so a
+        #: dying node can fail its attempts at once.
+        self.live: dict[_InFlight, None] = {}
+        self.lost_nodes: list[NodeFailure] = []
+        self.rereplicated_bytes = 0
+        self.reexecuted_tasks = 0
+        self.metrics = sim.metrics
+        self.tracing = sim.recorder.enabled
+        if sim.node_failures is not None:
+            for failure in sim.node_failures.failures(sim.spec.node_names()):
+                if failure.node in self.pool.by_name:
+                    self._push(start_time + failure.at, "node-lost", failure)
+        self._activate_ready_jobs()
+
+    def simulate(self) -> SimulationResult:
+        events = self.events
+        handlers = self._HANDLERS
         metrics = self.metrics
-        cost_meter = self.cost_meter
-        self._clock = start_time
-        self._next_spec_check = float("inf")
-        events: list[tuple[float, int, str, object]] = []
-        counter = itertools.count()
-        token_counter = itertools.count()
-        cancelled: set[int] = set()
-        #: token -> (attempt, state, node, attempt_index, slot) for every
-        #: attempt in flight, so a dying node can fail its attempts at once.
-        live_tokens: dict[int, tuple] = {}
-        #: Tokens whose slot/busy bookkeeping was already reconciled at node
-        #: loss; their in-heap completion events must be ignored entirely.
-        voided: set[int] = set()
-        fair = self.scheduling == FAIR
-        locality_aware = self.locality_aware
-        task_duration = self.time_model.task_duration
-        instance_type = self.spec.instance_type
-        failures = self.failures
-        tracing = self.recorder.enabled
-        lost_nodes: list[NodeFailure] = []
-        rereplicated_bytes = 0
-        reexecuted_tasks = 0
-
-        def push_event(time: float, kind: str, payload: object) -> None:
-            heapq.heappush(events, (time, next(counter), kind, payload))
-
-        if self.node_failures is not None:
-            for failure in self.node_failures.failures(
-                    self.spec.node_names()):
-                if failure.node in pool.by_name:
-                    push_event(start_time + failure.at, "node-lost", failure)
-
-        def activate_ready_jobs() -> None:
-            for job_id in order:
-                state = states[job_id]
-                if (not remaining_deps[job_id] and state.started_at is None):
-                    state.started_at = (self._clock
-                                        + self.time_model.job_overhead(state.job))
-                    if state.job.map_tasks:
-                        push_event(state.started_at, "job-ready", job_id)
-                    else:
-                        # Degenerate job with no tasks: finishes immediately
-                        # after its overhead.
-                        push_event(state.started_at, "job-empty", job_id)
-
-        def start_attempt(state: _JobState, task: Task) -> None:
-            node = pool.pick(task.preferred_nodes if locality_aware
-                             else frozenset())
-            task_state = state.task_states[task]
-            attempt_index = task_state.next_attempt
-            task_state.next_attempt += 1
-            slot = pool.acquire(node)
-            local = (not task.preferred_nodes
-                     or node.name in task.preferred_nodes)
-            duration = task_duration(task, instance_type, node.busy,
-                                     local) * node.slow_factor
-            if duration <= 0:
-                raise SchedulingError(
-                    f"time model returned non-positive duration {duration} "
-                    f"for task {task.task_id}"
-                )
-            if metrics.enabled:
-                metrics.inc("sim.tasks_started")
-                if task.preferred_nodes:
-                    metrics.inc("sim.locality_local" if local
-                                else "sim.locality_remote")
-            fraction = None
-            if failures is not None:
-                fraction = failures.failure_fraction(task.task_id,
-                                                     attempt_index)
-            token = next(token_counter)
-            now = self._clock
-            task_state.running[token] = now
-            state.running_attempts += 1
-            if fraction is not None:
-                attempt = TaskAttempt(task, node.name, now,
-                                      now + duration * fraction,
-                                      node.busy, FAILED)
-                kind = "task-failed"
-            else:
-                attempt = TaskAttempt(task, node.name, now, now + duration,
-                                      node.busy, SUCCESS)
-                kind = "task-done"
-            push_event(attempt.end, kind,
-                       (attempt, state, node, token, attempt_index, slot))
-            live_tokens[token] = (attempt, state, node, attempt_index, slot)
-
-        def emit_attempt_event(state: _JobState, attempt: TaskAttempt,
-                               slot: int, attempt_index: int,
-                               status: str, end: float) -> None:
-            """Mirror one recorded attempt into the unified trace schema
-            (callers check ``tracing`` first)."""
-            work = attempt.task.work
-            self.recorder.record(TraceEvent(
-                job_id=state.job.job_id,
-                task_id=attempt.task.task_id,
-                phase=attempt.task.kind.value,
-                slot=f"{attempt.node}:{slot}",
-                start=attempt.start,
-                end=end,
-                bytes_read=work.bytes_read,
-                bytes_written=work.bytes_written,
-                attempt=attempt_index,
-                status=status,
-                label=attempt.task.label,
-            ))
-
-        def cut_short(state: _JobState, attempt: TaskAttempt, slot: int,
-                      attempt_index: int, status: str) -> None:
-            """Record ``attempt`` as ended *now* with ``status`` instead of
-            at its scheduled end: KILLED (a twin finished first) or LOST
-            (its node died)."""
-            state.attempts.append(TaskAttempt(
-                task=attempt.task, node=attempt.node,
-                start=attempt.start, end=self._clock,
-                concurrency_at_start=attempt.concurrency_at_start,
-                status=status))
-            if tracing:
-                emit_attempt_event(state, attempt, slot, attempt_index,
-                                   status, self._clock)
-
-        def requeue(state: _JobState, task_state: _TaskState) -> None:
-            """Put an unfinished task back at the tail of its queue."""
-            task_state.speculated = False
-            if task_state.task.kind is TaskKind.MAP:
-                state.pending_maps.append(task_state.task)
-            else:
-                state.pending_reduces.append(task_state.task)
-
-        def dispatch() -> None:
-            """Greedy assignment: fill free slots per the scheduling policy.
-
-            FIFO feeds the earliest-activated job with work until its
-            queue or the cluster runs out (earlier jobs monopolize the
-            cluster); FAIR gives each slot to the waiting job with the
-            fewest running attempts (earliest activated on a tie),
-            equalizing shares across concurrent jobs.
-            """
-            if pool.free:
-                if fair:
-                    waiting = [state for state in map(states.get, runnable)
-                               if state.pending_maps or state.pending_reduces]
-                    while waiting and pool.free:
-                        state = min(waiting, key=_RUNNING_ATTEMPTS)
-                        queue = state.pending_maps or state.pending_reduces
-                        start_attempt(state, queue.popleft())
-                        if not (state.pending_maps or state.pending_reduces):
-                            waiting.remove(state)
-                else:
-                    for job_id in runnable:
-                        state = states[job_id]
-                        queue = state.pending_maps or state.pending_reduces
-                        while queue and pool.free:
-                            start_attempt(state, queue.popleft())
-                            if not queue:
-                                queue = state.pending_reduces
-            if self.speculative:
-                speculate()
-
-        def speculate() -> None:
-            """Duplicate stragglers onto idle slots, Hadoop-style: only
-            attempts already running longer than SPECULATION_THRESHOLD times
-            the job's average successful attempt qualify.  When a straggler
-            exists but has not yet crossed the threshold, a wake-up event is
-            scheduled for the moment it will."""
-            progress = True
-            next_eligible: float | None = None
-            while progress:
-                progress = False
-                if not pool.free:
-                    return
-                for job_id in runnable:
-                    state = states[job_id]
-                    if state.pending_maps or state.pending_reduces:
-                        continue  # real work first; dispatch handles it
-                    if state.completed_count == 0:
-                        continue  # no baseline to call anything slow yet
-                    average = (state.completed_duration_sum
-                               / state.completed_count)
-                    cutoff = SPECULATION_THRESHOLD * average
-                    candidates = []
-                    for task_state in state.running_incomplete_tasks():
-                        if task_state.speculated:
-                            continue
-                        elapsed = self._clock - min(task_state.running.values())
-                        if elapsed > cutoff:
-                            candidates.append(task_state)
-                        else:
-                            eligible_at = (min(task_state.running.values())
-                                           + cutoff)
-                            if next_eligible is None \
-                                    or eligible_at < next_eligible:
-                                next_eligible = eligible_at
-                    if not candidates:
-                        continue
-                    # Longest-running straggler first.
-                    target = min(candidates,
-                                 key=lambda ts: min(ts.running.values()))
-                    target.speculated = True
-                    if metrics.enabled:
-                        metrics.inc("sim.speculative_launches")
-                    start_attempt(state, target.task)
-                    progress = True
-                    break
-            if (next_eligible is not None
-                    and next_eligible > self._clock
-                    and next_eligible < self._next_spec_check):
-                self._next_spec_check = next_eligible
-                push_event(next_eligible + 1e-9, "spec-check", None)
-
-        def complete_task(state: _JobState, attempt: TaskAttempt) -> None:
-            task_state = state.task_states[attempt.task]
-            task_state.completed = True
-            task_state.completed_node = attempt.node
-            state.completed_duration_sum += attempt.duration
-            state.completed_count += 1
-            # Kill any surviving twin attempts: their events become stale.
-            for token in task_state.running:
-                cancelled.add(token)
-            task_state.running.clear()
-            if attempt.task.kind is TaskKind.MAP:
-                state.maps_remaining -= 1
-                if state.maps_remaining == 0 and not state.shuffle_done:
-                    self._schedule_shuffle(state, push_event)
-            else:
-                state.reduces_remaining -= 1
-            if state.finished:
-                finish_job(state)
-
-        def finish_job(state: _JobState) -> None:
-            state.finished_at = self._clock
-            if metrics.enabled:
-                metrics.inc("sim.jobs_completed")
-            for deps in remaining_deps.values():
-                deps.discard(state.job.job_id)
-            if state.job.job_id in runnable:
-                runnable.remove(state.job.job_id)
-            activate_ready_jobs()
-
-        activate_ready_jobs()
-
+        cost_meter = self.sim.cost_meter
         heap_peak = 0
         while events:
-            self._clock, __, kind, payload = heapq.heappop(events)
+            self.clock, __, kind, payload = heapq.heappop(events)
             if metrics.enabled:
                 metrics.inc("sim.events", labels={"kind": kind})
                 if len(events) >= heap_peak:
                     heap_peak = len(events) + 1
                     metrics.set_gauge("sim.event_heap_peak", heap_peak)
-            if kind == "job-ready":
-                runnable.append(payload)
-            elif kind == "job-empty":
-                finish_job(states[payload])
-            elif kind == "task-done" or kind == "task-failed":
-                # One attempt ended on its own clock; which of the two it
-                # was is the status start_attempt gave it.
-                attempt, state, node, token, attempt_index, slot = payload
-                if token in voided:
-                    # The node died under this attempt; everything was
-                    # reconciled at loss time.
-                    voided.discard(token)
-                    continue
-                live_tokens.pop(token, None)
-                pool.release(node, slot)
-                state.running_attempts -= 1
-                task_state = state.task_states[attempt.task]
-                if token in cancelled:
-                    # A twin finished first: this one was killed now,
-                    # whatever it would have ended as.
-                    cancelled.discard(token)
-                    cut_short(state, attempt, slot, attempt_index, KILLED)
-                    if metrics.enabled:
-                        metrics.inc("sim.tasks_killed")
-                else:
-                    task_state.running.pop(token, None)
-                    state.attempts.append(attempt)
-                    if tracing:
-                        emit_attempt_event(state, attempt, slot, attempt_index,
-                                           attempt.status, attempt.end)
-                    if attempt.status == SUCCESS:
-                        if metrics.enabled:
-                            metrics.inc("sim.tasks_completed")
-                            work = attempt.task.work
-                            metrics.inc("sim.bytes_read", work.bytes_read)
-                            metrics.inc("sim.bytes_written",
-                                        work.bytes_written)
-                            metrics.observe("sim.task_seconds",
-                                            attempt.duration)
-                        if not task_state.completed:
-                            complete_task(state, attempt)
-                    else:
-                        if metrics.enabled:
-                            metrics.inc("sim.task_failures")
-                        if not task_state.completed:
-                            max_attempts = self.failures.max_attempts
-                            if attempt_index + 1 >= max_attempts:
-                                raise SchedulingError(
-                                    f"task {attempt.task.task_id} failed "
-                                    f"{max_attempts} times; job "
-                                    f"{state.job.job_id} aborted"
-                                )
-                            requeue(state, task_state)
-            elif kind == "spec-check":
-                self._next_spec_check = float("inf")
-            elif kind == "shuffle-done":
-                state, epoch = payload
-                if epoch != state.shuffle_epoch:
-                    continue  # stale: map outputs were invalidated since
-                state.shuffle_done = True
-                state.pending_reduces = deque(state.job.reduce_tasks)
-                if state.finished:
-                    finish_job(state)
-            elif kind == "node-lost":
-                failure = payload
-                if all(state.finished_at is not None
-                       for state in states.values()):
-                    # Work already done; a far-future death must not bill
-                    # extra virtual time.  (Don't break: later heap entries
-                    # may be real, e.g. voided-token drains.)
-                    continue
-                node = pool.by_name[failure.node]
-                if not node.alive:
-                    continue
-                pool.kill(node)
-                lost_nodes.append(failure)
-                revoked = failure.cause == CAUSE_REVOCATION
-                live = sum(1 for n in nodes if n.alive)
-                if metrics.enabled:
-                    metrics.inc("sim.nodes_lost")
-                    if revoked:
-                        metrics.inc("sim.revocations")
-                    metrics.sample("sim.live_nodes", live, t=self._clock)
-                if tracing:
-                    self.recorder.record(TraceEvent(
-                        job_id="cluster", task_id=node.name,
-                        phase=PHASE_NODE, slot="",
-                        start=self._clock, end=self._clock,
-                        status=STATUS_REVOKED if revoked else STATUS_LOST,
-                        label=failure.cause))
-                if live < self.min_live_nodes:
-                    raise QuorumLostError(
-                        f"{node.name} {failure.cause} at t={self._clock:.1f} "
-                        f"left {live} live node(s), below the quorum of "
-                        f"{self.min_live_nodes}; run aborted"
-                    )
-                # 1. Fail every attempt running on the dead node.  A lost
-                # attempt is the node's fault, not the task's: it is retried
-                # without counting against max_attempts (Hadoop semantics).
-                for token, entry in sorted(live_tokens.items()):
-                    attempt, state, anode, attempt_index, slot = entry
-                    if anode is not node:
-                        continue
-                    del live_tokens[token]
-                    voided.add(token)
-                    cancelled.discard(token)
-                    node.busy -= 1
-                    state.running_attempts -= 1
-                    task_state = state.task_states[attempt.task]
-                    task_state.running.pop(token, None)
-                    cut_short(state, attempt, slot, attempt_index, LOST)
-                    if metrics.enabled:
-                        metrics.inc("sim.attempts_lost")
-                    if not task_state.completed:
-                        requeue(state, task_state)
-                # 2. Invalidate completed map outputs parked on the dead
-                # node's local disk: until the shuffle has fetched them,
-                # they exist nowhere else and must be recomputed.
-                for job_id in order:
-                    state = states[job_id]
-                    if (state.job.kind is not JobKind.MAPREDUCE
-                            or state.started_at is None
-                            or state.finished_at is not None
-                            or state.shuffle_done):
-                        continue
-                    invalidated = False
-                    for task in state.job.map_tasks:
-                        task_state = state.task_states[task]
-                        if not (task_state.completed
-                                and task_state.completed_node == node.name):
-                            continue
-                        task_state.completed = False
-                        task_state.completed_node = None
-                        state.maps_remaining += 1
-                        reexecuted_tasks += 1
-                        invalidated = True
-                        if not task_state.running:
-                            state.pending_maps.append(task)
-                        if metrics.enabled:
-                            metrics.inc("sim.reexec_tasks")
-                        if tracing:
-                            self.recorder.record(TraceEvent(
-                                job_id=state.job.job_id,
-                                task_id=task.task_id,
-                                phase=PHASE_REEXEC, slot="",
-                                start=self._clock, end=self._clock,
-                                status=STATUS_LOST,
-                                label=f"map output lost with {node.name}"))
-                    if invalidated:
-                        # Any in-flight shuffle fetched from the dead node;
-                        # it must restart once the maps rerun.
-                        state.shuffle_epoch += 1
-                # 3. HDFS blast radius: decommission the datanode and bill
-                # the re-replication traffic in virtual time.
-                if (self.namenode is not None
-                        and self.namenode.has_datanode(node.name)):
-                    copied = self.namenode.decommission(node.name)
-                    if copied:
-                        rereplicated_bytes += copied
-                        bandwidth = self.spec.instance_type.network_bandwidth
-                        seconds = copied / bandwidth
-                        if metrics.enabled:
-                            metrics.inc("sim.rereplications")
-                            metrics.inc("sim.rereplication_bytes", copied)
-                        if tracing:
-                            self.recorder.record(TraceEvent(
-                                job_id="cluster",
-                                task_id=f"{node.name}:rereplication",
-                                phase=PHASE_REREPLICATION, slot="",
-                                start=self._clock,
-                                end=self._clock + seconds,
-                                bytes_read=copied, bytes_written=copied,
-                                label=failure.cause))
-                    if metrics.enabled:
-                        metrics.set_gauge(
-                            "hdfs.under_replicated_blocks",
-                            len(self.namenode.under_replicated()))
-            else:  # pragma: no cover - defensive
-                raise SchedulingError(f"unknown event kind {kind!r}")
-            dispatch()
+            if handlers[kind](self, payload):
+                continue
+            self._dispatch()
             if cost_meter is not None:
-                cost_meter.observe(self._clock)
+                cost_meter.observe(self.clock)
             if metrics.enabled:
                 metrics.sample("sim.running_slots",
-                               sum(node.busy for node in nodes),
-                               t=self._clock)
+                               sum(node.busy for node in self.pool.nodes),
+                               t=self.clock)
                 metrics.sample(
                     "sim.queue_depth",
-                    sum(len(state.pending_maps)
-                        + len(state.pending_reduces)
-                        for state in states.values()),
-                    t=self._clock,
-                )
+                    sum(len(state.pending_maps) + len(state.pending_reduces)
+                        for state in self.states.values()),
+                    t=self.clock)
+        return self._result()
 
-        unfinished = [job_id for job_id, state in states.items()
+    def _result(self) -> SimulationResult:
+        unfinished = [job_id for job_id, state in self.states.items()
                       if state.finished_at is None]
         if unfinished:
             raise SchedulingError(
                 f"simulation ended with unfinished jobs: {unfinished} "
-                "(dependency cycle or starved tasks)"
-            )
-
-        timelines = {
-            job_id: JobTimeline(
-                job_id=job_id,
-                start=state.started_at,
-                end=state.finished_at,
-                attempts=state.attempts,
-                shuffle_seconds=state.shuffle_seconds,
-            )
-            for job_id, state in states.items()
-        }
+                "(dependency cycle or starved tasks)")
+        timelines = {job_id: JobTimeline(job_id, state.started_at,
+                                         state.finished_at, state.attempts,
+                                         state.shuffle_seconds)
+                     for job_id, state in self.states.items()}
         makespan = max(t.end for t in timelines.values())
-        return SimulationResult(self.spec, timelines, makespan,
-                                lost_nodes=lost_nodes,
-                                rereplicated_bytes=rereplicated_bytes,
-                                reexecuted_tasks=reexecuted_tasks)
+        return SimulationResult(self.sim.spec, timelines, makespan,
+                                lost_nodes=self.lost_nodes,
+                                rereplicated_bytes=self.rereplicated_bytes,
+                                reexecuted_tasks=self.reexecuted_tasks)
 
-    # -- helpers -----------------------------------------------------------------
+    def _push(self, time: float, kind: str, payload: object) -> None:
+        heapq.heappush(self.events, (time, next(self.sequence), kind, payload))
 
-    def _schedule_shuffle(self, state: _JobState, push_event) -> None:
-        bandwidth = (self.spec.num_nodes
-                     * self.spec.instance_type.network_bandwidth)
-        seconds = self.time_model.shuffle_duration(state.job, bandwidth)
+    def _activate_ready_jobs(self) -> None:
+        job_overhead = self.sim.time_model.job_overhead
+        for job_id in self.order:
+            state = self.states[job_id]
+            if not self.remaining_deps[job_id] and state.started_at is None:
+                state.started_at = self.clock + job_overhead(state.job)
+                # A job with no tasks finishes right after its overhead.
+                self._push(state.started_at,
+                           "job-ready" if state.job.map_tasks else "job-empty",
+                           job_id)
+
+    def _start_attempt(self, state: _JobState, task: Task) -> None:
+        task_state = state.task_states[task]
+        if task_state.completed:
+            return  # a retry queued while a twin ran on, and the twin won
+        pool = self.pool
+        sim = self.sim
+        node = pool.pick(task.preferred_nodes if sim.locality_aware
+                         else frozenset())
+        index = task_state.next_attempt
+        task_state.next_attempt += 1
+        slot = pool.acquire(node)
+        local = (not task.preferred_nodes
+                 or node.name in task.preferred_nodes)
+        duration = sim.time_model.task_duration(
+            task, sim.spec.instance_type, node.busy, local) * node.slow_factor
+        if duration <= 0:
+            raise SchedulingError(f"time model returned non-positive duration "
+                                  f"{duration} for task {task.task_id}")
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.inc("sim.tasks_started")
+            if task.preferred_nodes:
+                metrics.inc("sim.locality_local" if local
+                            else "sim.locality_remote")
+        failures = sim.failures
+        fraction = (None if failures is None
+                    else failures.failure_fraction(task.task_id, index))
+        now = self.clock
+        if fraction is not None:
+            attempt = TaskAttempt(task, node.name, now,
+                                  now + duration * fraction, node.busy, FAILED)
+            kind = "task-failed"
+        else:
+            attempt = TaskAttempt(task, node.name, now, now + duration,
+                                  node.busy, SUCCESS)
+            kind = "task-done"
+        record = _InFlight(attempt, state, node, index, slot)
+        task_state.running.append(record)
+        state.running_attempts += 1
+        self.live[record] = None
+        self._push(attempt.end, kind, record)
+
+    def _log_attempt(self, record: _InFlight, attempt: TaskAttempt) -> None:
+        """Append how ``record`` ended to its job's timeline, and mirror it
+        into the unified trace schema on the attempt's ``node:slot`` lane."""
+        record.state.attempts.append(attempt)
+        if self.tracing:
+            task = attempt.task
+            self.sim.recorder.record(TraceEvent(
+                job_id=record.state.job.job_id, task_id=task.task_id,
+                phase=task.kind.value, slot=f"{attempt.node}:{record.slot}",
+                start=attempt.start, end=attempt.end,
+                bytes_read=task.work.bytes_read,
+                bytes_written=task.work.bytes_written, attempt=record.index,
+                status=attempt.status, label=task.label))
+
+    def _end_early(self, record: _InFlight, status: str) -> None:
+        """Mark and log the attempt as ended *now* with ``status`` instead
+        of at its scheduled end: KILLED (a twin finished first) or LOST (its
+        node died)."""
+        record.ended = status
+        attempt = record.attempt
+        self._log_attempt(record, TaskAttempt(
+            attempt.task, attempt.node, attempt.start, self.clock,
+            attempt.concurrency_at_start, status))
+
+    @staticmethod
+    def _requeue(state: _JobState, task_state: _TaskState) -> None:
+        """Put an unfinished task back at the tail of its queue."""
+        task_state.speculated = False
+        if task_state.task.kind is TaskKind.MAP:
+            state.pending_maps.append(task_state.task)
+        else:
+            state.pending_reduces.append(task_state.task)
+
+    def _dispatch(self) -> None:
+        """Greedy assignment: fill free slots per the scheduling policy.
+
+        FIFO feeds the earliest-activated job with work until its queue or
+        the cluster runs out (earlier jobs monopolize the cluster); FAIR
+        gives each slot to the waiting job with the fewest running attempts
+        (earliest activated on a tie), equalizing shares across concurrent
+        jobs.
+        """
+        pool = self.pool
+        if pool.free:
+            states = self.states
+            if self.sim.scheduling == FAIR:
+                waiting = [state for state in map(states.get, self.runnable)
+                           if state.pending_maps or state.pending_reduces]
+                while waiting and pool.free:
+                    state = min(waiting, key=_RUNNING_ATTEMPTS)
+                    queue = state.pending_maps or state.pending_reduces
+                    self._start_attempt(state, queue.popleft())
+                    if not (state.pending_maps or state.pending_reduces):
+                        waiting.remove(state)
+            else:
+                for job_id in self.runnable:
+                    state = states[job_id]
+                    queue = state.pending_maps or state.pending_reduces
+                    while queue and pool.free:
+                        self._start_attempt(state, queue.popleft())
+                        if not queue:
+                            queue = state.pending_reduces
+        if self.sim.speculative:
+            self._speculate()
+
+    def _speculate(self) -> None:
+        """Duplicate stragglers onto idle slots, Hadoop-style: only attempts
+        already running longer than SPECULATION_THRESHOLD times the job's
+        average successful attempt qualify.  When a straggler exists but
+        has not yet crossed the threshold, a wake-up event is scheduled for
+        the moment it will."""
+        progress = True
+        next_eligible: float | None = None
+        while progress:
+            progress = False
+            if not self.pool.free:
+                return
+            for job_id in self.runnable:
+                state = self.states[job_id]
+                if state.pending_maps or state.pending_reduces:
+                    continue  # real work first; dispatch handles it
+                if state.completed_count == 0:
+                    continue  # no baseline to call anything slow yet
+                average = state.completed_duration_sum / state.completed_count
+                cutoff = SPECULATION_THRESHOLD * average
+                candidates = []
+                for task_state in state.task_states.values():
+                    if (not task_state.running or task_state.completed
+                            or task_state.speculated):
+                        continue
+                    started = task_state.running[0].attempt.start
+                    if self.clock - started > cutoff:
+                        candidates.append(task_state)
+                        continue
+                    eligible_at = started + cutoff
+                    if next_eligible is None or eligible_at < next_eligible:
+                        next_eligible = eligible_at
+                if not candidates:
+                    continue
+                # Longest-running straggler first.
+                target = min(candidates,
+                             key=lambda ts: ts.running[0].attempt.start)
+                target.speculated = True
+                if self.metrics.enabled:
+                    self.metrics.inc("sim.speculative_launches")
+                self._start_attempt(state, target.task)
+                progress = True
+                break
+        if (next_eligible is not None
+                and self.clock < next_eligible < self.next_spec_check):
+            self.next_spec_check = next_eligible
+            self._push(next_eligible + 1e-9, "spec-check", None)
+
+    def _complete_task(self, state: _JobState, attempt: TaskAttempt) -> None:
+        task_state = state.task_states[attempt.task]
+        task_state.completed = True
+        task_state.completed_node = attempt.node
+        state.completed_duration_sum += attempt.duration
+        state.completed_count += 1
+        for twin in task_state.running:
+            twin.ended = KILLED
+        task_state.running.clear()
+        if attempt.task.kind is TaskKind.MAP:
+            state.maps_remaining -= 1
+            if state.maps_remaining == 0 and not state.shuffle_done:
+                self._schedule_shuffle(state)
+        else:
+            state.reduces_remaining -= 1
+        if state.finished:
+            self._finish_job(state)
+
+    def _finish_job(self, state: _JobState) -> None:
+        state.finished_at = self.clock
+        if self.metrics.enabled:
+            self.metrics.inc("sim.jobs_completed")
+        for deps in self.remaining_deps.values():
+            deps.discard(state.job.job_id)
+        if state.job.job_id in self.runnable:
+            self.runnable.remove(state.job.job_id)
+        self._activate_ready_jobs()
+
+    def _schedule_shuffle(self, state: _JobState) -> None:
+        sim = self.sim
+        bandwidth = sim.spec.num_nodes * sim.spec.instance_type.network_bandwidth
+        seconds = sim.time_model.shuffle_duration(state.job, bandwidth)
         state.shuffle_seconds += seconds
         if self.metrics.enabled:
             self.metrics.inc("sim.shuffles")
             self.metrics.inc("sim.shuffle_bytes", state.job.shuffle_bytes)
-        if self.recorder.enabled:
-            self.recorder.record(TraceEvent(
-                job_id=state.job.job_id,
-                task_id=f"{state.job.job_id}:shuffle",
-                phase=PHASE_SHUFFLE,
-                slot="",
-                start=self._clock,
-                end=self._clock + seconds,
-                bytes_read=state.job.shuffle_bytes,
-                bytes_written=state.job.shuffle_bytes,
-            ))
-        push_event(self._clock + seconds, "shuffle-done",
+        if self.tracing:
+            sim.recorder.record(TraceEvent(
+                job_id=state.job.job_id, task_id=f"{state.job.job_id}:shuffle",
+                phase=PHASE_SHUFFLE, slot="", start=self.clock,
+                end=self.clock + seconds, bytes_read=state.job.shuffle_bytes,
+                bytes_written=state.job.shuffle_bytes))
+        self._push(self.clock + seconds, "shuffle-done",
                    (state, state.shuffle_epoch))
+
+    # -- one handler per event kind --------------------------------------------
+
+    def _handle_job_ready(self, job_id: str) -> None:
+        self.runnable.append(job_id)
+
+    def _handle_job_empty(self, job_id: str) -> None:
+        self._finish_job(self.states[job_id])
+
+    def _handle_task_end(self, record: _InFlight) -> bool | None:
+        """An attempt reached its scheduled end.  ``task-done`` or
+        ``task-failed`` is the status ``_start_attempt`` gave it."""
+        ended = record.ended
+        if ended == LOST:
+            return True  # reconciled when its node died
+        del self.live[record]
+        self.pool.release(record.node, record.slot)
+        state = record.state
+        state.running_attempts -= 1
+        metrics = self.metrics
+        if ended == KILLED:
+            # A twin finished first: this one is killed now, whatever it
+            # would have ended as.
+            self._end_early(record, KILLED)
+            if metrics.enabled:
+                metrics.inc("sim.tasks_killed")
+            return
+        attempt = record.attempt
+        task_state = state.task_states[attempt.task]
+        task_state.running.remove(record)
+        self._log_attempt(record, attempt)
+        if attempt.status == SUCCESS:
+            if metrics.enabled:
+                metrics.inc("sim.tasks_completed")
+                work = attempt.task.work
+                metrics.inc("sim.bytes_read", work.bytes_read)
+                metrics.inc("sim.bytes_written", work.bytes_written)
+                metrics.observe("sim.task_seconds", attempt.duration)
+            if not task_state.completed:
+                self._complete_task(state, attempt)
+            return
+        if metrics.enabled:
+            metrics.inc("sim.task_failures")
+        if not task_state.completed:
+            max_attempts = self.sim.failures.max_attempts
+            if record.index + 1 >= max_attempts:
+                raise SchedulingError(
+                    f"task {attempt.task.task_id} failed {max_attempts} "
+                    f"times; job {state.job.job_id} aborted")
+            self._requeue(state, task_state)
+
+    def _handle_spec_check(self, payload: None) -> None:
+        self.next_spec_check = float("inf")
+
+    def _handle_shuffle_done(self, payload: tuple) -> bool | None:
+        state, epoch = payload
+        if epoch != state.shuffle_epoch:
+            return True  # map outputs were invalidated since
+        state.shuffle_done = True
+        state.pending_reduces = deque(state.job.reduce_tasks)
+        if state.finished:
+            self._finish_job(state)
+
+    def _handle_node_lost(self, failure: NodeFailure) -> bool | None:
+        if all(s.finished_at is not None for s in self.states.values()):
+            # Work already done: a far-future death must not bill extra
+            # virtual time (lost attempts' events may still follow).
+            return True
+        node = self.pool.by_name[failure.node]
+        if not node.alive:
+            return True
+        self.pool.kill(node)
+        self.lost_nodes.append(failure)
+        revoked = failure.cause == CAUSE_REVOCATION
+        live = sum(1 for n in self.pool.nodes if n.alive)
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.inc("sim.nodes_lost")
+            if revoked:
+                metrics.inc("sim.revocations")
+            metrics.sample("sim.live_nodes", live, t=self.clock)
+        if self.tracing:
+            self.sim.recorder.record(TraceEvent(
+                job_id="cluster", task_id=node.name, phase=PHASE_NODE,
+                slot="", start=self.clock, end=self.clock,
+                status=STATUS_REVOKED if revoked else STATUS_LOST,
+                label=failure.cause))
+        if live < self.sim.min_live_nodes:
+            raise QuorumLostError(
+                f"{node.name} {failure.cause} at t={self.clock:.1f} "
+                f"left {live} live node(s), below the quorum of "
+                f"{self.sim.min_live_nodes}; run aborted")
+        self._fail_attempts_on(node)
+        self._invalidate_map_outputs(node)
+        self._decommission(node, failure)
+
+    def _fail_attempts_on(self, node: _NodeState) -> None:
+        """Node loss, step 1: fail every attempt running on the dead node.
+        A lost attempt is the node's fault, not the task's: it is retried
+        without counting against max_attempts (Hadoop semantics)."""
+        for record in [record for record in self.live if record.node is node]:
+            del self.live[record]
+            state = record.state
+            task_state = state.task_states[record.attempt.task]
+            if record.ended is None:  # a KILLED twin already left running
+                task_state.running.remove(record)
+            node.busy -= 1
+            state.running_attempts -= 1
+            self._end_early(record, LOST)
+            if self.metrics.enabled:
+                self.metrics.inc("sim.attempts_lost")
+            if not task_state.completed:
+                self._requeue(state, task_state)
+
+    def _invalidate_map_outputs(self, node: _NodeState) -> None:
+        """Node loss, step 2: completed map outputs parked on the dead
+        node's local disk exist nowhere else until the shuffle has fetched
+        them, so they must be recomputed."""
+        for job_id in self.order:
+            state = self.states[job_id]
+            if (state.job.kind is not JobKind.MAPREDUCE
+                    or state.started_at is None
+                    or state.finished_at is not None
+                    or state.shuffle_done):
+                continue
+            invalidated = False
+            for task in state.job.map_tasks:
+                task_state = state.task_states[task]
+                if not (task_state.completed
+                        and task_state.completed_node == node.name):
+                    continue
+                task_state.completed = False
+                task_state.completed_node = None
+                state.maps_remaining += 1
+                self.reexecuted_tasks += 1
+                invalidated = True
+                if not task_state.running:
+                    state.pending_maps.append(task)
+                if self.metrics.enabled:
+                    self.metrics.inc("sim.reexec_tasks")
+                if self.tracing:
+                    self.sim.recorder.record(TraceEvent(
+                        job_id=state.job.job_id, task_id=task.task_id,
+                        phase=PHASE_REEXEC, slot="", start=self.clock,
+                        end=self.clock, status=STATUS_LOST,
+                        label=f"map output lost with {node.name}"))
+            if invalidated:
+                # Any in-flight shuffle fetched from the dead node; it must
+                # restart once the maps rerun.
+                state.shuffle_epoch += 1
+
+    def _decommission(self, node: _NodeState, failure: NodeFailure) -> None:
+        """Node loss, step 3 (the HDFS blast radius): decommission the
+        datanode and bill the re-replication traffic in virtual time."""
+        namenode = self.sim.namenode
+        if namenode is None or not namenode.has_datanode(node.name):
+            return
+        copied = namenode.decommission(node.name)
+        metrics = self.metrics
+        if copied:
+            self.rereplicated_bytes += copied
+            seconds = copied / self.sim.spec.instance_type.network_bandwidth
+            if metrics.enabled:
+                metrics.inc("sim.rereplications")
+                metrics.inc("sim.rereplication_bytes", copied)
+            if self.tracing:
+                self.sim.recorder.record(TraceEvent(
+                    job_id="cluster", task_id=f"{node.name}:rereplication",
+                    phase=PHASE_REREPLICATION, slot="",
+                    start=self.clock, end=self.clock + seconds,
+                    bytes_read=copied, bytes_written=copied,
+                    label=failure.cause))
+        if metrics.enabled:
+            metrics.set_gauge("hdfs.under_replicated_blocks",
+                              len(namenode.under_replicated()))
+
+    _HANDLERS = {
+        "job-ready": _handle_job_ready,
+        "job-empty": _handle_job_empty,
+        "task-done": _handle_task_end,
+        "task-failed": _handle_task_end,
+        "spec-check": _handle_spec_check,
+        "shuffle-done": _handle_shuffle_done,
+        "node-lost": _handle_node_lost,
+    }

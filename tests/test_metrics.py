@@ -7,15 +7,10 @@ import pytest
 from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import ValidationError
 from repro.hadoop.job import Job, JobDag, JobKind
-from repro.hadoop.metrics import (
-    UtilizationReport,
-    render_timeline,
-    straggler_report,
-    utilization,
-)
+from repro.hadoop.metrics import render_timeline, utilization
 from repro.hadoop.simulator import ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task
-from repro.hadoop.timemodel import FixedTimeModel, TaskTimeModel
+from repro.hadoop.timemodel import FixedTimeModel
 from repro.observability.export import to_chrome_events, validate_chrome_trace
 from repro.observability.trace import NULL_RECORDER, InMemoryRecorder
 
@@ -43,12 +38,6 @@ class TestUtilization:
         report = utilization(result)
         assert report.utilization < 0.8
 
-    def test_idle_plus_busy_equals_total(self):
-        result = run_uniform(n_tasks=5)
-        report = utilization(result)
-        assert report.busy_slot_seconds + report.idle_slot_seconds \
-            == pytest.approx(report.total_slot_seconds)
-
     def test_per_node_accounting(self):
         result = run_uniform(n_tasks=8, nodes=2, slots=2)
         report = utilization(result)
@@ -56,45 +45,6 @@ class TestUtilization:
         assert sum(report.per_node_busy.values()) \
             == pytest.approx(report.busy_slot_seconds)
 
-    def test_loaded_nodes(self):
-        result = run_uniform(n_tasks=5, nodes=2, slots=2)
-        report = utilization(result)
-        assert report.per_node_busy[report.most_loaded_node()] \
-            >= report.per_node_busy[report.least_loaded_node()]
-
-    def test_loaded_nodes_on_empty_report_raise_cleanly(self):
-        report = UtilizationReport(0.0, 0.0, 0.0, {})
-        with pytest.raises(ValidationError, match="no nodes"):
-            report.most_loaded_node()
-        with pytest.raises(ValidationError, match="no nodes"):
-            report.least_loaded_node()
-
-
-class TestStragglers:
-    class SkewModel(TaskTimeModel):
-        def task_duration(self, task, instance, concurrency, local):
-            return 20.0 if task.task_id == "t0" else 1.0
-
-        def job_overhead(self, job):
-            return 0.0
-
-    def run_skewed(self):
-        tasks = [make_map_task(f"t{i}", TaskWork()) for i in range(8)]
-        dag = JobDag([Job("j", JobKind.MAP_ONLY, tasks)])
-        return ClusterSimulator(spec(), self.SkewModel()).run(dag)
-
-    def test_detects_straggler(self):
-        report = straggler_report(self.run_skewed())
-        assert report
-        assert report[0][1] == "t0"
-        assert report[0][2] > 5.0
-
-    def test_uniform_run_has_no_stragglers(self):
-        assert straggler_report(run_uniform()) == []
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValidationError):
-            straggler_report(run_uniform(), threshold=0.0)
 
 
 class TestTimeline:

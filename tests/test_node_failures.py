@@ -160,6 +160,20 @@ class TestNodeLossInSimulator:
         result = sim.run(JobDag([map_only("j", 8)]))
         assert result.count_attempts(SUCCESS) == 8
 
+    def test_retry_of_a_lost_twin_never_reruns_a_finished_task(self):
+        # node-0 runs 2x slower, so j-t0's straggler there gets a
+        # speculative twin on node-1.  node-1 dies with the twin at 2.25,
+        # the instant the straggler finishes: the retry queued for the
+        # twin must not run the finished task a second time.
+        sim = ClusterSimulator(
+            spec(), FixedTimeModel(1.0, 0.25), speculative=True,
+            slow_nodes={"m1.large-0": 2.0},
+            node_failures=TargetedNodeFailures({"m1.large-1": 2.25}))
+        result = sim.run(JobDag([map_only("j", 5)]))
+        succeeded = [a.task.task_id
+                     for a in result.job("j").attempts_with_status(SUCCESS)]
+        assert sorted(succeeded) == [f"j-t{i}" for i in range(5)]
+
     def test_quorum_loss_aborts(self):
         sim = ClusterSimulator(
             spec(nodes=2), FixedTimeModel(10.0), min_live_nodes=2,

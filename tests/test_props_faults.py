@@ -204,3 +204,131 @@ def test_losing_all_but_one_node_degrades_not_crashes(
     late = [a for a in result.job("j").attempts
             if a.start > 0.5 and a.status == SUCCESS]
     assert all(a.node == survivor for a in late)
+
+
+# ---------------------------------------------------------------------------
+# In-flight bookkeeping: speculation, task failures and a node loss at once.
+# ---------------------------------------------------------------------------
+
+from collections import Counter, defaultdict  # noqa: E402
+
+from repro.hadoop.task import Task, TaskKind  # noqa: E402
+from repro.observability.trace import PHASE_REEXEC  # noqa: E402
+
+#: One job: MapReduce or not, map and reduce task counts (no maps = the
+#: degenerate job that ends right after its overhead), dependency picks.
+MIXED_JOB = st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 3),
+                      st.lists(st.integers(0, 10**6), max_size=2))
+
+#: ``aim``: kill the node of an attempt a twin beat in the fault-free run,
+#: between the twin's success and the loser's scheduled end (the
+#: KILLED-then-LOST window); otherwise node ``slow + victim`` dies at a
+#: fraction of the fault-free makespan.
+IN_FLIGHT_CASE = dict(
+    jobs=st.lists(MIXED_JOB, min_size=1, max_size=4),
+    nodes=st.integers(2, 5), slots=st.integers(1, 3),
+    speculative=st.booleans(), slow=st.integers(0, 4),
+    slow_factor=st.floats(1.5, 8.0), probability=st.floats(0.0, 0.3),
+    seed=st.integers(0, 10_000), aim=st.booleans(),
+    victim=st.integers(0, 4), loss_at=st.floats(0.0, 1.0))
+
+
+def build_mixed_dag(jobs):
+    dag = JobDag()
+    for number, (mapreduce, maps, reduces, dep_picks) in enumerate(jobs):
+        def tasks(count, kind):
+            return [Task(f"j{number}-{kind.value}-{index}", kind, TaskWork())
+                    for index in range(count)]
+        dag.add(Job(f"j{number}",
+                    JobKind.MAPREDUCE if mapreduce else JobKind.MAP_ONLY,
+                    tasks(maps, TaskKind.MAP),
+                    tasks(reduces, TaskKind.REDUCE) if mapreduce else [],
+                    {f"j{pick % number}" for pick in dep_picks}
+                    if number else set()))
+    return dag
+
+
+def beaten_attempts(result):
+    """``(node, start, end)``: when each KILLED attempt holds its slot after
+    its twin's success, up to the end of the run (a later loss is ignored,
+    since all work is done)."""
+    windows = []
+    for timeline in result.job_timelines.values():
+        won = {attempt.task.task_id: attempt.end
+               for attempt in timeline.attempts_with_status(SUCCESS)}
+        for attempt in timeline.attempts_with_status(KILLED):
+            start = won[attempt.task.task_id]
+            end = min(attempt.end, result.makespan)
+            if start < end:
+                windows.append((attempt.node, start, end))
+    return windows
+
+
+def check_in_flight_bookkeeping(jobs, nodes, slots, speculative, slow,
+                                slow_factor, probability, seed, aim, victim,
+                                loss_at):
+    """A slow node provokes speculative twins, attempts fail at random, and
+    one node dies, so attempts are killed, lost, and killed then lost."""
+    cluster = spec(nodes, slots)
+    names = cluster.node_names()
+    dag = build_mixed_dag(jobs)
+    model = FixedTimeModel(1.0, 0.25)
+    slow_nodes = {names[slow % nodes]: slow_factor}
+    calm = ClusterSimulator(cluster, model, speculative=speculative,
+                            slow_nodes=slow_nodes).run(dag)
+    windows = beaten_attempts(calm)
+    if aim and windows:
+        node, start, end = windows[victim % len(windows)]
+        loss = {node: start + loss_at * (end - start)}
+    else:
+        loss = {names[(slow + victim) % nodes]: loss_at * calm.makespan}
+    recorder = InMemoryRecorder()
+    sim = ClusterSimulator(
+        cluster, model, speculative=speculative, slow_nodes=slow_nodes,
+        failures=RandomFailures(probability, seed=seed, max_attempts=6),
+        node_failures=TargetedNodeFailures(loss), recorder=recorder)
+    try:
+        result = sim.run(dag)
+    except SchedulingError:
+        return  # a task used up its attempts: the one allowed way out
+    events = recorder.trace().events
+    attempts = [attempt for timeline in result.job_timelines.values()
+                for attempt in timeline.attempts]
+    # Every task succeeds once, plus once per loss of its map output (a
+    # job without maps ends after its overhead and runs nothing).
+    reexecuted = Counter(event.task_id for event in events
+                         if event.phase == PHASE_REEXEC)
+    assert sum(reexecuted.values()) == result.reexecuted_tasks
+    assert Counter(attempt.task.task_id for attempt in attempts
+                   if attempt.status == SUCCESS) == Counter(
+        {task.task_id: 1 + reexecuted[task.task_id]
+         for job in dag if job.map_tasks for task in job.all_tasks()})
+    # No node:slot lane holds two attempts at once.
+    lanes = defaultdict(list)
+    for event in events:
+        if event.slot:
+            lanes[event.slot].append((event.start, event.end))
+    for spans in lanes.values():
+        spans.sort()
+        for (__, end), (start, __) in zip(spans, spans[1:]):
+            assert start >= end
+    # A lost attempt ends when, and where, a node was lost.
+    losses = {(failure.node, failure.at) for failure in result.lost_nodes}
+    for attempt in attempts:
+        if attempt.status == LOST:
+            assert (attempt.node, attempt.end) in losses
+    if not speculative:
+        assert result.count_attempts(KILLED) == 0
+
+
+@given(**IN_FLIGHT_CASE)
+@settings(max_examples=60, deadline=None)
+def test_in_flight_bookkeeping_under_every_fault(**case):
+    check_in_flight_bookkeeping(**case)
+
+
+@pytest.mark.slow
+@given(**IN_FLIGHT_CASE)
+@settings(max_examples=3000, deadline=None)
+def test_in_flight_bookkeeping_under_every_fault_many(**case):
+    check_in_flight_bookkeeping(**case)

@@ -213,11 +213,6 @@ class TestInvariants:
         with pytest.raises(SchedulingError):
             ClusterSimulator(spec(), BadModel()).run(dag)
 
-    def test_total_task_seconds(self):
-        dag = JobDag([map_only("a", 6)])
-        result = ClusterSimulator(spec(), FixedTimeModel(2.0)).run(dag)
-        assert result.total_task_seconds() == pytest.approx(12.0)
-
     def test_unknown_job_lookup(self):
         dag = JobDag([map_only("a", 1)])
         result = ClusterSimulator(spec(), FixedTimeModel(1.0)).run(dag)
