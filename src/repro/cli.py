@@ -64,7 +64,10 @@ the same way: ``--scenario``/``--chaos-seed`` (failure injection),
 ``--workers``/``--backend`` (executor threads and backend, on ``trace``
 and ``profile`` only), ``--instance``/``--nodes``/``--slots`` (cluster
 shape), the ``WORKLOAD``/``--scale`` pair, and ``--json``
-(machine-readable output) which **every** subcommand honors.
+(machine-readable output) which **every** subcommand honors: under
+``--json`` stdout is exactly one JSON document, and a command that
+writes files (``--out``, ``--trace-out``, ``--metrics-out``) names them
+in its ``wrote`` object.
 
 Workloads are the paper's evaluation programs at preset scales
 (``--scale tiny|small|medium|large``; ``tiny`` is sized for real local
@@ -139,6 +142,15 @@ def emit_json(document, out) -> int:
     """Print ``document`` as pretty JSON (the ``--json`` output path)."""
     print(_json.dumps(document, indent=2, sort_keys=True), file=out)
     return 0
+
+
+def _say_wrote(args, out, kind: str, path: str, text: str) -> None:
+    """Report one written file: ``{"wrote": {kind: path}}`` under
+    ``--json``, else the human-readable ``text``."""
+    if args.json:
+        emit_json({"wrote": {kind: path}}, out)
+    else:
+        print(text, file=out)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -385,16 +397,17 @@ def cmd_trace(args, out) -> int:
         document = "\n\n".join(explain_trace(trace) for trace in traces)
     if args.out:
         _write_out(args.out, document)
-        print(f"wrote {args.format} trace ({len(traces)} trace(s)) "
-              f"to {args.out}", file=out)
+        _say_wrote(args, out, "trace", args.out,
+                   f"wrote {args.format} trace ({len(traces)} trace(s)) "
+                   f"to {args.out}")
     else:
         print(document, file=out)
     if diff_text is not None:
-        if args.out or args.format == "summary":
+        if args.format == "summary" or (args.out and not args.json):
             print(diff_text, file=out)
         else:
-            # Keep stdout a valid chrome/csv document; the human-facing
-            # diff report goes to stderr.
+            # Keep stdout a valid chrome/csv/JSON document; the
+            # human-facing diff report goes to stderr.
             print(diff_text, file=sys.stderr)
     return 0
 
@@ -437,7 +450,8 @@ def cmd_profile(args, out) -> int:
         document = f"{header}\n{render_profile(profile, top=args.top)}"
     if args.out:
         _write_out(args.out, document + "\n")
-        print(f"wrote profile to {args.out}", file=out)
+        _say_wrote(args, out, "profile", args.out,
+                   f"wrote profile to {args.out}")
     else:
         print(document, file=out)
     return 0
@@ -480,7 +494,8 @@ def cmd_metrics(args, out) -> int:
         document = render_dashboard(registry)
     if args.out:
         _write_out(args.out, document)
-        print(f"wrote {args.format} metrics to {args.out}", file=out)
+        _say_wrote(args, out, "metrics", args.out,
+                   f"wrote {args.format} metrics to {args.out}")
     else:
         print(document, file=out)
     if cost_meter is not None and not args.json:
@@ -554,6 +569,32 @@ def cmd_chaos(args, out) -> int:
         min_live_nodes=args.min_live_nodes,
         recorder=recorder if recorder is not None else NULL_RECORDER,
         metrics=registry if registry is not None else NULL_METRICS)
+    if not args.json:
+        if searched is not None:
+            print(f"optimizer chose {spec.describe()} "
+                  f"({searched.method} {searched.objective})", file=out)
+        print(report.describe(), file=out)
+    wrote = {}
+    if args.trace_out:
+        _write_out(args.trace_out,
+                   chrome_trace_json([recorder.trace()], indent=2))
+        wrote["trace"] = args.trace_out
+        if not args.json:
+            print(f"wrote chrome trace to {args.trace_out}", file=out)
+    if args.metrics_out:
+        extra = {"workload": args.workload, "scale": args.scale,
+                 "scenario": args.scenario, "seed": args.chaos_seed,
+                 "recovery": args.recovery,
+                 "cluster": spec.describe(),
+                 "completed": report.completed,
+                 "baseline_seconds": report.baseline_seconds,
+                 "makespan_seconds": (report.makespan_seconds
+                                      if report.completed else None)}
+        _write_out(args.metrics_out,
+                   metrics_to_json(registry, indent=2, extra=extra))
+        wrote["metrics"] = args.metrics_out
+        if not args.json:
+            print(f"wrote json metrics to {args.metrics_out}", file=out)
     if args.json:
         payload = {
             "workload": args.workload, "scale": args.scale,
@@ -571,28 +612,9 @@ def cmd_chaos(args, out) -> int:
         }
         if searched is not None:
             payload["search"] = searched.to_dict()
+        if wrote:
+            payload["wrote"] = wrote
         emit_json(payload, out)
-    else:
-        if searched is not None:
-            print(f"optimizer chose {spec.describe()} "
-                  f"({searched.method} {searched.objective})", file=out)
-        print(report.describe(), file=out)
-    if args.trace_out:
-        _write_out(args.trace_out,
-                   chrome_trace_json([recorder.trace()], indent=2))
-        print(f"wrote chrome trace to {args.trace_out}", file=out)
-    if args.metrics_out:
-        extra = {"workload": args.workload, "scale": args.scale,
-                 "scenario": args.scenario, "seed": args.chaos_seed,
-                 "recovery": args.recovery,
-                 "cluster": spec.describe(),
-                 "completed": report.completed,
-                 "baseline_seconds": report.baseline_seconds,
-                 "makespan_seconds": (report.makespan_seconds
-                                      if report.completed else None)}
-        _write_out(args.metrics_out,
-                   metrics_to_json(registry, indent=2, extra=extra))
-        print(f"wrote json metrics to {args.metrics_out}", file=out)
     if args.advise_checkpoint and not args.json:
         advice = advise_checkpoint_interval(
             SpotMarket(), bid_fraction=0.35,

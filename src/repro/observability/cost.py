@@ -88,6 +88,11 @@ class CostMeter:
     def elapsed_seconds(self) -> float:
         return self._last_seconds
 
+    def restore(self, accrued_dollars: float, elapsed_seconds: float) -> None:
+        """Resume at a saved ``accrued_dollars`` and ``elapsed_seconds``."""
+        self._accrued = accrued_dollars
+        self._last_seconds = elapsed_seconds
+
     @property
     def over_budget(self) -> bool:
         return self._budget_flagged

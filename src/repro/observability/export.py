@@ -78,11 +78,6 @@ def chrome_trace_json(traces: Trace | Iterable[Trace],
     )
 
 
-def write_chrome_trace(path: str, traces: Trace | Iterable[Trace]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chrome_trace_json(traces))
-
-
 #: CSV column order.
 CSV_COLUMNS: tuple[str, ...] = ("source",) + SCHEMA_FIELDS + ("duration",)
 
@@ -102,11 +97,6 @@ def to_csv(traces: Trace | Iterable[Trace]) -> str:
                 + [event.duration]
             )
     return buffer.getvalue()
-
-
-def write_csv(path: str, traces: Trace | Iterable[Trace]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_csv(traces))
 
 
 def structural_summary(trace: Trace) -> dict:

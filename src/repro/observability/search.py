@@ -84,7 +84,8 @@ class SearchStats:
         return saved / max(self.sims_executed, 1)
 
     def to_dict(self) -> dict:
-        """JSON-ready form (what ``--search-out`` serializes)."""
+        """JSON-ready form: the ``search_stats`` that ``optimize --json``
+        and ``explain --search --json`` print."""
         return {
             "sim_requests": self.sim_requests,
             "sims_executed": self.sims_executed,

@@ -7,7 +7,17 @@ cancellations, clock advances) to reconstruct the exact schedule, and the
 *effects* (admissions, starts, completions, bills) ride along purely so
 replay can be validated record-for-record against what the event loop
 regenerates.  Recovery is therefore a replay, not a reconciliation — the
-same property PR 5's determinism suite locks for ordinary runs.
+same property the determinism suite locks for ordinary runs.
+
+Who owns what
+-------------
+The service owns its state and its record vocabulary:
+:meth:`JobService.header`, :meth:`JobService.snapshot`,
+:meth:`JobService.restore` and :meth:`JobService.replay` write and read
+them.  This module owns the files: the record framing, the
+:class:`Journal`, the :class:`DurabilityStore` (layout, epochs,
+rotation), :func:`read_store`, the audit, :func:`recover` and the
+digests.
 
 Journal format
 --------------
@@ -56,8 +66,6 @@ drive is :func:`repro.service.loadgen.kill_and_recover`.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import json
 import os
 import signal
@@ -67,13 +75,10 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.cloud.instances import ClusterSpec, get_instance_type
-from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.errors import (
     JournalCorruptionError,
     JournalError,
     RecoveryError,
-    ServiceError,
     ValidationError,
 )
 from repro.observability.metrics import NULL_METRICS
@@ -83,13 +88,10 @@ from repro.observability.trace import (
     STATUS_SUCCESS,
     TraceEvent,
 )
-from repro.service.admission import decision_from_doc
 from repro.service.jobs import (
     COMMAND_EVENTS,
     EFFECT_EVENTS,
     EV_ADMIT,
-    EV_ADVANCE,
-    EV_CANCEL,
     EV_CANCELLED,
     EV_COMPLETE,
     EV_FAILED,
@@ -97,22 +99,14 @@ from repro.service.jobs import (
     EV_RECOVERED,
     EV_REJECT,
     EV_SUBMIT,
-    EV_TENANT,
-    JobRecord,
+    JOURNAL_VERSION,
     JobService,
     STATE_CANCELLED,
     STATE_COMPLETED,
     STATE_FAILED,
     STATE_PENDING,
     STATE_REJECTED,
-    Tenant,
 )
-from repro.workloads.catalog import build_workload
-
-#: Journal schema version (bumped on incompatible record changes).
-#: 2: one ``tick`` per event instant (not per event), digest over the raw
-#: allocation doubles.
-JOURNAL_VERSION = 2
 
 #: Bytes of framing per record: 4-byte length + 4-byte CRC32, big-endian.
 HEADER_STRUCT = struct.Struct(">II")
@@ -132,9 +126,6 @@ KILL_AFTER_ENV = "REPRO_JOURNAL_KILL_AFTER"
 #: Crash-hook modes.
 KILL_SIGKILL = "sigkill"     # os.kill(self, SIGKILL): a real crash
 KILL_RAISE = "raise"         # raise JournalKilled: in-process tests
-
-_BILLING_BY_NAME = {"hourly": HourlyBilling, "per-second": PerSecondBilling}
-
 
 class JournalKilled(JournalError):
     """The deterministic crash hook fired in ``raise`` mode."""
@@ -418,9 +409,6 @@ class Journal:
                 "segment_records": self.records_in_segment}
 
 
-# -- snapshots -----------------------------------------------------------------
-
-
 def _write_json_atomic(path: Path, document: dict) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -428,172 +416,6 @@ def _write_json_atomic(path: Path, document: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-
-
-def header_record(service: JobService, epoch: int) -> dict:
-    """The segment header: journal identity plus service configuration."""
-    return {
-        "ev": EV_HEADER,
-        "version": JOURNAL_VERSION,
-        "epoch": epoch,
-        "instance": service.spec.instance_type.name,
-        "nodes": service.spec.num_nodes,
-        "slots_per_node": service.spec.slots_per_node,
-        "policy": service.policy,
-        "tile_size": service.admission.tile_size,
-        "tune_physical": service.admission.tune_physical,
-        "billing": service.billing.name,
-    }
-
-
-#: The :class:`JobRecord` fields a snapshot stores as they are; the
-#: program (by name) and the error (as text) are stored beside them.
-_SNAPSHOT_JOB_FIELDS = (
-    "job_id", "tenant", "submit_at", "order", "state", "tile_size", "source",
-    "cancel_requested", "work_slot_seconds", "remaining_slot_seconds",
-    "max_slots", "estimated_dollars", "reject_reason", "allocated_slots",
-    "started_at", "finished_at", "slot_seconds", "dollars", "missed_deadline")
-
-
-def snapshot_service(service: JobService, epoch: int) -> dict:
-    """Full JSON-able state at a quiescent point (between events)."""
-    jobs = []
-    for record in service.jobs.values():
-        jdoc = {name: getattr(record, name) for name in _SNAPSHOT_JOB_FIELDS}
-        jdoc["program"] = record.program.name
-        jdoc["error"] = (str(record.error) if record.error is not None
-                         else None)
-        jobs.append(jdoc)
-    events = []
-    for at, seq, kind, payload in sorted(service._events):
-        if kind == "complete":
-            events.append({"at": at, "seq": seq, "kind": kind,
-                           "generation": payload})
-        else:
-            events.append({"at": at, "seq": seq, "kind": kind,
-                           "job_id": payload.job_id})
-    return {
-        "ev": "snapshot",
-        "version": JOURNAL_VERSION,
-        "epoch": epoch,
-        "config": header_record(service, epoch),
-        "clock": service.now,
-        "generation": service._generation,
-        "seq_next": _peek_count(service, "_seq"),
-        "order_next": _peek_count(service, "_order"),
-        "cost_accrued": service.cost_meter._accrued,
-        "cost_last_seconds": service.cost_meter._last_seconds,
-        "decisions_priced": service.decisions_priced,
-        "decisions_replayed": service.decisions_replayed,
-        "tenants": [
-            {"name": t.name, "budget_dollars": t.budget_dollars,
-             "deadline_seconds": t.deadline_seconds, "weight": t.weight,
-             "committed_dollars": t.committed_dollars,
-             "slot_seconds": t.slot_seconds}
-            for t in service.tenants.values()
-        ],
-        "jobs": jobs,
-        "running": list(service._running),
-        "events": events,
-    }
-
-
-def _peek_count(service: JobService, attr: str) -> int:
-    """Read an itertools.count's next value without consuming it."""
-    value = next(getattr(service, attr))
-    # The peek consumed the value; re-point the counter at it.
-    setattr(service, attr, itertools.count(value))
-    return value
-
-
-@dataclass
-class RecoveredProgram:
-    """Name-only stand-in for a journaled program without provenance.
-
-    Jobs that finished before the crash never need their program again;
-    a *pending* submission recovered to one of these will fail at
-    admission time — submit with ``source`` provenance (as scripts do)
-    to make programs fully recoverable.
-    """
-
-    name: str
-
-    @property
-    def inputs(self) -> dict:
-        return {}
-
-
-def default_resolver(source: dict | None, name: str):
-    """Rebuild a program from journal provenance (or a placeholder)."""
-    if source and "workload" in source:
-        program, __ = build_workload(source["workload"],
-                                     source.get("scale", "tiny"))
-        return program
-    return RecoveredProgram(name)
-
-
-def restore_service(doc: dict, *,
-                    metrics=NULL_METRICS,
-                    recorder=NULL_RECORDER) -> JobService:
-    """Rebuild a :class:`JobService` from a snapshot (or header) document."""
-    config = doc.get("config", doc)
-    try:
-        spec = ClusterSpec(get_instance_type(config["instance"]),
-                           int(config["nodes"]),
-                           int(config["slots_per_node"]))
-        billing_cls = _BILLING_BY_NAME.get(config.get("billing", "hourly"))
-        if billing_cls is None:
-            raise RecoveryError(
-                f"unknown billing model {config.get('billing')!r} "
-                f"in journal header")
-        service = JobService(
-            spec,
-            policy=config["policy"],
-            tile_size=int(config["tile_size"]),
-            billing=billing_cls(),
-            tune_physical=bool(config["tune_physical"]),
-            metrics=metrics,
-            recorder=recorder,
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise RecoveryError(
-            f"malformed journal header/snapshot config: {error}") from error
-    if doc.get("ev") != "snapshot":
-        return service
-    # Full-state restore: tenants, jobs, the event heap, and the meters.
-    for tdoc in doc["tenants"]:
-        tenant = Tenant(tdoc["name"], budget_dollars=tdoc["budget_dollars"],
-                        deadline_seconds=tdoc["deadline_seconds"],
-                        weight=tdoc["weight"])
-        tenant.committed_dollars = tdoc["committed_dollars"]
-        tenant.slot_seconds = tdoc["slot_seconds"]
-        service._install_tenant(tenant)
-    for jdoc in doc["jobs"]:
-        record = JobRecord(
-            job_id=jdoc["job_id"], tenant=jdoc["tenant"],
-            program=default_resolver(jdoc.get("source"), jdoc["program"]),
-            submit_at=jdoc["submit_at"], order=jdoc["order"])
-        for name in _SNAPSHOT_JOB_FIELDS:
-            setattr(record, name, jdoc[name])
-        if jdoc.get("error") is not None and record.state == STATE_FAILED:
-            record.error = ServiceError(jdoc["error"])
-        service.jobs[record.job_id] = record
-    for job_id in doc["running"]:
-        service._enqueue(service.jobs[job_id])
-    events = []
-    for edoc in doc["events"]:
-        payload = (edoc["generation"] if edoc["kind"] == "complete"
-                   else service.jobs[edoc["job_id"]])
-        events.append((edoc["at"], edoc["seq"], edoc["kind"], payload))
-    heapq.heapify(events)
-    service._events = events
-    service._clock = doc["clock"]
-    service._generation = doc["generation"]
-    service._seq = itertools.count(doc["seq_next"])
-    service._order = itertools.count(doc["order_next"])
-    service.cost_meter._accrued = doc["cost_accrued"]
-    service.cost_meter._last_seconds = doc["cost_last_seconds"]
-    return service
 
 
 # -- the durability store ------------------------------------------------------
@@ -652,7 +474,7 @@ class DurabilityStore:
                 f"recover() it instead of starting fresh")
         self.epoch = 0
         self.journal = self._open_journal()
-        self.journal.append(header_record(service, epoch=0))
+        self.journal.append(service.header(0))
 
     def resume(self, epoch: int, valid_bytes: int,
                rotate_header: dict | None = None) -> None:
@@ -675,13 +497,11 @@ class DurabilityStore:
         if self.journal is None:
             raise JournalError("store has no open journal")
         self.epoch += 1
-        _write_json_atomic(self.snapshot_path,
-                           snapshot_service(service, epoch=self.epoch))
-        self.journal.rotate(header_record(service, epoch=self.epoch))
+        _write_json_atomic(self.snapshot_path, service.snapshot(self.epoch))
+        self.journal.rotate(service.header(self.epoch))
         self.snapshots_taken += 1
         if self.metrics.enabled:
             self.metrics.inc("journal.snapshots")
-
 
 
 # -- recovery ------------------------------------------------------------------
@@ -786,139 +606,101 @@ def recover(directory: str | Path, *,
             strict: bool = False) -> JobService:
     """Reconstruct a journaled :class:`JobService` exactly.
 
-    Reads the directory through :func:`read_store` (``strict=True``
-    refuses to recover past any scan error), then restore → replay →
-    validate/redo → reattach: the snapshot (when present) restores bulk
-    state instantly and the tail's commands are replayed through the
-    real event loop on top.  Journaled admission decisions are installed
-    first, so replay re-prices nothing already decided; journaled
-    *effects* must match the regenerated ones record-for-record, or
-    :class:`RecoveryError`.
-
-    A torn tail (unsynced records lost to the crash) is truncated away
-    and the journal reattached for appending.  The recovered service
-    carries a :class:`RecoveryStats` at ``service.recovery``, emits
-    ``journal.replay_*`` metrics, and (with a recorder) a recovery trace
-    span.
+    :func:`read_store` (``strict=True`` refuses any scan error), then
+    :func:`_restore`, :meth:`JobService.replay` of the tail,
+    :func:`_validate` and :func:`_reattach`.  The recovered service
+    journals on from where the crash stopped and carries a
+    :class:`RecoveryStats` at ``service.recovery``.
     """
     started = time.perf_counter()
     state = read_store(directory, strict=strict)
-    if state.snapshot is None and not state.scan.records:
-        raise RecoveryError(f"nothing to recover in {directory}")
+    service = _restore(state, directory, metrics, recorder)
+    replayed_from = service.now
+    commands, journaled = service.replay(state.tail)
+    redone = _validate(journaled, service.journal)
     store = DurabilityStore(Path(directory), fsync_every=fsync_every,
                             snapshot_every=snapshot_every, metrics=metrics)
-    base = restore_service(state.snapshot or state.scan.records[0],
-                           metrics=metrics, recorder=recorder)
-    epoch = int(state.snapshot["epoch"]) if state.snapshot else None
+    _reattach(service, store, state, redone, commands=commands,
+              effects=len(journaled), started=started,
+              replayed_from=replayed_from)
+    return service
 
-    # Pass 1: collect decisions and terminal outcomes so replay re-prices
-    # nothing and honors pre-crash executor results; keep journaled
-    # effects aside for validation.
-    journaled_effects = []
-    commands = []
-    for record in state.tail:
-        kind = record.get("ev")
-        if kind in (EV_ADMIT, EV_REJECT):
-            base._replay_decisions[record["job_id"]] = \
-                decision_from_doc(record["decision"])
-            journaled_effects.append(record)
-        elif kind in (EV_COMPLETE, EV_FAILED):
-            base._replay_outcomes[record["job_id"]] = (
-                STATE_FAILED if kind == EV_FAILED else STATE_COMPLETED,
-                record.get("error") or "")
-            journaled_effects.append(record)
-        elif kind in EFFECT_EVENTS:
-            journaled_effects.append(record)
-        elif kind in COMMAND_EVENTS:
-            commands.append(record)
-        elif kind in (EV_HEADER, EV_RECOVERED):
-            continue
-        else:
-            raise RecoveryError(f"unknown journal record kind {kind!r}")
-    replay_start_clock = base.now
 
-    # Pass 2: replay the commands through the real event loop.
-    base._replaying = True
-    try:
-        for record in commands:
-            kind = record["ev"]
-            if kind == EV_TENANT:
-                base.add_tenant(record["name"],
-                                budget_dollars=record["budget_dollars"],
-                                deadline_seconds=record["deadline_seconds"],
-                                weight=record["weight"])
-            elif kind == EV_SUBMIT:
-                _catch_up(base, record["clock"])
-                handle = base.submit(
-                    default_resolver(record.get("source"), record["program"]),
-                    tenant=record["tenant"],
-                    submit_at=record["at"],
-                    tile_size=record["tile_size"],
-                    source=record.get("source"))
-                if handle.job_id != record["job_id"]:
-                    raise RecoveryError(
-                        f"replay diverged: regenerated job id "
-                        f"{handle.job_id} != journaled {record['job_id']}")
-            elif kind == EV_CANCEL:
-                _catch_up(base, record["clock"])
-                base.cancel(record["job_id"])
-            elif kind == EV_ADVANCE:
-                base.run_until(record["to"])
-    finally:
-        base._replaying = False
+def _restore(state: StoredState, directory, metrics,
+             recorder) -> JobService:
+    """The service as the snapshot (or, without one, the header) left it.
 
-    prefix = base._replay_effects[:len(journaled_effects)]
-    if journaled_effects != prefix:
-        index = next((i for i, (a, b)
-                      in enumerate(zip(journaled_effects, prefix))
+    It journals into a list until :func:`_reattach`: replay appends what
+    it regenerates there, and :func:`_validate` reads it.
+    """
+    if state.snapshot is None and not state.scan.records:
+        raise RecoveryError(f"nothing to recover in {directory}")
+    service = JobService.restore(state.snapshot or state.scan.records[0],
+                                 metrics=metrics, recorder=recorder)
+    # RecoveryStats counts this recovery's decisions, not the snapshot's.
+    service.decisions_priced = service.decisions_replayed = 0
+    service.journal = []
+    return service
+
+
+def _validate(journaled: list[dict], written: list[dict]) -> list[dict]:
+    """Match the journaled effects against the regenerated ones.
+
+    They must agree record for record, or :class:`RecoveryError`.  A
+    crash inside a ``run_until`` window leaves its ``advance`` durable
+    but only some of its effects; replay re-ran the whole window, and the
+    effects past the journaled ones are returned, to be redone.
+    """
+    regenerated = [record for record in written
+                   if record["ev"] in EFFECT_EVENTS]
+    prefix = regenerated[:len(journaled)]
+    if journaled != prefix:
+        index = next((i for i, (a, b) in enumerate(zip(journaled, prefix))
                       if a != b), len(prefix))
-        journaled = (journaled_effects[index]
-                     if index < len(journaled_effects) else None)
-        regenerated = prefix[index] if index < len(prefix) else None
+        expected = journaled[index] if index < len(journaled) else None
+        got = prefix[index] if index < len(prefix) else None
         raise RecoveryError(
             f"replay diverged at effect #{index}: journaled "
-            f"{journaled!r} vs regenerated {regenerated!r}")
-    # A crash inside a run_until window leaves its ``advance`` durable
-    # but only some of its effects; replay re-ran the whole window.
-    redone = base._replay_effects[len(journaled_effects):]
-    base._replay_effects = []
+            f"{expected!r} vs regenerated {got!r}")
+    return regenerated[len(journaled):]
 
-    # Reattach the (truncated) journal for post-recovery appends, and
-    # write down the effects it had not reached: the journal stays the
-    # full record (audits, a second recovery) of what the service did.
+
+def _reattach(service: JobService, store: DurabilityStore,
+              state: StoredState, redone: list[dict], *, commands: int,
+              effects: int, started: float, replayed_from: float) -> None:
+    """Truncate the torn tail, reopen the journal and write down the rest.
+
+    The redone effects and a ``recovered`` marker keep the journal the
+    full record (audits, a second recovery) of what the service did.
+    """
     scan = state.scan
     truncated = scan.total_bytes - scan.valid_bytes
+    epoch = int(state.snapshot["epoch"]) if state.snapshot else None
     store.resume(epoch or 0, scan.valid_bytes,
                  rotate_header=state.rotate_header)
-    base.attach_durability(store, fresh=False)
+    service.attach_durability(store, fresh=False)
     for effect in redone:
-        base.journal.append(effect)
+        store.journal.append(effect)
     wall = time.perf_counter() - started
-    base._jrec(EV_RECOVERED, clock=base.now,
-               commands=len(commands), truncated_bytes=truncated)
-    base.recovery = RecoveryStats(
-        records_scanned=len(scan.records),
-        commands_replayed=len(commands),
-        effects_validated=len(journaled_effects),
-        decisions_replayed=base.decisions_replayed,
-        decisions_repriced=base.decisions_priced,
-        snapshot_epoch=epoch,
-        truncated_bytes=truncated,
-        scan_error=scan.error,
-        wall_seconds=wall,
-        clock=base.now,
-    )
-    if metrics.enabled:
-        metrics.inc("journal.replay_records", len(scan.records))
-        metrics.inc("journal.replay_commands", len(commands))
-        metrics.observe("journal.replay_seconds", wall)
-    if recorder.enabled:
-        recorder.record(TraceEvent(
+    store.journal.append({"ev": EV_RECOVERED, "clock": service.now,
+                          "commands": commands,
+                          "truncated_bytes": truncated})
+    service.recovery = RecoveryStats(
+        records_scanned=len(scan.records), commands_replayed=commands,
+        effects_validated=effects,
+        decisions_replayed=service.decisions_replayed,
+        decisions_repriced=service.decisions_priced,
+        snapshot_epoch=epoch, truncated_bytes=truncated,
+        scan_error=scan.error, wall_seconds=wall, clock=service.now)
+    if store.metrics.enabled:
+        store.metrics.inc("journal.replay_records", len(scan.records))
+        store.metrics.inc("journal.replay_commands", commands)
+        store.metrics.observe("journal.replay_seconds", wall)
+    if service.recorder.enabled:
+        service.recorder.record(TraceEvent(
             job_id="service", task_id="recovery", phase=PHASE_SPAN,
-            slot=str(store.directory), start=replay_start_clock,
-            end=base.now, status=STATUS_SUCCESS,
-            label=base.recovery.describe()))
-    return base
+            slot=str(store.directory), start=replayed_from, end=service.now,
+            status=STATUS_SUCCESS, label=service.recovery.describe()))
 
 
 def _check_version(doc: dict, what: str) -> None:
@@ -926,18 +708,6 @@ def _check_version(doc: dict, what: str) -> None:
         raise RecoveryError(
             f"{what} version {doc.get('version')!r} is not "
             f"{JOURNAL_VERSION}")
-
-
-def _catch_up(service: JobService, clock: float) -> None:
-    """Bring a replaying service to the clock a command was issued at.
-
-    Only ever forwards.  At the instant the service is already at there
-    is nothing to catch up on, and running the loop anyway would admit
-    the earlier commands of a same-instant batch one by one, where the
-    live run admitted the whole batch under one re-allocation.
-    """
-    if clock > service.now:
-        service.run_until(clock)
 
 
 # -- digests ------------------------------------------------------------------

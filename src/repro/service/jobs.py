@@ -32,15 +32,19 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.cloud.instances import ClusterSpec
-from repro.cloud.pricing import DEFAULT_BILLING, BillingModel
+from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.pricing import (
+    DEFAULT_BILLING,
+    BillingModel,
+    HourlyBilling,
+    PerSecondBilling,
+)
 from repro.core.benchmarking import HardwareCoefficients
 from repro.core.evalcache import EvalCache
 from repro.core.executor import CumulonExecutor, ExecutionResult
@@ -49,6 +53,7 @@ from repro.core.program import Program
 from repro.errors import (
     AdmissionRejectedError,
     JobCancelledError,
+    RecoveryError,
     ServiceError,
     UnknownJobError,
     ValidationError,
@@ -68,7 +73,11 @@ from repro.observability.trace import (
     TraceEvent,
     TraceRecorder,
 )
-from repro.service.admission import AdmissionController, decision_to_doc
+from repro.service.admission import (
+    AdmissionController,
+    decision_from_doc,
+    decision_to_doc,
+)
 from repro.service.scheduler import (
     EPSILON,
     POLICIES,
@@ -77,6 +86,7 @@ from repro.service.scheduler import (
     SlotRequest,
     jain_fairness,
 )
+from repro.workloads.catalog import build_workload
 
 #: Job lifecycle states.
 STATE_PENDING = "pending"      # submitted, not yet reached by the clock
@@ -88,10 +98,15 @@ STATE_FAILED = "failed"        # real execution raised
 JOB_STATES = (STATE_PENDING, STATE_RUNNING, STATE_COMPLETED,
               STATE_REJECTED, STATE_CANCELLED, STATE_FAILED)
 
+#: Journal schema version (bumped on incompatible record changes).
+#: 2: one ``tick`` per event instant (not per event), digest over the raw
+#: allocation doubles.
+JOURNAL_VERSION = 2
+
 #: Journal event kinds — *commands* are external inputs replayed verbatim
-#: during recovery; *effects* are what the deterministic event loop derives
-#: from them, journaled so replay can be validated record-for-record
-#: (see :mod:`repro.service.durability`).
+#: during recovery (:meth:`JobService.replay`); *effects* are what the
+#: deterministic event loop derives from them, journaled so replay can be
+#: validated record-for-record (see :mod:`repro.service.durability`).
 EV_HEADER = "header"          # journal segment header (config + epoch)
 EV_TENANT = "tenant"          # command: add_tenant
 EV_SUBMIT = "submit"          # command: submit
@@ -111,6 +126,17 @@ EFFECT_EVENTS = frozenset((EV_ADMIT, EV_REJECT, EV_START, EV_COMPLETE,
 
 #: Remaining slot-seconds below this count as done (float drift guard).
 _WORK_EPSILON = 1e-6
+
+#: Billing models a journal header may name.
+_BILLING_BY_NAME = {"hourly": HourlyBilling, "per-second": PerSecondBilling}
+
+#: The :class:`JobRecord` fields a snapshot stores as they are; the
+#: program (by name) and the error (as text) are stored beside them.
+_SNAPSHOT_JOB_FIELDS = (
+    "job_id", "tenant", "submit_at", "order", "state", "tile_size", "source",
+    "cancel_requested", "work_slot_seconds", "remaining_slot_seconds",
+    "max_slots", "estimated_dollars", "reject_reason", "allocated_slots",
+    "started_at", "finished_at", "slot_seconds", "dollars", "missed_deadline")
 
 
 @dataclass
@@ -226,6 +252,32 @@ class JobResult:
         return self.finished_at - self.submitted_at
 
 
+@dataclass
+class RecoveredProgram:
+    """Name-only stand-in for a journaled program without provenance.
+
+    Jobs that finished before the crash never need their program again;
+    a *pending* submission recovered to one of these will fail at
+    admission time — submit with ``source`` provenance (as scripts do)
+    to make programs fully recoverable.
+    """
+
+    name: str
+
+    @property
+    def inputs(self) -> dict:
+        return {}
+
+
+def default_resolver(source: dict | None, name: str):
+    """Rebuild a program from journal provenance (or a placeholder)."""
+    if source and "workload" in source:
+        program, __ = build_workload(source["workload"],
+                                     source.get("scale", "tiny"))
+        return program
+    return RecoveredProgram(name)
+
+
 class JobHandle:
     """A tenant's view of one submission: status, result, cancel."""
 
@@ -302,8 +354,9 @@ class JobService:
         self.jobs: dict[str, JobRecord] = {}
         self._clock = 0.0
         self._events: list[tuple[float, int, str, object]] = []
-        self._seq = itertools.count()
-        self._order = itertools.count()
+        #: Next event tie-breaker and next job number.
+        self._seq = 0
+        self._order = 0
         self._generation = 0
         #: Admitted, unfinished jobs by id, in admission order.
         self._running: dict[str, JobRecord] = {}
@@ -316,21 +369,18 @@ class JobService:
         #: (the socket server delivers results from this, not by polling).
         self.on_terminal: Callable[[str], None] | None = None
         # -- durability state (attached by repro.service.durability) -----------
-        #: The write-ahead journal, when durability is attached.
+        #: Where records go: the write-ahead journal when durability is
+        #: attached, a plain list while recovery replays, else None.
         self.journal = None
         self._store = None
         self._snapshot_every = 0
-        #: True while recover() replays journal commands: journaling is
-        #: suppressed and regenerated effects are collected for validation.
-        self._replaying = False
         #: Journaled admission decisions by job_id; consulted before pricing
-        #: so recovery re-prices nothing already decided.
+        #: so replay re-prices nothing already decided.
         self._replay_decisions: dict[str, object] = {}
         #: Journaled terminal outcomes (state, error message) by job_id so a
         #: replayed completion honors the pre-crash result without re-running
         #: the executor.
         self._replay_outcomes: dict[str, tuple[str, str]] = {}
-        self._replay_effects: list[dict] = []
         #: Admission accounting: fresh pricings vs journal-replayed decisions.
         self.decisions_priced = 0
         self.decisions_replayed = 0
@@ -358,27 +408,183 @@ class JobService:
         if self.journal is not None:
             self.journal.close()
 
-    @property
-    def _jlogging(self) -> bool:
-        """Whether effect records are worth building at all."""
-        return self.journal is not None or self._replaying
-
     def _jrec(self, kind: str, **fields_) -> None:
-        """Journal one record — or, during replay, collect the effect."""
-        record = {"ev": kind}
-        record.update(fields_)
-        if self._replaying:
-            if kind in EFFECT_EVENTS:
-                self._replay_effects.append(record)
-            return
+        """Journal one record (when a journal is attached)."""
         if self.journal is not None:
-            self.journal.append(record)
+            self.journal.append({"ev": kind, **fields_})
 
     def _maybe_snapshot(self) -> None:
         if (self._store is not None and self._snapshot_every > 0
-                and not self._replaying and self.journal is not None
                 and self.journal.records_in_segment >= self._snapshot_every):
             self._store.snapshot(self)
+
+    # -- state: header, snapshot, restore, replay ----------------------------
+
+    def header(self, epoch: int) -> dict:
+        """A journal segment header: schema version, epoch, configuration."""
+        return {
+            "ev": EV_HEADER,
+            "version": JOURNAL_VERSION,
+            "epoch": epoch,
+            "instance": self.spec.instance_type.name,
+            "nodes": self.spec.num_nodes,
+            "slots_per_node": self.spec.slots_per_node,
+            "policy": self.policy,
+            "tile_size": self.admission.tile_size,
+            "tune_physical": self.admission.tune_physical,
+            "billing": self.billing.name,
+        }
+
+    def snapshot(self, epoch: int) -> dict:
+        """Full JSON-able state at a quiescent point (between events)."""
+        jobs = []
+        for record in self.jobs.values():
+            jdoc = {name: getattr(record, name)
+                    for name in _SNAPSHOT_JOB_FIELDS}
+            jdoc["program"] = record.program.name
+            jdoc["error"] = (str(record.error) if record.error is not None
+                             else None)
+            jobs.append(jdoc)
+        events = []
+        for at, seq, kind, payload in sorted(self._events):
+            if kind == "complete":
+                events.append({"at": at, "seq": seq, "kind": kind,
+                               "generation": payload})
+            else:
+                events.append({"at": at, "seq": seq, "kind": kind,
+                               "job_id": payload.job_id})
+        return {
+            "ev": "snapshot",
+            "version": JOURNAL_VERSION,
+            "epoch": epoch,
+            "config": self.header(epoch),
+            "clock": self._clock,
+            "generation": self._generation,
+            "seq_next": self._seq,
+            "order_next": self._order,
+            "cost_accrued": self.cost_meter.accrued_dollars,
+            "cost_last_seconds": self.cost_meter.elapsed_seconds,
+            "decisions_priced": self.decisions_priced,
+            "decisions_replayed": self.decisions_replayed,
+            "tenants": [asdict(tenant) for tenant in self.tenants.values()],
+            "jobs": jobs,
+            "running": list(self._running),
+            "events": events,
+        }
+
+    @classmethod
+    def restore(cls, doc: dict, *, metrics: MetricsRegistry = NULL_METRICS,
+                recorder: TraceRecorder = NULL_RECORDER) -> "JobService":
+        """Rebuild a service from a :meth:`snapshot` (or :meth:`header`)."""
+        config = doc.get("config", doc)
+        try:
+            spec = ClusterSpec(get_instance_type(config["instance"]),
+                               int(config["nodes"]),
+                               int(config["slots_per_node"]))
+            billing_cls = _BILLING_BY_NAME.get(config.get("billing",
+                                                          "hourly"))
+            if billing_cls is None:
+                raise RecoveryError(
+                    f"unknown billing model {config.get('billing')!r} "
+                    f"in journal header")
+            service = cls(spec, policy=config["policy"],
+                          tile_size=int(config["tile_size"]),
+                          billing=billing_cls(),
+                          tune_physical=bool(config["tune_physical"]),
+                          metrics=metrics, recorder=recorder)
+        except (KeyError, TypeError, ValueError) as error:
+            raise RecoveryError(
+                f"malformed journal header/snapshot config: {error}") from error
+        if doc.get("ev") == "snapshot":
+            service._load(doc)
+        return service
+
+    def _load(self, doc: dict) -> None:
+        """Install a snapshot's tenants, jobs, event heap and meters."""
+        for tdoc in doc["tenants"]:
+            self._install_tenant(Tenant(**tdoc))
+        for jdoc in doc["jobs"]:
+            record = JobRecord(
+                job_id=jdoc["job_id"], tenant=jdoc["tenant"],
+                program=default_resolver(jdoc.get("source"), jdoc["program"]),
+                submit_at=jdoc["submit_at"], order=jdoc["order"])
+            for name in _SNAPSHOT_JOB_FIELDS:
+                setattr(record, name, jdoc[name])
+            if jdoc.get("error") is not None and record.state == STATE_FAILED:
+                record.error = ServiceError(jdoc["error"])
+            self.jobs[record.job_id] = record
+        for job_id in doc["running"]:
+            self._enqueue(self.jobs[job_id])
+        events = []
+        for edoc in doc["events"]:
+            payload = (edoc["generation"] if edoc["kind"] == "complete"
+                       else self.jobs[edoc["job_id"]])
+            events.append((edoc["at"], edoc["seq"], edoc["kind"], payload))
+        heapq.heapify(events)
+        self._events = events
+        self._clock = doc["clock"]
+        self._generation = doc["generation"]
+        self._seq = doc["seq_next"]
+        self._order = doc["order_next"]
+        self.cost_meter.restore(doc["cost_accrued"], doc["cost_last_seconds"])
+        self.decisions_priced = doc["decisions_priced"]
+        self.decisions_replayed = doc["decisions_replayed"]
+
+    def replay(self, tail: list[dict]) -> tuple[int, list[dict]]:
+        """Re-issue a journal tail's commands through the event loop.
+
+        The tail's admission decisions and terminal outcomes are handed
+        over first, so replay prices nothing already decided and re-runs
+        no finished job.  Returns how many commands were replayed and the
+        tail's journaled effects.  What replay regenerates goes to
+        :attr:`journal` like any record; recovery attaches a list there
+        and compares the two.
+        """
+        commands, effects = [], []
+        for record in tail:
+            kind = record.get("ev")
+            if kind in COMMAND_EVENTS:
+                commands.append(record)
+            elif kind in EFFECT_EVENTS:
+                effects.append(record)
+                if kind in (EV_ADMIT, EV_REJECT):
+                    self._replay_decisions[record["job_id"]] = \
+                        decision_from_doc(record["decision"])
+                elif kind in (EV_COMPLETE, EV_FAILED):
+                    self._replay_outcomes[record["job_id"]] = (
+                        STATE_FAILED if kind == EV_FAILED else STATE_COMPLETED,
+                        record.get("error") or "")
+            elif kind not in (EV_HEADER, EV_RECOVERED):
+                raise RecoveryError(f"unknown journal record kind {kind!r}")
+        for record in commands:
+            kind = record["ev"]
+            if kind == EV_TENANT:
+                self.add_tenant(record["name"],
+                                budget_dollars=record["budget_dollars"],
+                                deadline_seconds=record["deadline_seconds"],
+                                weight=record["weight"])
+                continue
+            if kind == EV_ADVANCE:
+                self.run_until(record["to"])
+                continue
+            # Catch up to the clock the command was issued at.  Only ever
+            # forwards: at the current instant, running the loop would admit
+            # a same-instant batch's earlier commands one by one, where the
+            # live run admitted the whole batch under one re-allocation.
+            if record["clock"] > self._clock:
+                self.run_until(record["clock"])
+            if kind == EV_CANCEL:
+                self.cancel(record["job_id"])
+                continue
+            handle = self.submit(
+                default_resolver(record.get("source"), record["program"]),
+                tenant=record["tenant"], submit_at=record["at"],
+                tile_size=record["tile_size"], source=record.get("source"))
+            if handle.job_id != record["job_id"]:
+                raise RecoveryError(
+                    f"replay diverged: regenerated job id "
+                    f"{handle.job_id} != journaled {record['job_id']}")
+        return len(commands), effects
 
     # -- tenancy ---------------------------------------------------------------
 
@@ -434,9 +640,11 @@ class JobService:
         if at < self._clock:
             raise ValidationError(
                 f"submit_at {at} is in the past (clock is {self._clock})")
-        job_id = f"{owner.name}-j{next(self._order):04d}"
+        order = self._order
+        self._order += 1
+        job_id = f"{owner.name}-j{order:04d}"
         record = JobRecord(job_id=job_id, tenant=owner.name, program=program,
-                           submit_at=at, order=int(job_id.split("j")[-1]),
+                           submit_at=at, order=order,
                            inputs=inputs, tile_size=tile_size, source=source)
         self._jrec(EV_SUBMIT, clock=self._clock, at=at, job_id=job_id,
                    tenant=owner.name, program=program.name,
@@ -555,7 +763,8 @@ class JobService:
             raise UnknownJobError(f"unknown job {job_id!r}") from None
 
     def _push(self, at: float, kind: str, payload: object) -> None:
-        heapq.heappush(self._events, (at, next(self._seq), kind, payload))
+        heapq.heappush(self._events, (at, self._seq, kind, payload))
+        self._seq += 1
 
     def _advance_to(self, at: float) -> None:
         """Drain running jobs' work across ``[clock, at]``; move the clock."""
@@ -596,7 +805,7 @@ class JobService:
             self.decisions_priced += 1
         else:
             self.decisions_replayed += 1
-        if self._jlogging:
+        if self.journal is not None:
             self._jrec(EV_REJECT if not decision.admitted else EV_ADMIT,
                        clock=self._clock, job_id=record.job_id,
                        decision=decision_to_doc(decision))
@@ -652,7 +861,7 @@ class JobService:
         record.state = STATE_CANCELLED
         record.finished_at = self._clock
         record.dollars = record.slot_seconds * rate
-        if self._jlogging:
+        if self.journal is not None:
             self._jrec(EV_CANCELLED, clock=self._clock,
                        job_id=record.job_id,
                        slot_seconds=record.slot_seconds,
@@ -702,7 +911,7 @@ class JobService:
                 status = STATUS_FAILED
         if record.state != STATE_FAILED:
             record.state = STATE_COMPLETED
-        if self._jlogging:
+        if self.journal is not None:
             failed = record.state == STATE_FAILED
             self._jrec(EV_FAILED if failed else EV_COMPLETE,
                        clock=self._clock, job_id=record.job_id,
@@ -747,7 +956,7 @@ class JobService:
         allocation = self._queues.allocate()
         self._generation += 1
         clock = self._clock
-        journaling = self._jlogging
+        journaling = self.journal is not None
         queued = 0
         next_finish: float | None = None
         for record in self._running.values():

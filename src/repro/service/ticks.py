@@ -1,18 +1,16 @@
-"""Tick drivers: one clock abstraction for virtual and wall-clock modes.
+"""The wall-clock tick driver: real time paces the virtual clock.
 
 The :class:`~repro.service.jobs.JobService` event loop is driven by
 ``run_until(t)`` on a *virtual* clock — deterministic, replayable, and
-as fast as the CPU can pop events.  The wall-clock server
-(:mod:`repro.service.server`) needs the same loop paced by real time.
-Rather than fork jobs.py, both modes share it through a tiny driver:
-
-* :class:`VirtualClockDriver` — ``advance()`` is a passthrough to
-  ``run_until``; scripts and tests use it implicitly.
-* :class:`WallClockDriver` — maps monotonic wall time onto the virtual
-  axis via ``time_scale`` (virtual seconds per wall second) and advances
-  the service to "whatever virtual instant corresponds to now" each
-  tick.  With ``time_scale=60`` one real second simulates a minute of
-  cluster time, so a load test covers hours of billing in minutes.
+as fast as the CPU can pop events; scripts and tests call it directly.
+The wall-clock server (:mod:`repro.service.server`) needs the same loop
+paced by real time.  Rather than fork jobs.py, it drives the loop
+through :class:`WallClockDriver`, which maps monotonic wall time onto
+the virtual axis via ``time_scale`` (virtual seconds per wall second)
+and advances the service to "whatever virtual instant corresponds to
+now" each tick.  With ``time_scale=60`` one real second simulates a
+minute of cluster time, so a load test covers hours of billing in
+minutes.
 
 The mapping is anchored once, at construction (or :meth:`rebase`, after
 recovery): ``virtual(t) = origin_virtual + (t - origin_wall) *
@@ -29,28 +27,6 @@ from repro.errors import ValidationError
 from repro.service.jobs import JobService
 
 
-class VirtualClockDriver:
-    """Drive the service on its own virtual clock (the default mode)."""
-
-    #: Mode tag, surfaced in status frames and reports.
-    mode = "virtual"
-
-    def __init__(self, service: JobService):
-        self.service = service
-
-    def now_virtual(self) -> float:
-        """The service's current virtual time."""
-        return self.service.now
-
-    def advance(self, to: float | None = None) -> float:
-        """Run the event loop to ``to`` (default: drain everything)."""
-        if to is None:
-            self.service.drain()
-        else:
-            self.service.run_until(to)
-        return self.service.now
-
-
 class WallClockDriver:
     """Pace the service's virtual clock against real (monotonic) time.
 
@@ -60,6 +36,7 @@ class WallClockDriver:
     production uses :func:`time.monotonic`.
     """
 
+    #: Mode tag, surfaced in status frames and reports.
     mode = "wall"
 
     def __init__(self, service: JobService, time_scale: float = 1.0,

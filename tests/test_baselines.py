@@ -1,9 +1,8 @@
-"""Unit tests for the SystemML-style and naive baselines."""
+"""Unit tests for the SystemML-style baselines."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.naive import plan_single_node
 from repro.baselines.systemml import plan_best_systemml, plan_cpmm, plan_rmm
 from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.core.costmodel import CumulonCostModel
@@ -157,35 +156,3 @@ class TestPerformanceComparison:
         right = Operand(virtual_info("B", 8192, 512, 512))
         chosen = plan_best_systemml(left, right, "C", context)
         assert chosen.strategy == "RMM"
-
-
-class TestSingleNode:
-    def test_one_task(self):
-        dag, output = plan_single_node(Operand(virtual_info("A")),
-                                       Operand(virtual_info("B")), "C",
-                                       PhysicalContext(1024))
-        jobs = list(dag)
-        assert len(jobs) == 1
-        assert len(jobs[0].map_tasks) == 1
-
-    def test_cluster_beats_single_node_at_scale(self):
-        context = PhysicalContext(1024)
-        left = Operand(virtual_info("A", 16384, 16384))
-        right = Operand(virtual_info("B", 16384, 16384))
-        single_dag, __ = plan_single_node(left, right, "C", context)
-        model = CumulonCostModel()
-        single = simulate_program(
-            single_dag, ClusterSpec(get_instance_type("m2.4xlarge"), 1, 1),
-            model).seconds
-        cluster_jobs = build_matmul_jobs("c", left, right, "C", context,
-                                         MatMulParams(2, 2, 1))
-        cluster = simulate_program(
-            JobDag(cluster_jobs.jobs()),
-            ClusterSpec(get_instance_type("c1.xlarge"), 16, 8), model).seconds
-        assert cluster < single
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            plan_single_node(Operand(virtual_info("A", 8, 4, 4)),
-                             Operand(virtual_info("B", 8, 4, 4)), "C",
-                             PhysicalContext(4))

@@ -153,7 +153,7 @@ class TestProfile:
         code, text = run_cli("profile", "multiply", "--scale", "tiny",
                              "--json", "--out", str(target))
         assert code == 0
-        assert "wrote profile to" in text
+        assert json.loads(text) == {"wrote": {"profile": str(target)}}
         assert json.loads(target.read_text(encoding="utf-8"))["lanes"]
 
 
@@ -249,6 +249,33 @@ class TestUnwritableOut:
         assert error.startswith("error: cannot write ")
         assert str(target) in error
         assert not target.parent.exists()
+
+
+class TestJsonStdoutNamesWrittenFiles:
+    """Under ``--json`` stdout is one JSON document, also when a command
+    writes files; the document names every file written."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("trace", "multiply", "--scale", "tiny"), ("--out",)),
+        (("trace", "multiply", "--scale", "tiny", "--diff"), ("--out",)),
+        (("metrics", "multiply", "--scale", "tiny"), ("--out",)),
+        (("profile", "multiply", "--scale", "tiny"), ("--out",)),
+        (("chaos", "multiply", "--scale", "tiny", "--scenario",
+          "node-crash"), ("--trace-out",)),
+        (("chaos", "multiply", "--scale", "tiny", "--scenario",
+          "node-crash"), ("--trace-out", "--metrics-out")),
+    ], ids=["trace", "trace-diff", "metrics", "profile", "chaos-trace",
+            "chaos-trace-metrics"])
+    def test_stdout_is_one_json_document(self, argv, flags, tmp_path):
+        paths = [str(tmp_path / f"file{index}")
+                 for index in range(len(flags))]
+        pairs = [item for pair in zip(flags, paths) for item in pair]
+        code, text = run_cli(*argv, "--json", *pairs)
+        assert code == 0
+        document = json.loads(text)
+        assert sorted(document["wrote"].values()) == sorted(paths)
+        for path in paths:
+            assert json.loads(open(path, encoding="utf-8").read())
 
 
 class TestExplainSearchFlag:

@@ -704,7 +704,7 @@ class TestRealSigkill:
 
 class TestRestoreEdgeCases:
     def test_unknown_billing_model_refused(self, tmp_path):
-        from repro.service.durability import restore_service
+        restore_service = JobService.restore
         with pytest.raises(RecoveryError):
             restore_service({"instance": "c1.medium", "nodes": 2,
                              "slots_per_node": 2, "policy": "fair",
@@ -712,15 +712,12 @@ class TestRestoreEdgeCases:
                              "billing": "per-photon"})
 
     def test_malformed_header_refused(self):
-        from repro.service.durability import restore_service
+        restore_service = JobService.restore
         with pytest.raises(RecoveryError):
             restore_service({"instance": "c1.medium"})
 
     def test_default_resolver_rebuilds_from_provenance(self):
-        from repro.service.durability import (
-            RecoveredProgram,
-            default_resolver,
-        )
+        from repro.service.jobs import RecoveredProgram, default_resolver
         program = default_resolver(
             {"workload": "multiply", "scale": "tiny"}, "whatever")
         reference, __ = build_workload("multiply", "tiny")

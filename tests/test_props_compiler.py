@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import systemml
-from repro.baselines.naive import plan_single_node
 from repro.baselines.systemml import plan_cpmm, plan_rmm
 from repro.baselines.systemml_program import compile_systemml_program
 from repro.core import compiler, physical
@@ -351,10 +350,6 @@ def inner_width(left, tile_row, k):
     return rows if left.transposed else cols
 
 
-def per_tile_total(info):
-    return sum(info.tile_bytes(row, col) for row, col in info.grid.positions())
-
-
 @contextmanager
 def baselines_checked():
     """Compare the reduce tasks of every RMM and CPMM plan with their
@@ -391,12 +386,6 @@ def test_baseline_work_matches_per_tile_oracle(pair):
         systemml.plan_rmm(left, right, "C", context)
         systemml.plan_cpmm(left, right, "C", context)
     assert len(checked) == 2
-    dag, output = plan_single_node(left, right, "C", context)
-    (task,) = dag.topological_order()[0].map_tasks
-    read = per_tile_total(left.info) + per_tile_total(right.info)
-    assert (task.work.bytes_read, task.work.bytes_written,
-            task.work.memory_bytes) == (read, per_tile_total(output),
-                                        read + per_tile_total(output))
 
 
 @given(program=ragged_program(), tile=st.integers(2, 9))

@@ -34,10 +34,12 @@ PROGRAMS = [build_workload(name, "tiny")
             for name in ("multiply", "rsvd", "pagerank", "gnmf")]
 
 
-def new_service(policy, nodes, weights, **extra):
+def new_service(policy, nodes, weights, store=None, **extra):
     service = JobService(
         ClusterSpec(get_instance_type("m1.large"), nodes, 2),
         policy=policy, tune_physical=False, **extra)
+    if store is not None:
+        service.attach_durability(store)
     for index, weight in enumerate(weights):
         # One tenant can afford little, so some bursts carry rejections.
         service.add_tenant(f"t{index}", weight=weight,

@@ -31,7 +31,7 @@ from repro.service.loadgen import (
     run_loadtest,
 )
 from repro.service.server import ReproServer, parse_listen
-from repro.service.ticks import VirtualClockDriver, WallClockDriver
+from repro.service.ticks import WallClockDriver
 from repro.workloads.catalog import build_workload
 
 
@@ -76,14 +76,6 @@ class TestParseListen:
 
 
 class TestTickDrivers:
-    def test_virtual_driver_passthrough(self):
-        service = make_service()
-        driver = VirtualClockDriver(service)
-        assert driver.mode == "virtual"
-        driver.advance(5.0)
-        assert service.now == 5.0
-        assert driver.now_virtual() == 5.0
-
     def test_wall_driver_maps_time_scale(self):
         service = make_service()
         clock = FakeClock(100.0)
