@@ -9,10 +9,10 @@ anything:
 * jobs whose tasks are dominated by fixed startup overhead;
 * MapReduce jobs whose shuffle volume dwarfs their input.
 
-It also bridges :mod:`repro.core.checkpoint` and :mod:`repro.cloud.spot`:
-:func:`advise_checkpoint_interval` turns a seeded spot-market price path
-into a revocation rate and a Young/Daly checkpoint interval, so an
-iterative program knows how often to snapshot before bidding on spot.
+It also reads :mod:`repro.cloud.spot`: :func:`advise_checkpoint_interval`
+turns a seeded spot-market price path into a revocation rate and a
+Young/Daly checkpoint interval, so an iterative program knows how often to
+snapshot before bidding on spot.
 """
 
 from __future__ import annotations

@@ -194,7 +194,6 @@ class ChaosReport:
 def run_chaos(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
               scenario: str, seed: int = 0,
               recovery: str = RECOVERY_RESUME,
-              with_hdfs: bool = True,
               input_files: dict[str, int] | None = None,
               min_live_nodes: int = 1,
               billing: BillingModel | None = None,
@@ -226,7 +225,7 @@ def run_chaos(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
         return _restart_analysis(dag, spec, model, node_failures, billing,
                                  report)
 
-    namenode = build_hdfs(spec, input_files) if with_hdfs else None
+    namenode = build_hdfs(spec, input_files)
     try:
         estimate = simulate_program(
             dag, spec, model, recorder=recorder, metrics=metrics,

@@ -17,13 +17,7 @@ from repro.core.compiler import CompiledProgram, CompilerParams, compile_program
 from repro.core.physical import PhysicalContext
 from repro.core.program import Program
 from repro.errors import ExecutionError, ValidationError
-from repro.hadoop.local import (
-    BACKEND_THREAD,
-    FaultInjector,
-    LocalExecutor,
-    LocalRunReport,
-    RetryPolicy,
-)
+from repro.hadoop.local import BACKEND_THREAD, LocalExecutor, LocalRunReport
 from repro.matrix.tiled import DEFAULT_TILE_SIZE, DenseBacking, TileBacking, TiledMatrix
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.trace import NULL_RECORDER, Trace, TraceRecorder
@@ -56,8 +50,6 @@ class CumulonExecutor:
                  backing: TileBacking | None = None,
                  recorder: TraceRecorder = NULL_RECORDER,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 retry_policy: RetryPolicy | None = None,
-                 fault_injector: FaultInjector | None = None,
                  backend: str = BACKEND_THREAD):
         self.tile_size = tile_size
         self.max_workers = max_workers
@@ -67,8 +59,6 @@ class CumulonExecutor:
         self.backing = backing if backing is not None else DenseBacking()
         self.recorder = recorder
         self.metrics = metrics
-        self.retry_policy = retry_policy
-        self.fault_injector = fault_injector
         self._local: LocalExecutor | None = None
 
     def _local_executor(self) -> LocalExecutor:
@@ -78,8 +68,6 @@ class CumulonExecutor:
             self._local = LocalExecutor(max_workers=self.max_workers,
                                         recorder=self.recorder,
                                         metrics=self.metrics,
-                                        retry_policy=self.retry_policy,
-                                        fault_injector=self.fault_injector,
                                         backend=self.backend)
         return self._local
 

@@ -39,7 +39,7 @@ from repro.cloud.spot import SpotMarket
 from repro.cloud.provisioning import DEFAULT_STARTUP_SECONDS
 from repro.core.benchmarking import HardwareCoefficients
 from repro.core.compiler import CompiledProgram, CompilerParams, compile_program
-from repro.core.costmodel import CostModelConfig, CumulonCostModel
+from repro.core.costmodel import CumulonCostModel
 from repro.core.evalcache import EvalCache
 from repro.core.physical import ElementwiseParams, MatMulParams, PhysicalContext
 from repro.core.plans import DeploymentPlan, skyline
@@ -256,7 +256,6 @@ class DeploymentOptimizer:
 
     def __init__(self, program: Program, tile_size: int,
                  coefficients: HardwareCoefficients | None = None,
-                 cost_config: CostModelConfig | None = None,
                  billing: BillingModel | None = None,
                  startup_seconds: float = DEFAULT_STARTUP_SECONDS,
                  locality_aware: bool = True,
@@ -272,7 +271,7 @@ class DeploymentOptimizer:
                 f"candidates are priced sequentially")
         self.program = program
         self.tile_size = tile_size
-        self.model = CumulonCostModel(coefficients, cost_config)
+        self.model = CumulonCostModel(coefficients)
         self.billing = billing if billing is not None else DEFAULT_BILLING
         self.startup_seconds = startup_seconds
         self.locality_aware = locality_aware

@@ -36,13 +36,8 @@ from repro.hdfs.tilestore import TileStore
 from repro.ingest.loader import ingest_array as _ingest_array
 from repro.ingest.loader import ingest_csv as _ingest_csv
 from repro.matrix.tiled import TiledMatrix
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
-from repro.observability.trace import (
-    NULL_RECORDER,
-    SOURCE_ACTUAL,
-    InMemoryRecorder,
-    Trace,
-)
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import SOURCE_ACTUAL, InMemoryRecorder, Trace
 
 #: The tenant name a session registers for itself on its private service.
 SESSION_TENANT = "session"
@@ -53,10 +48,9 @@ class CumulonSession:
 
     The cluster is described either by a full ``cluster``
     :class:`~repro.cloud.instances.ClusterSpec` or by the
-    ``instance``/``nodes``/``slots_per_node`` pieces (not both).
-    ``telemetry`` (default on) keeps an in-memory trace recorder and
-    metrics registry wired through every run — :attr:`trace` and
-    :attr:`metrics` expose them.  ``backend``
+    ``instance``/``nodes``/``slots_per_node`` pieces (not both).  An
+    in-memory trace recorder and metrics registry are wired through every
+    run — :attr:`trace` and :attr:`metrics` expose them.  ``backend``
     selects the local execution backend (``"thread"`` or ``"process"`` —
     see :mod:`repro.hadoop.local`); ``codec`` stores tiles compressed at
     rest (see :mod:`repro.hdfs.tilestore`).  Sessions are context managers;
@@ -70,7 +64,6 @@ class CumulonSession:
                  instance: str | None = None,
                  slots_per_node: int | None = None,
                  compiler_params: CompilerParams | None = None,
-                 telemetry: bool = True,
                  backend: str = "thread",
                  codec: str | None = None):
         if cluster is not None:
@@ -92,9 +85,8 @@ class CumulonSession:
         self.spec = spec
         self.compiler_params = (compiler_params if compiler_params is not None
                                 else CompilerParams())
-        self._recorder = (InMemoryRecorder(source=SOURCE_ACTUAL)
-                          if telemetry else NULL_RECORDER)
-        self._registry = MetricsRegistry() if telemetry else NULL_METRICS
+        self._recorder = InMemoryRecorder(source=SOURCE_ACTUAL)
+        self._registry = MetricsRegistry()
         self.cluster: ProvisionedCluster = provision(spec,
                                                      replication=replication)
         self.store = TileStore(self.cluster.namenode, codec=codec,

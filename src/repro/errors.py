@@ -53,14 +53,6 @@ class ExecutionError(ReproError):
     """A compiled job failed while executing."""
 
 
-class FaultInjectionError(ExecutionError):
-    """A deliberately injected fault (chaos/testing), not a real bug."""
-
-
-class TaskTimeoutError(ExecutionError):
-    """A task attempt exceeded its per-task time budget."""
-
-
 class OptimizationError(ReproError):
     """The deployment optimizer could not produce a feasible plan."""
 

@@ -13,19 +13,16 @@ model-accuracy experiment (E4) use.  When given a
 one event per task attempt, tagged with the worker slot that ran it — so a
 real run and a simulated run of one DAG are directly diffable.
 
-Failure semantics: each attempt that fails is retried per the executor's
-:class:`RetryPolicy` (exponential backoff with deterministic seeded jitter,
-optional per-task timeout); once a task exhausts its attempts, the first
-task exception wins.  Queued tasks that have not started yet are cancelled,
-in-flight tasks are allowed to drain (Python threads cannot be interrupted),
-and the failure propagates as :class:`~repro.errors.ExecutionError` once the
-pool is quiescent — never a hang, and the partial trace stays well-formed
-(every failed attempt is recorded with ``status="failed"`` and its attempt
-index).
-
-Fault injection: a :class:`FaultInjector` hook fires before each attempt's
-real work, so chaos tests can kill precise (task, attempt) pairs — the same
-crash surface :mod:`repro.core.checkpoint` recovers from.
+Failure semantics: the executor fails fast, and the first task error wins.
+Queued tasks that have not started yet are cancelled, in-flight tasks are
+allowed to drain (Python threads cannot be interrupted), and the failure
+propagates as :class:`~repro.errors.ExecutionError` once the pool is
+quiescent — never a hang, and the partial trace stays well-formed (the
+failed attempt is recorded with ``status="failed"``).  A kernel worker
+that dies mid-plan fails the one attempt it was serving and is respawned on
+the next acquire.  Nothing is retried here: surviving task failures is
+Hadoop's job, and the simulator models it
+(:class:`~repro.hadoop.faults.FailureModel`).
 
 Backends: ``backend="thread"`` (the default, and the reference semantics)
 runs every task's ``run`` closure on the thread pool.  ``backend="process"``
@@ -41,26 +38,20 @@ orchestration threads convoy on the GIL (1,274-1,907 context switches and
 134-148 ms per 288-task op, against 286 and 97 ms with one).  The two paths
 share what makes the backends differentially testable — one definition of
 an attempt (:meth:`LocalExecutor._begin_attempt` / ``_end_attempt``: slot,
-fault hook, timeout, metrics, trace event), one retry decision, one trace
-schema — so the same tasks give the same trace and bit-identical tiles.
+metrics, trace event) and one trace schema — so the same tasks give the
+same trace and bit-identical tiles.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from multiprocessing import connection
 
-from repro.errors import (
-    ExecutionError,
-    FaultInjectionError,
-    TaskTimeoutError,
-    ValidationError,
-)
+from repro.errors import ExecutionError, ValidationError
 from repro.hadoop.job import Job, JobDag
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.trace import (
@@ -70,103 +61,6 @@ from repro.observability.trace import (
     TraceEvent,
     TraceRecorder,
 )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the local executor retries failing task attempts.
-
-    The default (one attempt, no delay) matches the executor's historical
-    fail-fast behaviour.  Backoff delays are deterministic: the jitter for
-    (task, attempt) is a pure function of ``seed``, so two runs with one
-    policy sleep identically — the property tests rely on it.
-
-    ``timeout_seconds`` is checked *after* an attempt finishes (Python
-    threads cannot be preempted): an attempt that ran too long is treated
-    as failed even if it returned, exactly like Hadoop's task timeout
-    killing a task that stopped reporting progress.
-    """
-
-    max_attempts: int = 1
-    backoff_seconds: float = 0.0
-    backoff_factor: float = 2.0
-    jitter_fraction: float = 0.1
-    max_backoff_seconds: float = 30.0
-    timeout_seconds: float | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValidationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_seconds < 0:
-            raise ValidationError("backoff_seconds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValidationError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValidationError("jitter_fraction must be in [0, 1]")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValidationError("timeout_seconds must be positive")
-
-    def delay_before(self, task_id: str, attempt: int) -> float:
-        """Seconds to sleep before retry ``attempt`` (attempt >= 1)."""
-        if attempt < 1 or self.backoff_seconds == 0:
-            return 0.0
-        base = min(self.backoff_seconds * self.backoff_factor ** (attempt - 1),
-                   self.max_backoff_seconds)
-        rng = random.Random(f"{self.seed}:{task_id}:{attempt}")
-        jitter = 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
-        return base * jitter
-
-
-#: Fail-fast default: a single attempt, exactly the historical behaviour.
-NO_RETRY = RetryPolicy()
-
-
-class FaultInjector:
-    """Hook called before each attempt's real work; raise to kill it."""
-
-    def before_attempt(self, task_id: str, attempt: int) -> None:
-        raise NotImplementedError
-
-
-class ScriptedFaults(FaultInjector):
-    """Kill exact (task_id, attempt) pairs — precise chaos control."""
-
-    def __init__(self, failures: set[tuple[str, int]]):
-        self.failures = set(failures)
-
-    def before_attempt(self, task_id: str, attempt: int) -> None:
-        if (task_id, attempt) in self.failures:
-            raise FaultInjectionError(
-                f"injected fault: task {task_id} attempt {attempt}")
-
-
-class CrashAfterCalls(FaultInjector):
-    """Let ``calls`` attempts start, then kill every subsequent one.
-
-    Models a process crash partway through a run — the scenario
-    checkpoint/resume exists for.  Thread-safe; ``reset()`` re-arms it.
-    """
-
-    def __init__(self, calls: int):
-        if calls < 0:
-            raise ValidationError(f"calls must be >= 0, got {calls}")
-        self.calls = calls
-        self._remaining = calls
-        self._lock = threading.Lock()
-
-    def reset(self) -> None:
-        with self._lock:
-            self._remaining = self.calls
-
-    def before_attempt(self, task_id: str, attempt: int) -> None:
-        with self._lock:
-            if self._remaining <= 0:
-                raise FaultInjectionError(
-                    f"injected crash: task {task_id} attempt {attempt} "
-                    f"(budget of {self.calls} calls exhausted)")
-            self._remaining -= 1
 
 
 @dataclass
@@ -221,7 +115,7 @@ class LocalExecutor:
 
     With ``backend="process"``, phases of kernel-declaring tasks are
     shipped to a pool of worker processes over shared memory instead (see
-    the module docstring); attempts, retries, and traces are identical
+    the module docstring); attempts, failures and traces are identical
     across backends by construction.  The kernel pool is created lazily on
     the first run, kept warm across runs, and torn down by :meth:`close`
     (or automatically at interpreter exit).
@@ -230,8 +124,6 @@ class LocalExecutor:
     def __init__(self, max_workers: int = 4,
                  recorder: TraceRecorder = NULL_RECORDER,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 retry_policy: RetryPolicy | None = None,
-                 fault_injector: FaultInjector | None = None,
                  backend: str = BACKEND_THREAD):
         if max_workers <= 0:
             raise ExecutionError("max_workers must be positive")
@@ -241,9 +133,6 @@ class LocalExecutor:
         self.max_workers = max_workers
         self.recorder = recorder
         self.metrics = metrics
-        self.retry_policy = retry_policy if retry_policy is not None \
-            else NO_RETRY
-        self.fault_injector = fault_injector
         self.backend = backend
         self._kernel_pool = None
 
@@ -309,10 +198,10 @@ class LocalExecutor:
             return
         if self.max_workers == 1 or len(runnable) == 1:
             for task in runnable:
-                self._invoke(job, task, slots)
+                self._run_attempt(job, task, slots)
             return
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [pool.submit(self._invoke, job, task, slots)
+            futures = [pool.submit(self._run_attempt, job, task, slots)
                        for task in runnable]
             # Stop dispatching as soon as anything fails: cancel what has
             # not started, let running tasks drain, raise the first error.
@@ -327,74 +216,56 @@ class LocalExecutor:
                     dispatcher) -> None:
         """Ship a phase of kernel tasks from this one thread.
 
-        While a worker is idle and a task is due: open the attempt, do the
-        task's reads (``kernel()``), ``send``; then wait on the pipes of
+        While a worker is idle and a task is pending: open the attempt, do
+        the task's reads (``kernel()``), ``send``; then wait on the pipes of
         the plans in flight, ``receive`` (which stores the tiles) and close
         the attempt.  The parent prepares task *n+1* while workers evaluate
         *n* and *n-1*, and no second parent thread exists to contend with.
         A task whose ``kernel()`` declines runs inline, here.  Failure
-        semantics are the thread pool's: the first exhausted task stops new
+        semantics are the thread pool's: the first failed task stops new
         sends, plans in flight drain, and that first error is raised.
         """
         pool = dispatcher.pool
         limit = min(self.max_workers, len(tasks))
-        # (not-before instant, position in the phase, task, attempt): a
-        # fresh task is due at once, a retry when its backoff has passed —
-        # which delays that task alone, never the feeder.
-        queue = [(0.0, index, task, 0) for index, task in enumerate(tasks)]
-        inflight: dict = {}  # pipe -> (worker handle, attempt, position, call)
+        pending = tasks[::-1]  # pop() hands them out in phase order
+        inflight: dict = {}  # pipe -> (worker handle, attempt, call)
         failure: ExecutionError | None = None
 
-        def settle(entry: _Attempt, index: int) -> None:
+        def settle(entry: _Attempt) -> None:
             nonlocal failure
             error = self._end_attempt(entry, slots)
-            if error is None or failure is not None:
-                return
-            delay = self._retry_delay(entry.task, entry.attempt)
-            if delay is None:
+            if failure is None:
                 failure = error
-            else:
-                heapq.heappush(queue, (time.monotonic() + delay, index,
-                                       entry.task, entry.attempt + 1))
 
         try:
-            while inflight or (queue and failure is None):
-                starved = False
-                while (failure is None and queue and len(inflight) < limit
-                       and queue[0][0] <= time.monotonic()):
+            while inflight or (pending and failure is None):
+                while failure is None and pending and len(inflight) < limit:
                     handle = pool.acquire(wait=not inflight)
                     if handle is None:  # another run holds the idle workers
-                        starved = True
                         break
-                    __, index, task, attempt = heapq.heappop(queue)
-                    entry = self._begin_attempt(job, task, slots, attempt)
+                    task = pending.pop()
+                    entry = self._begin_attempt(job, task, slots)
                     call = None
                     try:
-                        if entry.error is None:
-                            call = task.kernel()
-                            if call is None:
-                                task.run()
-                            else:
-                                # acquire() checked the worker before
-                                # the fault hook ran; check it again.
-                                pool.revive(handle)
-                                dispatcher.send(handle, call)
+                        call = task.kernel()
+                        if call is None:
+                            task.run()
+                        else:
+                            # acquire() checked the worker before kernel()
+                            # did the reads; check it again.
+                            pool.revive(handle)
+                            dispatcher.send(handle, call)
                     except Exception as exc:
                         entry.error, call = exc, None
                     if call is None:
                         pool.release(handle)
-                        settle(entry, index)
+                        settle(entry)
                     else:
-                        inflight[handle.conn] = (handle, entry, index, call)
-                if not inflight:
-                    if queue and failure is None:  # only backoffs are left
-                        time.sleep(max(0.0, queue[0][0] - time.monotonic()))
+                        inflight[handle.conn] = (handle, entry, call)
+                if not inflight:  # the phase is done, or failed
                     continue
                 wake = min(handle.reply_due
                            for handle, *__ in inflight.values())
-                if (failure is None and queue and len(inflight) < limit
-                        and not starved):
-                    wake = min(wake, queue[0][0])  # a backoff ends first
                 ready = connection.wait(
                     list(inflight), max(0.0, wake - time.monotonic()))
                 if not ready:
@@ -403,14 +274,14 @@ class LocalExecutor:
                     ready = [conn for conn, (handle, *__) in inflight.items()
                              if handle.reply_due <= now]
                 for conn in ready:
-                    handle, entry, index, call = inflight.pop(conn)
+                    handle, entry, call = inflight.pop(conn)
                     try:
                         dispatcher.receive(handle, call)
                     except Exception as exc:
                         entry.error = exc
                     finally:
                         pool.release(handle)
-                    settle(entry, index)
+                    settle(entry)
         finally:
             # Empty unless something other than a task failed (an
             # interrupt): a worker left mid-plan must not answer the next
@@ -421,60 +292,28 @@ class LocalExecutor:
         if failure is not None:
             raise failure
 
-    def _invoke(self, job: Job, task, slots: _SlotPool) -> None:
-        """Run one task to completion in this thread, retrying per the
-        policy.
-
-        Raises :class:`~repro.errors.ExecutionError` once the task has
-        exhausted its attempts.
-        """
-        attempt = 0
-        while True:
-            error = self._run_attempt(job, task, slots, attempt)
-            if error is None:
-                return
-            delay = self._retry_delay(task, attempt)
-            if delay is None:
-                raise error
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-
-    def _run_attempt(self, job: Job, task, slots: _SlotPool,
-                     attempt: int) -> ExecutionError | None:
-        entry = self._begin_attempt(job, task, slots, attempt)
+    def _run_attempt(self, job: Job, task, slots: _SlotPool) -> None:
+        """Run one task in this thread; raises its
+        :class:`~repro.errors.ExecutionError` if it fails."""
+        entry = self._begin_attempt(job, task, slots)
         try:
-            if entry.error is None:
-                task.run()
+            task.run()
         except Exception as exc:
             entry.error = exc
         finally:
             error = self._end_attempt(entry, slots)
-        return error
-
-    def _retry_delay(self, task, attempt: int) -> float | None:
-        """After failed ``attempt``: seconds before the retry may start, or
-        ``None`` when the policy allows the task no further attempt."""
-        if attempt + 1 >= self.retry_policy.max_attempts:
-            return None
-        if self.metrics.enabled:
-            self.metrics.inc("local.task_retries")
-        return self.retry_policy.delay_before(task.task_id, attempt + 1)
+        if error is not None:
+            raise error
 
     # -- one attempt ------------------------------------------------------------
     #
     # Both orchestrations — a task thread calling ``run`` and the feeder
     # shipping ``kernel`` — bracket the work with this pair, so "an attempt"
-    # (slot, fault hook, timeout, ``local.*`` metrics, trace event) has one
-    # definition.
+    # (slot, ``local.*`` metrics, trace event) has one definition.
 
-    def _begin_attempt(self, job: Job, task, slots: _SlotPool,
-                       attempt: int) -> "_Attempt":
-        """Take a slot, start the attempt's clocks, fire the fault hook.
-
-        An injected fault lands in ``error``: the caller skips the work and
-        still closes the attempt.
-        """
+    def _begin_attempt(self, job: Job, task,
+                       slots: _SlotPool) -> "_Attempt":
+        """Take a slot and start the attempt's clocks."""
         metrics = self.metrics
         slot = slots.acquire()
         started_wall = 0.0
@@ -484,34 +323,19 @@ class LocalExecutor:
             # Series and gauge kinds cannot share a name in one registry.
             metrics.sample("local.inflight_tasks.samples", inflight.value)
             started_wall = metrics.now()
-        entry = _Attempt(
-            job, task, attempt, slot,
+        return _Attempt(
+            job, task, slot,
             self.recorder.now() if self.recorder.enabled else 0.0,
-            started_wall, time.perf_counter())
-        if self.fault_injector is not None:
-            try:
-                self.fault_injector.before_attempt(task.task_id, attempt)
-            except Exception as exc:
-                entry.error = exc
-        return entry
+            started_wall)
 
     def _end_attempt(self, entry: "_Attempt",
                      slots: _SlotPool) -> ExecutionError | None:
-        """Close an attempt: enforce the timeout, account it, trace it,
-        free its slot.  Returns what failed it, or ``None`` on success."""
+        """Close an attempt: account it, trace it, free its slot.  Returns
+        what failed it, or ``None`` on success."""
         recorder = self.recorder
         metrics = self.metrics
         job, task, error = entry.job, entry.task, entry.error
-        timeout = self.retry_policy.timeout_seconds
-        if error is None:
-            elapsed = time.perf_counter() - entry.clock
-            if timeout is not None and elapsed > timeout:
-                # Post-hoc enforcement: the work could not be preempted,
-                # but the attempt still counts as failed.
-                error = TaskTimeoutError(
-                    f"task {task.task_id} of job {job.job_id} took "
-                    f"{elapsed:.3f}s, over the {timeout}s timeout")
-        elif not isinstance(error, ExecutionError):
+        if error is not None and not isinstance(error, ExecutionError):
             cause = error
             error = ExecutionError(
                 f"task {task.task_id} of job {job.job_id} failed: {cause}")
@@ -539,7 +363,7 @@ class LocalExecutor:
                 end=recorder.now(),
                 bytes_read=task.work.bytes_read,
                 bytes_written=task.work.bytes_written,
-                attempt=entry.attempt,
+                attempt=0,
                 status=status,
                 label=task.label,
             ))
@@ -553,11 +377,9 @@ class _Attempt:
 
     job: Job
     task: object
-    attempt: int
     slot: int
-    #: Recorder clock, registry clock and ``perf_counter`` at the start.
+    #: Recorder clock and registry clock at the start.
     start: float
     started_wall: float
-    clock: float
-    #: What failed the attempt so far (fault hook, the work, the reply).
+    #: What failed the attempt so far (the work, the send or the reply).
     error: BaseException | None = None

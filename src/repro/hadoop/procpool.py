@@ -38,8 +38,8 @@ elsewhere, with its per-worker interpreter startup cost), are daemonic (they
 can never outlive the executor), and a worker that dies mid-request is
 respawned on next acquire — the failed attempt surfaces as an ordinary
 :class:`~repro.errors.ExecutionError` naming the worker index, pid, and the
-last plan kind it was serving, so the executor's retry policy applies
-unchanged and the failure is attributable.
+last plan kind it was serving, so the failure is attributable and the
+executor fails that one attempt like any other task error.
 """
 
 from __future__ import annotations
@@ -382,10 +382,10 @@ class KernelPool:
         holds a worker must ask for (holding one while blocking for another
         is how two such callers would deadlock).
 
-        Respawning a dead worker here is what makes worker death retryable:
+        Respawning a dead worker here is what makes worker death survivable:
         the attempt that hit the dead worker failed with an ordinary
-        :class:`~repro.errors.ExecutionError`, and by the time the retry
-        acquires a worker the pool is whole again (counted in
+        :class:`~repro.errors.ExecutionError`, and by the time the next
+        attempt acquires a worker the pool is whole again (counted in
         ``procpool.respawns``).
         """
         metrics = self.metrics

@@ -376,10 +376,10 @@ class ClusterSimulator:
                     f"slow-node factor must be >= 1, got {factor} for {name}"
                 )
 
-    def run(self, dag: JobDag, start_time: float = 0.0) -> SimulationResult:
+    def run(self, dag: JobDag) -> SimulationResult:
         if len(dag) == 0:
-            return SimulationResult(self.spec, {}, start_time)
-        return _Run(self, dag, start_time).simulate()
+            return SimulationResult(self.spec, {}, 0.0)
+        return _Run(self, dag).simulate()
 
 
 class _Run:
@@ -393,7 +393,7 @@ class _Run:
     is followed by one dispatch (docs/architecture.md says why).
     """
 
-    def __init__(self, sim: ClusterSimulator, dag: JobDag, start_time: float):
+    def __init__(self, sim: ClusterSimulator, dag: JobDag):
         self.sim = sim
         self.pool = _SlotPool(sim.spec.node_names(), sim.spec.slots_per_node,
                               sim.slow_nodes)
@@ -402,7 +402,7 @@ class _Run:
         self.remaining_deps = {job.job_id: set(job.depends_on) for job in dag}
         #: Jobs whose dependencies are satisfied and that have runnable tasks.
         self.runnable: list[str] = []
-        self.clock = start_time
+        self.clock = 0.0
         self.next_spec_check = float("inf")
         self.events: list[tuple[float, int, str, object]] = []
         self.sequence = itertools.count()
@@ -417,7 +417,7 @@ class _Run:
         if sim.node_failures is not None:
             for failure in sim.node_failures.failures(sim.spec.node_names()):
                 if failure.node in self.pool.by_name:
-                    self._push(start_time + failure.at, "node-lost", failure)
+                    self._push(failure.at, "node-lost", failure)
         self._activate_ready_jobs()
 
     def simulate(self) -> SimulationResult:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from array import array
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -158,12 +159,13 @@ class Tenant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("tenant name must be non-empty")
-        if self.budget_dollars is not None and self.budget_dollars <= 0:
-            raise ValidationError("budget_dollars must be positive")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValidationError("deadline_seconds must be positive")
-        if self.weight <= 0:
-            raise ValidationError("weight must be positive")
+        for key in ("budget_dollars", "deadline_seconds", "weight"):
+            value = getattr(self, key)
+            # A NaN limit compares false to everything: it would pass a
+            # plain "<= 0" check and then never bind (or never schedule).
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValidationError(
+                    f"{key} must be positive and finite, got {value}")
 
     @property
     def budget_remaining(self) -> float | None:
@@ -637,6 +639,8 @@ class JobService:
         """
         owner = self.tenant(tenant)
         at = self._clock if submit_at is None else float(submit_at)
+        if not math.isfinite(at):
+            raise ValidationError(f"submit_at must be finite, got {at}")
         if at < self._clock:
             raise ValidationError(
                 f"submit_at {at} is in the past (clock is {self._clock})")

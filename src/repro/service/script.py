@@ -31,6 +31,7 @@ returns the :class:`~repro.service.jobs.ServiceReport`.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
@@ -38,7 +39,7 @@ from repro.core.evalcache import EvalCache
 from repro.errors import ValidationError
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.trace import NULL_RECORDER, TraceRecorder
-from repro.service.jobs import JobHandle, JobService, ServiceReport
+from repro.service.jobs import JobHandle, JobService, ServiceReport, Tenant
 from repro.service.scheduler import POLICY_FAIR
 from repro.workloads.catalog import build_workload
 
@@ -75,6 +76,7 @@ def validate_script(script: dict) -> dict:
         _check_keys(tenant, _TENANT_KEYS, "tenant")
         if "name" not in tenant:
             raise ValidationError("every tenant needs a name")
+        Tenant(**tenant)  # the tenant's own limit checks
         names.add(tenant["name"])
     for job in script["jobs"]:
         _check_keys(job, _JOB_KEYS, "job")
@@ -84,9 +86,10 @@ def validate_script(script: dict) -> dict:
         if job["tenant"] not in names:
             raise ValidationError(
                 f"job references unregistered tenant {job['tenant']!r}")
-        if float(job.get("submit_at", 0.0)) < 0:
+        at = float(job.get("submit_at", 0.0))
+        if not math.isfinite(at) or at < 0:
             raise ValidationError(
-                f"job submit_at {job['submit_at']} is negative")
+                f"job submit_at {at} must be finite and non-negative")
     return script
 
 

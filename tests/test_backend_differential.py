@@ -7,36 +7,33 @@ harness runs the same workloads on both backends and asserts
 * **bit-identical tile outputs** — every output tile equal via
   ``np.array_equal`` (no tolerance), with matching sparse/dense storage;
 * **identical trace-event multisets** modulo timing — same (job, task,
-  phase, attempt, status, bytes, label) tuples, ignoring start/end/slot;
-* **identical retry and fault semantics** — scripted faults fail and
-  retry the same attempts, checkpoint/crash/resume converges to the same
-  state.
+  phase, attempt, status, bytes, label) tuples, ignoring start/end/slot.
 
 Everything here spawns real worker processes, so the whole module rides
 the ``process_backend`` gate (see tests/conftest.py) and runs in CI's
 dedicated differential job rather than in tier 1.
 """
 
+import itertools
 import os
 import signal
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import Checkpointer, IterativeRunner
-from repro.core.compiler import CompilerParams
+from repro.core.compiler import CompilerParams, compile_program
 from repro.core.executor import CumulonExecutor
-from repro.core.physical import MatMulParams
+from repro.core.physical import MatMulParams, PhysicalContext
 from repro.core.program import Program
 from repro.errors import ExecutionError
 from repro.hadoop.kernels import BlockPlan, KernelCall
-from repro.hadoop.local import FaultInjector, RetryPolicy, ScriptedFaults
+from repro.hadoop.local import LocalExecutor
 from repro.hadoop.procpool import (
     KERNEL_JOB_ID,
     KernelPool,
     ProcessDispatcher,
 )
-from repro.matrix.tiled import DenseBacking
+from repro.matrix.tiled import DenseBacking, TiledMatrix
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import SOURCE_ACTUAL, InMemoryRecorder
 from repro.observability.profiling import WORKER_LANE_PREFIX, profile_trace
@@ -50,16 +47,40 @@ RNG_SEED = 1302  # any fixed seed; both backends must agree on *any* input
 
 
 def run_on(backend, program, inputs, tile_size=16, max_workers=4,
-           compiler_params=None, retry_policy=None, fault_injector=None):
+           compiler_params=None):
     """One instrumented run; returns (ExecutionResult, trace)."""
     recorder = InMemoryRecorder(source=SOURCE_ACTUAL)
     with CumulonExecutor(tile_size=tile_size, max_workers=max_workers,
                          compiler_params=compiler_params,
-                         recorder=recorder, backend=backend,
-                         retry_policy=retry_policy,
-                         fault_injector=fault_injector) as executor:
+                         recorder=recorder, backend=backend) as executor:
         result = executor.run(program, inputs)
     return result, recorder.trace()
+
+
+def wrap_kernels(dag, before):
+    """Make every kernel task of ``dag`` call ``before(task)`` at the top
+    of its ``kernel()`` — which the feeder calls between ``acquire`` and
+    ``revive`` + ``send``, so a test can break a borrowed worker there."""
+    for job in dag:
+        for task in [*job.map_tasks, *job.reduce_tasks]:
+            if task.kernel is not None:
+                def kernel(task=task, inner=task.kernel):
+                    before(task)
+                    return inner()
+
+                task.kernel = kernel
+
+
+def kill_at_call(at_call, kill):
+    """A :func:`wrap_kernels` hook that calls ``kill()`` on the
+    ``at_call``-th ``kernel()`` call of the run."""
+    calls = itertools.count(1)
+
+    def before(task):
+        if next(calls) == at_call:
+            kill()
+
+    return before
 
 
 def timing_free_events(trace):
@@ -162,79 +183,6 @@ class TestWorkloadEquivalence:
             rng.random(40)
         assert_backends_agree(program, {"A": dense_a, "B": sparse_b},
                               tile_size=16)
-
-
-class TestFaultEquivalence:
-    def pick_task(self, program, inputs):
-        """A deterministic mult-task id from a reference thread run."""
-        __, trace = run_on("thread", program, inputs, tile_size=32)
-        task_ids = sorted({e.task_id for e in trace.task_events()
-                           if "mult" in e.task_id or "mul" in e.task_id}
-                          or {e.task_id for e in trace.task_events()})
-        return task_ids[0]
-
-    def test_scripted_fault_retries_identically(self):
-        rng = np.random.default_rng(RNG_SEED + 5)
-        program = build_chain_program(dimension=96, length=3)
-        inputs = make_inputs(program, rng)
-        victim = self.pick_task(program, inputs)
-        __, traces = assert_backends_agree(
-            program, inputs, tile_size=32,
-            retry_policy=RetryPolicy(max_attempts=3, backoff_seconds=0.0),
-            fault_injector=ScriptedFaults({(victim, 0)}))
-        # The fault actually fired: attempt 0 failed, attempt 1 succeeded,
-        # on both backends.
-        for backend in BACKENDS:
-            attempts = {(e.attempt, e.status)
-                        for e in traces[backend].task_events()
-                        if e.task_id == victim}
-            assert (1, "success") in attempts
-            assert any(attempt == 0 and status != "success"
-                       for attempt, status in attempts)
-
-    def test_exhausted_retries_fail_identically(self):
-        rng = np.random.default_rng(RNG_SEED + 6)
-        program = build_chain_program(dimension=64, length=3)
-        inputs = make_inputs(program, rng)
-        victim = self.pick_task(program, inputs)
-        faults = {(victim, 0), (victim, 1)}
-        for backend in BACKENDS:
-            with pytest.raises(ExecutionError, match="injected fault"):
-                run_on(backend, program, inputs, tile_size=32,
-                       retry_policy=RetryPolicy(max_attempts=2,
-                                                backoff_seconds=0.0),
-                       fault_injector=ScriptedFaults(set(faults)))
-
-
-class TestCheckpointEquivalence:
-    @staticmethod
-    def make_runner(backend, checkpointer):
-        def factory():
-            program = Program("step")
-            x = program.declare_input("X", 32, 32)
-            program.assign("X", (x @ x) * 0.125 + x)
-            program.mark_output("X")
-            return program
-
-        return IterativeRunner(factory, static_inputs={},
-                               state_variables=["X"],
-                               tile_size=8, checkpointer=checkpointer,
-                               backend=backend)
-
-    def run_crash_resume(self, backend):
-        rng = np.random.default_rng(RNG_SEED + 7)
-        initial = {"X": rng.random((32, 32))}
-        runner = self.make_runner(backend, Checkpointer(DenseBacking()))
-        with pytest.raises(ExecutionError, match="simulated crash"):
-            runner.run(initial, iterations=4, crash_after=2)
-        return runner.resume(iterations=2)
-
-    def test_crash_resume_converges_identically(self):
-        results = {backend: self.run_crash_resume(backend)
-                   for backend in BACKENDS}
-        assert results["thread"].iteration == results["process"].iteration
-        assert np.array_equal(results["thread"].state["X"],
-                              results["process"].state["X"])
 
 
 # -- observability equivalence -------------------------------------------------
@@ -408,53 +356,50 @@ class TestWorkerDeath:
             pool.close()
 
     def test_lanes_survive_mid_job_worker_death(self):
-        # A fault injector SIGKILLs the pool's worker between two task
-        # attempts *inside* one run: the next dispatch respawns it
-        # transparently, the job completes with bit-identical outputs, and
-        # worker lane 0 keeps accumulating spans across the death (lane
-        # identity is the pool index, not the pid).
-
-        class KillPoolWorker(FaultInjector):
-            def __init__(self, at_call, recorder):
-                self.at_call = at_call
-                self.recorder = recorder
-                self.pool = None
-                self.calls = 0
-                self.killed_at = None
-
-            def before_attempt(self, task_id, attempt):
-                self.calls += 1
-                if (self.pool is None or self.killed_at is not None
-                        or self.calls != self.at_call):
-                    return
-                handle = self.pool._handles[0]
-                os.kill(handle.pid, signal.SIGKILL)
-                handle.process.join(timeout=5)
-                self.killed_at = self.recorder.now()
-
+        # The test's kernel() wrapper SIGKILLs the pool's one worker while
+        # the feeder holds it for the fourth kernel task *inside* one run
+        # of a compiled GNMF DAG: revive() respawns it before the send,
+        # the job completes with bit-identical outputs, and worker lane 0
+        # keeps accumulating spans across the death (lane identity is the
+        # pool index, not the pid).
         rng = np.random.default_rng(RNG_SEED + 31)
         program = build_gnmf_program(rows=48, cols=40, rank=4, iterations=3)
         inputs = make_inputs(program, rng, positive=True)
+        backing = DenseBacking()
+        for name, array in inputs.items():
+            TiledMatrix.from_numpy(name, array, 16, backing)
+        compiled = compile_program(
+            program, PhysicalContext(16, backing, attach_run=True))
         recorder = InMemoryRecorder(source=SOURCE_ACTUAL)
         registry = MetricsRegistry()
-        injector = KillPoolWorker(at_call=4, recorder=recorder)
-        with CumulonExecutor(tile_size=16, max_workers=1,
-                             recorder=recorder, metrics=registry,
-                             backend="process",
-                             fault_injector=injector) as executor:
-            injector.pool = executor._local_executor().kernel_pool()
-            result = executor.run(program, inputs)
-        assert injector.killed_at is not None, "the kill never fired"
-        assert metric_total(registry, "procpool.respawns") >= 1
+        executor = LocalExecutor(max_workers=1, recorder=recorder,
+                                 metrics=registry, backend="process")
+        killed = []
+
+        def kill():
+            handle = executor.kernel_pool()._handles[0]
+            os.kill(handle.pid, signal.SIGKILL)
+            handle.process.join(timeout=5)
+            killed.append(recorder.now())
+
+        wrap_kernels(compiled.dag, kill_at_call(4, kill))
+        try:
+            executor.run(compiled.dag)
+        finally:
+            executor.close()
+        assert killed, "the kill never fired"
+        assert metric_total(registry, "procpool.respawns") == 1
+        assert metric_total(registry, "local.task_failures") == 0
         lane0 = [event for event in recorder.trace().kernel_events()
                  if event.slot == f"{WORKER_LANE_PREFIX}0"]
-        assert any(e.end <= injector.killed_at for e in lane0), \
+        assert any(e.end <= killed[0] for e in lane0), \
             "expected spans recorded before the worker died"
-        assert any(e.start >= injector.killed_at for e in lane0), \
+        assert any(e.start >= killed[0] for e in lane0), \
             "expected lane 0 to keep recording after the respawn"
         # And the run the death interrupted still matches the thread
         # backend bit for bit.
         thread_result, __ = run_on("thread", program, inputs, tile_size=16)
-        for name in thread_result.outputs:
-            assert np.array_equal(thread_result.outputs[name],
-                                  result.outputs[name]), name
+        for name, expected in thread_result.outputs.items():
+            info = compiled.output_info(name)
+            actual = TiledMatrix(info.name, info.grid, backing).to_numpy()
+            assert np.array_equal(expected, actual), name

@@ -1,10 +1,9 @@
 """Unit tests for the local (real-execution) engine.
 
 Every test that runs a DAG is parametrized over both executor backends:
-orchestration semantics — ordering, failure propagation, retries, fault
-injection, tracing — must be backend-invariant, because the process
-backend only offloads tile kernels and leaves the scheduling loop on the
-thread path.  The process parametrization rides the tier-2 gate
+orchestration semantics — ordering, failure propagation, tracing — must
+be backend-invariant, because the process backend only offloads tile
+kernels and leaves the scheduling loop on the thread path.  The process parametrization rides the tier-2 gate
 (tests/conftest.py).
 """
 
@@ -214,117 +213,3 @@ class TestFailurePaths:
                             for i in range(6)])])
         executor.run(good)
         assert len(ran) == 6
-
-
-class TestRetryPolicy:
-    """The real retry loop: backoff, determinism, timeouts, injection."""
-
-    @staticmethod
-    def run_with(local_executor, tasks, policy=None, injector=None,
-                 workers=2):
-        dag = JobDag([Job("j", JobKind.MAP_ONLY, tasks)])
-        return local_executor(max_workers=workers, retry_policy=policy,
-                              fault_injector=injector).run(dag)
-
-    def test_injected_fault_retried_to_success(self, local_executor):
-        from repro.hadoop.local import RetryPolicy, ScriptedFaults
-        counter, lock = [], threading.Lock()
-        tasks = [counting_task(f"t{i}", counter, lock) for i in range(4)]
-        self.run_with(local_executor, tasks, RetryPolicy(max_attempts=3),
-                      ScriptedFaults({("t0", 0), ("t2", 0), ("t2", 1)}))
-        # Every task's real work ran exactly once — the injector killed
-        # attempts *before* the work started.
-        assert sorted(counter) == ["t0", "t1", "t2", "t3"]
-
-    def test_exhausted_attempts_raise(self, local_executor):
-        from repro.hadoop.local import RetryPolicy, ScriptedFaults
-        from repro.errors import FaultInjectionError
-        counter, lock = [], threading.Lock()
-        tasks = [counting_task("t0", counter, lock)]
-        with pytest.raises(ExecutionError, match="injected fault"):
-            self.run_with(local_executor, tasks, RetryPolicy(max_attempts=2),
-                          ScriptedFaults({("t0", 0), ("t0", 1)}))
-        assert issubclass(FaultInjectionError, ExecutionError)
-        assert counter == []
-
-    def test_default_policy_fails_fast(self, local_executor):
-        from repro.hadoop.local import ScriptedFaults
-        counter, lock = [], threading.Lock()
-        with pytest.raises(ExecutionError, match="injected fault"):
-            self.run_with(local_executor,
-                          [counting_task("t0", counter, lock)],
-                          injector=ScriptedFaults({("t0", 0)}))
-
-    def test_backoff_deterministic_and_bounded(self):
-        from repro.hadoop.local import RetryPolicy
-        policy = RetryPolicy(max_attempts=5, backoff_seconds=1.0,
-                             backoff_factor=2.0, jitter_fraction=0.1,
-                             max_backoff_seconds=3.0, seed=7)
-        delays = [policy.delay_before("t", a) for a in range(5)]
-        assert delays == [policy.delay_before("t", a) for a in range(5)]
-        assert delays[0] == 0.0  # no sleep before the first attempt
-        for attempt, delay in enumerate(delays[1:], start=1):
-            base = min(1.0 * 2.0 ** (attempt - 1), 3.0)
-            assert base * 0.9 <= delay <= base * 1.1
-        other = RetryPolicy(max_attempts=5, backoff_seconds=1.0, seed=8)
-        assert other.delay_before("t", 1) != policy.delay_before("t", 1)
-
-    def test_timeout_enforced_post_hoc(self, local_executor):
-        from repro.hadoop.local import RetryPolicy
-        from repro.errors import TaskTimeoutError
-
-        def slow():
-            time.sleep(0.05)
-
-        task = make_map_task("slow", TaskWork(), run=slow)
-        with pytest.raises(TaskTimeoutError, match="timeout"):
-            self.run_with(local_executor, [task],
-                          RetryPolicy(timeout_seconds=0.01))
-
-    def test_timeout_within_budget_passes(self, local_executor):
-        from repro.hadoop.local import RetryPolicy
-        counter, lock = [], threading.Lock()
-        self.run_with(local_executor, [counting_task("t0", counter, lock)],
-                      RetryPolicy(timeout_seconds=30.0))
-        assert counter == ["t0"]
-
-    def test_crash_after_calls_counts_down(self, local_executor):
-        from repro.hadoop.local import CrashAfterCalls, RetryPolicy
-        counter, lock = [], threading.Lock()
-        tasks = [counting_task(f"t{i}", counter, lock) for i in range(6)]
-        injector = CrashAfterCalls(3)
-        with pytest.raises(ExecutionError, match="injected crash"):
-            self.run_with(local_executor, tasks, injector=injector, workers=1)
-        assert len(counter) == 3
-        injector.reset()
-        counter2, lock2 = [], threading.Lock()
-        with pytest.raises(ExecutionError):
-            self.run_with(local_executor,
-                          [counting_task(f"u{i}", counter2, lock2)
-                           for i in range(6)], injector=injector, workers=1)
-        assert len(counter2) == 3
-
-    def test_policy_validation(self):
-        from repro.hadoop.local import RetryPolicy
-        from repro.errors import ValidationError
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(backoff_seconds=-1.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(jitter_fraction=2.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(timeout_seconds=0.0)
-
-    def test_retries_counted_in_metrics(self, local_executor):
-        from repro.hadoop.local import RetryPolicy, ScriptedFaults
-        from repro.observability.metrics import MetricsRegistry
-        registry = MetricsRegistry()
-        counter, lock = [], threading.Lock()
-        dag = JobDag([Job("j", JobKind.MAP_ONLY,
-                          [counting_task("t0", counter, lock)])])
-        local_executor(max_workers=1,
-                       retry_policy=RetryPolicy(max_attempts=3),
-                       fault_injector=ScriptedFaults({("t0", 0)}),
-                       metrics=registry).run(dag)
-        assert registry.counter("local.task_retries").value == 1

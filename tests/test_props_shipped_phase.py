@@ -6,19 +6,19 @@ runs in one thread that keeps every pool worker fed
 promises must not depend on which of the two ran it:
 
 * every task ends with exactly one ``success`` event, or the run raises the
-  error of the first task to exhaust its attempts;
-* a task's attempts are numbered 0..k and every one before the last failed;
+  error of the first task to fail — nothing is retried;
 * nothing starts after the failure that ends the run, and every attempt
   that was begun is closed (plans in flight drain);
-* a retry's backoff delays that task alone;
-* outputs, completed task ids, the timing-free trace and
-  ``local.tasks_completed`` equal the thread backend's.
+* outputs, completed task ids, the timing-free trace and the ``local.*``
+  counters equal the thread backend's.
 
 The generated phases run fork-free — the real :class:`KernelPool`,
 :class:`ProcessDispatcher` and ``_worker_main`` loop over real pipes and
 shared memory, with a thread standing in for each worker process — so they
-are tier-1.  Real worker deaths (SIGKILL with plans in flight) ride the
-``process_backend`` gate.
+are tier-1.  Worker deaths are caused from the test's own ``kernel()``
+wrapper (:func:`~tests.test_backend_differential.wrap_kernels`), which the
+feeder calls between ``acquire`` and ``revive`` + ``send``; a real SIGKILL
+with plans in flight rides the ``process_backend`` gate.
 """
 
 import itertools
@@ -39,18 +39,18 @@ from repro.errors import ExecutionError
 from repro.hadoop import procpool
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.kernels import BlockPlan, GridMultPlan, KernelCall
-from repro.hadoop.local import (
-    FaultInjector,
-    LocalExecutor,
-    RetryPolicy,
-    ScriptedFaults,
-)
+from repro.hadoop.local import LocalExecutor
 from repro.hadoop.procpool import KernelPool
 from repro.hadoop.task import TaskWork, make_map_task
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import InMemoryRecorder
 from repro.observability.profiling import WORKER_LANE_PREFIX
-from tests.test_backend_differential import metric_total, timing_free_events
+from tests.test_backend_differential import (
+    kill_at_call,
+    metric_total,
+    timing_free_events,
+    wrap_kernels,
+)
 from tests.test_procpool_observability import (
     SpyConnection,
     _TripwireClocks,
@@ -126,22 +126,17 @@ def thread_pool():
     assert not any(handle.alive for handle in pool._handles)
 
 
-class CountingFaults(ScriptedFaults):
-    """Scripted faults that also count how many attempts were begun."""
-
-    def __init__(self, failures=()):
-        super().__init__(set(failures))
-        self.calls = 0
-
-    def before_attempt(self, task_id, attempt):
-        self.calls += 1
-        super().before_attempt(task_id, attempt)
-
-
-def make_phase(count, declines=(), seed=5, size=4):
+def make_phase(count, declines=(), fails=None, seed=5, size=4):
     """``count`` hand-built kernel tasks, each one ``size``-square product
     written into the returned ``outputs`` dict; tasks in ``declines`` answer
-    ``kernel()`` with ``None`` and so run inline."""
+    ``kernel()`` with ``None`` and so run inline.
+
+    ``fails`` maps a task index to where that task raises: in ``kernel()``
+    (``"kernel"``, before anything is sent) or while its reply is stored
+    (``"reply"``, after the worker ran the plan).  A failing task also
+    raises in ``run()``, so it fails on every path, declined or not.
+    """
+    fails = fails or {}
     rng = np.random.default_rng(seed)
     outputs = {}
     tasks = []
@@ -152,19 +147,26 @@ def make_phase(count, declines=(), seed=5, size=4):
             plan = GridMultPlan(1, 1, 1, shape, shape, False, False, shape)
         else:
             plan = BlockPlan((False, False), (((0, 1),),), (shape,))
+        site = fails.get(index)
 
-        def store(results, index=index):
+        def store(results, index=index, site=site):
+            if site == "reply":
+                raise RuntimeError(f"t{index} fails in its reply")
             [(array, nnz)] = results
             outputs[index] = (array, nnz)
 
-        def run(index=index, left=left, right=right):
+        def run(index=index, left=left, right=right, site=site):
+            if site is not None:
+                raise RuntimeError(f"t{index} fails inline")
             product = left @ right
             outputs[index] = (product, int(np.count_nonzero(product)))
 
         def kernel(index=index, plan=plan, left=left, right=right,
-                   store=store):
+                   store=store, site=site):
             if index in declines:
                 return None
+            if site == "kernel":
+                raise RuntimeError(f"t{index} fails in kernel()")
             return KernelCall(plan, [left, right], store)
 
         tasks.append(make_map_task(f"t{index}", TaskWork(bytes_read=index),
@@ -173,14 +175,18 @@ def make_phase(count, declines=(), seed=5, size=4):
     return JobDag([Job("phase", JobKind.MAP_ONLY, tasks)]), outputs
 
 
-def run_phase(backend, workers, policy, injector, pool=None, **phase):
-    """One instrumented run; returns (outputs, trace, registry, error)."""
+def run_phase(backend, workers, pool=None, before=None, **phase):
+    """One instrumented run; returns (outputs, trace, registry, error).
+
+    ``before(task)`` runs at the top of every ``kernel()`` call.
+    """
     dag, outputs = make_phase(**phase)
+    if before is not None:
+        wrap_kernels(dag, before)
     recorder = InMemoryRecorder()
     registry = MetricsRegistry()
     executor = LocalExecutor(max_workers=workers, recorder=recorder,
-                             metrics=registry, retry_policy=policy,
-                             fault_injector=injector, backend=backend)
+                             metrics=registry, backend=backend)
     if pool is not None:
         executor._kernel_pool = pool
         pool.metrics = registry
@@ -197,67 +203,41 @@ def run_phase(backend, workers, policy, injector, pool=None, **phase):
     return outputs, recorder.trace(), registry, error
 
 
-def check_attempt_ladders(trace, max_attempts):
-    """Attempts of a task are 0..k; all but the last failed."""
-    by_task = {}
-    for event in trace.task_events():
-        by_task.setdefault(event.task_id, []).append(event)
-    for task_id, events in by_task.items():
-        events.sort(key=lambda event: event.attempt)
-        assert [event.attempt for event in events] \
-            == list(range(len(events))), task_id
-        assert len(events) <= max_attempts, task_id
-        assert all(event.status == "failed" for event in events[:-1]), \
-            task_id
-    return by_task
-
-
 PHASES = st.integers(1, 40).flatmap(lambda count: st.fixed_dictionaries({
     "count": st.just(count),
     "workers": st.integers(1, 3),
-    "max_attempts": st.integers(1, 3),
-    "backoff": st.sampled_from([0.0, 0.002]),
-    "faults": st.sets(st.tuples(st.integers(0, count - 1),
-                                st.integers(0, 2)), max_size=6),
+    "fails": st.dictionaries(st.integers(0, count - 1),
+                             st.sampled_from(["kernel", "reply"]),
+                             max_size=3),
     "declines": st.sets(st.integers(0, count - 1), max_size=count // 3),
 }))
 
 
-def check_generated_phase(pool, count, workers, max_attempts, backoff,
-                          faults, declines):
-    policy = RetryPolicy(max_attempts=max_attempts, backoff_seconds=backoff)
-    script = {(f"t{index}", attempt) for index, attempt in faults}
-    exhausted = {index for index in range(count)
-                 if all((f"t{index}", attempt) in script
-                        for attempt in range(max_attempts))}
-    injector = CountingFaults(script)
+def check_generated_phase(pool, count, workers, fails, declines):
+    begun = []
     outputs, trace, registry, error = run_phase(
-        "process", workers, policy, injector, pool=pool,
-        count=count, declines=declines)
+        "process", workers, pool=pool, before=begun.append,
+        count=count, fails=fails, declines=declines)
     events = trace.task_events()
-    by_task = check_attempt_ladders(trace, max_attempts)
-    # Every attempt that was begun was also closed.
-    assert len(events) == injector.calls
+    # One attempt per task, and every attempt that was begun was closed.
+    assert all(event.attempt == 0 for event in events)
+    assert sorted(event.task_id for event in events) \
+        == sorted(task.task_id for task in begun)
     assert registry.gauge("local.inflight_tasks").value == 0
-    if not exhausted:
-        assert error is None
-        assert all(by_task[f"t{index}"][-1].status == "success"
-                   for index in range(count))
-        assert len(trace.successful_task_events()) == count
-    else:
+    if fails:
         assert error is not None
-        fatal = min((event for event in events
-                     if event.status == "failed"
-                     and event.attempt == max_attempts - 1),
-                    key=lambda event: event.end)
-        assert f"task {fatal.task_id} attempt {fatal.attempt}" in str(error)
+        failed = [event for event in events if event.status == "failed"]
+        fatal = min(failed, key=lambda event: event.end)
+        assert f"task {fatal.task_id} of job phase failed" in str(error)
         assert all(event.start <= fatal.end for event in events)
+        assert metric_total(registry, "local.task_failures") == len(failed)
         return
-    # A fault-free decline still ships nothing: one dispatch per task that
-    # did not decline, on its successful attempt.
+    assert error is None
+    assert len(trace.successful_task_events()) == count
+    # A decline ships nothing: one dispatch per task that did not decline.
     assert metric_total(registry, "procpool.dispatches") == count - len(declines)
     reference_outputs, reference_trace, reference_registry, __ = run_phase(
-        "thread", workers, policy, ScriptedFaults(script), count=count)
+        "thread", workers, count=count)
     assert outputs.keys() == reference_outputs.keys()
     for index, (array, nnz) in reference_outputs.items():
         assert np.array_equal(outputs[index][0], array), index
@@ -265,7 +245,7 @@ def check_generated_phase(pool, count, workers, max_attempts, backoff,
     assert trace.task_ids() == reference_trace.task_ids()
     assert timing_free_events(trace) == timing_free_events(reference_trace)
     for name in ("local.tasks_completed", "local.task_failures",
-                 "local.task_retries", "local.bytes_read"):
+                 "local.bytes_read", "local.bytes_written"):
         assert metric_total(registry, name) == metric_total(reference_registry, name)
     assert metric_total(reference_registry, "procpool.dispatches") == 0
 
@@ -283,46 +263,16 @@ def test_generated_phases_keep_the_phase_contract_many(thread_pool, phase):
     check_generated_phase(thread_pool, **phase)
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.integers(4, 12), st.integers(1, 3),
-       st.sets(st.integers(0, 3), min_size=2, max_size=3))
-def test_backoff_delays_only_the_retried_task(thread_pool, count, workers,
-                                              victims):
-    # Backoffs overlap each other and everyone else's work: a feeder that
-    # slept through each one would take len(victims) backoffs, and would
-    # finish the untouched tasks after the first of them.
-    backoff = 0.08
-    policy = RetryPolicy(max_attempts=2, backoff_seconds=backoff,
-                         jitter_fraction=0.0)
-    script = {(f"t{index}", 0) for index in victims}
-    started = time.perf_counter()
-    __, trace, __, error = run_phase("process", workers, policy,
-                                     ScriptedFaults(script),
-                                     pool=thread_pool, count=count)
-    elapsed = time.perf_counter() - started
-    assert error is None
-    assert elapsed < 1.5 * backoff
-    retries = [event for event in trace.task_events() if event.attempt == 1]
-    assert len(retries) == len(victims)
-    first_retry = min(event.start for event in retries)
-    for event in trace.task_events():
-        if event.attempt == 0:
-            assert event.end <= first_retry, event.task_id
-    for event in retries:
-        [failed] = [other for other in trace.task_events()
-                    if other.task_id == event.task_id and other.attempt == 0]
-        assert event.start - failed.end >= 0.9 * backoff
-
-
 def test_plans_in_flight_drain_when_a_task_exhausts(thread_pool):
-    # t0 and t1 are with their workers when t2's only attempt is killed at
-    # its begin: both plans are received and stored, their attempts closed
-    # as successes, and nothing else starts.
-    injector = CountingFaults({("t2", 0)})
+    # t0 and t1 are with their workers when t2's kernel() raises: both
+    # plans are received and stored, their attempts closed as successes,
+    # and nothing else starts.
+    begun = []
     outputs, trace, registry, error = run_phase(
-        "process", 3, RetryPolicy(), injector, pool=thread_pool, count=6)
-    assert "task t2 attempt 0" in str(error)
-    assert injector.calls == 3
+        "process", 3, pool=thread_pool, before=begun.append, count=6,
+        fails={2: "kernel"})
+    assert "task t2 of job phase failed: t2 fails in kernel()" in str(error)
+    assert [task.task_id for task in begun] == ["t0", "t1", "t2"]
     assert [(event.task_id, event.status) for event in sorted(
         trace.task_events(), key=lambda event: event.task_id)] \
         == [("t0", "success"), ("t1", "success"), ("t2", "failed")]
@@ -354,38 +304,23 @@ def test_feeder_reads_no_clock_and_ships_no_telemetry_when_off(
     assert all(reply[2] is None for reply in replies)
 
 
-class KillWorker(FaultInjector):
-    """At the ``at_call``-th attempt begun, kill one pool worker."""
-
-    def __init__(self, at_call, kill):
-        self.at_call = at_call
-        self.kill = kill
-        self.calls = 0
-
-    def before_attempt(self, task_id, attempt):
-        self.calls += 1
-        if self.calls == self.at_call:
-            self.kill()
-
-
 def test_worker_found_dead_is_replaced_before_the_send(thread_pool):
-    # The fault hook fires between acquire() and send(): the one worker
-    # the feeder has borrowed dies in that window.  The per-send liveness
-    # check replaces it, so no attempt fails even with a single attempt
-    # allowed.
+    # The third task's kernel() runs between acquire() and send(): the one
+    # worker the feeder has borrowed dies in that window.  The per-send
+    # liveness check replaces it, so no attempt fails.
     def kill():
         [handle] = [handle for handle in thread_pool._handles
                     if handle not in thread_pool._free]
         handle.process.kill(handle.conn)
 
-    injector = KillWorker(3, kill)
     outputs, trace, registry, error = run_phase(
-        "process", 1, RetryPolicy(), injector, pool=thread_pool, count=6)
+        "process", 1, pool=thread_pool, before=kill_at_call(3, kill),
+        count=6)
     assert error is None
     assert metric_total(registry, "procpool.respawns") == 1
     assert metric_total(registry, "local.task_failures") == 0
     assert len(trace.successful_task_events()) == 6
-    reference, *__ = run_phase("thread", 1, RetryPolicy(), None, count=6)
+    reference, *__ = run_phase("thread", 1, count=6)
     for index, (array, __) in reference.items():
         assert np.array_equal(outputs[index][0], array)
 
@@ -393,42 +328,46 @@ def test_worker_found_dead_is_replaced_before_the_send(thread_pool):
 @pytest.mark.process_backend
 def test_sigkill_with_two_plans_in_flight_fails_only_its_attempt():
     # Three workers, LIFO hand-out: t0 goes to worker 2, t1 to worker 1;
-    # when the third attempt is begun both plans are in flight (each is a
+    # when t2's kernel() runs both plans are in flight (each is a
     # 700-square product, tens of milliseconds) and worker 2 is SIGKILLed.
-    registry_box = {}
-
-    def kill():
-        handle = registry_box["pool"]._handles[2]
-        registry_box["pid"] = handle.pid
-        registry_box["at"] = registry_box["recorder"].now()
-        os.kill(handle.pid, signal.SIGKILL)
-        handle.process.join(timeout=5)
-
-    dag, outputs = make_phase(count=6, size=700)
+    # t0's attempt fails naming the worker; t1 (and t2, already prepared)
+    # drain as successes; nothing else starts.
     recorder = InMemoryRecorder()
     registry = MetricsRegistry()
     executor = LocalExecutor(max_workers=3, recorder=recorder,
-                             metrics=registry,
-                             retry_policy=RetryPolicy(max_attempts=2),
-                             fault_injector=KillWorker(3, kill),
-                             backend="process")
+                             metrics=registry, backend="process")
+    killed = {}
+
+    def kill():
+        handle = executor.kernel_pool()._handles[2]
+        killed.update(pid=handle.pid, at=recorder.now())
+        os.kill(handle.pid, signal.SIGKILL)
+        handle.process.join(timeout=5)
+
+    dag, __ = make_phase(count=6, size=700)
+    wrap_kernels(dag, kill_at_call(3, kill))
     try:
-        registry_box.update(pool=executor.kernel_pool(), recorder=recorder)
-        executor.run(dag)
-        assert executor.kernel_pool()._handles[2].pid != registry_box["pid"]
+        with pytest.raises(ExecutionError) as excinfo:
+            executor.run(dag)
+        message = str(excinfo.value)
+        assert "kernel worker 2" in message
+        assert str(killed["pid"]) in message
+        assert [(event.task_id, event.status) for event in sorted(
+            recorder.trace().task_events(), key=lambda event: event.task_id)] \
+            == [("t0", "failed"), ("t1", "success"), ("t2", "success")]
+        assert metric_total(registry, "procpool.worker_deaths") == 1
+        # The dead worker is respawned on the next acquire, and the same
+        # executor's next run matches the thread backend bit for bit.
+        again, outputs = make_phase(count=6, size=700)
+        executor.run(again)
+        assert executor.kernel_pool()._handles[2].pid != killed["pid"]
     finally:
         executor.close()
-    trace = recorder.trace()
-    failed = [(event.task_id, event.attempt)
-              for event in trace.task_events() if event.status == "failed"]
-    assert failed == [("t0", 0)]
-    assert trace.task_ids() == {f"t{index}" for index in range(6)}
-    assert metric_total(registry, "procpool.worker_deaths") == 1
     assert metric_total(registry, "procpool.respawns") == 1
-    lane = [event for event in trace.kernel_events()
+    lane = [event for event in recorder.trace().kernel_events()
             if event.slot == f"{WORKER_LANE_PREFIX}2"
             and event.label in ("block", "grid")]
-    assert any(event.start >= registry_box["at"] for event in lane), \
+    assert any(event.start >= killed["at"] for event in lane), \
         "lane 2 must keep recording after the respawn"
     reference_dag, reference = make_phase(count=6, size=700)
     LocalExecutor(max_workers=3).run(reference_dag)

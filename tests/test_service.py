@@ -1,5 +1,7 @@
 """Unit tests for the multi-tenant job service."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.api import (
     ServiceError,
     get_instance_type,
 )
+from repro.cli import main
 from repro.errors import ValidationError
 from repro.service.admission import (
     REJECT_BUDGET,
@@ -203,6 +206,29 @@ class TestJobService:
         program, __ = tiny_multiply()
         with pytest.raises(ValidationError, match="past"):
             svc.submit(program, "acme", submit_at=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("flag,keyword", [
+        ("submit-at", None), ("weight", "weight"),
+        ("budget", "budget_dollars"), ("deadline", "deadline_seconds")])
+    def test_non_finite_limits_and_arrivals_are_refused(
+            self, tmp_path, capsys, flag, keyword, value):
+        # NaN compares false to every bound: unchecked, a NaN arrival
+        # stalls drain() and a NaN weight leaves its jobs running forever.
+        program, tile = tiny_multiply()
+        with pytest.raises(ValidationError, match="finite"):
+            if keyword is None:
+                self.service().submit(program, "acme", submit_at=value,
+                                      tile_size=tile)
+            else:
+                self.service(acme={keyword: value})
+        script = tmp_path / "script.json"
+        code = main(["submit", str(script), "multiply", "--scale", "tiny",
+                     "--tenant", "acme", f"--{flag}", str(value)],
+                    out=io.StringIO())
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not script.exists()
 
     def test_tenant_dollars_sum_to_meter_total(self):
         svc = self.service(acme={"weight": 2.0}, zeta={})

@@ -40,3 +40,34 @@ def test_check_fails_over_the_ceiling(monkeypatch, capsys):
     monkeypatch.setattr(sizereport, "ceiling", lambda: 10)
     assert sizereport.main(["--check"]) == 1
     assert "over the ceiling of 10" in capsys.readouterr().err
+
+
+def test_every_src_module_is_reached_from_a_product_entry_point():
+    # A module that only tests import is dead weight: delete it, or move
+    # it into the tests that use it.
+    assert sizereport.unreachable_modules() == []
+
+
+def test_census_follows_every_import_form_and_names_the_orphan(tmp_path):
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/api/__init__.py": "from ..core import a\n",
+        "src/repro/core/__init__.py": "",
+        "src/repro/core/a.py": "def lazy():\n    from . import b\n",
+        "src/repro/core/b.py": "",
+        "src/repro/core/c.py": "",
+        "src/repro/core/orphan.py": "import repro.core.b\n",
+        "tools/tool.py": "import repro.core.c\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert sizereport.unreachable_modules(tmp_path) == ["repro.core.orphan"]
+
+
+def test_check_fails_on_an_orphan_module(monkeypatch, capsys):
+    monkeypatch.setattr(sizereport, "unreachable_modules",
+                        lambda: ["repro.core.orphan"])
+    assert sizereport.main(["--check"]) == 1
+    assert "imports repro.core.orphan" in capsys.readouterr().err
