@@ -116,7 +116,7 @@ def measure_tile_op_overhead(tile_size: int = 64, repeats: int = 50,
     if tile_size <= 0 or repeats <= 0:
         raise ValidationError("tile_size and repeats must be positive")
     # Imported here to avoid a cycle (tiled -> tile -> benchmarking users).
-    from repro.matrix.tile import Tile, TileId, tile_matmul
+    from repro.matrix.tile import Tile, TileId, maybe_sparsify, tile_matmul
     from repro.matrix.tiled import DenseBacking
 
     rng = np.random.default_rng(seed)
@@ -129,7 +129,7 @@ def measure_tile_op_overhead(tile_size: int = 64, repeats: int = 50,
         left = backing.get(left_id)
         right = backing.get(right_id)
         product = tile_matmul(left.data, right.data)
-        backing.put(Tile(TileId("bo", 0, 0), product).compacted())
+        backing.put(Tile(TileId("bo", 0, 0), maybe_sparsify(product)))
     elapsed = time.perf_counter() - started
     blas_seconds = repeats * 2 * tile_size ** 3 * measure_matmul_rate(
         tile_size, repeats=1, seed=seed)

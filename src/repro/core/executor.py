@@ -119,11 +119,11 @@ class CumulonExecutor:
             )
         for name, array in inputs.items():
             declared = program.inputs[name].shape
-            array = np.atleast_2d(np.asarray(array, dtype=np.float64))
-            if array.shape != declared:
+            shape = np.shape(array)
+            shape = (1,) * (2 - len(shape)) + shape  # as from_numpy promotes
+            if shape != declared:
                 raise ValidationError(
-                    f"input {name!r} has shape {array.shape}, "
-                    f"declared {declared}"
+                    f"input {name!r} has shape {shape}, declared {declared}"
                 )
             TiledMatrix.from_numpy(name, array, self.tile_size, self.backing)
 

@@ -85,11 +85,16 @@ class Tile:
     _shape: tuple[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not _is_sparse(self.data):
-            self.data = np.atleast_2d(np.asarray(self.data, dtype=np.float64))
-        if self.data.ndim != 2:
-            raise ShapeError(f"tile payload must be 2-D, got {self.data.ndim}-D")
-        self._shape = (int(self.data.shape[0]), int(self.data.shape[1]))
+        data = self.data
+        # A 2-D float64 ndarray (every stored dense tile) is kept as it is.
+        if not (type(data) is np.ndarray and data.ndim == 2
+                and data.dtype == np.float64):
+            if not _is_sparse(data):
+                data = self.data = np.atleast_2d(
+                    np.asarray(data, dtype=np.float64))
+            if data.ndim != 2:
+                raise ShapeError(f"tile payload must be 2-D, got {data.ndim}-D")
+        self._shape = (int(data.shape[0]), int(data.shape[1]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,15 +120,6 @@ class Tile:
 
     def to_dense(self) -> np.ndarray:
         return densify(self.data)
-
-    def compacted(self, nnz: int | None = None) -> "Tile":
-        """Return an equivalent tile with the cheaper storage representation.
-
-        ``nnz`` optionally carries a precomputed nonzero count (see
-        :func:`maybe_sparsify`); the choice of representation is identical
-        either way.
-        """
-        return Tile(self.tile_id, maybe_sparsify(self.to_dense(), nnz=nnz))
 
 
 # ---------------------------------------------------------------------------

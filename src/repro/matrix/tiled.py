@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ShapeError, ValidationError
-from repro.matrix.tile import Tile, TileId
+from repro.errors import FileNotFoundInHDFSError, ShapeError, ValidationError
+from repro.matrix.tile import Tile, TileId, maybe_sparsify
 
 #: Default tile side, matching Cumulon's "a few thousand" squared tiles,
 #: scaled down so laptop-scale tests stay fast.
@@ -91,14 +91,16 @@ class TileGrid:
             for tile_col in range(self.tile_cols):
                 yield (tile_row, tile_col)
 
-    def slice_for(self, tile_row: int, tile_col: int) -> tuple[slice, slice]:
-        """Numpy slices selecting this tile from the assembled matrix."""
-        self.check_position(tile_row, tile_col)
-        row_start = tile_row * self.tile_size
-        col_start = tile_col * self.tile_size
-        height, width = self.tile_shape(tile_row, tile_col)
-        return (slice(row_start, row_start + height),
-                slice(col_start, col_start + width))
+
+def _blocks(grid: TileGrid):
+    """Iterate ``(tile_row, tile_col, rows, cols)`` over ``grid`` in
+    row-major order; ``rows``/``cols`` slice that tile out of the assembled
+    matrix (numpy clips the last strip to the ragged edge)."""
+    size = grid.tile_size
+    for tile_row, row in enumerate(range(0, grid.rows, size)):
+        rows = slice(row, row + size)
+        for tile_col, col in enumerate(range(0, grid.cols, size)):
+            yield tile_row, tile_col, rows, slice(col, col + size)
 
 
 class TileBacking:
@@ -121,7 +123,8 @@ class DenseBacking(TileBacking):
         try:
             return self._tiles[tile_id.key()]
         except KeyError:
-            raise ShapeError(f"tile {tile_id.key()} was never written") from None
+            raise FileNotFoundInHDFSError(
+                f"tile {tile_id.key()} was never written") from None
 
     def put(self, tile: Tile) -> None:
         self._tiles[tile.tile_id.key()] = tile
@@ -146,15 +149,19 @@ class TiledMatrix:
     def from_numpy(cls, name: str, array: np.ndarray,
                    tile_size: int = DEFAULT_TILE_SIZE,
                    backing: TileBacking | None = None) -> "TiledMatrix":
-        """Partition a dense numpy array into tiles."""
+        """Partition a dense numpy array into tiles.
+
+        Each stored dense tile is a view of ``array`` (of the float64 copy
+        when ``array`` needed converting), not a copy of it.
+        """
         array = np.atleast_2d(np.asarray(array, dtype=np.float64))
         if array.ndim != 2:
             raise ShapeError(f"expected 2-D array, got {array.ndim}-D")
         grid = TileGrid(array.shape[0], array.shape[1], tile_size)
         matrix = cls(name, grid, backing)
-        for tile_row, tile_col in grid.positions():
-            rows, cols = grid.slice_for(tile_row, tile_col)
-            matrix.put_tile(tile_row, tile_col, array[rows, cols])
+        for tile_row, tile_col, rows, cols in _blocks(grid):
+            matrix.backing.put(Tile(TileId(name, tile_row, tile_col),
+                                    maybe_sparsify(array[rows, cols])))
         return matrix
 
     @classmethod
@@ -179,19 +186,20 @@ class TiledMatrix:
         return self.backing.get(self.tile_id(tile_row, tile_col))
 
     def put_tile(self, tile_row: int, tile_col: int, payload, *,
-                 nnz: int | None = None) -> Tile:
-        """Store one tile; ``nnz`` optionally pre-counts nonzeros (kernel
-        workers count while the result is cache-hot) without changing the
-        stored representation."""
-        tile_id = self.tile_id(tile_row, tile_col)
-        tile = Tile(tile_id, payload)
-        expected = self.grid.tile_shape(tile_row, tile_col)
+                 nnz: int | None = None) -> None:
+        """Store one tile in its cheaper representation (dense or CSR, see
+        :func:`maybe_sparsify`); ``nnz`` optionally pre-counts nonzeros
+        (kernel workers count while the result is cache-hot) without
+        changing that choice."""
+        expected = self.grid.tile_shape(tile_row, tile_col)  # checks position
+        tile = Tile(TileId(self.name, tile_row, tile_col), payload)
         if tile.shape != expected:
             raise ShapeError(
-                f"tile {tile_id.key()} has shape {tile.shape}, expected {expected}"
+                f"tile {tile.tile_id.key()} has shape {tile.shape}, "
+                f"expected {expected}"
             )
-        self.backing.put(tile.compacted(nnz=nnz))
-        return tile
+        tile.data = maybe_sparsify(tile.to_dense(), nnz=nnz)
+        self.backing.put(tile)
 
     def tiles(self):
         """Iterate all tiles in row-major order."""
@@ -207,23 +215,14 @@ class TiledMatrix:
     def to_numpy(self) -> np.ndarray:
         """Assemble the full dense matrix (tests / small matrices only)."""
         result = np.zeros(self.shape)
-        for tile_row, tile_col in self.grid.positions():
-            rows, cols = self.grid.slice_for(tile_row, tile_col)
-            result[rows, cols] = self.get_tile(tile_row, tile_col).to_dense()
+        for tile_row, tile_col, rows, cols in _blocks(self.grid):
+            tile = self.backing.get(TileId(self.name, tile_row, tile_col))
+            result[rows, cols] = tile.to_dense()
         return result
 
     def nbytes(self) -> int:
         """Total serialized bytes across all tiles."""
         return sum(tile.nbytes() for tile in self.tiles())
-
-    def nnz(self) -> int:
-        """Total stored nonzeros across all tiles."""
-        return sum(tile.nnz for tile in self.tiles())
-
-    def density(self) -> float:
-        """Fraction of nonzero elements over the logical size."""
-        total = self.shape[0] * self.shape[1]
-        return self.nnz() / total if total else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TiledMatrix({self.name!r}, shape={self.shape}, "

@@ -450,8 +450,11 @@ class JobService:
         events = []
         for at, seq, kind, payload in sorted(self._events):
             if kind == "complete":
-                events.append({"at": at, "seq": seq, "kind": kind,
-                               "generation": payload})
+                # Dead (superseded) completions are pruned lazily, on reads
+                # of next_event_at: leave them out, so replay snapshots alike.
+                if payload == self._generation:
+                    events.append({"at": at, "seq": seq, "kind": kind,
+                                   "generation": payload})
             else:
                 events.append({"at": at, "seq": seq, "kind": kind,
                                "job_id": payload.job_id})

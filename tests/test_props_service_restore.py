@@ -142,3 +142,23 @@ def test_restored_and_recovered_runs_match_the_uninterrupted_one(
 def test_restored_and_recovered_runs_match_the_uninterrupted_one_many(
         scenario, data):
     check(scenario, data)
+
+
+def test_a_superseded_completion_does_not_split_the_snapshots():
+    """A cancel supersedes the running job's completion.  The live run
+    drops that dead completion when the driver reads ``next_event_at``;
+    replay never reads it.  Recovery must still snapshot like the live
+    run (a generated example found this)."""
+    instants = [("gap", 0.0, [("submit", 0, 0)]),
+                ("gap", 0.0, [("cancel", 0, 0)]),
+                ("completion", 0.0, [("submit", 0, 0)])]
+    with tempfile.TemporaryDirectory() as directory:
+        live = new_service("fifo", 1, [0.5] * 4,
+                           store=DurabilityStore(directory, fsync_every=64,
+                                                 snapshot_every=0))
+        play(live, instants, [])
+        live.close_durability()
+        recovered = recover(directory)
+        assert without_counters(state(recovered)) \
+            == without_counters(state(live))
+        recovered.close_durability()

@@ -20,7 +20,7 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.tilestore import TileStore
 from repro.matrix.compression import available_codecs
-from repro.matrix.tile import Tile, TileId
+from repro.matrix.tile import Tile, TileId, maybe_sparsify
 
 CODEC_NAMES = sorted(available_codecs())
 
@@ -43,7 +43,7 @@ def tiles(draw):
     if density < 1.0:
         dense *= rng.random((rows, cols)) < density
     tile_id = TileId("P", draw(st.integers(0, 3)), draw(st.integers(0, 3)))
-    return Tile(tile_id, dense).compacted()
+    return Tile(tile_id, maybe_sparsify(dense))
 
 
 def as_dense(tile):

@@ -17,6 +17,7 @@ from repro.matrix.tile import (
     tile_elementwise,
     tile_matmul,
 )
+from repro.matrix.tiled import TileGrid, TiledMatrix
 
 
 class TestTileId:
@@ -71,7 +72,7 @@ class TestTile:
         data = np.zeros((100, 100))
         data[0, 0] = 1.0
         dense_tile = Tile(TileId("A", 0, 0), data)
-        sparse_tile = dense_tile.compacted()
+        sparse_tile = Tile(TileId("A", 0, 0), maybe_sparsify(data))
         assert sparse_tile.is_sparse
         assert sparse_tile.nbytes() < dense_tile.nbytes()
 
@@ -85,13 +86,17 @@ class TestTile:
         np.testing.assert_array_equal(tile.to_dense(), data)
 
     def test_compacted_keeps_dense_when_dense(self):
-        tile = Tile(TileId("A", 0, 0), np.ones((8, 8)))
-        assert not tile.compacted().is_sparse
+        matrix = TiledMatrix("A", TileGrid(8, 8, 8))
+        matrix.put_tile(0, 0, np.ones((8, 8)))
+        assert not matrix.get_tile(0, 0).is_sparse
 
     def test_compacted_preserves_values(self):
         data = np.zeros((20, 20))
         data[3, 7] = 2.5
-        tile = Tile(TileId("A", 0, 0), data).compacted()
+        matrix = TiledMatrix("A", TileGrid(20, 20, 20))
+        matrix.put_tile(0, 0, data)
+        tile = matrix.get_tile(0, 0)
+        assert tile.is_sparse
         np.testing.assert_array_equal(tile.to_dense(), data)
 
 
