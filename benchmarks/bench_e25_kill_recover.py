@@ -20,10 +20,10 @@ import time
 
 from repro.observability.metrics import MetricsRegistry
 from repro.service.durability import DurabilityStore
-from repro.service.loadgen import kill_and_recover
 from repro.service.script import run_script, validate_script
 
 from benchmarks.common import Table, report
+from benchmarks.rigs import kill_and_recover
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 HEAVY_JOBS = 6 if TINY else 20

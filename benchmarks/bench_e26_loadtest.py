@@ -11,8 +11,8 @@ and the acceptance bar is the durability audit: every submission gets
 exactly one admission decision, every admitted job exactly one
 terminal record, every acked job id is present in the journal.  A
 second row SIGKILLs the live server mid-burst and recovers it through
-the wall-clock path (the ``repro chaos --scenario service-kill
---wall-clock`` loop): the kill must be a real ``SIGKILL``, zero acked
+the wall-clock path (:func:`benchmarks.rigs.kill_and_recover` without
+a script): the kill must be a real ``SIGKILL``, zero acked
 submissions may be lost, zero jobs double-billed.
 """
 
@@ -21,9 +21,9 @@ import tempfile
 from pathlib import Path
 
 from repro.observability.metrics import MetricsRegistry
-from repro.service.loadgen import kill_and_recover, run_loadtest
 
 from benchmarks.common import Table, report
+from benchmarks.rigs import kill_and_recover, run_loadtest
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 JOBS = 300 if TINY else 10_000

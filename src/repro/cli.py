@@ -39,22 +39,15 @@ Commands
     print the per-tenant report (latency percentiles, fairness, dollars).
     ``--journal DIR`` makes the run crash-safe via a write-ahead journal
     (``--snapshot-every`` compacts it, ``--fsync-every`` batches syncs);
-    ``--recover`` resumes a journaled run after a crash.  The
-    ``chaos --scenario service-kill SCRIPT`` scenario SIGKILLs a
-    journaled serve mid-burst and proves recovery loses and double-bills
-    nothing (add ``--wall-clock`` to kill the live socket server
-    instead).
+    ``--recover`` resumes a journaled run after a crash (the SIGKILL
+    rig of benchmarks E25/E26, ``benchmarks/rigs.py``, proves recovery
+    loses and double-bills nothing).
 ``serve --listen SOCK``
     Run the service as a live wall-clock socket server: streaming NDJSON
     submissions over a unix socket (or ``HOST:PORT``), batched admission
     per scheduler tick, group-committed journal writes, graceful drain
     (see docs/serving.md).  ``--time-scale`` maps wall seconds to
     virtual cluster seconds.
-``loadtest [WORKLOAD]``
-    Fire a multi-process submission burst (``--jobs``/``--tenants``/
-    ``--processes``, Poisson/uniform/burst arrivals) at a live server,
-    report jobs/sec and admission/tick latency percentiles, and audit
-    the journal for lost or double-billed jobs (benchmark E26).
 
 ``trace`` and ``metrics`` also accept ``--scenario``/``--chaos-seed`` to
 inject the same seeded failures into their simulated runs.
@@ -504,46 +497,7 @@ def cmd_metrics(args, out) -> int:
     return 0
 
 
-#: The control-plane chaos scenario: SIGKILL a journaled service run
-#: mid-burst and recover it (the WORKLOAD positional is the submission
-#: script path for this scenario).
-SCENARIO_SERVICE_KILL = "service-kill"
-
-
-def _cmd_chaos_service_kill(args, out) -> int:
-    """SIGKILL a journaled serve mid-burst, recover, audit (and, for a
-    script, compare bills and schedules with an uninterrupted run)."""
-    import tempfile
-
-    from repro.service.loadgen import kill_and_recover
-    from repro.service.script import load_script
-
-    if args.wall_clock:
-        script = None
-        burst = {"jobs": args.jobs, "tenants": args.tenants,
-                 "workload": args.workload, "scale": args.scale}
-        source = {"workload": args.workload, "scale": args.scale}
-    else:
-        script = _load_script_or_die(load_script, Path(args.workload))
-        burst = {}
-        source = {"script": args.workload}
-    with tempfile.TemporaryDirectory(prefix="repro-service-kill-") as tmp:
-        report = kill_and_recover(
-            script, tmp,
-            kill_after=args.chaos_seed if args.chaos_seed > 0 else None,
-            **burst)
-    if args.json:
-        emit_json({"scenario": SCENARIO_SERVICE_KILL,
-                   "wall_clock": args.wall_clock, **source,
-                   **report.to_doc()}, out)
-    else:
-        print(report.describe(), file=out)
-    return 0 if report.ok else 1
-
-
 def cmd_chaos(args, out) -> int:
-    if args.scenario == SCENARIO_SERVICE_KILL:
-        return _cmd_chaos_service_kill(args, out)
     program, tile = build_workload(args.workload, args.scale)
     searched = None
     if args.deadline is not None or args.budget is not None:
@@ -862,33 +816,6 @@ def _cmd_serve_listen(args, out, script) -> int:
     return 0
 
 
-def cmd_loadtest(args, out) -> int:
-    """Fire a multi-process submission burst at a live socket server."""
-    import tempfile
-
-    from repro.service.loadgen import run_loadtest
-
-    kwargs = dict(
-        jobs=args.jobs, tenants=args.tenants, processes=args.processes,
-        arrival=args.arrival, rate=args.rate, burst_size=args.burst_size,
-        seed=args.seed, workload=args.workload, scale=args.scale,
-        instance=args.instance, nodes=args.nodes, slots=args.slots,
-        tick_interval=args.tick_interval, max_batch=args.max_batch,
-        max_wait=args.max_wait, time_scale=args.time_scale,
-        fsync_every=args.fsync_every, listen=args.listen,
-        timeout=args.timeout)
-    if args.dir:
-        report = run_loadtest(Path(args.dir), **kwargs)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as tmp:
-            report = run_loadtest(Path(tmp), **kwargs)
-    if args.json:
-        emit_json(report.to_doc(), out)
-    else:
-        print(report.describe(), file=out)
-    return 0 if report.ok else 1
-
-
 def _json_parent() -> argparse.ArgumentParser:
     """Parent parser: ``--json``, honored by every subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -916,12 +843,11 @@ def _cluster_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _chaos_parent(required: bool = False,
-                  extra: tuple = ()) -> argparse.ArgumentParser:
+def _chaos_parent(required: bool = False) -> argparse.ArgumentParser:
     """Parent parser: seeded failure injection (``--scenario/--chaos-seed``)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--scenario", required=required,
-                        default=None, choices=tuple(SCENARIOS) + tuple(extra),
+                        default=None, choices=tuple(SCENARIOS),
                         help="inject a seeded failure scenario into the "
                              "simulated run")
     parent.add_argument("--chaos-seed", dest="chaos_seed", type=int,
@@ -974,34 +900,6 @@ def _workers_parent() -> argparse.ArgumentParser:
                         help="local execution backend for real runs: "
                              "'thread' (default) or 'process' (kernel "
                              "worker pool over shared memory)")
-    return parent
-
-
-def _live_server_parent(note: str) -> argparse.ArgumentParser:
-    """Parent parser: the live socket server's batching and clock.
-
-    Built fresh for each subcommand: ``parents=`` shares the ``Action``
-    objects, so one subcommand's ``set_defaults`` would leak into the
-    other's.  ``note`` says when the options apply.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--tick-interval", dest="tick_interval", type=float,
-                        default=0.05,
-                        help=f"scheduler tick period in wall seconds "
-                             f"({note})")
-    parent.add_argument("--max-batch", dest="max_batch", type=int,
-                        default=256,
-                        help=f"max submissions admitted per scheduler tick "
-                             f"({note})")
-    parent.add_argument("--max-wait", dest="max_wait", type=float,
-                        default=None,
-                        help=f"max wall seconds a submission may wait for a "
-                             f"batch to fill (default: one tick interval; "
-                             f"{note})")
-    parent.add_argument("--time-scale", dest="time_scale", type=float,
-                        default=1.0,
-                        help=f"virtual cluster seconds per wall second "
-                             f"({note})")
     return parent
 
 
@@ -1082,12 +980,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     chaos = subparsers.add_parser(
         "chaos", parents=[workload, cluster, _search_parent(),
-                          _chaos_parent(required=True,
-                                        extra=(SCENARIO_SERVICE_KILL,)),
-                          as_json],
-        help="run a workload under a seeded failure scenario (with "
-             f"--scenario {SCENARIO_SERVICE_KILL}, WORKLOAD is a "
-             "submission-script path and the seed pins the kill point)")
+                          _chaos_parent(required=True), as_json],
+        help="run a workload under a seeded failure scenario")
     chaos.add_argument("--seed", dest="chaos_seed", type=int,
                        default=argparse.SUPPRESS,
                        help="alias for --chaos-seed")
@@ -1105,18 +999,6 @@ def make_parser() -> argparse.ArgumentParser:
                        action="store_true",
                        help="also print the spot-market checkpoint-interval "
                             "advice for this workload")
-    chaos.add_argument("--wall-clock", dest="wall_clock",
-                       action="store_true",
-                       help=f"with --scenario {SCENARIO_SERVICE_KILL}: kill "
-                            "the live wall-clock socket server mid-burst "
-                            "instead of a script replay (WORKLOAD is then a "
-                            "workload name; the seed pins the kill record)")
-    chaos.add_argument("--jobs", type=int, default=120,
-                       help="submissions in the wall-clock kill burst "
-                            "(with --wall-clock)")
-    chaos.add_argument("--tenants", type=int, default=12,
-                       help="tenants in the wall-clock kill burst "
-                            "(with --wall-clock)")
 
     submit = subparsers.add_parser(
         "submit", parents=[cluster, as_json],
@@ -1146,8 +1028,7 @@ def make_parser() -> argparse.ArgumentParser:
                              "--recover` there would pick up")
 
     serve = subparsers.add_parser(
-        "serve", parents=[cluster, _live_server_parent("with --listen"),
-                          as_json],
+        "serve", parents=[cluster, as_json],
         help="replay a submission script on the multi-tenant job service, "
              "or run the live wall-clock socket server with --listen")
     serve.add_argument("script", nargs="?", default=None,
@@ -1175,48 +1056,23 @@ def make_parser() -> argparse.ArgumentParser:
                        help="serve a live NDJSON socket (unix path, or "
                             "HOST:PORT for TCP) on the wall clock instead "
                             "of replaying a script (see docs/serving.md)")
-
-    loadtest = subparsers.add_parser(
-        "loadtest", parents=[cluster, _live_server_parent("of the spawned "
-                                                          "server"),
-                             as_json],
-        help="fire a multi-process submission burst at a live wall-clock "
-             "server and audit the journal (benchmark E26)")
-    loadtest.add_argument("workload", nargs="?", default="multiply",
-                          help=" | ".join(WORKLOAD_NAMES))
-    loadtest.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    loadtest.add_argument("--jobs", type=int, default=1000,
-                          help="total submissions to fire")
-    loadtest.add_argument("--tenants", type=int, default=100,
-                          help="synthetic tenants the jobs bill to")
-    loadtest.add_argument("--processes", type=int, default=4,
-                          help="client OS processes generating load")
-    loadtest.add_argument("--arrival", default="poisson",
-                          choices=("uniform", "poisson", "burst"),
-                          help="arrival process for submissions")
-    loadtest.add_argument("--rate", type=float, default=0.0,
-                          help="per-process submissions per second "
-                               "(0 = as fast as the socket accepts)")
-    loadtest.add_argument("--burst-size", dest="burst_size", type=int,
-                          default=32,
-                          help="submissions per burst (with "
-                               "--arrival burst)")
-    loadtest.add_argument("--seed", type=int, default=7,
-                          help="arrival-process seed")
-    loadtest.set_defaults(tick_interval=0.02, max_batch=512,
-                          time_scale=600.0)
-    loadtest.add_argument("--fsync-every", dest="fsync_every", type=int,
-                          default=4096,
-                          help="journal fsync batching on the server")
-    loadtest.add_argument("--listen", default=None,
-                          help="target an already-running server instead "
-                               "of spawning one (skips the journal audit "
-                               "unless --dir points at its journal)")
-    loadtest.add_argument("--dir", default=None,
-                          help="working directory for the socket + journal "
-                               "(default: a temp dir, deleted afterwards)")
-    loadtest.add_argument("--timeout", type=float, default=600.0,
-                          help="overall safety timeout in seconds")
+    serve.add_argument("--tick-interval", dest="tick_interval", type=float,
+                       default=0.05,
+                       help="scheduler tick period in wall seconds (with "
+                            "--listen)")
+    serve.add_argument("--max-batch", dest="max_batch", type=int,
+                       default=256,
+                       help="max submissions admitted per scheduler tick "
+                            "(with --listen)")
+    serve.add_argument("--max-wait", dest="max_wait", type=float,
+                       default=None,
+                       help="max wall seconds a submission may wait for a "
+                            "batch to fill (default: one tick interval; "
+                            "with --listen)")
+    serve.add_argument("--time-scale", dest="time_scale", type=float,
+                       default=1.0,
+                       help="virtual cluster seconds per wall second (with "
+                            "--listen)")
 
     return parser
 
@@ -1232,7 +1088,6 @@ COMMANDS = {
     "chaos": cmd_chaos,
     "submit": cmd_submit,
     "serve": cmd_serve,
-    "loadtest": cmd_loadtest,
 }
 
 

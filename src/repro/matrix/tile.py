@@ -138,34 +138,6 @@ def tile_matmul(left, right) -> np.ndarray:
     return densify(left) @ densify(right)
 
 
-def tile_add(left, right):
-    """Element-wise sum of two tile payloads of identical shape."""
-    if left.shape != right.shape:
-        raise ShapeError(
-            f"cannot add tile payloads of shapes {left.shape} and {right.shape}"
-        )
-    if _is_sparse(left) and _is_sparse(right):
-        return left + right
-    return densify(left) + densify(right)
-
-
-def tile_elementwise(func, *payloads):
-    """Apply ``func`` (an ndarray function) to densified payloads."""
-    dense = [densify(p) for p in payloads]
-    first = dense[0].shape
-    for other in dense[1:]:
-        if other.shape != first:
-            raise ShapeError(
-                f"elementwise inputs disagree on shape: {first} vs {other.shape}"
-            )
-    return func(*dense)
-
-
 def matmul_flops(rows: int, inner: int, cols: int) -> int:
     """Floating-point operations for a dense (rows x inner) @ (inner x cols)."""
     return 2 * rows * inner * cols
-
-
-def elementwise_flops(rows: int, cols: int, n_inputs: int = 1) -> int:
-    """Flops charged for an elementwise pass over an (rows x cols) tile."""
-    return rows * cols * max(1, n_inputs)

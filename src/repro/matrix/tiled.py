@@ -228,24 +228,3 @@ class TiledMatrix:
         return (f"TiledMatrix({self.name!r}, shape={self.shape}, "
                 f"tile_size={self.grid.tile_size})")
 
-
-def assert_same_grid(left: TiledMatrix, right: TiledMatrix) -> None:
-    """Raise unless two matrices share shape and tile size."""
-    if left.shape != right.shape or left.grid.tile_size != right.grid.tile_size:
-        raise ShapeError(
-            f"matrices {left.name!r} {left.shape} and {right.name!r} "
-            f"{right.shape} are not aligned"
-        )
-
-
-def multiply_grid(left: TileGrid, right: TileGrid) -> TileGrid:
-    """Grid of the product of two conforming tiled matrices."""
-    if left.cols != right.rows:
-        raise ShapeError(
-            f"cannot multiply shapes {left.shape} and {right.shape}"
-        )
-    if left.tile_size != right.tile_size:
-        raise ShapeError(
-            f"tile sizes disagree: {left.tile_size} vs {right.tile_size}"
-        )
-    return TileGrid(left.rows, right.cols, left.tile_size)

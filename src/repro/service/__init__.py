@@ -33,7 +33,7 @@ This package adds the missing serving layer:
   (:mod:`repro.service.ticks`), and group-commits each batch to the
   journal before acking.
 
-The test rigs live in :mod:`repro.service.loadgen`: the load generator
-(``repro loadtest``, benchmark E26) and the one SIGKILL chaos harness, ``kill_and_recover`` (``repro chaos --scenario
-service-kill``, benchmarks E25 and E26).
+The load generator and the SIGKILL chaos harness that measure all this
+are benchmark rigs, not part of the package: ``benchmarks/rigs.py``,
+driven by benchmarks E25 and E26.
 """

@@ -59,8 +59,8 @@ deterministic, so they price exactly as before.
 :func:`audit_journal` recounts a journal directory independently of the
 service that wrote it: one decision per submission, one terminal record
 per admitted job.  See ``docs/service.md`` ("Durability and recovery")
-for the operator view; the SIGKILL chaos harness that E25, E26 and CI
-drive is :func:`repro.service.loadgen.kill_and_recover`.
+for the operator view; the SIGKILL chaos harness that E25, E26 and the
+tests drive is ``kill_and_recover`` in ``benchmarks/rigs.py``.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ The server counts everything once, in the ``server.*`` instruments of
 the :class:`~repro.observability.metrics.MetricsRegistry` it owns
 (``ReproServer.metrics``): counters, accept latency (enqueue -> ack),
 per-tick wall time, batch sizes, queue depth.  The ``status`` frame and
-the final :meth:`ReproServer.report` (read by the ``repro loadtest``
-harness, see :mod:`repro.service.loadgen`) are views of that registry.
+the final :meth:`ReproServer.report` (read by E26's load generator in
+``benchmarks/rigs.py``) are views of that registry.
 
 Robustness: malformed frames get structured ``error`` frames and the
 connection survives; a disconnected client's jobs keep running (their

@@ -431,31 +431,6 @@ class TestServeDurability:
         assert "recovered from journal" in text
         assert "decisions replayed (0 re-priced)" in text
 
-    def test_chaos_service_kill_round_trip(self, tmp_path):
-        script = self.build_script(tmp_path)
-        code, text = run_cli("chaos", str(script), "--scenario",
-                             "service-kill", "--chaos-seed", "5", "--json")
-        assert code == 0
-        document = json.loads(text)
-        assert document["scenario"] == "service-kill"
-        assert document["kill_after"] == 5
-        assert document["killed"] is True
-        assert document["ok"] is True
-        assert document["lost_jobs"] == 0
-        assert document["double_billed"] == 0
-        assert document["bills_match"] and document["schedules_match"]
-        assert document["full_run_records"] >= 5
-
-    def test_chaos_service_kill_past_the_run_fails(self, tmp_path, capsys):
-        # A 3-job script writes a few dozen records: a kill point past
-        # them could never land, so the run is refused, not passed.
-        script = self.build_script(tmp_path, jobs=3)
-        code, text = run_cli("chaos", str(script), "--scenario",
-                             "service-kill", "--chaos-seed", "100000")
-        assert code == 1
-        assert text == ""
-        assert "past the last" in capsys.readouterr().err
-
 
 class TestChaos:
     def test_node_crash_reports_damage(self):

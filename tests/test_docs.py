@@ -67,7 +67,8 @@ class TestCliReferences:
 
     def test_parser_exposes_the_serving_stack(self):
         known = doccheck.cli_subcommands()
-        assert {"serve", "loadtest", "chaos"} <= known
+        assert {"serve", "chaos"} <= known
+        assert "loadtest" not in known
 
     def test_stale_reference_is_reported(self, tmp_path):
         docs = tmp_path / "docs"

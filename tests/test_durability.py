@@ -57,7 +57,6 @@ from repro.service.jobs import (
     STATE_CANCELLED,
     JobService,
 )
-from repro.service.loadgen import kill_and_recover
 from repro.service.script import (
     build_service,
     run_script,
@@ -65,6 +64,8 @@ from repro.service.script import (
     validate_script,
 )
 from repro.workloads.catalog import build_workload
+
+from benchmarks.rigs import kill_and_recover
 
 
 def small_script(jobs=4):
@@ -86,6 +87,21 @@ def small_script(jobs=4):
         "tenants": [{"name": "heavy", "weight": 1.0},
                     {"name": "light", "weight": 1.0}],
         "jobs": job_docs,
+    })
+
+
+def submitted_script(*jobs):
+    """The script ``repro submit`` writes for ``(tenant, workload,
+    submit_at)`` jobs at tiny scale on two m1.large nodes."""
+    return validate_script({
+        "cluster": {"instance": "m1.large", "nodes": 2,
+                    "slots_per_node": 2},
+        "policy": "fair",
+        "tenants": [{"name": name}
+                    for name in dict.fromkeys(job[0] for job in jobs)],
+        "jobs": [{"tenant": tenant, "workload": workload, "scale": "tiny",
+                  "submit_at": submit_at}
+                 for tenant, workload, submit_at in jobs],
     })
 
 
@@ -679,13 +695,32 @@ class TestKillPoint:
         assert (tmp_path / "baseline" / "journal.wal").exists()
         assert not (tmp_path / "state").exists()
 
+    def test_a_pinned_kill_point_is_honoured(self, tmp_path):
+        script = submitted_script(("acme", "multiply", 0.0),
+                                  ("acme", "multiply", 30.0))
+        chaos = kill_and_recover(script, tmp_path, kill_after=5)
+        assert chaos.kill_after == 5
+        assert chaos.full_run_records >= 5
+        assert chaos.killed
+        assert chaos.ok, chaos.describe()
+        assert chaos.lost_jobs == 0
+        assert chaos.double_billed == 0
+        assert chaos.bills_match and chaos.schedules_match
+
 
 @pytest.mark.slow
 class TestRealSigkill:
-    def test_kill_and_recover_subprocess(self, tmp_path):
+    @pytest.mark.parametrize("script", [
+        small_script(),
+        # What CI builds with `repro submit`: two gnmf jobs at once, then
+        # two multiply arrivals while they run.
+        submitted_script(("heavy", "gnmf", 0.0), ("heavy", "gnmf", 0.0),
+                         ("light", "multiply", 15.0),
+                         ("light", "multiply", 45.0)),
+    ], ids=["small", "submitted-burst"])
+    def test_kill_and_recover_subprocess(self, tmp_path, script):
         # The default kill point lands half way through the records the
         # journaled baseline run wrote.
-        script = small_script()
         chaos = kill_and_recover(script, tmp_path)
         total = len(read_journal(tmp_path / "baseline" / "journal.wal"))
         assert chaos.full_run_records == total

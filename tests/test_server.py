@@ -4,8 +4,8 @@ Fast tier-1 coverage runs the server in-process (a thread + unix
 socket): batched admission, group commit, drain semantics, journal
 audit, and wall-clock recovery.  The ``slow``-marked tests exercise the
 real subprocess path — ``repro serve --listen`` spawned by
-:func:`~repro.service.loadgen.run_loadtest` and the SIGKILL chaos
-harness — exactly as benchmark E26 and CI's loadtest smoke job do.
+:func:`~benchmarks.rigs.run_loadtest` and the SIGKILL chaos harness —
+exactly as benchmark E26 and CI's loadtest smoke job do.
 """
 
 import io
@@ -24,15 +24,16 @@ from repro.service.durability import (
     recover,
 )
 from repro.service.jobs import JobService
-from repro.service.loadgen import (
+from repro.service.server import ReproServer, parse_listen
+from repro.service.ticks import WallClockDriver
+from repro.workloads.catalog import build_workload
+
+from benchmarks.rigs import (
     ProtocolClient,
     ServerThread,
     kill_and_recover,
     run_loadtest,
 )
-from repro.service.server import ReproServer, parse_listen
-from repro.service.ticks import WallClockDriver
-from repro.workloads.catalog import build_workload
 
 
 #: The keys of a server's ``report()["server"]`` and status ``stats``.
@@ -355,12 +356,25 @@ class TestLoadTestSubprocess:
         doc = report.to_doc()
         assert doc["ok"] is True and doc["audit"]["ok"] is True
 
-    def test_burst_arrivals(self, tmp_path):
-        report = run_loadtest(tmp_path, jobs=30, tenants=5, processes=1,
-                              arrival="burst", rate=500.0, burst_size=10,
-                              tick_interval=0.01)
+    @pytest.mark.parametrize(
+        "jobs,tenants,processes,rate,burst_size,tick_interval", [
+            (30, 5, 1, 500.0, 10, 0.01),
+            (60, 12, 2, 200.0, 32, 0.02),
+        ])
+    def test_burst_arrivals(self, tmp_path, jobs, tenants, processes, rate,
+                            burst_size, tick_interval):
+        report = run_loadtest(tmp_path, jobs=jobs, tenants=tenants,
+                              processes=processes, arrival="burst",
+                              rate=rate, burst_size=burst_size,
+                              tick_interval=tick_interval)
         assert report.ok
-        assert report.acked == 30
+        assert report.acked == jobs
+        assert report.audit.lost == 0
+        assert report.audit.double_billed == 0
+        assert report.audit.unjournaled_acks == 0
+        assert report.ticks > 0
+        assert report.group_commits >= 1
+        assert report.tick_p99_ms > 0
 
     def test_live_burst_kill_and_recover(self, tmp_path):
         report = kill_and_recover(None, tmp_path, jobs=40, tenants=8)
@@ -376,30 +390,20 @@ class TestLoadTestSubprocess:
         assert "bills_match" not in report.to_doc()
         assert "OK" in report.describe()
 
-    def test_cli_loadtest_json(self, tmp_path):
-        code, text = run_cli("loadtest", "--jobs", "30", "--tenants", "6",
-                             "--processes", "2", "--dir", str(tmp_path),
-                             "--json")
-        assert code == 0
-        import json as json_module
-        doc = json_module.loads(text)
-        assert doc["ok"] is True
-        assert doc["acked"] == 30
-        assert doc["audit"]["lost"] == 0
 
-    def test_cli_chaos_wall_clock(self):
-        code, text = run_cli("chaos", "multiply", "--scale", "tiny",
-                             "--scenario", "service-kill", "--wall-clock",
-                             "--jobs", "30", "--tenants", "6")
-        assert code == 0
-        assert "OK" in text
+class TestLoadTestArguments:
+    def test_bad_arrivals_are_refused_before_spawning(self, tmp_path):
+        # burst_size=0 would divide by zero in every worker and leave the
+        # parent waiting out the whole timeout; both are refused up front.
+        workdir = tmp_path / "rig"
+        with pytest.raises(ValidationError, match="arrival"):
+            run_loadtest(workdir, arrival="quantum")
+        with pytest.raises(ValidationError, match="burst_size"):
+            run_loadtest(workdir, arrival="burst", rate=100.0, burst_size=0)
+        assert not workdir.exists()
 
 
 class TestServeCli:
     def test_serve_requires_script_or_listen(self):
         code, __ = run_cli("serve")
         assert code == 1
-
-    def test_loadtest_rejects_bad_arrival(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("loadtest", "--arrival", "quantum")

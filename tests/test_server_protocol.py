@@ -4,7 +4,7 @@ Two layers:
 
 * pure frame-codec units (:mod:`repro.service.protocol`) — encode /
   decode / validate, every structured error code;
-* a live in-process server (:class:`~repro.service.loadgen.ServerThread`
+* a live in-process server (:class:`~benchmarks.rigs.ServerThread`
   over a unix socket) poked with torn, oversized, malformed, and
   out-of-order frames — every one must come back as a structured
   ``error`` frame (or a clean hangup for unrecoverable framing), never
@@ -20,7 +20,6 @@ import pytest
 from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import ProtocolError
 from repro.service.jobs import JobService
-from repro.service.loadgen import ProtocolClient, ServerThread
 from repro.service.protocol import (
     ERR_BAD_FRAME,
     ERR_BAD_JSON,
@@ -40,6 +39,8 @@ from repro.service.protocol import (
     validate_frame,
 )
 from repro.service.server import ReproServer
+
+from benchmarks.rigs import ProtocolClient, ServerThread
 from tests.test_server import SERVER_STATS_KEYS
 
 

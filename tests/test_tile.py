@@ -10,11 +10,8 @@ from repro.matrix.tile import (
     Tile,
     TileId,
     densify,
-    elementwise_flops,
     matmul_flops,
     maybe_sparsify,
-    tile_add,
-    tile_elementwise,
     tile_matmul,
 )
 from repro.matrix.tiled import TileGrid, TiledMatrix
@@ -152,42 +149,7 @@ class TestKernels:
         with pytest.raises(ShapeError):
             tile_matmul(np.ones((2, 3)), np.ones((2, 3)))
 
-    def test_add(self):
-        a = np.ones((2, 2))
-        np.testing.assert_allclose(tile_add(a, a), 2 * a)
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tile_add(np.ones((2, 2)), np.ones((3, 3)))
-
-    def test_add_sparse(self):
-        a = sparse.csr_matrix(np.eye(3))
-        result = tile_add(a, a)
-        np.testing.assert_allclose(densify(result), 2 * np.eye(3))
-
-    def test_elementwise_applies_function(self):
-        a = np.full((2, 2), 4.0)
-        np.testing.assert_allclose(tile_elementwise(np.sqrt, a), 2 * np.ones((2, 2)))
-
-    def test_elementwise_multiple_inputs(self):
-        a = np.full((2, 2), 3.0)
-        b = np.full((2, 2), 4.0)
-        np.testing.assert_allclose(
-            tile_elementwise(lambda x, y: x * y, a, b), np.full((2, 2), 12.0)
-        )
-
-    def test_elementwise_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tile_elementwise(lambda x, y: x + y, np.ones((2, 2)), np.ones((3, 3)))
-
 
 class TestFlopCounts:
     def test_matmul_flops(self):
         assert matmul_flops(10, 20, 30) == 2 * 10 * 20 * 30
-
-    def test_elementwise_flops(self):
-        assert elementwise_flops(10, 10) == 100
-        assert elementwise_flops(10, 10, n_inputs=3) == 300
-
-    def test_elementwise_flops_min_one_input(self):
-        assert elementwise_flops(5, 5, n_inputs=0) == 25

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, StorageError, ValidationError
-from repro.matrix.tiled import (
-    DenseBacking,
-    TileGrid,
-    TiledMatrix,
-    assert_same_grid,
-    multiply_grid,
-)
+from repro.matrix.tiled import DenseBacking, TileGrid, TiledMatrix
 
 
 class TestTileGrid:
@@ -158,37 +152,3 @@ class TestTiledMatrix:
     def test_1d_input_promoted(self):
         matrix = TiledMatrix.from_numpy("v", np.arange(5.0), 2)
         assert matrix.shape == (1, 5)
-
-
-class TestGridHelpers:
-    def test_assert_same_grid_ok(self):
-        a = TiledMatrix.zeros("A", 6, 4, 2)
-        b = TiledMatrix.zeros("B", 6, 4, 2)
-        assert_same_grid(a, b)
-
-    def test_assert_same_grid_shape_mismatch(self):
-        a = TiledMatrix.zeros("A", 6, 4, 2)
-        b = TiledMatrix.zeros("B", 4, 6, 2)
-        with pytest.raises(ShapeError):
-            assert_same_grid(a, b)
-
-    def test_assert_same_grid_tile_size_mismatch(self):
-        a = TiledMatrix.zeros("A", 6, 4, 2)
-        b = TiledMatrix.zeros("B", 6, 4, 3)
-        with pytest.raises(ShapeError):
-            assert_same_grid(a, b)
-
-    def test_multiply_grid(self):
-        left = TileGrid(10, 20, 5)
-        right = TileGrid(20, 30, 5)
-        out = multiply_grid(left, right)
-        assert out.shape == (10, 30)
-        assert out.tile_size == 5
-
-    def test_multiply_grid_mismatch(self):
-        with pytest.raises(ShapeError):
-            multiply_grid(TileGrid(10, 20, 5), TileGrid(21, 30, 5))
-
-    def test_multiply_grid_tile_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            multiply_grid(TileGrid(10, 20, 5), TileGrid(20, 30, 4))
