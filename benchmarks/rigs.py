@@ -461,7 +461,7 @@ def run_loadtest(directory: str | Path, *,
         started = time.perf_counter()
         for worker in workers:
             worker.start()
-        outcomes = [out_q.get(timeout=_TIMEOUT) for __ in workers]
+        outcomes = _collect_outcomes(out_q, workers)
         for worker in workers:
             worker.join(timeout=30.0)
         wall = time.perf_counter() - started
@@ -505,6 +505,40 @@ def run_loadtest(directory: str | Path, *,
         results=results, errors=errors, workers_drained=drained,
         audit=audit,
     )
+
+
+def _collect_outcomes(out_q, workers: list) -> list[dict]:
+    """One outcome per worker, waited for in short slices.
+
+    A worker that exits without reporting (killed, or dead before its
+    ``out_q.put``) raises :class:`ServiceError` naming it and its exit
+    code at once, instead of stalling the run for :data:`_TIMEOUT`.  A
+    worker counts as silent only if it was already dead when a slice began
+    and nothing arrived during it: a process flushes its queue before it
+    exits, so its outcome is in the pipe by then.
+    """
+    outcomes: list[dict] = []
+    reported: set[int] = set()
+    deadline = time.monotonic() + _TIMEOUT
+    while len(outcomes) < len(workers):
+        dead = [(index, worker) for index, worker in enumerate(workers)
+                if index not in reported and worker.exitcode is not None]
+        try:
+            outcome = out_q.get(timeout=0.25)
+        except queue.Empty:
+            if dead:
+                index, worker = dead[0]
+                raise ServiceError(
+                    f"load worker {index} (pid {worker.pid}) exited with "
+                    f"code {worker.exitcode} without reporting") from None
+            if time.monotonic() > deadline:
+                raise ServiceError(
+                    f"load workers sent {len(outcomes)} of {len(workers)} "
+                    f"outcomes in {_TIMEOUT:.0f}s") from None
+            continue
+        reported.add(outcome["worker"])
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _ms(values: list[float], fraction: float) -> float:

@@ -425,20 +425,25 @@ def build_matmul_jobs(job_id: str, left: Operand, right: Operand,
                            for info in targets]
 
     mult_tasks = []
-    task_index = 0
     i_chunks = list(_chunk_ranges(grid.tile_rows, params.tiles_per_task_i))
     j_chunks = list(_chunk_ranges(grid.tile_cols, params.tiles_per_task_j))
-    for seg_index, (k_start, k_stop) in enumerate(segments):
-        for i_start, i_stop in i_chunks:
-            for j_start, j_stop in j_chunks:
-                task = _build_mult_task(
-                    f"{job_id}-m{task_index}", left, right,
-                    targets[seg_index], target_matrices[seg_index],
-                    (i_start, i_stop), (j_start, j_stop), (k_start, k_stop),
-                    context,
-                )
-                mult_tasks.append(task)
-                task_index += 1
+    # A task's work depends only on its range lengths and on which ranges
+    # hold the last (possibly ragged) tile: each such class is priced once.
+    works: dict[tuple, TaskWork] = {}
+    for seg_index, k_range in enumerate(segments):
+        for i_range in i_chunks:
+            for j_range in j_chunks:
+                shape = (i_range[1] - i_range[0], i_range[1] == grid.tile_rows,
+                         j_range[1] - j_range[0], j_range[1] == grid.tile_cols,
+                         k_range[1] - k_range[0], k_range[1] == k_tiles)
+                work = works.get(shape)
+                if work is None:
+                    work = works[shape] = _mult_work(
+                        left, right, output, i_range, j_range, k_range)
+                mult_tasks.append(_build_mult_task(
+                    f"{job_id}-m{len(mult_tasks)}", left, right,
+                    target_matrices[seg_index], i_range, j_range, k_range,
+                    context, work))
     mult_job = Job(f"{job_id}", JobKind.MAP_ONLY, mult_tasks,
                    depends_on=deps,
                    label=f"mult {left.info.name}@{right.info.name}"
@@ -468,20 +473,11 @@ def _segment_bounds(k_tiles: int, k_splits: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _build_mult_task(task_id: str, left: Operand, right: Operand,
-                     target: MatrixInfo, target_matrix: TiledMatrix | None,
-                     i_range: tuple[int, int], j_range: tuple[int, int],
-                     k_range: tuple[int, int], context: PhysicalContext):
-    i_start, i_stop = i_range
-    j_start, j_stop = j_range
-    k_start, k_stop = k_range
+def _mult_work(left: Operand, right: Operand, target: MatrixInfo,
+               i_range: tuple[int, int], j_range: tuple[int, int],
+               k_range: tuple[int, int]) -> TaskWork:
+    """Declarative work of the mult task over one (i, j, k) block."""
     grid = target.grid
-
-    left_ids = (left.tile_id(i, k)
-                for i in range(i_start, i_stop) for k in range(k_start, k_stop))
-    right_ids = (right.tile_id(k, j)
-                 for k in range(k_start, k_stop) for j in range(j_start, j_stop))
-
     bytes_read = (left.block_bytes(i_range, k_range)
                   + right.block_bytes(k_range, j_range))
     bytes_written = target.block_bytes(i_range, j_range)
@@ -494,16 +490,27 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
 
     # Working set: the ci x cj accumulator block plus the buffered A-strip
     # and B-strip of this task's k segment (Cumulon buffers whole strips).
-    ci, cj = i_stop - i_start, j_stop - j_start
-    seg_len = k_stop - k_start
+    ci, cj, seg_len = (stop - start
+                       for start, stop in (i_range, j_range, k_range))
     tiles_held = ci * cj + seg_len * (ci + cj)
     tile_size = target.grid.tile_size
     memory = tiles_held * tile_size * tile_size * DENSE_ELEMENT_BYTES
     # reads + per-tile multiplies/accumulations + writes
     tile_ops = seg_len * (ci + cj) + 2 * ci * cj * seg_len + ci * cj
-    work = TaskWork(bytes_read=bytes_read, bytes_written=bytes_written,
+    return TaskWork(bytes_read=bytes_read, bytes_written=bytes_written,
                     flops=max(1, flops), tile_ops=tile_ops,
                     memory_bytes=memory)
+
+
+def _build_mult_task(task_id: str, left: Operand, right: Operand,
+                     target_matrix: TiledMatrix | None,
+                     i_range: tuple[int, int], j_range: tuple[int, int],
+                     k_range: tuple[int, int], context: PhysicalContext,
+                     work: TaskWork):
+    left_ids = (left.tile_id(i, k)
+                for i in range(*i_range) for k in range(*k_range))
+    right_ids = (right.tile_id(k, j)
+                 for k in range(*k_range) for j in range(*j_range))
     run = kernel = None
     if context.attach_run:
         run = _mult_runner(left, right, target_matrix, i_range, j_range,
@@ -514,8 +521,8 @@ def _build_mult_task(task_id: str, left: Operand, right: Operand,
         task_id=task_id, work=work,
         preferred_nodes=context.preferred_nodes(chain(left_ids, right_ids)),
         run=run,
-        label=f"mult i[{i_start}:{i_stop}) j[{j_start}:{j_stop}) "
-              f"k[{k_start}:{k_stop})",
+        label=f"mult i[{i_range[0]}:{i_range[1]}) "
+              f"j[{j_range[0]}:{j_range[1]}) k[{k_range[0]}:{k_range[1]})",
         kernel=kernel,
     )
 

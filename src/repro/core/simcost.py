@@ -80,7 +80,9 @@ def simulate_program(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
     namenode), no task-level failures, and every remaining input — DAG,
     cost model, node-failure model *including seeds* — can prove its
     identity; otherwise the simulation runs for real.  A cached abort
-    (quorum lost / retries exhausted) replays as the same exception.
+    (quorum lost / retries exhausted) replays as the same exception.  A
+    memoizable run goes through ``ClusterSimulator.estimate``, which keeps
+    no timelines, so the returned ``simulation`` is None.
     """
     key = None
     if cache is not None and cache.enabled and not recorder.enabled \
@@ -107,21 +109,22 @@ def simulate_program(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
                                  node_failures=node_failures,
                                  min_live_nodes=min_live_nodes,
                                  namenode=namenode)
-    try:
+    if key is None:
         result = simulator.run(dag)
+        return ProgramEstimate(
+            spec, result.makespan,
+            {job_id: timeline.duration
+             for job_id, timeline in result.job_timelines.items()}, result)
+    try:
+        seconds, job_seconds = simulator.estimate(dag)
     except SchedulingError as error:
-        if key is not None:
-            cache.put(key, CachedEstimate(
-                seconds=float("inf"), aborted=True, abort_message=str(error),
-                abort_quorum=isinstance(error, QuorumLostError)))
-        raise
-    job_seconds = {job_id: timeline.duration
-                   for job_id, timeline in result.job_timelines.items()}
-    if key is not None:
         cache.put(key, CachedEstimate(
-            seconds=result.makespan,
-            job_seconds=tuple(sorted(job_seconds.items()))))
-    return ProgramEstimate(spec, result.makespan, job_seconds, result)
+            seconds=float("inf"), aborted=True, abort_message=str(error),
+            abort_quorum=isinstance(error, QuorumLostError)))
+        raise
+    cache.put(key, CachedEstimate(
+        seconds=seconds, job_seconds=tuple(sorted(job_seconds.items()))))
+    return ProgramEstimate(spec, seconds, job_seconds)
 
 
 def job_floors(dag: JobDag, instance: InstanceType,

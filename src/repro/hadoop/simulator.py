@@ -30,7 +30,8 @@ documented simplification that keeps the simulation linear-time.
 private run object that owns the slot pool, job states, clock and event
 heap, and a table maps each event kind to one handler method.  An attempt in
 flight is one record, its task-end event's payload, marked when a twin
-finished first (KILLED) or its node died (LOST).
+finished first (KILLED) or its node died (LOST).  ``estimate()`` drives the
+same run object, but builds no attempt records or job timelines.
 """
 
 from __future__ import annotations
@@ -266,18 +267,23 @@ class _InFlight:
     """One attempt holding a slot, from its start to its task-end event.
 
     It is that event's payload, an entry of the run's ``live`` table and,
-    until a twin completes the task, of ``_TaskState.running``.  ``ended``
-    is None while it runs on its own clock; KILLED once a twin finished
-    first (its event reaps it); LOST once its node died (all was reconciled
-    then, so its event is ignored).
+    until a twin completes the task, of ``_TaskState.running``.  ``end``
+    and ``status`` (SUCCESS or FAILED) are how it ends on its own clock.
+    ``ended`` is None while it runs on that clock; KILLED once a twin
+    finished first (its event reaps it); LOST once its node died (all was
+    reconciled then, so its event is ignored).
     """
 
-    __slots__ = ("attempt", "state", "node", "index", "slot", "ended")
+    __slots__ = ("task", "state", "node", "index", "slot", "start", "end",
+                 "concurrency", "status", "ended")
 
-    def __init__(self, attempt: TaskAttempt, state: _JobState,
-                 node: _NodeState, index: int, slot: int):
-        self.attempt, self.state, self.node = attempt, state, node
+    def __init__(self, task: Task, state: _JobState, node: _NodeState,
+                 index: int, slot: int, start: float, end: float,
+                 status: str):
+        self.task, self.state, self.node = task, state, node
         self.index, self.slot, self.ended = index, slot, None
+        self.start, self.end, self.status = start, end, status
+        self.concurrency = node.busy
 
 
 class _TaskState:
@@ -379,11 +385,29 @@ class ClusterSimulator:
     def run(self, dag: JobDag) -> SimulationResult:
         if len(dag) == 0:
             return SimulationResult(self.spec, {}, 0.0)
-        return _Run(self, dag).simulate()
+        run = _Run(self, dag, keep_timelines=True).simulate()
+        timelines = {job_id: JobTimeline(job_id, state.started_at,
+                                         state.finished_at, state.attempts,
+                                         state.shuffle_seconds)
+                     for job_id, state in run.states.items()}
+        makespan = max(t.end for t in timelines.values())
+        return SimulationResult(self.spec, timelines, makespan,
+                                lost_nodes=run.lost_nodes,
+                                rereplicated_bytes=run.rereplicated_bytes,
+                                reexecuted_tasks=run.reexecuted_tasks)
+
+    def estimate(self, dag: JobDag) -> tuple[float, dict[str, float]]:
+        """``run(dag)``'s makespan and per-job seconds, bit for bit, without
+        building its attempt records and job timelines."""
+        states = _Run(self, dag, keep_timelines=False).simulate().states
+        return (max((state.finished_at for state in states.values()),
+                    default=0.0),
+                {job_id: state.finished_at - state.started_at
+                 for job_id, state in states.items()})
 
 
 class _Run:
-    """Everything one :meth:`ClusterSimulator.run` changes, and its handlers.
+    """Everything one ``run()`` or ``estimate()`` changes, and its handlers.
 
     The simulator holds configuration only.  Each run builds one of these,
     drains its heap of ``(time, sequence, kind, payload)`` events and reads
@@ -393,8 +417,10 @@ class _Run:
     is followed by one dispatch (docs/architecture.md says why).
     """
 
-    def __init__(self, sim: ClusterSimulator, dag: JobDag):
+    def __init__(self, sim: ClusterSimulator, dag: JobDag,
+                 keep_timelines: bool):
         self.sim = sim
+        self.keep_timelines = keep_timelines
         self.pool = _SlotPool(sim.spec.node_names(), sim.spec.slots_per_node,
                               sim.slow_nodes)
         self.states = {job.job_id: _JobState(job) for job in dag}
@@ -420,7 +446,7 @@ class _Run:
                     self._push(failure.at, "node-lost", failure)
         self._activate_ready_jobs()
 
-    def simulate(self) -> SimulationResult:
+    def simulate(self) -> "_Run":
         events = self.events
         handlers = self._HANDLERS
         metrics = self.metrics
@@ -447,24 +473,13 @@ class _Run:
                     sum(len(state.pending_maps) + len(state.pending_reduces)
                         for state in self.states.values()),
                     t=self.clock)
-        return self._result()
-
-    def _result(self) -> SimulationResult:
         unfinished = [job_id for job_id, state in self.states.items()
                       if state.finished_at is None]
         if unfinished:
             raise SchedulingError(
                 f"simulation ended with unfinished jobs: {unfinished} "
                 "(dependency cycle or starved tasks)")
-        timelines = {job_id: JobTimeline(job_id, state.started_at,
-                                         state.finished_at, state.attempts,
-                                         state.shuffle_seconds)
-                     for job_id, state in self.states.items()}
-        makespan = max(t.end for t in timelines.values())
-        return SimulationResult(self.sim.spec, timelines, makespan,
-                                lost_nodes=self.lost_nodes,
-                                rereplicated_bytes=self.rereplicated_bytes,
-                                reexecuted_tasks=self.reexecuted_tasks)
+        return self
 
     def _push(self, time: float, kind: str, payload: object) -> None:
         heapq.heappush(self.events, (time, next(self.sequence), kind, payload))
@@ -508,43 +523,41 @@ class _Run:
         fraction = (None if failures is None
                     else failures.failure_fraction(task.task_id, index))
         now = self.clock
-        if fraction is not None:
-            attempt = TaskAttempt(task, node.name, now,
-                                  now + duration * fraction, node.busy, FAILED)
-            kind = "task-failed"
-        else:
-            attempt = TaskAttempt(task, node.name, now, now + duration,
-                                  node.busy, SUCCESS)
-            kind = "task-done"
-        record = _InFlight(attempt, state, node, index, slot)
+        end, status, kind = (
+            (now + duration, SUCCESS, "task-done") if fraction is None
+            else (now + duration * fraction, FAILED, "task-failed"))
+        record = _InFlight(task, state, node, index, slot, now, end, status)
         task_state.running.append(record)
         state.running_attempts += 1
         self.live[record] = None
-        self._push(attempt.end, kind, record)
+        self._push(end, kind, record)
 
-    def _log_attempt(self, record: _InFlight, attempt: TaskAttempt) -> None:
-        """Append how ``record`` ended to its job's timeline, and mirror it
-        into the unified trace schema on the attempt's ``node:slot`` lane."""
-        record.state.attempts.append(attempt)
+    def _log_attempt(self, record: _InFlight, status: str,
+                     end: float) -> None:
+        """Append how ``record`` ended to its job's timeline, if the run
+        keeps timelines, and mirror it into the unified trace schema on the
+        attempt's ``node:slot`` lane."""
+        task = record.task
+        if self.keep_timelines:
+            record.state.attempts.append(TaskAttempt(
+                task, record.node.name, record.start, end,
+                record.concurrency, status))
         if self.tracing:
-            task = attempt.task
             self.sim.recorder.record(TraceEvent(
                 job_id=record.state.job.job_id, task_id=task.task_id,
-                phase=task.kind.value, slot=f"{attempt.node}:{record.slot}",
-                start=attempt.start, end=attempt.end,
+                phase=task.kind.value,
+                slot=f"{record.node.name}:{record.slot}",
+                start=record.start, end=end,
                 bytes_read=task.work.bytes_read,
                 bytes_written=task.work.bytes_written, attempt=record.index,
-                status=attempt.status, label=task.label))
+                status=status, label=task.label))
 
     def _end_early(self, record: _InFlight, status: str) -> None:
         """Mark and log the attempt as ended *now* with ``status`` instead
         of at its scheduled end: KILLED (a twin finished first) or LOST (its
         node died)."""
         record.ended = status
-        attempt = record.attempt
-        self._log_attempt(record, TaskAttempt(
-            attempt.task, attempt.node, attempt.start, self.clock,
-            attempt.concurrency_at_start, status))
+        self._log_attempt(record, status, self.clock)
 
     @staticmethod
     def _requeue(state: _JobState, task_state: _TaskState) -> None:
@@ -612,7 +625,7 @@ class _Run:
                     if (not task_state.running or task_state.completed
                             or task_state.speculated):
                         continue
-                    started = task_state.running[0].attempt.start
+                    started = task_state.running[0].start
                     if self.clock - started > cutoff:
                         candidates.append(task_state)
                         continue
@@ -623,7 +636,7 @@ class _Run:
                     continue
                 # Longest-running straggler first.
                 target = min(candidates,
-                             key=lambda ts: ts.running[0].attempt.start)
+                             key=lambda ts: ts.running[0].start)
                 target.speculated = True
                 if self.metrics.enabled:
                     self.metrics.inc("sim.speculative_launches")
@@ -635,16 +648,16 @@ class _Run:
             self.next_spec_check = next_eligible
             self._push(next_eligible + 1e-9, "spec-check", None)
 
-    def _complete_task(self, state: _JobState, attempt: TaskAttempt) -> None:
-        task_state = state.task_states[attempt.task]
+    def _complete_task(self, state: _JobState, task_state: _TaskState,
+                       record: _InFlight) -> None:
         task_state.completed = True
-        task_state.completed_node = attempt.node
-        state.completed_duration_sum += attempt.duration
+        task_state.completed_node = record.node.name
+        state.completed_duration_sum += record.end - record.start
         state.completed_count += 1
         for twin in task_state.running:
             twin.ended = KILLED
         task_state.running.clear()
-        if attempt.task.kind is TaskKind.MAP:
+        if task_state.task.kind is TaskKind.MAP:
             state.maps_remaining -= 1
             if state.maps_remaining == 0 and not state.shuffle_done:
                 self._schedule_shuffle(state)
@@ -706,19 +719,18 @@ class _Run:
             if metrics.enabled:
                 metrics.inc("sim.tasks_killed")
             return
-        attempt = record.attempt
-        task_state = state.task_states[attempt.task]
+        task_state = state.task_states[record.task]
         task_state.running.remove(record)
-        self._log_attempt(record, attempt)
-        if attempt.status == SUCCESS:
+        self._log_attempt(record, record.status, record.end)
+        if record.status == SUCCESS:
             if metrics.enabled:
                 metrics.inc("sim.tasks_completed")
-                work = attempt.task.work
+                work = record.task.work
                 metrics.inc("sim.bytes_read", work.bytes_read)
                 metrics.inc("sim.bytes_written", work.bytes_written)
-                metrics.observe("sim.task_seconds", attempt.duration)
+                metrics.observe("sim.task_seconds", record.end - record.start)
             if not task_state.completed:
-                self._complete_task(state, attempt)
+                self._complete_task(state, task_state, record)
             return
         if metrics.enabled:
             metrics.inc("sim.task_failures")
@@ -726,7 +738,7 @@ class _Run:
             max_attempts = self.sim.failures.max_attempts
             if record.index + 1 >= max_attempts:
                 raise SchedulingError(
-                    f"task {attempt.task.task_id} failed {max_attempts} "
+                    f"task {record.task.task_id} failed {max_attempts} "
                     f"times; job {state.job.job_id} aborted")
             self._requeue(state, task_state)
 
@@ -782,7 +794,7 @@ class _Run:
         for record in [record for record in self.live if record.node is node]:
             del self.live[record]
             state = record.state
-            task_state = state.task_states[record.attempt.task]
+            task_state = state.task_states[record.task]
             if record.ended is None:  # a KILLED twin already left running
                 task_state.running.remove(record)
             node.busy -= 1

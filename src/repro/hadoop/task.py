@@ -27,9 +27,11 @@ class TaskKind(enum.Enum):
     REDUCE = "reduce"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskWork:
     """Declarative resource demands of one task.
+
+    Frozen, because the tasks of one shape class share one instance.
 
     ``flops`` counts dense floating-point work (matrix-multiply kernels);
     ``element_ops`` counts memory-bandwidth-bound element-wise operations.

@@ -200,9 +200,10 @@ class TestCompilerStructure:
                                    2 * (env["A"] @ env["B"]))
 
     def test_mult_pricing_does_not_visit_tiles(self, monkeypatch):
-        # Tripwire: a task is priced per tile-shape class, so a coarse
-        # split of the 384^3 chain (2 tasks over 12x12x12 tiles each) must
-        # not price more tile shapes than the one-tile split (288 tasks).
+        # Tripwire: a task's work is priced once per shape class of its
+        # job, so neither the coarse split of the 384^3 chain (2 tasks over
+        # 12x12x12 tiles each) nor the one-tile split (288 tasks, 4 classes
+        # per job: last row or not x last column or not) prices per task.
         calls = []
         real = MatrixInfo.shape_bytes
 
@@ -219,9 +220,12 @@ class TestCompilerStructure:
                 program, PhysicalContext(32),
                 CompilerParams(matmul=MatMulParams(*split)))
             counts[split] = len(calls)
-            # Three block sums (A, B, C) of one shape each per mult task.
-            assert len(calls) == 3 * compiled.dag.num_tasks()
-        assert 0 < counts[12, 12, 1] <= counts[1, 1, 1]
+            # Three block sums (A, B, C) of one shape each per shape class;
+            # the tasks of a class share its one TaskWork.
+            classes = sum(len({id(task.work) for task in job.map_tasks})
+                          for job in compiled.dag)
+            assert len(calls) == 3 * classes
+        assert counts == {(12, 12, 1): 3 * 2, (1, 1, 1): 3 * 2 * 4}
 
     def test_work_accounting_positive(self):
         compiled = compile_simple(lambda a, b: (a @ b) * 3.0)

@@ -2,6 +2,7 @@
 task pricing against per-tile oracles."""
 
 import math
+import re
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -23,7 +24,6 @@ from repro.core.physical import (
     PhysicalContext,
     broadcast_position,
     build_elementwise_job,
-    build_matmul_jobs,
 )
 from repro.core.program import Program
 from repro.hadoop.task import TaskWork
@@ -183,22 +183,43 @@ def works(tasks):
     return [task.work for task in tasks]
 
 
+#: A mult task's (i, j, k) tile ranges, as its label states them.
+MULT_LABEL = re.compile(r"mult i\[(\d+):(\d+)\) j\[(\d+):(\d+)\) "
+                        r"k\[(\d+):(\d+)\)")
+
+
 @contextmanager
 def oracle_checked():
     """Compare every mult, element-wise and add task the compiler builds
     with its per-tile oracle; yields the list of tasks checked so far."""
     checked = []
-    real_mult = physical._build_mult_task
+    real_matmul = physical.build_matmul_jobs
     real_add = physical._build_add_job
 
-    def mult(task_id, left, right, target, target_matrix, i_range, j_range,
-             k_range, context):
-        task = real_mult(task_id, left, right, target, target_matrix,
-                         i_range, j_range, k_range, context)
-        assert task.work == mult_oracle(left, right, target, i_range,
-                                        j_range, k_range)
-        checked.append(task)
-        return task
+    def matmul(job_id, left, right, output_name, context, params, **kwargs):
+        jobs = real_matmul(job_id, left, right, output_name, context,
+                           params, **kwargs)
+        grid, k_tiles = jobs.output.grid, left.tile_cols
+        classes = set()
+        for task in jobs.mult_job.map_tasks:
+            bounds = [int(bound)
+                      for bound in MULT_LABEL.fullmatch(task.label).groups()]
+            i_range, j_range, k_range = (tuple(bounds[index:index + 2])
+                                         for index in (0, 2, 4))
+            assert task.work == mult_oracle(left, right, jobs.output,
+                                            i_range, j_range, k_range)
+            classes.add(tuple((stop - start, stop == edge)
+                              for (start, stop), edge in (
+                                  (i_range, grid.tile_rows),
+                                  (j_range, grid.tile_cols),
+                                  (k_range, k_tiles))))
+        # One shared TaskWork per shape class: two row classes (last row
+        # or not) x two column classes x at most three k-segment classes
+        # (7 k tiles in 3 segments are 3, 2 and 2 long, the last ragged).
+        shared = {id(task.work) for task in jobs.mult_job.map_tasks}
+        assert len(shared) == len(classes) <= 12
+        checked.extend(jobs.mult_job.map_tasks)
+        return jobs
 
     def elementwise(job_id, kernel, output, context, params, **kwargs):
         job = build_elementwise_job(job_id, kernel, output, context, params,
@@ -215,7 +236,8 @@ def oracle_checked():
         checked.extend(job.map_tasks)
         return job
 
-    with patch.object(physical, "_build_mult_task", mult), \
+    with patch.object(physical, "build_matmul_jobs", matmul), \
+            patch.object(compiler, "build_matmul_jobs", matmul), \
             patch.object(physical, "_build_add_job", add), \
             patch.object(compiler, "build_elementwise_job", elementwise):
         yield checked
@@ -287,8 +309,8 @@ def test_job_builders_match_per_tile_oracle(pair, matmul, per_task):
     left, right, tile = pair
     context = PhysicalContext(tile)
     with oracle_checked() as checked:
-        jobs = build_matmul_jobs("mm", left, right, "C", context,
-                                 MatMulParams(*matmul))
+        jobs = physical.build_matmul_jobs("mm", left, right, "C", context,
+                                          MatMulParams(*matmul))
     assert len(checked) == sum(len(job.map_tasks) for job in jobs.jobs())
     rows, cols = left.shape
     row_vec = Operand(MatrixInfo("r", TileGrid(cols, 1, tile), 0.05, 2.5),

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.errors import SchedulingError
+from repro.hadoop.faults import RandomNodeFailures
 from repro.hadoop.job import Job, JobDag, JobKind
-from repro.hadoop.simulator import ClusterSimulator
-from repro.hadoop.task import TaskWork, make_map_task
+from repro.hadoop.simulator import FAIR, FIFO, ClusterSimulator
+from repro.hadoop.task import TaskWork, make_map_task, make_reduce_task
 from repro.hadoop.timemodel import TaskTimeModel
 from repro.service.scheduler import (
     EPSILON,
@@ -130,6 +132,84 @@ def test_simulation_is_deterministic(durations_per_job, nodes, slots):
         result = ClusterSimulator(spec, VariableTimeModel(durations)).run(dag)
         results.append(result.makespan)
     assert results[0] == pytest.approx(results[1], abs=0)
+
+
+class ContendedTimeModel(VariableTimeModel):
+    """Durations that grow with the node's load, a per-job overhead, and
+    the base class's shuffle priced from each map's shuffle bytes."""
+
+    def task_duration(self, task, instance, concurrency, local):
+        return self.durations[task.task_id] * (1.0 + 0.3 * (concurrency - 1))
+
+    def job_overhead(self, job):
+        return 0.25
+
+
+@st.composite
+def job_dags(draw):
+    """Up to five jobs, each depending on any subset of the earlier ones;
+    some are MapReduce jobs, with a shuffle and a reduce phase."""
+    dag = JobDag()
+    durations = {}
+    for job_index in range(draw(st.integers(1, 5))):
+        job_id = f"job{job_index}"
+
+        def tasks(prefix, make, **work):
+            built = []
+            for index, duration in enumerate(draw(st.lists(
+                    st.floats(min_value=0.1, max_value=10.0), min_size=1,
+                    max_size=8))):
+                task_id = f"{job_id}{prefix}{index}"
+                durations[task_id] = duration
+                built.append(make(task_id, TaskWork(**work)))
+            return built
+
+        depends_on = set(draw(st.lists(
+            st.sampled_from([f"job{index}" for index in range(job_index)]),
+            max_size=2))) if job_index else set()
+        if draw(st.booleans()):
+            dag.add(Job(job_id, JobKind.MAPREDUCE,
+                        tasks("m", make_map_task, shuffle_bytes=10**8),
+                        tasks("r", make_reduce_task), depends_on=depends_on))
+        else:
+            dag.add(Job(job_id, JobKind.MAP_ONLY, tasks("m", make_map_task),
+                        depends_on=depends_on))
+    return dag, durations
+
+
+@given(dag=job_dags(), nodes=st.integers(1, 4), slots=st.integers(1, 3),
+       scheduling=st.sampled_from([FIFO, FAIR]), speculative=st.booleans(),
+       crash_seed=st.none() | st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_estimate_matches_the_full_run_bit_for_bit(dag, nodes, slots,
+                                                   scheduling, speculative,
+                                                   crash_seed):
+    """The estimate path keeps no attempt records or timelines, and still
+    returns the full run's makespan and per-job seconds exactly -- or
+    aborts with the same exception."""
+    dag, durations = dag
+    spec = ClusterSpec(get_instance_type("m1.large"), nodes, slots)
+    simulator = ClusterSimulator(
+        spec, ContendedTimeModel(durations), scheduling=scheduling,
+        speculative=speculative,
+        slow_nodes={spec.node_names()[-1]: 2.5} if speculative else None,
+        # About one crash per node per 90 s: a third of the runs lose a
+        # node, and some of those lose the last one.
+        node_failures=(None if crash_seed is None
+                       else RandomNodeFailures(40.0, seed=crash_seed)))
+    try:
+        result = simulator.run(dag)
+    except SchedulingError as error:
+        with pytest.raises(SchedulingError) as estimated:
+            simulator.estimate(dag)
+        assert type(estimated.value) is type(error)
+        assert str(estimated.value) == str(error)
+        return
+    makespan, job_seconds = simulator.estimate(dag)
+    assert makespan.hex() == result.makespan.hex()
+    assert ({job_id: seconds.hex() for job_id, seconds in job_seconds.items()}
+            == {job_id: timeline.duration.hex()
+                for job_id, timeline in result.job_timelines.items()})
 
 
 # -- service-level slot allocation ---------------------------------------------

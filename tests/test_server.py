@@ -10,13 +10,15 @@ exactly as benchmark E26 and CI's loadtest smoke job do.
 
 import io
 import json
+import os
 import sys
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.cloud.instances import ClusterSpec, get_instance_type
-from repro.errors import ValidationError
+from repro.errors import ServiceError, ValidationError
 from repro.service.durability import (
     DurabilityStore,
     JournalAudit,
@@ -28,6 +30,7 @@ from repro.service.server import ReproServer, parse_listen
 from repro.service.ticks import WallClockDriver
 from repro.workloads.catalog import build_workload
 
+from benchmarks import rigs
 from benchmarks.rigs import (
     ProtocolClient,
     ServerThread,
@@ -359,7 +362,7 @@ class TestLoadTestSubprocess:
     @pytest.mark.parametrize(
         "jobs,tenants,processes,rate,burst_size,tick_interval", [
             (30, 5, 1, 500.0, 10, 0.01),
-            (60, 12, 2, 200.0, 32, 0.02),
+            (60, 12, 2, 200.0, 12, 0.02),
         ])
     def test_burst_arrivals(self, tmp_path, jobs, tenants, processes, rate,
                             burst_size, tick_interval):
@@ -375,6 +378,30 @@ class TestLoadTestSubprocess:
         assert report.ticks > 0
         assert report.group_commits >= 1
         assert report.tick_p99_ms > 0
+        # Each worker sends jobs / processes submissions, which is
+        # 2 * burst_size plus a remainder: it pauses after each full burst.
+        assert jobs // processes > 2 * burst_size
+        assert report.wall_seconds >= 2 * burst_size / rate
+
+    def test_a_worker_that_dies_silently_fails_fast(self, tmp_path,
+                                                    monkeypatch):
+        servers = []
+        real_spawn = rigs._spawn_serve
+
+        def spawn(*args, **kwargs):
+            servers.append(real_spawn(*args, **kwargs))
+            return servers[-1]
+
+        def dead_worker(*args):
+            os._exit(3)
+
+        monkeypatch.setattr(rigs, "_spawn_serve", spawn)
+        monkeypatch.setattr(rigs, "_worker_main", dead_worker)
+        started = time.monotonic()
+        with pytest.raises(ServiceError, match="exited with code 3"):
+            run_loadtest(tmp_path, jobs=4, tenants=2, processes=2)
+        assert time.monotonic() - started < 10.0
+        assert len(servers) == 1 and servers[0].poll() is not None
 
     def test_live_burst_kill_and_recover(self, tmp_path):
         report = kill_and_recover(None, tmp_path, jobs=40, tenants=8)

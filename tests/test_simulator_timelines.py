@@ -173,7 +173,15 @@ def clean_makespan(dag_name, spec, locality, fault):
 
 
 def run_case(name):
-    """Simulate one case; returns ``{"digest", "attempts", "makespan"}``."""
+    """Simulate one case; returns ``{"digest", "attempts", "makespan"}``.
+
+    It also runs the case through the estimate path, which keeps no
+    attempt records or timelines, and asserts that it returns the same
+    makespan and per-job seconds as float hex, or aborts with the same
+    exception type.  That run has no recorder and no namenode: both only
+    record, and the full run's node losses have already decommissioned
+    the namenode's datanodes.
+    """
     dag_name, shape, policy, fault, locality = name.split("|")
     nodes, slots = (int(part) for part in shape.split("x"))
     spec = ClusterSpec(get_instance_type("m1.large"), nodes, slots)
@@ -186,13 +194,24 @@ def run_case(name):
     simulator = ClusterSimulator(
         spec, CumulonCostModel(), locality_aware=locality != "blind",
         scheduling=policy, recorder=recorder, namenode=namenode, **kwargs)
+    estimator = ClusterSimulator(
+        spec, CumulonCostModel(), locality_aware=locality != "blind",
+        scheduling=policy, **kwargs)
     digest = hashlib.sha256()
     try:
         result = simulator.run(dag)
     except SchedulingError as error:  # includes QuorumLostError
+        with pytest.raises(SchedulingError) as estimated:
+            estimator.estimate(dag)
+        assert type(estimated.value) is type(error), name
         digest.update(f"{type(error).__name__}:{error}".encode())
         return {"digest": digest.hexdigest(), "attempts": 0,
                 "makespan": "aborted"}
+    makespan, job_seconds = estimator.estimate(dag)
+    assert makespan.hex() == result.makespan.hex(), name
+    assert ({job_id: seconds.hex() for job_id, seconds in job_seconds.items()}
+            == {job_id: timeline.duration.hex()
+                for job_id, timeline in result.job_timelines.items()}), name
     attempts = 0
     for job_id, timeline in result.job_timelines.items():
         digest.update(f"job:{job_id}:{timeline.start.hex()}"
