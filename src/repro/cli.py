@@ -12,7 +12,7 @@ Commands
     Predict the workload's wall-clock on one specific cluster.
 ``optimize WORKLOAD (--deadline MIN | --budget USD)``
     Search the deployment space and print the chosen plan.
-``trace WORKLOAD [--format chrome|csv|summary] [--diff]``
+``trace WORKLOAD [--format chrome|summary] [--diff]``
     Emit the workload's execution trace (simulated; with ``--diff`` also a
     real local run, aligned task by task against the prediction).
 ``profile WORKLOAD [--backend thread|process] [--top N]``
@@ -21,9 +21,9 @@ Commands
     and per-lane utilization.  With ``--backend process`` the plan rows
     come from worker-side spans and a coverage line reports how much of
     the wall time they account for.
-``metrics WORKLOAD [--format prom|json|csv|dashboard]``
+``metrics WORKLOAD [--format prom|json|dashboard]``
     Simulate the workload with telemetry on and emit the collected metrics
-    (Prometheus text, JSON, CSV, or an ASCII dashboard with sparklines).
+    (Prometheus text, JSON, or an ASCII dashboard with sparklines).
 ``chaos WORKLOAD --scenario node-crash|revocation-wave|flaky-tasks``
     Run the workload under a seeded failure scenario and report the damage
     (recovery overhead, nodes lost, re-executed tasks, re-replication
@@ -93,7 +93,6 @@ from repro.core.explain import (
     explain_program,
     explain_search,
     explain_trace,
-    explain_trace_diff,
 )
 from repro.core.optimizer import DeploymentOptimizer, SearchSpace
 from repro.core.physical import PhysicalContext
@@ -102,10 +101,9 @@ from repro.core.simcost import simulate_program
 from repro.errors import InfeasibleConstraintError, ReproError
 from repro.observability.cost import CostMeter
 from repro.observability.diff import trace_diff
-from repro.observability.export import chrome_trace_json, to_csv
+from repro.observability.export import chrome_trace_json
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.metrics_export import (
-    metrics_to_csv,
     metrics_to_json,
     render_dashboard,
     to_prometheus,
@@ -379,13 +377,11 @@ def cmd_trace(args, out) -> int:
                              backend=args.backend) as executor:
             executor.run(program, inputs)
         traces.append(actual_recorder.trace())
-        diff_text = explain_trace_diff(trace_diff(traces[0], traces[1]))
+        diff_text = trace_diff(traces[0], traces[1]).describe()
     if args.json:
         args.format = "chrome"  # --json means the machine-readable format
     if args.format == "chrome":
         document = chrome_trace_json(traces, indent=2)
-    elif args.format == "csv":
-        document = to_csv(traces)
     else:
         document = "\n\n".join(explain_trace(trace) for trace in traces)
     if args.out:
@@ -399,7 +395,7 @@ def cmd_trace(args, out) -> int:
         if args.format == "summary" or (args.out and not args.json):
             print(diff_text, file=out)
         else:
-            # Keep stdout a valid chrome/csv/JSON document; the
+            # Keep stdout a valid chrome/JSON document; the
             # human-facing diff report goes to stderr.
             print(diff_text, file=sys.stderr)
     return 0
@@ -481,8 +477,6 @@ def cmd_metrics(args, out) -> int:
         if cost_meter is not None:
             extra["cost"] = cost_meter.summary()
         document = metrics_to_json(registry, indent=2, extra=extra)
-    elif args.format == "csv":
-        document = metrics_to_csv(registry)
     else:
         document = render_dashboard(registry)
     if args.out:
@@ -946,9 +940,9 @@ def make_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser(
         "trace", parents=[workload, cluster, chaos_injection, workers,
                           as_json],
-        help="emit an execution trace (chrome://tracing, CSV)")
+        help="emit an execution trace (chrome://tracing or summary)")
     trace.add_argument("--format", default="chrome",
-                       choices=("chrome", "csv", "summary"))
+                       choices=("chrome", "summary"))
     trace.add_argument("--out", default=None,
                        help="write the trace to this file instead of stdout")
     trace.add_argument("--diff", action="store_true",
@@ -969,7 +963,7 @@ def make_parser() -> argparse.ArgumentParser:
         "metrics", parents=[workload, cluster, chaos_injection, as_json],
         help="simulate with telemetry on and emit the metrics")
     metrics.add_argument("--format", default="dashboard",
-                         choices=("prom", "json", "csv", "dashboard"))
+                         choices=("prom", "json", "dashboard"))
     metrics.add_argument("--out", default=None,
                          help="write metrics to this file instead of stdout")
     metrics.add_argument("--budget", type=float, default=None,

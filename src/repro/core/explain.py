@@ -4,9 +4,9 @@
 operator tree — per job: template, task count, bytes in/out, flops, and
 dependencies.  ``dag_to_dot`` emits Graphviz source for papers/notebooks.
 ``explain_plan`` summarizes a deployment plan end to end.  ``explain_trace``
-and ``explain_trace_diff`` do the same for execution traces and
-predicted-vs-actual comparisons, and ``explain_search`` for the optimizer's
-deployment-space search telemetry.
+does the same for an execution trace (a predicted-vs-actual comparison
+describes itself: :meth:`TraceDiff.describe`), and ``explain_search`` for
+the optimizer's deployment-space search telemetry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.core.compiler import CompiledProgram
 from repro.core.plans import DeploymentPlan
 from repro.hadoop.job import Job, JobDag, JobKind
-from repro.observability.diff import TraceDiff
 from repro.observability.search import SearchTrace
 from repro.observability.trace import STATUS_SUCCESS, Trace
 
@@ -182,11 +181,6 @@ def explain_search(trace: SearchTrace) -> str:
             f"  {over_limit + behind} specs settled by their floor "
             f"({over_limit} over the limit, {behind} behind the incumbent)")
     return "\n".join(lines)
-
-
-def explain_trace_diff(diff: TraceDiff) -> str:
-    """Predicted-vs-actual comparison, one line per job plus totals."""
-    return diff.describe()
 
 
 def dag_to_dot(dag: JobDag, name: str = "plan") -> str:

@@ -119,15 +119,6 @@ class Expr:
         """Row vector of per-column sums: ``ones(1, rows) @ X``."""
         return MatMul(Constant(1.0, (1, self.shape[0])), self)
 
-    def sum_all(self) -> "MatMul":
-        """Grand total as a 1x1 matrix."""
-        return self.row_sums().col_sums()
-
-    def mean_all(self) -> "Expr":
-        """Grand mean as a 1x1 matrix."""
-        rows, cols = self.shape
-        return self.sum_all() * (1.0 / (rows * cols))
-
     # -- traversal ----------------------------------------------------------
 
     def children(self) -> tuple["Expr", ...]:

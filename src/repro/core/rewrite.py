@@ -105,17 +105,6 @@ def _optimal_order(factors: list[Expr]) -> Expr:
     return build(0, n - 1)
 
 
-def naive_chain_flops(factors_shapes: list[tuple[int, int]]) -> int:
-    """Flops of strict left-to-right association (for comparisons)."""
-    total = 0
-    rows = factors_shapes[0][0]
-    inner = factors_shapes[0][1]
-    for shape in factors_shapes[1:]:
-        total += 2 * rows * inner * shape[1]
-        inner = shape[1]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Algebraic simplification.
 # ---------------------------------------------------------------------------

@@ -209,20 +209,6 @@ class CumulonSession:
             **optimizer_kwargs,
         )
 
-    # -- introspection ---------------------------------------------------------
-
-    def storage_used_bytes(self) -> int:
-        """Total bytes (including replication) used in the session store."""
-        return self.cluster.namenode.total_used_bytes()
-
-    def stored_matrices(self) -> list[str]:
-        """Names of matrices with at least one tile in the store."""
-        names = set()
-        for path in self.cluster.namenode.list_files(self.store.root + "/"):
-            relative = path[len(self.store.root) + 1:]
-            names.add(relative.split("/")[0])
-        return sorted(names)
-
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:

@@ -60,13 +60,6 @@ def _validate_fraction(fail_at_fraction: float) -> float:
     return fail_at_fraction
 
 
-class NoFailures(FailureModel):
-    """Every attempt succeeds."""
-
-    def failure_fraction(self, task_id: str, attempt_index: int) -> float | None:
-        return None
-
-
 class RandomFailures(FailureModel):
     """Each attempt independently fails with a fixed probability.
 

@@ -62,20 +62,6 @@ class TaskWork:
             if value < 0:
                 raise ValidationError(f"{label} must be >= 0, got {value}")
 
-    def scaled(self, factor: float) -> "TaskWork":
-        """Work multiplied by ``factor`` (used when merging/splitting tasks)."""
-        if factor < 0:
-            raise ValidationError("scale factor must be >= 0")
-        return TaskWork(
-            bytes_read=int(self.bytes_read * factor),
-            bytes_written=int(self.bytes_written * factor),
-            flops=int(self.flops * factor),
-            element_ops=int(self.element_ops * factor),
-            tile_ops=int(self.tile_ops * factor),
-            shuffle_bytes=int(self.shuffle_bytes * factor),
-            memory_bytes=int(self.memory_bytes * factor),
-        )
-
 
 @dataclass(eq=False)
 class Task:

@@ -42,10 +42,6 @@ class FileEntry:
     blocks: list[BlockId] = field(default_factory=list)
     payload: object = None
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
 
 class NameNode:
     """Single-namenode HDFS metadata service."""
@@ -215,11 +211,6 @@ class NameNode:
         for info in self.block_infos(path):
             nodes |= info.replicas
         return nodes
-
-    def is_local(self, path: str, node_name: str) -> bool:
-        """True when every block of ``path`` has a replica on ``node_name``."""
-        infos = self.block_infos(path)
-        return all(node_name in info.replicas for info in infos)
 
     def total_used_bytes(self) -> int:
         return sum(node.used_bytes for node in self._datanodes.values())

@@ -220,20 +220,7 @@ class TileStore(TileBacking):
         return sum(self.namenode.file_size(path)
                    for path in self.namenode.list_files(prefix))
 
-    def delete_matrix(self, matrix_name: str) -> int:
-        """Delete all tiles of a matrix; returns how many files were removed."""
-        prefix = f"{self.root}/{matrix_name}/"
-        paths = self.namenode.list_files(prefix)
-        for path in paths:
-            self._evict(path)
-            self.namenode.delete(path)
-        return len(paths)
-
     # -- fast-path lifecycle -----------------------------------------------------
-
-    def resident_tiles(self) -> int:
-        """How many tiles the fast path currently pins."""
-        return len(self._resident)
 
     def drop_resident(self) -> int:
         """Evict every resident tile (subsequent reads pay the codec);

@@ -60,10 +60,3 @@ def format_csv_matrix(array: np.ndarray, delimiter: str = ",",
     lines = [delimiter.join(f"{value:.{precision}g}" for value in row)
              for row in array]
     return "\n".join(lines) + "\n"
-
-
-def estimated_text_bytes(rows: int, cols: int) -> int:
-    """Size of a dense matrix serialized as delimited text."""
-    if rows <= 0 or cols <= 0:
-        raise ValidationError("rows and cols must be positive")
-    return rows * cols * TEXT_BYTES_PER_VALUE

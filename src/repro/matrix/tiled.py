@@ -164,18 +164,6 @@ class TiledMatrix:
                                     maybe_sparsify(array[rows, cols])))
         return matrix
 
-    @classmethod
-    def zeros(cls, name: str, rows: int, cols: int,
-              tile_size: int = DEFAULT_TILE_SIZE,
-              backing: TileBacking | None = None) -> "TiledMatrix":
-        return cls.from_numpy(name, np.zeros((rows, cols)), tile_size, backing)
-
-    @classmethod
-    def identity(cls, name: str, size: int,
-                 tile_size: int = DEFAULT_TILE_SIZE,
-                 backing: TileBacking | None = None) -> "TiledMatrix":
-        return cls.from_numpy(name, np.eye(size), tile_size, backing)
-
     # -- tile access ---------------------------------------------------------
 
     def tile_id(self, tile_row: int, tile_col: int) -> TileId:

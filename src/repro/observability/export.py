@@ -1,25 +1,19 @@
-"""Trace exporters: Chrome-trace JSON and CSV.
+"""Trace exporter: Chrome-trace JSON.
 
 Chrome-trace output loads in ``chrome://tracing`` or Perfetto: one process
 row per trace source (``simulated`` / ``actual``), one thread lane per slot,
 complete (``"ph": "X"``) events for task attempts and shuffles, and a
 dedicated ``spans`` lane for profiling spans.  Timestamps are microseconds,
 as the format requires.
-
-CSV output is one row per event in :data:`SCHEMA_FIELDS` order plus
-``source`` and ``duration`` columns — the shape the analysis notebooks and
-E4/E9 post-processing expect.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Iterable
 
 from repro.errors import ValidationError
-from repro.observability.trace import SCHEMA_FIELDS, PHASE_SPAN, Trace
+from repro.observability.trace import PHASE_SPAN, Trace
 
 #: Lane name used for events that occupy no slot.
 _UNSLOTTED_LANE = "(unslotted)"
@@ -76,27 +70,6 @@ def chrome_trace_json(traces: Trace | Iterable[Trace],
         {"traceEvents": to_chrome_events(traces), "displayTimeUnit": "ms"},
         indent=indent,
     )
-
-
-#: CSV column order.
-CSV_COLUMNS: tuple[str, ...] = ("source",) + SCHEMA_FIELDS + ("duration",)
-
-
-def to_csv(traces: Trace | Iterable[Trace]) -> str:
-    """Render traces as CSV text (header + one row per event)."""
-    if isinstance(traces, Trace):
-        traces = [traces]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for trace in traces:
-        for event in trace.events:
-            writer.writerow(
-                [trace.source]
-                + [getattr(event, name) for name in SCHEMA_FIELDS]
-                + [event.duration]
-            )
-    return buffer.getvalue()
 
 
 def structural_summary(trace: Trace) -> dict:

@@ -17,7 +17,7 @@ Like tracing, metrics are **off by default and free when off**: every
 producer takes a registry defaulting to :data:`NULL_METRICS`, and emission
 sites gate all work on ``metrics.enabled`` — one attribute check, no
 instrument lookups, no allocation.  Exporters (Prometheus text format,
-JSON, CSV, ASCII dashboards) live in
+JSON, ASCII dashboards) live in
 :mod:`repro.observability.metrics_export`.
 """
 

@@ -1,11 +1,11 @@
-"""Metric exporters: Prometheus text format, JSON, CSV, ASCII dashboards.
+"""Metric exporters: Prometheus text format, JSON, ASCII dashboards.
 
 The Prometheus exporter follows the text exposition format
 (``# HELP`` / ``# TYPE`` preamble per metric family, escaped label values,
 ``_total`` suffix on counters, cumulative ``_bucket{le=...}`` rows plus
 ``_sum``/``_count`` for histograms).  Time series have no native Prometheus
 representation, so they export as gauges carrying their last sample; the
-full sample history goes out through the JSON and CSV exporters, and the
+full sample history goes out through the JSON exporter, and the
 ASCII dashboard renders it as sparklines for terminal inspection.
 
 All exporters accept degenerate inputs — an empty registry, an empty
@@ -14,8 +14,6 @@ series, a single-sample series — and still emit valid documents.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 
@@ -135,37 +133,6 @@ def _json_default(value):
         return float(value)
     except (TypeError, ValueError):
         return str(value)
-
-
-#: CSV column order for the metrics dump.
-METRICS_CSV_COLUMNS: tuple[str, ...] = (
-    "kind", "name", "labels", "field", "t", "value",
-)
-
-
-def metrics_to_csv(registry: MetricsRegistry) -> str:
-    """One row per scalar fact: counters/gauges once, series per sample."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(METRICS_CSV_COLUMNS)
-    for metric in registry.metrics():
-        labels = ";".join(f"{k}={v}" for k, v in metric.labels)
-        if metric.kind in (KIND_COUNTER, KIND_GAUGE):
-            writer.writerow([metric.kind, metric.name, labels, "value", "",
-                             metric.value])
-        elif metric.kind == KIND_HISTOGRAM:
-            for bound, count in zip(metric.buckets, metric.bucket_counts):
-                writer.writerow([metric.kind, metric.name, labels,
-                                 f"le={_fmt(bound)}", "", count])
-            writer.writerow([metric.kind, metric.name, labels, "sum", "",
-                             metric.sum])
-            writer.writerow([metric.kind, metric.name, labels, "count", "",
-                             metric.count])
-        else:
-            for t, value in metric.samples():
-                writer.writerow([metric.kind, metric.name, labels, "sample",
-                                 t, value])
-    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -98,24 +98,6 @@ class SearchStats:
             "surrogate_rounds": self.surrogate_rounds,
         }
 
-    @classmethod
-    def from_dict(cls, document: dict) -> "SearchStats":
-        """Rebuild stats from :meth:`to_dict` output (derived keys ignored).
-
-        This is the ``--json`` round-trip the benchdiff gate leans on:
-        ``SearchStats.from_dict(stats.to_dict()) == stats`` for every
-        stored field (``hit_rate``/``estimated_speedup`` are recomputed).
-        """
-        return cls(
-            sim_requests=int(document.get("sim_requests", 0)),
-            sims_executed=int(document.get("sims_executed", 0)),
-            cache_hits=int(document.get("cache_hits", 0)),
-            scenarios_skipped=int(document.get("scenarios_skipped", 0)),
-            wall_seconds=float(document.get("wall_seconds", 0.0)),
-            simulations_avoided=int(document.get("simulations_avoided", 0)),
-            surrogate_rounds=int(document.get("surrogate_rounds", 0)),
-        )
-
 
 def format_matmul(matmul) -> str:
     """Compact ``ixjxk`` rendering of split factors."""
@@ -284,24 +266,6 @@ class SearchTrace:
     def frontier_plans(self) -> list[DeploymentPlan]:
         """The Pareto frontier exactly as the optimizer computed it."""
         return list(self._frontier)
-
-    def frontier_records(self) -> list[CandidateRecord]:
-        """Records flagged as Pareto-frontier members."""
-        return [r for r in self.records if r.on_frontier]
-
-    def best_record(self) -> CandidateRecord | None:
-        """Cheapest surviving feasible candidate (or cheapest overall)."""
-        pool = [r for r in self.kept() if r.feasible is not False]
-        if not pool:
-            pool = self.kept()
-        if not pool:
-            return None
-        return min(pool, key=lambda r: (r.predicted_cost,
-                                        r.predicted_seconds))
-
-    def to_dicts(self) -> list[dict]:
-        """Every record as a JSON-ready dict, in evaluation order."""
-        return [record.to_dict() for record in self.records]
 
     def clear(self) -> None:
         """Forget all records, the frontier, and the search stats."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.errors import ValidationError
@@ -103,11 +103,6 @@ class TraceEvent:
         return self.phase in TASK_PHASES
 
 
-#: The schema both execution paths agree on (field name order is the CSV
-#: column order).
-SCHEMA_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TraceEvent))
-
-
 @dataclass
 class Trace:
     """An ordered collection of events from one run, tagged with provenance."""
@@ -139,14 +134,6 @@ class Trace:
     def kernel_events(self) -> list[TraceEvent]:
         """Worker-side kernel-plan events (process backend lanes)."""
         return [event for event in self.events if event.phase == PHASE_KERNEL]
-
-    def task_ids(self) -> set[str]:
-        """Ids of tasks that completed successfully."""
-        return {event.task_id for event in self.successful_task_events()}
-
-    def job_ids(self) -> set[str]:
-        """Ids of jobs with at least one task attempt."""
-        return {event.job_id for event in self.events if event.is_task()}
 
     def by_slot(self) -> dict[str, list[TraceEvent]]:
         """Task events grouped by slot, each lane sorted by start time."""

@@ -246,13 +246,6 @@ class JobResult:
     reject_reason: str | None
     execution: ExecutionResult | None
 
-    @property
-    def latency_seconds(self) -> float:
-        """Submission-to-completion time on the virtual clock."""
-        if self.finished_at is None:
-            return float("inf")
-        return self.finished_at - self.submitted_at
-
 
 @dataclass
 class RecoveredProgram:
@@ -1125,33 +1118,7 @@ class ServiceReport:
 
     def summary(self) -> dict:
         """JSON-able dump of the whole report."""
-        return {
-            "policy": self.policy,
-            "cluster": self.cluster,
-            "makespan_seconds": self.makespan_seconds,
-            "total_dollars": self.total_dollars,
-            "throughput_jobs_per_hour": self.throughput_jobs_per_hour,
-            "fairness_index": self.fairness_index,
-            "tenants": [
-                {
-                    "name": tenant.name,
-                    "weight": tenant.weight,
-                    "submitted": tenant.submitted,
-                    "completed": tenant.completed,
-                    "rejected": tenant.rejected,
-                    "cancelled": tenant.cancelled,
-                    "failed": tenant.failed,
-                    "deadline_misses": tenant.deadline_misses,
-                    "slot_seconds": tenant.slot_seconds,
-                    "committed_dollars": tenant.committed_dollars,
-                    "dollars": tenant.dollars,
-                    "mean_latency_seconds": tenant.mean_latency_seconds,
-                    "p50_latency_seconds": tenant.p50_latency_seconds,
-                    "p95_latency_seconds": tenant.p95_latency_seconds,
-                }
-                for tenant in self.tenants
-            ],
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         """Human-readable multi-line report."""

@@ -100,8 +100,8 @@ class RunQueues:
     """The running jobs' slot demands, kept grouped between allocations.
 
     The job service re-divides the cluster at every event instant; the
-    set of demands changes by one job at a time.  This holds what
-    :func:`allocate_slots` would otherwise rebuild per call: the demands
+    set of demands changes by one job at a time.  This holds what a
+    from-scratch allocation would otherwise rebuild per call: the demands
     in FIFO (``order``) order, the same demands grouped per tenant, and
     each tenant's total and smallest cap.  ``weights`` is the fair policy's
     ``tenant -> weight`` map (absent tenants weigh 1); the owner fills it.
@@ -194,22 +194,6 @@ class RunQueues:
                     [(request.job_id, request.cap, 1.0)
                      for request in queue.values()], share))
         return allocation
-
-
-def allocate_slots(policy: str, requests: list[SlotRequest],
-                   tenant_weights: dict[str, float],
-                   total_slots: float) -> dict[str, float]:
-    """Divide ``total_slots`` among ``requests`` under ``policy``.
-
-    Returns ``job_id -> slots`` (fractional; zero entries included so the
-    caller can detect starved jobs).  ``tenant_weights`` supplies the fair
-    policy's per-tenant weights; tenants absent from the dict weigh 1.
-    One-shot form of :class:`RunQueues`.
-    """
-    queues = RunQueues(policy, total_slots, tenant_weights)
-    for request in sorted(requests, key=lambda request: request.order):
-        queues.add(request)
-    return queues.allocate()
 
 
 def jain_fairness(values: list[float]) -> float:

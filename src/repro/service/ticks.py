@@ -12,8 +12,9 @@ now" each tick.  With ``time_scale=60`` one real second simulates a
 minute of cluster time, so a load test covers hours of billing in
 minutes.
 
-The mapping is anchored once, at construction (or :meth:`rebase`, after
-recovery): ``virtual(t) = origin_virtual + (t - origin_wall) *
+The mapping is anchored once, at construction (the server builds its
+driver after recovery, so the origin is the recovered clock):
+``virtual(t) = origin_virtual + (t - origin_wall) *
 time_scale``.  Because the service journals every ``advance`` command,
 a wall-clock run recovers exactly like a virtual one — replay re-runs
 the same ``run_until`` windows in the same order.
@@ -49,16 +50,6 @@ class WallClockDriver:
         self._clock = clock
         self._origin_wall = clock()
         self._origin_virtual = service.now
-
-    def rebase(self) -> None:
-        """Re-anchor wall→virtual mapping at the service's current time.
-
-        Call after recovery (the recovered service's virtual clock is
-        far ahead of a fresh origin) or after a long pause, so virtual
-        time never has to jump or run backwards.
-        """
-        self._origin_wall = self._clock()
-        self._origin_virtual = self.service.now
 
     def now_virtual(self) -> float:
         """The virtual instant corresponding to wall-now."""

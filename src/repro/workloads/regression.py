@@ -1,8 +1,7 @@
-"""Ordinary least squares via the normal equations and gradient descent.
+"""Ordinary least squares via the normal equations.
 
 The data-parallel parts of linear regression are the Gram computations
 ``X'X`` and ``X'y``; solving the tiny ``k x k`` system happens locally.
-A gradient-descent variant exercises iterative element-wise updates.
 """
 
 from __future__ import annotations
@@ -33,41 +32,3 @@ def solve_normal_equations(xtx: np.ndarray, xty: np.ndarray,
         raise ValidationError("ridge must be >= 0")
     k = xtx.shape[0]
     return np.linalg.solve(xtx + ridge * np.eye(k), xty)
-
-
-def build_gradient_descent_program(rows: int, features: int,
-                                   iterations: int,
-                                   learning_rate: float) -> Program:
-    """Batch gradient descent: ``w <- w - lr * X'(Xw - y)``."""
-    if rows <= 0 or features <= 0:
-        raise ValidationError("rows and features must be positive")
-    if iterations <= 0:
-        raise ValidationError("iterations must be positive")
-    if not 0 < learning_rate:
-        raise ValidationError("learning_rate must be positive")
-    program = Program(f"ols-gd-{rows}x{features}-it{iterations}")
-    x = program.declare_input("X", rows, features)
-    y = program.declare_input("y", rows, 1)
-    w = program.declare_input("w0", features, 1)
-    current = {"w": w}
-
-    def iteration(index: int) -> None:
-        w_cur = current["w"]
-        pred = program.assign(f"pred_{index}", x @ w_cur)
-        resid = program.assign(f"resid_{index}", pred - y)
-        grad = program.assign(f"grad_{index}", x.T @ resid)
-        current["w"] = program.assign("w", w_cur - grad * learning_rate)
-
-    program.loop(iterations, iteration)
-    program.mark_output("w")
-    return program
-
-
-def reference_gradient_descent(x: np.ndarray, y: np.ndarray, w0: np.ndarray,
-                               iterations: int,
-                               learning_rate: float) -> np.ndarray:
-    """Plain-numpy batch gradient descent for cross-checking."""
-    w = w0.copy()
-    for __ in range(iterations):
-        w = w - learning_rate * (x.T @ (x @ w - y))
-    return w

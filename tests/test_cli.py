@@ -82,14 +82,6 @@ class TestTrace:
         assert validate_chrome_trace(text) > 0
         assert json.loads(text)["displayTimeUnit"] == "ms"
 
-    def test_csv_output(self):
-        code, text = run_cli("trace", "multiply", "--scale", "tiny",
-                             "--format", "csv")
-        assert code == 0
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("source,job_id,task_id,phase,slot")
-        assert len(lines) > 1
-
     def test_summary_output(self):
         code, text = run_cli("trace", "multiply", "--scale", "tiny",
                              "--format", "summary")
@@ -207,12 +199,6 @@ class TestMetricsCommand:
         assert document["workload"] == "multiply"
         assert document["makespan_seconds"] > 0
         assert document["counters"]
-
-    def test_csv_output(self):
-        code, text = run_cli("metrics", "multiply", "--scale", "tiny",
-                             "--format", "csv")
-        assert code == 0
-        assert text.splitlines()[0] == "kind,name,labels,field,t,value"
 
     def test_budget_reports_cost_meter(self):
         code, text = run_cli("metrics", "multiply", "--scale", "tiny",

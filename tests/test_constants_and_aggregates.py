@@ -93,20 +93,16 @@ class TestAggregates:
         np.testing.assert_allclose(out.ravel(), data.sum(axis=0))
 
     def test_sum_all(self):
-        data, out = self.run_aggregate(lambda x: x.sum_all())
+        data, out = self.run_aggregate(lambda x: x.row_sums().col_sums())
         assert out.shape == (1, 1)
         np.testing.assert_allclose(out[0, 0], data.sum())
-
-    def test_mean_all(self):
-        data, out = self.run_aggregate(lambda x: x.mean_all())
-        np.testing.assert_allclose(out[0, 0], data.mean())
 
     def test_row_sums_of_expression(self):
         data, out = self.run_aggregate(lambda x: (x * 2.0).row_sums())
         np.testing.assert_allclose(out.ravel(), 2.0 * data.sum(axis=1))
 
     def test_ragged_tiles(self):
-        data, out = self.run_aggregate(lambda x: x.sum_all(),
+        data, out = self.run_aggregate(lambda x: x.row_sums().col_sums(),
                                        rows=23, cols=17, tile=5)
         np.testing.assert_allclose(out[0, 0], data.sum())
 

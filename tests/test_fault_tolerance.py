@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
 from repro.errors import SchedulingError, ValidationError
-from repro.hadoop.faults import NoFailures, RandomFailures, TargetedFailures
+from repro.hadoop.faults import RandomFailures, TargetedFailures
 from repro.hadoop.job import Job, JobDag, JobKind
 from repro.hadoop.simulator import FAILED, KILLED, SUCCESS, ClusterSimulator
 from repro.hadoop.task import TaskWork, make_map_task
@@ -23,7 +23,9 @@ def map_only(job_id, n_tasks):
 
 class TestFailureModels:
     def test_no_failures(self):
-        assert NoFailures().failure_fraction("t", 0) is None
+        model = RandomFailures(probability=0.0, seed=3)
+        assert all(model.failure_fraction(f"t{i}", attempt) is None
+                   for i in range(50) for attempt in range(4))
 
     def test_random_failures_deterministic(self):
         model = RandomFailures(probability=0.5, seed=3)

@@ -28,17 +28,6 @@ class TestTaskWork:
         with pytest.raises(ValidationError):
             TaskWork(memory_bytes=-5)
 
-    def test_scaled(self):
-        work = TaskWork(bytes_read=100, flops=10, shuffle_bytes=50)
-        half = work.scaled(0.5)
-        assert half.bytes_read == 50
-        assert half.flops == 5
-        assert half.shuffle_bytes == 25
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            TaskWork().scaled(-1)
-
 
 class TestTask:
     def test_map_task_kind(self):

@@ -157,7 +157,7 @@ class TestNameNode:
     def test_multi_block_file(self):
         namenode = make_namenode(block_size=100)
         entry = namenode.create("/big", 250)
-        assert entry.num_blocks == 3
+        assert len(entry.blocks) == 3
         assert namenode.file_size("/big") == 250
 
     def test_replication_factor(self):
@@ -203,7 +203,8 @@ class TestNameNode:
         namenode.create("/a", 100, writer="node-1")
         nodes = namenode.replica_nodes("/a")
         assert "node-1" in nodes
-        assert namenode.is_local("/a", "node-1")
+        assert all("node-1" in info.replicas
+                   for info in namenode.block_infos("/a"))
 
     def test_writer_locality_respected(self):
         namenode = make_namenode(nodes=4)

@@ -14,7 +14,6 @@ from repro.hadoop.job import JobDag
 from repro.ingest.loader import ingest_csv, plan_ingest_job
 from repro.ingest.parser import (
     TEXT_BYTES_PER_VALUE,
-    estimated_text_bytes,
     format_csv_matrix,
     parse_csv_matrix,
 )
@@ -64,11 +63,6 @@ class TestParser:
         array = rng.standard_normal((5, 7))
         text = format_csv_matrix(array, precision=12)
         np.testing.assert_allclose(parse_csv_matrix(text), array, rtol=1e-10)
-
-    def test_estimated_text_bytes(self):
-        assert estimated_text_bytes(10, 10) == 100 * TEXT_BYTES_PER_VALUE
-        with pytest.raises(ValidationError):
-            estimated_text_bytes(0, 10)
 
 
 class TestIngestReal:

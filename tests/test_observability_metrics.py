@@ -30,8 +30,6 @@ from repro.observability.metrics import (
     NullMetricsRegistry,
 )
 from repro.observability.metrics_export import (
-    METRICS_CSV_COLUMNS,
-    metrics_to_csv,
     metrics_to_json,
     render_dashboard,
     render_sparkline,
@@ -364,11 +362,6 @@ class TestDegenerateExporters:
             document = json.loads(metrics_to_json(registry))
             assert set(document) >= {"counters", "gauges",
                                      "histograms", "series"}
-
-    def test_csv_valid(self):
-        for registry in self._degenerate_registries():
-            lines = metrics_to_csv(registry).splitlines()
-            assert lines[0] == ",".join(METRICS_CSV_COLUMNS)
 
     def test_prometheus_valid(self):
         for registry in self._degenerate_registries():

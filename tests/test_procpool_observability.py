@@ -328,7 +328,6 @@ class TestEventIngestion:
             handle, (("kernel", "block", 3, 0.0, 0.1),), 0.0, 0, 0)
         trace = recorder.trace()
         assert trace.task_events() == []
-        assert trace.task_ids() == set()
         assert len(trace.kernel_events()) == 1
 
 

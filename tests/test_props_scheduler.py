@@ -17,7 +17,6 @@ from repro.service.scheduler import (
     POLICY_FIFO,
     RunQueues,
     SlotRequest,
-    allocate_slots,
     weighted_shares,
 )
 
@@ -268,7 +267,10 @@ def test_run_queues_match_the_from_scratch_allocation(
     expected = two_level_reference(policy, requests, weights, total)
     arrival = list(requests)
     shuffle.shuffle(arrival)
-    assert allocate_slots(policy, arrival, weights, total) == expected
+    fresh = RunQueues(policy, total, weights)
+    for request in arrival:
+        fresh.add(request)
+    assert fresh.allocate() == expected
 
     # Maintained one job at a time — arrivals in any order, allocations
     # in between, departures — the queues still divide like a fresh sort.

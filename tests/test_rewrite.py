@@ -9,10 +9,7 @@ from repro.core.compiler import CompilerParams, compile_program
 from repro.core.executor import run_program
 from repro.core.expr import MatMul, Var, evaluate_with_numpy
 from repro.core.program import Program
-from repro.core.rewrite import (
-    naive_chain_flops,
-    reorder_matmul_chains,
-)
+from repro.core.rewrite import reorder_matmul_chains
 
 RNG = np.random.default_rng(41)
 
@@ -74,10 +71,6 @@ class TestReordering:
         wrapped = (expr * 2.0).apply("abs")
         reordered = reorder_matmul_chains(wrapped)
         assert total_flops(reordered) < total_flops(wrapped)
-
-    def test_naive_chain_flops(self):
-        shapes = [(10, 30), (30, 5), (5, 60)]
-        assert naive_chain_flops(shapes) == 2 * (10 * 30 * 5 + 10 * 5 * 60)
 
 
 class TestCompilerIntegration:

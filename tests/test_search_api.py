@@ -3,12 +3,13 @@
 Locks the contract: one declarative :class:`SearchSpec` covers every
 combination of objective, constraint, reliability and method; its answers
 equal what the pricing layer gives when asked directly; ``SearchStats``
-round-trips through ``--json`` and the metrics registry; and the CLI's
+reaches ``--json`` and the metrics registry intact; and the CLI's
 shared search flags drive the same spec.
 """
 
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -206,13 +207,14 @@ class TestPricingSpans:
 
 
 class TestStatsRoundTrip:
-    def test_to_dict_from_dict_round_trip(self):
+    def test_json_dict_carries_every_stored_field(self):
         stats = SearchStats(sim_requests=40, sims_executed=25,
                             cache_hits=15, scenarios_skipped=6,
                             wall_seconds=1.5, simulations_avoided=80,
                             surrogate_rounds=7)
-        rebuilt = SearchStats.from_dict(stats.to_dict())
-        assert rebuilt == stats
+        document = json.loads(json.dumps(stats.to_dict()))
+        assert {name: document[name] for name in asdict(stats)} \
+            == asdict(stats)
 
     def test_json_dict_carries_derived_fields(self):
         stats = SearchStats(sim_requests=10, sims_executed=5, cache_hits=5)
@@ -240,7 +242,7 @@ class TestStatsRoundTrip:
         result = search(optimizer, SearchSpec(deadline_seconds=3600.0,
                                               space=tiny_space()))
         document = result.to_dict()
-        assert SearchStats.from_dict(document["stats"]) == result.stats
+        assert document["stats"] == result.stats.to_dict()
 
 
 class TestCliFace:
@@ -257,8 +259,8 @@ class TestCliFace:
         # ...and the spec/stats keys are additive.
         assert payload["method"] == "surrogate"
         assert payload["objective"] == "min-cost"
-        stats = SearchStats.from_dict(payload["search_stats"])
-        assert stats.sim_requests > 0
+        assert set(payload["search_stats"]) == set(SearchStats().to_dict())
+        assert payload["search_stats"]["sim_requests"] > 0
 
     def test_optimize_methods_agree(self):
         args = ("optimize", "multiply", "--scale", "tiny",
@@ -303,8 +305,8 @@ class TestCliFace:
         assert code == 0
         payload = json.loads(text)
         assert set(("workload", "scale", "explain")) <= set(payload)
-        stats = SearchStats.from_dict(payload["search_stats"])
-        assert stats.sim_requests > 0
+        assert set(payload["search_stats"]) == set(SearchStats().to_dict())
+        assert payload["search_stats"]["sim_requests"] > 0
 
     def test_chaos_search_flags_pick_the_cluster(self):
         code, text = run_cli("chaos", "multiply", "--scale", "tiny",

@@ -72,7 +72,7 @@ class TestGridSearchTrace:
         frontier = optimizer.skyline(space)
         assert trace.frontier_plans() == frontier
         # Records sit in evaluation order; membership must match exactly.
-        flagged = [r.plan for r in trace.frontier_records()]
+        flagged = [r.plan for r in trace.records if r.on_frontier]
         assert len(flagged) == len(frontier)
         assert all(plan in frontier for plan in flagged)
         # Survivors off the frontier are annotated as dominated.
@@ -119,15 +119,6 @@ class TestGridSearchTrace:
 
 
 class TestRecordQueries:
-    def test_best_record_prefers_feasible(self):
-        trace = SearchTrace()
-        optimizer = make_optimizer(trace)
-        plans = optimizer.enumerate_plans(tiny_space(node_counts=(1, 8)))
-        deadline = sorted(p.estimated_seconds for p in plans)[0] + 1.0
-        trace.mark_deadline(deadline)
-        best = trace.best_record()
-        assert best is not None and best.feasible is True
-
     def test_annotation_strings(self):
         record = CandidateRecord(index=0, origin="grid", instance="m1.large",
                                  nodes=2, slots=2, tile_size=256,
@@ -143,7 +134,7 @@ class TestRecordQueries:
     def test_to_dicts_and_clear(self):
         trace = SearchTrace()
         make_optimizer(trace).enumerate_plans(tiny_space())
-        dicts = trace.to_dicts()
+        dicts = [record.to_dict() for record in trace.records]
         assert len(dicts) == len(trace.records)
         assert all(d["instance"] == "m1.large" for d in dicts)
         trace.clear()

@@ -99,13 +99,11 @@ class TestTickDrivers:
         driver.advance()
         assert service.now == 50.0
 
-    def test_wall_driver_rebase_after_jump(self):
+    def test_wall_driver_anchors_at_a_recovered_clock(self):
         service = make_service()
-        clock = FakeClock(0.0)
-        driver = WallClockDriver(service, time_scale=10.0, clock=clock)
         service.run_until(1000.0)  # e.g. a recovery replayed the clock
-        clock.now = 3.0
-        driver.rebase()
+        clock = FakeClock(3.0)
+        driver = WallClockDriver(service, time_scale=10.0, clock=clock)
         clock.now = 4.0
         assert driver.now_virtual() == pytest.approx(1010.0)
 

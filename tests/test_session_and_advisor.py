@@ -1,12 +1,9 @@
-"""Unit tests for the session façade and the plan advisor."""
+"""Unit tests for the session façade."""
 
 import numpy as np
 import pytest
 
-from repro.cloud.instances import ClusterSpec, get_instance_type
-from repro.core.advisor import validate_plan
-from repro.core.compiler import CompilerParams, compile_program
-from repro.core.physical import MatMulParams, PhysicalContext
+from repro.cloud.instances import get_instance_type
 from repro.core.program import Program
 from repro.core.session import CumulonSession
 from repro.errors import ValidationError
@@ -58,9 +55,10 @@ class TestSession:
         session = CumulonSession(tile_size=8, replication=2)
         session.ingest_array("A", np.ones((16, 16)))
         session.ingest_array("B", np.ones((8, 8)))
-        assert "A" in session.stored_matrices()
-        assert "B" in session.stored_matrices()
-        assert session.storage_used_bytes() > 0
+        namenode, root = session.cluster.namenode, session.store.root
+        assert namenode.list_files(f"{root}/A/")
+        assert namenode.list_files(f"{root}/B/")
+        assert namenode.total_used_bytes() > 0
 
     def test_optimize_returns_working_optimizer(self):
         session = CumulonSession(tile_size=8)
@@ -80,74 +78,3 @@ class TestSession:
         with pytest.raises(ValidationError):
             CumulonSession(nodes=0)
 
-
-class TestAdvisor:
-    def spec(self, instance="m1.large", nodes=8, slots=2):
-        return ClusterSpec(get_instance_type(instance), nodes, slots)
-
-    def test_clean_plan_has_no_warnings(self):
-        program = Program("ok")
-        a = program.declare_input("A", 16384, 16384)
-        b = program.declare_input("B", 16384, 16384)
-        program.assign("C", a @ b)
-        compiled = compile_program(program, PhysicalContext(2048))
-        assert validate_plan(compiled, self.spec()) == []
-
-    def test_memory_warning_for_unsplit_gram(self):
-        program = build_normal_equations_program(1048576, 4096)
-        compiled = compile_program(
-            program, PhysicalContext(2048),
-            CompilerParams(matmul=MatMulParams(1, 1, 1),
-                           reorder_chains=False))
-        warnings = validate_plan(compiled, self.spec())
-        assert any(w.kind == "memory" for w in warnings)
-        assert any("k_splits" in w.message for w in warnings)
-
-    def test_memory_warning_fixed_by_splitting(self):
-        program = build_normal_equations_program(1048576, 4096)
-        compiled = compile_program(
-            program, PhysicalContext(2048),
-            CompilerParams(matmul=MatMulParams(1, 1, 128)))
-        warnings = validate_plan(compiled, self.spec())
-        assert not any(w.kind == "memory" for w in warnings)
-
-    def test_parallelism_warning_for_few_tasks(self):
-        program = Program("small")
-        a = program.declare_input("A", 4096, 4096)
-        b = program.declare_input("B", 4096, 4096)
-        program.assign("C", a @ b)
-        compiled = compile_program(
-            program, PhysicalContext(2048),
-            CompilerParams(matmul=MatMulParams(2, 2, 1)))
-        warnings = validate_plan(compiled, self.spec(nodes=16, slots=4))
-        assert any(w.kind == "parallelism" for w in warnings)
-
-    def test_granularity_warning_for_tiny_tasks(self):
-        from repro.core.physical import ElementwiseParams
-        program = Program("tiny")
-        a = program.declare_input("A", 8192, 8192)
-        program.assign("B", a * 2.0)
-        compiled = compile_program(
-            program, PhysicalContext(256),
-            CompilerParams(elementwise=ElementwiseParams(tiles_per_task=1)))
-        warnings = validate_plan(compiled, self.spec())
-        assert any(w.kind == "granularity" for w in warnings)
-
-    def test_shuffle_warning_for_rmm_replication(self):
-        from repro.baselines.systemml import plan_rmm
-        from repro.core.compiler import CompiledProgram
-        from repro.core.physical import MatrixInfo, Operand
-        from repro.matrix.tiled import TileGrid
-        grid = TileGrid(32768, 32768, 2048)
-        baseline = plan_rmm(Operand(MatrixInfo("A", grid)),
-                            Operand(MatrixInfo("B", grid)), "C",
-                            PhysicalContext(2048))
-        program = Program("rmm")
-        compiled = CompiledProgram(program, baseline.dag, {}, {})
-        warnings = validate_plan(compiled, self.spec())
-        assert any(w.kind == "shuffle" for w in warnings)
-
-    def test_warning_str(self):
-        from repro.core.advisor import Warning_
-        text = str(Warning_("j1", "memory", "too big"))
-        assert "j1" in text and "memory" in text

@@ -97,14 +97,8 @@ class TestTiledMatrix:
         with pytest.raises(ValidationError):
             TiledMatrix("", TileGrid(4, 4, 2))
 
-    def test_zeros_and_identity(self):
-        zeros = TiledMatrix.zeros("Z", 6, 4, tile_size=3)
-        assert not zeros.to_numpy().any()
-        eye = TiledMatrix.identity("I", 5, tile_size=2)
-        np.testing.assert_array_equal(eye.to_numpy(), np.eye(5))
-
     def test_put_tile_wrong_shape_rejected(self):
-        matrix = TiledMatrix.zeros("A", 6, 6, tile_size=3)
+        matrix = TiledMatrix.from_numpy("A", np.zeros((6, 6)), tile_size=3)
         with pytest.raises(ShapeError):
             matrix.put_tile(0, 0, np.zeros((2, 2)))
 

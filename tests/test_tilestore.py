@@ -58,12 +58,10 @@ class TestTileStore:
         with pytest.raises(StorageError):
             store.get(TileId("V", 0, 0))
 
-    def test_matrix_bytes_and_delete(self, store):
+    def test_matrix_bytes(self, store):
         matrix = TiledMatrix.from_numpy("M", np.ones((6, 6)), 3, store)
         assert store.matrix_bytes("M") == matrix.nbytes()
-        removed = store.delete_matrix("M")
-        assert removed == 4
-        assert store.matrix_bytes("M") == 0
+        assert store.matrix_bytes("absent") == 0
 
     def test_tiled_matrix_backed_by_store_roundtrip(self, store):
         data = np.arange(36.0).reshape(6, 6)
@@ -123,13 +121,6 @@ class TestCodecFastPath:
         store.put(Tile(TileId("A", 0, 0), np.ones((2, 2))))
         np.testing.assert_array_equal(
             store.get(TileId("A", 0, 0)).to_dense(), np.ones((2, 2)))
-
-    def test_delete_matrix_evicts_resident_tiles(self):
-        store = self.make_store()
-        store.put(Tile(TileId("A", 0, 0), np.ones((2, 2))))
-        assert store.resident_tiles() == 1
-        store.delete_matrix("A")
-        assert store.resident_tiles() == 0
 
     def test_lossy_codec_fastpath_matches_blob(self):
         """The resident tile for a lossy codec is the *decoded* tile, so

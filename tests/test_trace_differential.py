@@ -12,7 +12,6 @@ and through the real thread-pool ``LocalExecutor`` must yield traces that
 * align under :func:`trace_diff` with full coverage and finite errors.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -29,12 +28,21 @@ from repro.hadoop.timemodel import FixedTimeModel
 from repro.observability.diff import trace_diff
 from repro.observability.trace import (
     PHASE_SHUFFLE,
-    SCHEMA_FIELDS,
     SOURCE_ACTUAL,
     SOURCE_SIMULATED,
     InMemoryRecorder,
     TraceEvent,
 )
+
+
+def task_ids(trace):
+    """Ids of the tasks that completed successfully in ``trace``."""
+    return {event.task_id for event in trace.successful_task_events()}
+
+
+def job_ids(trace):
+    """Ids of the jobs with at least one task attempt in ``trace``."""
+    return {event.job_id for event in trace.task_events()}
 
 
 def spec(nodes=2, slots=2):
@@ -79,20 +87,18 @@ class TestSchemaAndCoverage:
         for trace in (predicted, actual):
             assert trace.events, "both paths must emit events"
             for event in trace.events:
-                assert isinstance(event, TraceEvent)
-                assert tuple(f.name for f in dataclasses.fields(event)) \
-                    == SCHEMA_FIELDS
+                assert type(event) is TraceEvent
 
     def test_same_task_coverage(self):
         dag = synthetic_dag()
         predicted, actual, __ = run_both(dag)
         all_tasks = {task.task_id for job in dag for task in job.all_tasks()}
-        assert predicted.task_ids() == all_tasks
-        assert actual.task_ids() == all_tasks
+        assert task_ids(predicted) == all_tasks
+        assert task_ids(actual) == all_tasks
 
     def test_same_job_coverage(self):
         predicted, actual, __ = run_both(synthetic_dag())
-        assert predicted.job_ids() == actual.job_ids() == {"mr", "post"}
+        assert job_ids(predicted) == job_ids(actual) == {"mr", "post"}
 
     def test_phases_agree_per_task(self):
         predicted, actual, __ = run_both(synthetic_dag())
@@ -159,7 +165,7 @@ class TestTraceDiff:
         diff = trace_diff(predicted, actual)
         assert diff.task_coverage == 1.0
         assert not diff.only_predicted and not diff.only_actual
-        assert set(diff.task_diffs) == predicted.task_ids()
+        assert set(diff.task_diffs) == task_ids(predicted)
         for task_diff in diff.task_diffs.values():
             assert task_diff.predicted_seconds > 0
             assert task_diff.actual_seconds > 0
@@ -219,7 +225,7 @@ class TestCompiledProgramDifferential:
                          recorder=simulated).run(result.compiled.dag)
         predicted = simulated.trace()
 
-        assert predicted.task_ids() == actual.task_ids()
+        assert task_ids(predicted) == task_ids(actual)
         assert predicted.slot_overlaps() == []
         assert actual.slot_overlaps() == []
         diff = trace_diff(predicted, actual)

@@ -13,9 +13,7 @@ from repro.workloads.chains import (
 )
 from repro.workloads.gnmf import build_gnmf_program, reference_gnmf
 from repro.workloads.regression import (
-    build_gradient_descent_program,
     build_normal_equations_program,
-    reference_gradient_descent,
     solve_normal_equations,
 )
 from repro.workloads.rsvd import (
@@ -139,16 +137,6 @@ class TestRegression:
                                        result.output("Xty"))
         np.testing.assert_allclose(w_hat.ravel(), w_true, atol=0.05)
 
-    def test_gradient_descent_matches_reference(self):
-        x = RNG.standard_normal((30, 4)) * 0.1
-        y = RNG.standard_normal((30, 1))
-        w0 = np.zeros((4, 1))
-        program = build_gradient_descent_program(30, 4, iterations=5,
-                                                 learning_rate=0.05)
-        result = run_program(program, {"X": x, "y": y, "w0": w0}, tile_size=8)
-        expected = reference_gradient_descent(x, y, w0, 5, 0.05)
-        np.testing.assert_allclose(result.output("w"), expected, rtol=1e-8)
-
     def test_ridge_solver(self):
         xtx = np.eye(3)
         xty = np.ones((3, 1))
@@ -158,8 +146,6 @@ class TestRegression:
     def test_validation(self):
         with pytest.raises(ValidationError):
             build_normal_equations_program(0, 5)
-        with pytest.raises(ValidationError):
-            build_gradient_descent_program(10, 5, 3, learning_rate=0.0)
         with pytest.raises(ValidationError):
             solve_normal_equations(np.eye(2), np.ones((2, 1)), ridge=-1.0)
 
