@@ -36,8 +36,7 @@ NODES = 8
 
 def run_case(replication: int, locality_aware: bool):
     spec = ClusterSpec(get_instance_type("m1.small"), NODES, 1)
-    cluster = provision(spec, replication=replication)
-    store = TileStore(cluster.namenode)
+    store = TileStore(provision(spec, replication=replication))
     info_a = MatrixInfo("A", TileGrid(DIMENSION, DIMENSION, TILE))
     info_b = MatrixInfo("B", TileGrid(DIMENSION, DIMENSION, TILE))
     # Permuted placement: tile i of A and tile i of B share a writer node,

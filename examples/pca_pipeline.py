@@ -52,8 +52,7 @@ def main() -> None:
     data = make_dataset(rows, features)
     csv_text = format_csv_matrix(data, precision=10)
     spec = ClusterSpec(get_instance_type("m1.large"), 3, 2)
-    cluster = provision(spec, replication=2)
-    store = TileStore(cluster.namenode)
+    store = TileStore(provision(spec, replication=2))
     matrix = ingest_csv("X", csv_text, tile_size=64, backing=store)
     print(f"ingested {len(csv_text) / 1024:.0f} KB of text into "
           f"{matrix.nbytes() / 1024:.0f} KB of tiles "

@@ -81,7 +81,7 @@ from repro.core.chaos import (
     RECOVERY_RESTART,
     RECOVERY_RESUME,
     SCENARIOS,
-    build_scenario,
+    inject_scenario,
     run_chaos,
 )
 from repro.core.compiler import compile_program
@@ -203,8 +203,7 @@ def build_search_space(args) -> SearchSpace:
     return SearchSpace(**kwargs)
 
 
-def build_search_spec(args, space: SearchSpace,
-                      reliability=None) -> SearchSpec:
+def build_search_spec(args, space: SearchSpace) -> SearchSpec:
     """A declarative :class:`SearchSpec` from the shared search flags.
 
     The objective defaults to whichever constraint was given
@@ -226,8 +225,7 @@ def build_search_spec(args, space: SearchSpace,
         deadline_seconds=(deadline * 60.0 if objective == "min-cost"
                           else None),
         budget_dollars=budget if objective == "min-time" else None,
-        space=space,
-        reliability=reliability)
+        space=space)
 
 
 def cmd_explain(args, out) -> int:
@@ -334,17 +332,10 @@ def _workload_input_files(program) -> dict[str, int]:
 
 def _chaos_injection(args, program, dag, spec, model):
     """(failures, node_failures, namenode) for --scenario, else Nones."""
-    scenario = getattr(args, "scenario", None)
-    if not scenario:
+    if not getattr(args, "scenario", None):
         return None, None, None
-    from repro.core.chaos import build_hdfs
-
-    baseline = simulate_program(dag, spec, model)
-    failures, node_failures = build_scenario(
-        scenario, args.chaos_seed, spec, baseline.seconds,
-        baseline=baseline.simulation)
-    namenode = build_hdfs(spec, _workload_input_files(program))
-    return failures, node_failures, namenode
+    return inject_scenario(dag, spec, model, args.scenario, args.chaos_seed,
+                           _workload_input_files(program))[1:]
 
 
 def cmd_trace(args, out) -> int:

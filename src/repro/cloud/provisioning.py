@@ -1,62 +1,35 @@
-"""Provisioning: turn a :class:`ClusterSpec` into live simulation objects.
+"""Provisioning: turn a :class:`ClusterSpec` into its simulated HDFS.
 
-Builds the datanode fleet, registers it with a fresh namenode, and accounts
-for cluster startup latency (instance boot + Hadoop daemon start), which the
-paper's end-to-end times include.
+:func:`provision` builds the datanode fleet, one node per instance, and
+registers it with a fresh namenode.  Cluster startup latency (instance
+boot + Hadoop daemon start), which the paper's end-to-end times include,
+is priced by the optimizer from :data:`DEFAULT_STARTUP_SECONDS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cloud.instances import ClusterSpec
-from repro.errors import ValidationError
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import PlacementPolicy
 
 #: Seconds from "provision" to "cluster usable": VM boot + daemon start.
 DEFAULT_STARTUP_SECONDS = 90.0
 
 
-@dataclass
-class ProvisionedCluster:
-    """A spec plus its live HDFS namenode; entry point for running jobs."""
+def provision(spec: ClusterSpec, replication: int = 3,
+              input_files: dict[str, int] | None = None) -> NameNode:
+    """A namenode over one datanode per instance, capacity from the catalog.
 
-    spec: ClusterSpec
-    namenode: NameNode
-    startup_seconds: float = DEFAULT_STARTUP_SECONDS
-
-    @property
-    def node_names(self) -> list[str]:
-        return self.spec.node_names()
-
-    @property
-    def total_slots(self) -> int:
-        return self.spec.total_slots
-
-
-def provision(spec: ClusterSpec,
-              replication: int = 3,
-              placement: PlacementPolicy | None = None,
-              startup_seconds: float = DEFAULT_STARTUP_SECONDS,
-              nodes_per_rack: int | None = None) -> ProvisionedCluster:
-    """Start a cluster: one datanode per instance, capacity from the catalog.
-
-    ``nodes_per_rack`` splits the cluster into racks (contiguous by node
-    index) for rack-aware placement; None puts everything on one rack.
+    Replication is capped at the node count.  ``input_files`` (path ->
+    bytes) are written round-robin in path order, each with a different
+    node as its writer, so every node holds some blocks -- the layout a
+    prior ingest job would leave behind.
     """
-    if startup_seconds < 0:
-        raise ValidationError("startup_seconds must be >= 0")
-    if nodes_per_rack is not None and nodes_per_rack <= 0:
-        raise ValidationError("nodes_per_rack must be positive")
-    effective_replication = min(replication, spec.num_nodes)
-    namenode = NameNode(replication=effective_replication, placement=placement)
-    for index, name in enumerate(spec.node_names()):
-        rack = ("default" if nodes_per_rack is None
-                else f"rack-{index // nodes_per_rack}")
+    namenode = NameNode(replication=min(replication, spec.num_nodes))
+    names = spec.node_names()
+    for name in names:
         namenode.register_datanode(
-            DataNode(name, capacity_bytes=spec.instance_type.storage_bytes,
-                     rack=rack)
-        )
-    return ProvisionedCluster(spec, namenode, startup_seconds)
+            DataNode(name, capacity_bytes=spec.instance_type.storage_bytes))
+    for index, (path, size) in enumerate(sorted((input_files or {}).items())):
+        namenode.create(path, size, writer=names[index % len(names)])
+    return namenode

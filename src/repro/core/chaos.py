@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.instances import ClusterSpec
 from repro.cloud.pricing import DEFAULT_BILLING, BillingModel
+from repro.cloud.provisioning import provision
 from repro.cloud.spot import SpotMarket
 from repro.errors import SchedulingError, ValidationError
 from repro.hadoop.faults import (
@@ -39,12 +40,11 @@ from repro.hadoop.faults import (
 from repro.hadoop.job import JobDag
 from repro.hadoop.simulator import LOST, SimulationResult
 from repro.hadoop.timemodel import TaskTimeModel
-from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.trace import NULL_RECORDER, TraceRecorder
 
-from repro.core.simcost import simulate_program
+from repro.core.simcost import ProgramEstimate, simulate_program
 
 #: Named scenarios ``repro chaos`` accepts.
 SCENARIO_NODE_CRASH = "node-crash"
@@ -116,22 +116,24 @@ def build_scenario(name: str, seed: int, spec: ClusterSpec,
         f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}")
 
 
-def build_hdfs(spec: ClusterSpec,
-               input_files: dict[str, int] | None = None) -> NameNode:
-    """A namenode matching the cluster, with inputs spread across nodes.
+def inject_scenario(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
+                    scenario: str, seed: int,
+                    input_files: dict[str, int] | None
+                    ) -> tuple[ProgramEstimate, FailureModel | None,
+                               NodeFailureModel | None, NameNode]:
+    """Everything a faulty run of ``dag`` needs besides the DAG itself.
 
-    Replication is capped at the node count (and at HDFS's default 3);
-    input files are written round-robin so every node holds some blocks —
-    the layout a prior ingest job would leave behind.
+    Simulates the clean baseline, sizes the named scenario to it (see
+    :func:`build_scenario`) and provisions the cluster's HDFS holding
+    ``input_files``.  Returns ``(baseline, failures, node_failures,
+    namenode)``.
     """
-    namenode = NameNode(replication=min(3, spec.num_nodes))
-    names = spec.node_names()
-    for name in names:
-        namenode.register_datanode(
-            DataNode(name, spec.instance_type.storage_bytes))
-    for index, (path, size) in enumerate(sorted((input_files or {}).items())):
-        namenode.create(path, size, writer=names[index % len(names)])
-    return namenode
+    baseline = simulate_program(dag, spec, model)
+    failures, node_failures = build_scenario(scenario, seed, spec,
+                                             baseline.seconds,
+                                             baseline=baseline.simulation)
+    return (baseline, failures, node_failures,
+            provision(spec, input_files=input_files))
 
 
 @dataclass
@@ -211,10 +213,8 @@ def run_chaos(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
             f"recovery must be {RECOVERY_RESUME!r} or {RECOVERY_RESTART!r},"
             f" got {recovery!r}")
     billing = billing if billing is not None else DEFAULT_BILLING
-    baseline = simulate_program(dag, spec, model)
-    failures, node_failures = build_scenario(scenario, seed, spec,
-                                             baseline.seconds,
-                                             baseline=baseline.simulation)
+    baseline, failures, node_failures, namenode = inject_scenario(
+        dag, spec, model, scenario, seed, input_files)
     report = ChaosReport(
         scenario=scenario, seed=seed, recovery=recovery, spec=spec,
         baseline_seconds=baseline.seconds,
@@ -225,7 +225,6 @@ def run_chaos(dag: JobDag, spec: ClusterSpec, model: TaskTimeModel,
         return _restart_analysis(dag, spec, model, node_failures, billing,
                                  report)
 
-    namenode = build_hdfs(spec, input_files)
     try:
         estimate = simulate_program(
             dag, spec, model, recorder=recorder, metrics=metrics,

@@ -67,17 +67,6 @@ def _collect_chain(expr: MatMul) -> list[Expr]:
     return factors
 
 
-def chain_flops(dimensions: list[int], split: list[list[int]],
-                i: int, j: int) -> int:
-    """Flops of the DP-chosen parenthesization over factors i..j."""
-    if i == j:
-        return 0
-    k = split[i][j]
-    return (chain_flops(dimensions, split, i, k)
-            + chain_flops(dimensions, split, k + 1, j)
-            + 2 * dimensions[i] * dimensions[k + 1] * dimensions[j + 1])
-
-
 def _optimal_order(factors: list[Expr]) -> Expr:
     """Classic matrix-chain-order DP over the factors' dense dimensions."""
     n = len(factors)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
-from repro.cloud.provisioning import ProvisionedCluster, provision
+from repro.cloud.provisioning import provision
 from repro.core.compiler import CompilerParams
 from repro.core.executor import CumulonExecutor, ExecutionResult
 from repro.core.optimizer import DeploymentOptimizer
@@ -87,10 +87,8 @@ class CumulonSession:
                                 else CompilerParams())
         self._recorder = InMemoryRecorder(source=SOURCE_ACTUAL)
         self._registry = MetricsRegistry()
-        self.cluster: ProvisionedCluster = provision(spec,
-                                                     replication=replication)
-        self.store = TileStore(self.cluster.namenode, codec=codec,
-                               metrics=self._registry)
+        self.store = TileStore(provision(spec, replication=replication),
+                               codec=codec, metrics=self._registry)
         self._executor = CumulonExecutor(
             tile_size=tile_size, max_workers=max_workers,
             compiler_params=self.compiler_params, backing=self.store,

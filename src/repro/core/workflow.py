@@ -62,17 +62,6 @@ class WorkflowPlan:
     total_seconds: float
     total_cost: float
 
-    def describe(self) -> str:
-        lines = [f"{self.strategy}: {self.total_seconds:.0f}s, "
-                 f"${self.total_cost:.2f}"]
-        for assignment in self.assignments:
-            lines.append(
-                f"  {assignment.stage.name:<12} on "
-                f"{assignment.plan.spec.describe()}  "
-                f"{assignment.plan.estimated_seconds:.0f}s"
-            )
-        return "\n".join(lines)
-
 
 class WorkflowOptimizer:
     """Prices shared-cluster vs per-stage deployment of a pipeline."""

@@ -119,13 +119,3 @@ class JobDag:
 
     def num_tasks(self) -> int:
         return sum(job.num_tasks for job in self._jobs.values())
-
-    def describe(self) -> str:
-        lines = []
-        for job in self.topological_order():
-            deps = ",".join(sorted(job.depends_on)) or "-"
-            lines.append(
-                f"{job.job_id} [{job.kind.value}] maps={len(job.map_tasks)} "
-                f"reduces={len(job.reduce_tasks)} deps={deps} {job.label}"
-            )
-        return "\n".join(lines)

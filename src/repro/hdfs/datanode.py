@@ -1,4 +1,8 @@
-"""Datanodes: per-node block storage with a capacity budget."""
+"""Datanodes: per-node block storage with a capacity budget.
+
+A datanode only stores and evicts replicas; which node receives a replica
+is the namenode's decision (see :mod:`repro.hdfs.namenode`).
+"""
 
 from __future__ import annotations
 
@@ -10,12 +14,10 @@ from repro.hdfs.blocks import BlockId
 
 @dataclass
 class DataNode:
-    """One storage node.  ``name`` doubles as the cluster hostname;
-    ``rack`` places it in the network topology (rack-aware placement)."""
+    """One storage node.  ``name`` doubles as the cluster hostname."""
 
     name: str
     capacity_bytes: int
-    rack: str = "default"
     _blocks: dict[BlockId, int] = field(default_factory=dict)
     _used: int = 0
 

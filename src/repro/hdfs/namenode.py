@@ -6,6 +6,11 @@ datanodes.  Payload *contents* are stored in a side table keyed by path
 (rather than shipped around), which keeps the simulation cheap while letting
 read-after-write tests verify real data round-trips.
 
+Placement is one rule, HDFS's default on a single rack: a new block's
+first replica goes to the writer's node when it has room, and every other
+replica to the least-loaded node with room, ties broken by name.  Rack
+tiers are not modelled (see ``docs/cost-model.md``).
+
 Like real HDFS, replication is *eventually* restored: losing a datanode
 never fails the namespace.  Blocks that cannot reach their target
 replication (no spare capacity, too few nodes) are tracked as
@@ -15,6 +20,7 @@ a new datanode registers, or a delete frees space.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -31,7 +37,6 @@ from repro.hdfs.blocks import (
     split_into_block_sizes,
 )
 from repro.hdfs.datanode import DataNode
-from repro.hdfs.placement import DefaultPlacement, PlacementPolicy
 
 
 @dataclass
@@ -47,15 +52,13 @@ class NameNode:
     """Single-namenode HDFS metadata service."""
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                 replication: int = DEFAULT_REPLICATION,
-                 placement: PlacementPolicy | None = None):
+                 replication: int = DEFAULT_REPLICATION):
         if block_size <= 0:
             raise ValidationError(f"block size must be positive, got {block_size}")
         if replication <= 0:
             raise ValidationError(f"replication must be positive, got {replication}")
         self.block_size = block_size
         self.replication = replication
-        self.placement = placement if placement is not None else DefaultPlacement()
         self._datanodes: dict[str, DataNode] = {}
         self._files: dict[str, FileEntry] = {}
         self._blocks: dict[BlockId, BlockInfo] = {}
@@ -74,9 +77,6 @@ class NameNode:
 
     def has_datanode(self, name: str) -> bool:
         return name in self._datanodes
-
-    def datanodes(self) -> list[DataNode]:
-        return list(self._datanodes.values())
 
     def decommission(self, name: str) -> int:
         """Remove a datanode, re-replicating its blocks elsewhere.
@@ -130,19 +130,26 @@ class NameNode:
         target = min(self.replication, len(self._datanodes))
         copied = 0
         while info.replication < target:
-            holders = info.replicas
-            spare = [node for node in self._datanodes.values()
-                     if node.name not in holders and node.free_bytes >= info.size]
+            spare = self._placement(info.size, exclude=info.replicas)
             if not spare:
                 self._under_replicated.add(info.block_id)
                 return copied
-            spare.sort(key=lambda node: (node.used_bytes, node.name))
             chosen = spare[0]
             chosen.store(info.block_id, info.size)
             info.replicas.add(chosen.name)
             copied += info.size
         self._under_replicated.discard(info.block_id)
         return copied
+
+    def _placement(self, size: int, writer: str | None = None,
+                   exclude: Container[str] = ()) -> list[DataNode]:
+        """Datanodes with room for a ``size``-byte replica, best first:
+        the ``writer``'s node, then least used bytes, then name."""
+        return sorted(
+            (node for node in self._datanodes.values()
+             if node.free_bytes >= size and node.name not in exclude),
+            key=lambda node: (node.name != writer, node.used_bytes,
+                              node.name))
 
     # -- namespace operations ---------------------------------------------------
 
@@ -167,7 +174,10 @@ class NameNode:
             block_id = BlockId(self._next_block)
             self._next_block += 1
             info = BlockInfo(block_id, chunk)
-            nodes = self.placement.choose(self.datanodes(), chunk, target, writer)
+            nodes = self._placement(chunk, writer)[:target]
+            if not nodes:
+                raise ReplicationError(
+                    f"no datanode has {chunk} free bytes for a new block")
             for node in nodes:
                 node.store(block_id, chunk)
                 info.replicas.add(node.name)

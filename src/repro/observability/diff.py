@@ -58,10 +58,6 @@ class JobDiff:
     def relative_error(self) -> float:
         return _relative_error(self.predicted_seconds, self.actual_seconds)
 
-    @property
-    def abs_relative_error(self) -> float:
-        return abs(self.relative_error)
-
 
 @dataclass
 class TraceDiff:

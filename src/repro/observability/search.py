@@ -143,25 +143,6 @@ class CandidateRecord:
             parts.append("infeasible")
         return ", ".join(parts) if parts else "kept"
 
-    def to_dict(self) -> dict:
-        """JSON-ready form of the record (plan object omitted)."""
-        return {
-            "index": self.index,
-            "origin": self.origin,
-            "instance": self.instance,
-            "nodes": self.nodes,
-            "slots": self.slots,
-            "tile_size": self.tile_size,
-            "matmul": self.matmul,
-            "predicted_seconds": self.predicted_seconds,
-            "predicted_cost": self.predicted_cost,
-            "status": self.status,
-            "reason": self.reason,
-            "feasible": self.feasible,
-            "on_frontier": self.on_frontier,
-            "step": self.step,
-        }
-
 
 class SearchTrace:
     """Accumulates candidate records across one or more optimizer searches."""

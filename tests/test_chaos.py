@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.cloud.instances import ClusterSpec, get_instance_type
+from repro.cloud.provisioning import provision
 from repro.cloud.spot import SpotMarket
 from repro.core.advisor import (
     advise_checkpoint_interval,
@@ -17,7 +18,6 @@ from repro.core.chaos import (
     SCENARIO_NODE_CRASH,
     SCENARIO_REVOCATION_WAVE,
     SCENARIOS,
-    build_hdfs,
     build_scenario,
     run_chaos,
 )
@@ -63,17 +63,19 @@ class TestBuildScenario:
 
 
 class TestBuildHdfs:
+    """The HDFS a chaos run reads its inputs from (``provision``)."""
+
     def test_inputs_spread_across_nodes(self):
         cluster = spec(nodes=4)
-        namenode = build_hdfs(cluster, {"/input/A": 2**28,
-                                        "/input/B": 2**28})
-        assert sorted(n.name for n in namenode.datanodes()) \
-            == sorted(cluster.node_names())
-        assert namenode.exists("/input/A")
-        assert namenode.exists("/input/B")
+        namenode = provision(cluster, input_files={"/input/A": 2**28,
+                                                   "/input/B": 2**28})
+        # Each file's writer takes its first replica, and the least-loaded
+        # nodes the rest, so every node ends up holding input blocks.
+        assert namenode.replica_nodes("/input/A") \
+            | namenode.replica_nodes("/input/B") == set(cluster.node_names())
 
     def test_replication_capped_by_cluster_size(self):
-        namenode = build_hdfs(spec(nodes=1), {"/input/A": 2**20})
+        namenode = provision(spec(nodes=1), input_files={"/input/A": 2**20})
         assert namenode.replication == 1
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cloud.instances import EC2_CATALOG, ClusterSpec, get_instance_type
 from repro.cloud.pricing import HourlyBilling, PerSecondBilling
 from repro.cloud.provisioning import provision
-from repro.errors import ValidationError
+from repro.errors import ReplicationError, ValidationError
 
 
 class TestCatalog:
@@ -118,22 +118,16 @@ class TestBilling:
 class TestProvisioning:
     def test_provision_registers_datanodes(self):
         spec = ClusterSpec(get_instance_type("m1.large"), 3, 2)
-        cluster = provision(spec)
-        assert len(cluster.namenode.datanodes()) == 3
-        assert cluster.total_slots == 6
+        namenode = provision(spec)
+        assert all(namenode.has_datanode(name) for name in spec.node_names())
 
     def test_replication_capped_by_nodes(self):
         spec = ClusterSpec(get_instance_type("m1.small"), 2, 1)
-        cluster = provision(spec, replication=3)
-        assert cluster.namenode.replication == 2
+        assert provision(spec, replication=3).replication == 2
 
     def test_capacity_from_catalog(self):
         spec = ClusterSpec(get_instance_type("m1.small"), 1, 1)
-        cluster = provision(spec)
-        node = cluster.namenode.datanodes()[0]
-        assert node.capacity_bytes == spec.instance_type.storage_bytes
-
-    def test_negative_startup_rejected(self):
-        spec = ClusterSpec(get_instance_type("m1.small"), 1, 1)
-        with pytest.raises(ValidationError):
-            provision(spec, startup_seconds=-1.0)
+        namenode = provision(spec)
+        namenode.create("/full", spec.instance_type.storage_bytes)
+        with pytest.raises(ReplicationError):
+            namenode.create("/one-more-byte", 1)

@@ -133,7 +133,3 @@ class TestJobDag:
                 [make_reduce_task("r", TaskWork())], depends_on={"a"}),
         ])
         assert dag.num_tasks() == 3
-
-    def test_describe_lists_all_jobs(self):
-        dag = JobDag([Job("a", JobKind.MAP_ONLY, [], label="first")])
-        assert "first" in dag.describe()

@@ -12,7 +12,6 @@ from repro.errors import (
 from repro.hdfs.blocks import BlockId, BlockInfo, split_into_block_sizes
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import DefaultPlacement
 
 
 def make_namenode(nodes: int = 4, replication: int = 3,
@@ -86,40 +85,43 @@ class TestDataNode:
             DataNode("n", 0)
 
 
+def place(nodes, size, replication, writer=None):
+    """Replica holders of one new ``size``-byte block over ``nodes``."""
+    namenode = NameNode(replication=replication)
+    for node in nodes:
+        namenode.register_datanode(node)
+    namenode.create("/f", size, writer=writer)
+    return {name for info in namenode.block_infos("/f")
+            for name in info.replicas}
+
+
 class TestPlacement:
     def test_writer_local_first_replica(self):
         nodes = [DataNode(f"n{i}", 1000) for i in range(4)]
-        chosen = DefaultPlacement().choose(nodes, 100, 3, writer="n2")
-        assert chosen[0].name == "n2"
-        assert len(chosen) == 3
+        # The writer's node, then the least loaded by name.
+        assert place(nodes, 100, 3, writer="n2") == {"n2", "n0", "n1"}
+
+    def test_replication_one_is_the_writer(self):
+        nodes = [DataNode(f"n{i}", 1000) for i in range(4)]
+        assert place(nodes, 100, 1, writer="n3") == {"n3"}
 
     def test_distinct_nodes(self):
         nodes = [DataNode(f"n{i}", 1000) for i in range(4)]
-        chosen = DefaultPlacement().choose(nodes, 100, 3)
-        assert len({node.name for node in chosen}) == 3
+        assert len(place(nodes, 100, 3)) == 3
 
     def test_prefers_least_loaded(self):
         nodes = [DataNode(f"n{i}", 1000) for i in range(3)]
         nodes[0].store(BlockId(99), 500)
-        chosen = DefaultPlacement().choose(nodes, 100, 1)
-        assert chosen[0].name in ("n1", "n2")
+        assert place(nodes, 100, 1) == {"n1"}
 
     def test_replication_capped_by_capacity(self):
         nodes = [DataNode("n0", 1000), DataNode("n1", 50)]
-        chosen = DefaultPlacement().choose(nodes, 100, 3)
-        assert [node.name for node in chosen] == ["n0"]
+        assert place(nodes, 100, 3) == {"n0"}
 
     def test_no_space_anywhere(self):
         nodes = [DataNode("n0", 10)]
         with pytest.raises(ReplicationError):
-            DefaultPlacement().choose(nodes, 100, 1)
-
-    def test_seeded_placement_is_deterministic(self):
-        def run(seed):
-            nodes = [DataNode(f"n{i}", 1000) for i in range(5)]
-            policy = DefaultPlacement(seed=seed)
-            return [n.name for n in policy.choose(nodes, 10, 3)]
-        assert run(1) == run(1)
+            place(nodes, 100, 1)
 
 
 class TestNameNode:

@@ -37,8 +37,8 @@ class TestExecuteOnSimulatedHDFS:
         h0 = rng.random((4, 32)) + 0.01
 
         spec = ClusterSpec(get_instance_type("m1.large"), 3, 2)
-        cluster = provision(spec, replication=2)
-        store = TileStore(cluster.namenode)
+        namenode = provision(spec, replication=2)
+        store = TileStore(namenode)
 
         # Load inputs as real tiles in HDFS.
         executor = CumulonExecutor(tile_size=16, max_workers=2,
@@ -54,16 +54,16 @@ class TestExecuteOnSimulatedHDFS:
         for row, col in info.grid.positions():
             path = store.path_for(result.tiled_outputs["W"]
                                   .tile_id(row, col))
-            assert cluster.namenode.exists(path)
-            assert len(cluster.namenode.replica_nodes(path)) == 2
+            assert namenode.exists(path)
+            assert len(namenode.replica_nodes(path)) == 2
 
     def test_storage_accounting_consistent(self):
         spec = ClusterSpec(get_instance_type("m1.large"), 3, 2)
-        cluster = provision(spec, replication=2)
-        store = TileStore(cluster.namenode)
+        namenode = provision(spec, replication=2)
+        store = TileStore(namenode)
         rng = np.random.default_rng(5)
         matrix = TiledMatrix.from_numpy("M", rng.random((32, 32)), 8, store)
-        assert cluster.namenode.total_used_bytes() == 2 * matrix.nbytes()
+        assert namenode.total_used_bytes() == 2 * matrix.nbytes()
 
 
 class TestSimulateWithPlacement:
@@ -71,8 +71,8 @@ class TestSimulateWithPlacement:
 
     def test_locality_fraction_high_with_matching_names(self):
         spec = ClusterSpec(get_instance_type("m1.large"), 4, 2)
-        cluster = provision(spec, replication=2)
-        store = TileStore(cluster.namenode)
+        namenode = provision(spec, replication=2)
+        store = TileStore(namenode)
         program = build_rsvd_program(8192, 4096, 512, power_iterations=0)
         context = PhysicalContext(1024, store)
         compiled = compile_program(program, context)

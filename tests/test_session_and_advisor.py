@@ -55,7 +55,7 @@ class TestSession:
         session = CumulonSession(tile_size=8, replication=2)
         session.ingest_array("A", np.ones((16, 16)))
         session.ingest_array("B", np.ones((8, 8)))
-        namenode, root = session.cluster.namenode, session.store.root
+        namenode, root = session.store.namenode, session.store.root
         assert namenode.list_files(f"{root}/A/")
         assert namenode.list_files(f"{root}/B/")
         assert namenode.total_used_bytes() > 0

@@ -101,8 +101,11 @@ class TestPlaceVirtualInputs:
         namenode, store = self.make_store()
         info = MatrixInfo("A", TileGrid(4096, 4096, 1024))
         place_virtual_inputs(store, [info], ["n0", "n1", "n2"])
-        used = [node.used_bytes for node in namenode.datanodes()]
-        assert min(used) > 0
+        holders = set()
+        for row, col in info.grid.positions():
+            holders |= namenode.replica_nodes(
+                store.path_for(TileId("A", row, col)))
+        assert holders == {"n0", "n1", "n2"}
 
     def test_requires_nodes(self):
         __, store = self.make_store()

@@ -113,15 +113,15 @@ def build_dag(dag_name, spec, locality, fault):
     # everywhere and the locality modes collapse into one) -- except
     # where a node dies, which a single replica cannot survive.
     single = spec.num_nodes == 2 and fault not in NODE_KILLING
-    cluster = provision(spec, replication=1 if single else 2)
-    context = PhysicalContext(tile, TileStore(cluster.namenode))
+    namenode = provision(spec, replication=1 if single else 2)
+    context = PhysicalContext(tile, TileStore(namenode))
     program, compiled = build(context)
     place_virtual_inputs(context.backing,
                          [compiled.materialized[name]
                           for name in sorted(program.inputs)],
                          spec.node_names())
     # Recompile so tasks pick up the replica locations.
-    return build(context)[1].dag, cluster.namenode
+    return build(context)[1].dag, namenode
 
 
 def simulator_kwargs(fault, spec, makespan, case_seed):

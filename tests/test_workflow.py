@@ -57,11 +57,6 @@ class TestSharedStrategy:
         with pytest.raises(InfeasibleConstraintError):
             optimizer.optimize_shared(10.0, space)
 
-    def test_describe(self, optimizer, space):
-        text = optimizer.optimize_shared(2 * 3600.0, space).describe()
-        assert "factorize" in text
-        assert "postprocess" in text
-
 
 class TestPerStageStrategy:
     def test_feasible_plan(self, optimizer, space):
